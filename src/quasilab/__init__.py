@@ -16,14 +16,12 @@ from .operators import (
     SIGMA_Y,
     SIGMA_Z,
     Eigensystem,
-    Povm,
     QuasiState,
     expectation,
     hermitian_eigensystem,
     is_hermitian,
     kron,
     partial_trace,
-    validate_quasistate,
 )
 from .bloch import (
     InvalidDirectionError,
@@ -53,12 +51,8 @@ from .nonlocal_box import (
     chsh_value,
     closed_form_box,
     joint_distribution,
-    nonsignalling_check,
-    nonsignalling_from_tables,
     observable,
-    orthogonal_ket,
     pipeline_unitaries,
-    reflection_operator,
     rotated_cnot,
     setting_tables,
     signalling_deviation,
@@ -66,7 +60,6 @@ from .nonlocal_box import (
 from .discrimination import (
     DiscriminationPovm,
     HyperplanePair,
-    bell_state_projectors,
     clonability_check,
     clone_protocol,
     detection_probabilities,

@@ -38,10 +38,10 @@ from .highdim import (
     violates_pc,
 )
 from .nonlocal_box import (
+    SQRT2,
     build_box,
     chsh_settings_for,
     chsh_value,
-    closed_form_box,
     pipeline_unitaries,
     setting_tables,
     signalling_deviation,
@@ -50,7 +50,6 @@ from .operators import kron
 from .reporting import CheckResult, RunReport
 
 DEFAULT_SEED = 42
-SQRT2 = float(np.sqrt(2.0))
 
 
 class Criterion:
@@ -122,7 +121,7 @@ def pc_psd_equivalence_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000
     for _ in range(samples):
         r = random_bloch_vector(rng, 0.0, 3.0)
         by_norm = pc_check(r).satisfied
-        by_spectrum = to_operator(r).min_eigenvalue >= -1e-9
+        by_spectrum = to_operator(r).is_positive()
         disagreements += by_norm != by_spectrum
     return Criterion(
         3,
@@ -255,10 +254,7 @@ def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> Criterion:
                     certain = build_probe_state(vs, CERTAIN, phases=phases)
                     null = build_probe_state(vs, NULL, phases=phases)
                     for probe, target in ((certain, 1.0), (null, 0.0)):
-                        form = float(
-                            np.real(probe.vector.conj() @ vs.state.matrix @ probe.vector)
-                        )
-                        pin_dev = max(pin_dev, abs(form - target))
+                        pin_dev = max(pin_dev, probe.pinning_dev)
                         det_dev = max(det_dev, abs(detection_probability(vs, probe) - target))
     mags = probe_magnitudes(3, 0.5, CERTAIN)
     weight_dev = abs(mags[0] - 5.0 / 7.0)
@@ -295,7 +291,7 @@ def cross_consistency_criterion(seed: int = DEFAULT_SEED) -> Criterion:
         vs = build_violating_state(2, epsilon)
         dev = max(dev, float(np.max(np.abs(vs.state.matrix - to_operator(r).matrix))))
         povm = discrimination_povm(r)
-        p1, p0 = entangled_projector(vs)
+        p1, p0, _ = entangled_projector(vs)
         dev = max(dev, float(np.max(np.abs(p1 - povm.p_plus))), float(np.max(np.abs(p0 - povm.p_minus))))
         for which, target in ((+1, CERTAIN), (-1, NULL)):
             probe = build_probe_state(vs, target)
@@ -338,7 +334,7 @@ def pipeline_oracle_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> 
         norm = rng.uniform(1.0 + 1e-9, 3.0) if k % 4 else rng.uniform(0.0, 1.0)
         r = norm * random_direction(rng)
         box = build_box(r)
-        box_dev = max(box_dev, float(np.max(np.abs(box.state.matrix - closed_form_box(box.r)))))
+        box_dev = max(box_dev, box.closed_form_dev)
         u, u_loc = pipeline_unitaries(r)
         unitary_dev = max(unitary_dev, float(np.max(np.abs(u.conj().T @ u - np.eye(4)))))
         unitary_dev = max(unitary_dev, float(np.max(np.abs(u_loc.conj().T @ u_loc - np.eye(2)))))

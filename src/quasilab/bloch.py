@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import I2, PAULI, QuasiState
-
-UNIT_ATOL = 1e-12
+from .operators import ATOL, I2, PAULI, QuasiState
 
 
 class InvalidDirectionError(ValueError):
@@ -36,7 +34,7 @@ def as_direction(n) -> np.ndarray:
     """Validate a measurement direction: a real unit 3-vector."""
     n = as_bloch_vector(n)
     norm = np.linalg.norm(n)
-    if abs(norm - 1.0) > UNIT_ATOL:
+    if abs(norm - 1.0) > ATOL:
         raise ValueError(f"direction must have unit norm, got {norm:.15g}")
     return n
 
@@ -53,7 +51,7 @@ def outcome_probability(r, n, outcome: int) -> float:
     if outcome not in (+1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     rn = float(np.dot(r, n))
-    if abs(rn) > 1.0 + UNIT_ATOL:
+    if abs(rn) > 1.0 + ATOL:
         raise InvalidDirectionError(f"|r.n| = {abs(rn):.15g} > 1: no valid probability in this direction")
     return 0.5 * (1.0 + outcome * rn)
 
@@ -79,7 +77,7 @@ def pc_check(r) -> PcCheck:
     r = as_bloch_vector(r)
     norm = float(np.linalg.norm(r))
     mean_square_sum = float(np.dot(r, r))
-    return PcCheck(satisfied=norm <= 1.0 + UNIT_ATOL, norm=norm, mean_square_sum=mean_square_sum)
+    return PcCheck(satisfied=norm <= 1.0 + ATOL, norm=norm, mean_square_sum=mean_square_sum)
 
 
 def to_operator(r, label: str | None = None) -> QuasiState:
@@ -153,10 +151,10 @@ def predictability_circle(r) -> PredictabilityCircle | None:
     """
     r = as_bloch_vector(r)
     norm = float(np.linalg.norm(r))
-    if norm < 1.0 - UNIT_ATOL:
+    if norm < 1.0 - ATOL:
         return None
     r_hat = r / norm
-    if norm <= 1.0 + UNIT_ATOL:
+    if norm <= 1.0 + ATOL:
         return PredictabilityCircle(center=r_hat, radius=0.0, plane_normal=r_hat)
     return PredictabilityCircle(
         center=r_hat / norm,

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import acceptance
-from .bloch import pc_check, predictability_circle, to_operator, transverse_frame
+from .bloch import pc_check, predictability_circle, to_operator
 from .discrimination import (
     clone_protocol,
     detection_probabilities,
@@ -31,18 +32,20 @@ from .highdim import (
     entangled_projector,
 )
 from .nonlocal_box import (
+    SQRT2,
     TSIRELSON_SETTINGS,
     build_box,
     chsh_settings_for,
     chsh_value,
-    closed_form_box,
     setting_tables,
     signalling_deviation,
 )
 from .operators import kron
 from .reporting import CheckResult, RunReport, emit_report
 
-SQRT2 = float(np.sqrt(2.0))
+# Largest --d for highdim: the dense path holds several (d^2)x(d^2)
+# complex matrices at once, 16 MB each at d = 32.
+MAX_HIGHDIM_DIM = 32
 
 
 def _vector(text: str) -> np.ndarray:
@@ -92,7 +95,6 @@ def _run_box(args) -> RunReport:
         expected = 4.0
     else:
         expected = 2.0 * SQRT2 * box.r
-    closed_dev = float(np.max(np.abs(box.state.matrix - closed_form_box(box.r))))
     signalling = signalling_deviation(tables)
 
     outputs = {
@@ -113,7 +115,7 @@ def _run_box(args) -> RunReport:
         outputs=outputs,
         checks=[
             CheckResult("chsh-law", abs(value - expected) <= 1e-9, abs(value - expected), 1e-9),
-            CheckResult("closed-form-match", closed_dev <= 1e-10, closed_dev, 1e-10),
+            CheckResult("closed-form-match", box.closed_form_dev <= 1e-10, box.closed_form_dev, 1e-10),
             CheckResult("nonsignalling", signalling <= 1e-12, signalling, 1e-12),
         ],
     )
@@ -196,6 +198,8 @@ def _run_clone_demo(args) -> RunReport:
 
 
 def _run_highdim(args) -> RunReport:
+    if args.d > MAX_HIGHDIM_DIM:
+        raise ValueError(f"dimension must be at most {MAX_HIGHDIM_DIM}, got {args.d}")
     lambdas = np.array(args.lambdas) if args.lambdas else None
     vs = build_violating_state(args.d, args.epsilon, lambdas=lambdas)
     rng = np.random.default_rng(args.seed)
@@ -207,14 +211,8 @@ def _run_highdim(args) -> RunReport:
     q1_null = detection_probability(vs, null)
     det_dev = max(abs(q1_certain - 1.0), abs(q1_null))
 
-    p1, _ = entangled_projector(vs)
-    doubled = np.stack([kron(vs.basis[:, j : j + 1], vs.basis[:, j : j + 1]).ravel() for j in range(vs.dim)])
-    oracle_dev = float(np.max(np.abs(p1 - doubled.T @ doubled.conj())))
-
-    pin_dev = max(
-        abs(float(np.real(certain.vector.conj() @ vs.state.matrix @ certain.vector)) - 1.0),
-        abs(float(np.real(null.vector.conj() @ vs.state.matrix @ null.vector))),
-    )
+    _, _, oracle_dev = entangled_projector(vs)
+    pin_dev = max(certain.pinning_dev, null.pinning_dev)
     return RunReport(
         command="highdim",
         inputs={
@@ -244,24 +242,20 @@ def _run_planes(args) -> RunReport:
     norm = float(np.linalg.norm(args.r))
     if norm <= 1.0:
         raise ValueError(f"the certainty planes cross the ball only for norm > 1, got {norm:.15g}")
-    r_hat = np.asarray(args.r, dtype=float) / norm
-    m, n = transverse_frame(r_hat)
-    radius = float(np.sqrt(1.0 - 1.0 / norm**2))
+    circle = predictability_circle(args.r)
+    mirror = replace(circle, center=-circle.center)  # r.x = -1 plane: same frame, opposite centre
+    points = np.concatenate((circle.sample(args.points), mirror.sample(args.points)))
     thetas = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
-    planes, angles, xs, ys, zs = [], [], [], [], []
-    for sign in (+1, -1):
-        center = sign * r_hat / norm
-        for theta in thetas:
-            point = center + radius * (np.cos(theta) * m + np.sin(theta) * n)
-            planes.append(sign)
-            angles.append(float(theta))
-            xs.append(float(point[0]))
-            ys.append(float(point[1]))
-            zs.append(float(point[2]))
     return RunReport(
         command="planes",
         inputs={"r": args.r, "points": args.points},
-        outputs={"plane": planes, "theta": angles, "x": xs, "y": ys, "z": zs},
+        outputs={
+            "plane": [+1] * args.points + [-1] * args.points,
+            "theta": [float(t) for t in thetas] * 2,
+            "x": [float(v) for v in points[:, 0]],
+            "y": [float(v) for v in points[:, 1]],
+            "z": [float(v) for v in points[:, 2]],
+        },
     )
 
 

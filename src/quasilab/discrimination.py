@@ -107,24 +107,6 @@ def discrimination_povm(r) -> DiscriminationPovm:
     )
 
 
-def bell_state_projectors(frame) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four maximally correlated rank-1 projectors built on a frame
-    (r_hat, m, n): phi+-  = (1/4)[I +- rr -+ mm + nn] and
-    psi+- = (1/4)[I +- rr +- mm - nn], with vv short for
-    (sigma.v)(x)(sigma.v). phi+ + psi+ and phi- + psi- recover the
-    discrimination projectors, which is the sign-unambiguous content."""
-    r_hat, m, n = (np.asarray(v, dtype=float) for v in frame)
-    ident = kron(I2, I2)
-    rr = kron(observable(r_hat), observable(r_hat))
-    mm = kron(observable(m), observable(m))
-    nn = kron(observable(n), observable(n))
-    phi_plus = 0.25 * (ident + rr - mm + nn)
-    phi_minus = 0.25 * (ident - rr + mm + nn)
-    psi_plus = 0.25 * (ident + rr + mm - nn)
-    psi_minus = 0.25 * (ident - rr - mm - nn)
-    return phi_plus, phi_minus, psi_plus, psi_minus
-
-
 def _validate_pair(r: np.ndarray, pair: HyperplanePair) -> None:
     if not np.allclose(pair.resource, r, atol=ATOL):
         raise ValueError("pair was built for a different resource")

@@ -120,19 +120,22 @@ def probe_magnitudes(dim: int, epsilon: float, target: int) -> np.ndarray:
 class ProbeState:
     """Unit vector sum_n alpha_n |psi_n> with fixed squared magnitudes and
     free phases; its detection probability against the parent violating
-    state is exactly ``target`` regardless of the phases."""
+    state is exactly ``target`` regardless of the phases. ``pinning_dev``
+    is the measured |<probe|state|probe> - target|."""
 
     magnitudes_sq: np.ndarray
     phases: np.ndarray
     vector: np.ndarray
     target: int
+    pinning_dev: float
 
 
 def build_probe_state(vs: ViolatingState, target: int, phases=None) -> ProbeState:
     """Probe vector in the eigenbasis of ``vs`` (zero phases by default).
 
     The construction is verified on the spot: the quadratic form of the
-    violating state on the probe must equal the target to 1e-12.
+    violating state on the probe must equal the target to 1e-12, and the
+    deviation is kept on the probe.
     """
     mags = probe_magnitudes(vs.dim, vs.epsilon, target)
     if phases is None:
@@ -144,13 +147,15 @@ def build_probe_state(vs: ViolatingState, target: int, phases=None) -> ProbeStat
     amps = np.sqrt(mags) * np.exp(1j * phases)
     vector = vs.basis @ amps
     pinned = float(np.real(vector.conj() @ vs.state.matrix @ vector))
-    if abs(pinned - target) > ATOL:
+    dev = abs(pinned - target)
+    if dev > ATOL:
         raise AssertionError(f"probe not pinned at {target}: got {pinned!r}")
-    return ProbeState(magnitudes_sq=mags, phases=phases, vector=vector, target=int(target))
+    return ProbeState(magnitudes_sq=mags, phases=phases, vector=vector, target=int(target), pinning_dev=dev)
 
 
-def entangled_projector(vs: ViolatingState) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-d projector P1 onto the doubled eigenvectors, plus P0 = I - P1.
+def entangled_projector(vs: ViolatingState) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rank-d projector P1 onto the doubled eigenvectors, P0 = I - P1, and
+    the max-entry deviation of P1 from its oracle.
 
     P1 is assembled from the d Fourier-phased maximally entangled vectors
     (1/sqrt(d)) sum_j w^(jk) |psi_j psi_j> and checked against the direct
@@ -165,15 +170,15 @@ def entangled_projector(vs: ViolatingState) -> tuple[np.ndarray, np.ndarray]:
         phi = (omega ** (np.arange(d) * k)) @ doubled / np.sqrt(d)
         p1 += np.outer(phi, phi.conj())
     oracle = doubled.T @ doubled.conj()
-    dev = np.max(np.abs(p1 - oracle))
+    dev = float(np.max(np.abs(p1 - oracle)))
     if dev > SPECTRAL_ATOL:
         raise AssertionError(f"Fourier projector deviates from diagonal sum by {dev:.3e}")
-    return p1, np.eye(d * d, dtype=complex) - p1
+    return p1, np.eye(d * d, dtype=complex) - p1, dev
 
 
 def detection_probability(vs: ViolatingState, probe: ProbeState) -> float:
     """q1 = Tr[P1 (state (x) probe)] for the doubled-basis projector."""
-    p1, _ = entangled_projector(vs)
+    p1, _, _ = entangled_projector(vs)
     joint = kron(vs.state.matrix, np.outer(probe.vector, probe.vector.conj()))
     return expectation(p1, joint)
 

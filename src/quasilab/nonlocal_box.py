@@ -34,32 +34,6 @@ PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / SQRT2
 PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / SQRT2
 
 
-def _as_unit_ket(xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=complex).reshape(-1)
-    if xi.shape != (2,):
-        raise ValueError(f"expected a 2-component vector, got shape {xi.shape}")
-    if abs(np.linalg.norm(xi) - 1.0) > ATOL:
-        raise ValueError(f"vector must be normalized, got norm {np.linalg.norm(xi):.15g}")
-    return xi
-
-
-def orthogonal_ket(xi) -> np.ndarray:
-    """The qubit vector orthogonal to ``xi`` (fixed phase choice)."""
-    xi = _as_unit_ket(xi)
-    return np.array([-np.conj(xi[1]), np.conj(xi[0])])
-
-
-def reflection_operator(xi) -> np.ndarray:
-    """Hermitian involution |xi><xi| - |xi_perp><xi_perp|.
-
-    In the basis (|xi> + |xi_perp>)/sqrt(2), (|xi> - |xi_perp>)/sqrt(2)
-    it acts as a bit flip, which is what the controlled gate below needs.
-    """
-    xi = _as_unit_ket(xi)
-    perp = orthogonal_ket(xi)
-    return np.outer(xi, xi.conj()) - np.outer(perp, perp.conj())
-
-
 def rotated_cnot(xi, xi_perp) -> np.ndarray:
     """Controlled-NOT with control and target both in the rotated basis
     spanned by (|xi> +- |xi_perp>)/sqrt(2)."""
@@ -90,10 +64,12 @@ def closed_form_box(r: float) -> np.ndarray:
 @dataclass(frozen=True)
 class BipartiteBox:
     """Two-party box: a dim-4 unit-trace Hermitian operator whose one-side
-    reductions are both maximally mixed, plus the source norm r."""
+    reductions are both maximally mixed, plus the source norm r and the
+    max-entry deviation of the operator from ``closed_form_box(r)``."""
 
     state: QuasiState
     r: float
+    closed_form_dev: float
 
     def __post_init__(self):
         if self.state.dim != 4:
@@ -104,14 +80,21 @@ class BipartiteBox:
                 raise ValueError("box reduction is not maximally mixed")
 
 
+def _gates(rho: QuasiState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ancilla ket (|xi> + |xi_perp>)/sqrt(2), rotated CNOT and local basis
+    change, all read off the eigenbasis (xi, xi_perp) of ``rho``."""
+    eig = hermitian_eigensystem(rho.matrix)
+    xi = eig.eigenvectors[:, 0]
+    xi_perp = eig.eigenvectors[:, 1]
+    return (xi + xi_perp) / SQRT2, rotated_cnot(xi, xi_perp), basis_to_computational(xi, xi_perp)
+
+
 def pipeline_unitaries(r) -> tuple[np.ndarray, np.ndarray]:
     """The two unitaries of the doubling pipeline for the preparation
     ``r``: the rotated CNOT in its eigenbasis and the local basis change
     to the computational basis."""
-    eig = hermitian_eigensystem(to_operator(r).matrix)
-    xi = eig.eigenvectors[:, 0]
-    xi_perp = eig.eigenvectors[:, 1]
-    return rotated_cnot(xi, xi_perp), basis_to_computational(xi, xi_perp)
+    _, u, u_loc = _gates(to_operator(r))
+    return u, u_loc
 
 
 def build_box(r) -> BipartiteBox:
@@ -120,30 +103,22 @@ def build_box(r) -> BipartiteBox:
     Steps: spectral decomposition of the source operator, attach an
     ancilla along (|xi> + |xi_perp>)/sqrt(2), apply the rotated CNOT, then
     rotate both sides into the computational basis. The result is checked
-    against the closed form before returning; a mismatch means the
-    construction itself is broken.
+    against the closed form before returning, and the deviation is kept on
+    the box; a mismatch means the construction itself is broken.
     """
     r = as_bloch_vector(r)
     norm = float(np.linalg.norm(r))
     rho = to_operator(r)
-    eig = hermitian_eigensystem(rho.matrix)
-    xi = eig.eigenvectors[:, 0]
-    xi_perp = eig.eigenvectors[:, 1]
-
-    plus = (xi + xi_perp) / SQRT2
-    u = rotated_cnot(xi, xi_perp)
+    plus, u, u_loc = _gates(rho)
     seed = kron(rho.matrix, np.outer(plus, plus.conj()))
     doubled = u @ seed @ u.conj().T
-
-    u_loc = basis_to_computational(xi, xi_perp)
     u_pair = kron(u_loc, u_loc)
     box = u_pair @ doubled @ u_pair.conj().T
 
-    target = closed_form_box(norm)
-    dev = np.max(np.abs(box - target))
+    dev = float(np.max(np.abs(box - closed_form_box(norm))))
     if dev > SPECTRAL_ATOL:
         raise AssertionError(f"pipeline deviates from closed form by {dev:.3e}")
-    return BipartiteBox(state=QuasiState(box), r=norm)
+    return BipartiteBox(state=QuasiState(box), r=norm, closed_form_dev=dev)
 
 
 @dataclass(frozen=True)
@@ -280,17 +255,3 @@ def signalling_deviation(tables: dict[tuple[int, int], JointDistribution]) -> fl
     for j in (1, 2):
         dev = max(dev, float(np.max(np.abs(tables[(1, j)].marginal_b() - tables[(2, j)].marginal_b()))))
     return dev
-
-
-def nonsignalling_from_tables(
-    tables: dict[tuple[int, int], JointDistribution], atol: float = ATOL
-) -> bool:
-    """True iff each party's outcome marginals are independent of the other
-    party's setting choice. Works on any 2x2 grid of joint tables, so
-    hand-built (non-box) tables can be screened as well."""
-    return signalling_deviation(tables) <= atol
-
-
-def nonsignalling_check(box: BipartiteBox, settings: ChshSettings, atol: float = ATOL) -> bool:
-    """Non-signalling screen for a box under four concrete settings."""
-    return nonsignalling_from_tables(setting_tables(box, settings), atol=atol)

@@ -10,9 +10,11 @@ import numpy as np
 
 # Tolerance policy for double precision at dimensions <= 81:
 # arithmetic identities, spectral reconstruction, PSD classification.
+# A qubit has min eigenvalue (1 - |r|)/2, so ATOL / 2 on the eigenvalue is
+# the same verdict as ATOL on the Bloch norm.
 ATOL = 1e-12
 SPECTRAL_ATOL = 1e-10
-PSD_ATOL = 1e-9
+PSD_ATOL = ATOL / 2
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -74,15 +76,6 @@ class QuasiState:
 
     def is_positive(self, atol: float = PSD_ATOL) -> bool:
         return self.min_eigenvalue >= -atol
-
-
-def validate_quasistate(m, label: str | None = None) -> QuasiState:
-    """Accept a matrix as a preparation iff it is Hermitian with unit trace.
-
-    Negative eigenvalues are allowed; the smallest one is recorded on the
-    returned object as a diagnostic.
-    """
-    return QuasiState(np.asarray(m, dtype=complex), label=label)
 
 
 @dataclass(frozen=True)
@@ -157,35 +150,3 @@ def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
     if keep == 1:
         return np.einsum("ijik->jk", t)
     raise ValueError("keep must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class Povm:
-    """Finite list of positive operators summing to the identity."""
-
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        elems = tuple(_frozen(_as_square_matrix(e)) for e in self.elements)
-        if not elems:
-            raise ValueError("a POVM needs at least one element")
-        dim = elems[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in elems:
-            if e.shape[0] != dim:
-                raise ValueError("POVM elements must share one dimension")
-            if not is_hermitian(e):
-                raise ValueError("POVM elements must be Hermitian")
-            if np.linalg.eigvalsh(e)[0] < -1e-10:
-                raise ValueError("POVM elements must be positive semidefinite")
-            total = total + e
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
-            raise ValueError("POVM elements must sum to the identity")
-        object.__setattr__(self, "elements", elems)
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
-    def probabilities(self, state) -> np.ndarray:
-        return np.array([expectation(e, state) for e in self.elements])

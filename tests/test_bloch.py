@@ -107,7 +107,15 @@ class TestOperatorDictionary:
 
     @given(bloch_vectors)
     def test_psd_iff_pc(self, r):
-        assert pc_check(r).satisfied == (to_operator(r).min_eigenvalue >= -1e-9)
+        assert pc_check(r).satisfied == to_operator(r).is_positive()
+
+    @pytest.mark.parametrize("excess", [1e-9, 1e-10, 1e-11, 5e-13, -5e-13])
+    def test_psd_iff_pc_at_the_unit_sphere(self, excess):
+        # the band where a norm tolerance and an eigenvalue tolerance that
+        # are not matched to (1 - |r|)/2 give opposite verdicts
+        r = np.array([0.0, 0.0, 1.0 + excess])
+        assert pc_check(r).satisfied == to_operator(r).is_positive()
+        assert pc_check(r).satisfied == (excess < 1e-12)
 
 
 class TestProjector:

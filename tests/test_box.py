@@ -22,14 +22,12 @@ from quasilab.nonlocal_box import (
     chsh_value,
     closed_form_box,
     joint_distribution,
-    nonsignalling_check,
-    nonsignalling_from_tables,
     pipeline_unitaries,
-    reflection_operator,
     rotated_cnot,
     setting_tables,
+    signalling_deviation,
 )
-from quasilab.operators import I2, SIGMA_X, SIGMA_Z, QuasiState, expectation, kron, partial_trace
+from quasilab.operators import ATOL, I2, SIGMA_Z, QuasiState, expectation, kron, partial_trace
 
 SQRT2 = np.sqrt(2.0)
 X, Y, Z = np.eye(3)
@@ -57,27 +55,6 @@ def random_settings(rng):
     return ChshSettings(*(random_direction(rng) for _ in range(4)))
 
 
-class TestReflectionOperator:
-    def test_computational_gives_z(self):
-        assert np.allclose(reflection_operator([1, 0]), SIGMA_Z)
-
-    def test_equatorial_gives_x(self):
-        assert np.allclose(reflection_operator(np.array([1, 1]) / SQRT2), SIGMA_X)
-
-    def test_involutive_hermitian(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            xi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            xi /= np.linalg.norm(xi)
-            op = reflection_operator(xi)
-            assert np.max(np.abs(op @ op - I2)) <= 1e-12
-            assert np.max(np.abs(op - op.conj().T)) <= 1e-12
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError, match="normalized"):
-            reflection_operator([1, 1])
-
-
 class TestBuildBox:
     def test_pure_bell_at_unit_norm(self):
         box = build_box(Z)
@@ -98,6 +75,26 @@ class TestBuildBox:
             r = random_bloch_vector(rng, 0.0, 3.0)
             box = build_box(r)
             assert np.max(np.abs(box.state.matrix - closed_form_box(box.r))) <= 1e-10
+
+    def test_closed_form_dev_is_the_measured_deviation(self):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            box = build_box(random_bloch_vector(rng, 0.0, 3.0))
+            assert box.closed_form_dev == np.max(np.abs(box.state.matrix - closed_form_box(box.r)))
+
+    def test_one_eigendecomposition_per_box(self, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        build_box(np.array([0.3, -0.4, 1.1]))
+        # eigh: the source's eigenbasis; eigvalsh: the source and the box as QuasiStates
+        assert calls == {"eigh": 1, "eigvalsh": 2}
 
     def test_depends_only_on_norm(self):
         rng = np.random.default_rng(2)
@@ -131,7 +128,7 @@ class TestBuildBox:
 
     def test_rejects_non_mixed_reductions(self):
         with pytest.raises(ValueError, match="maximally mixed"):
-            BipartiteBox(state=QuasiState(np.diag([1.0, 0, 0, 0]).astype(complex)), r=1.0)
+            BipartiteBox(state=QuasiState(np.diag([1.0, 0, 0, 0]).astype(complex)), r=1.0, closed_form_dev=0.0)
 
 
 class TestBellOperator:
@@ -257,16 +254,16 @@ class TestNonsignalling:
     def test_boxes_with_matched_settings(self):
         for r in (1.0, 1.2, 2.0):
             box = build_box(r * Z)
-            assert nonsignalling_check(box, chsh_settings_for(r))
+            assert signalling_deviation(setting_tables(box, chsh_settings_for(r))) <= ATOL
 
     def test_box_with_arbitrary_settings(self):
         rng = np.random.default_rng(9)
         box = build_box(1.5 * random_direction(rng))
         for _ in range(20):
-            assert nonsignalling_check(box, random_settings(rng))
+            assert signalling_deviation(setting_tables(box, random_settings(rng))) <= ATOL
 
     def test_hand_built_signalling_table(self):
         determined = JointDistribution(table=np.array([[1.0, 0.0], [0.0, 0.0]]), valid=True)
         flipped = JointDistribution(table=np.array([[0.0, 0.0], [0.0, 1.0]]), valid=True)
         tables = {(1, 1): determined, (1, 2): flipped, (2, 1): determined, (2, 2): determined}
-        assert not nonsignalling_from_tables(tables)
+        assert signalling_deviation(tables) > ATOL

@@ -1,14 +1,24 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from quasilab import cli
 from quasilab.cli import build_parser, main
 from quasilab.reporting import emit_report
 
 SQRT2 = np.sqrt(2.0)
+
+
+def readme_examples() -> list[list[str]]:
+    """argv of each `quasilab ...` line in the README's Command line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("quasilab ")]
 
 
 def run(capsys, *argv):
@@ -127,6 +137,14 @@ class TestHighdim:
         assert payload["outputs"]["leading_weight_certain"] == pytest.approx(5 / 7)
         assert payload["outputs"]["probe_overlap"] == pytest.approx((np.sqrt(5) + 2 * np.sqrt(3)) / 7)
 
+    def test_oversized_dimension_rejected_before_building(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the violating state was built")
+
+        monkeypatch.setattr(cli, "build_violating_state", unreachable)
+        code, _, err = run(capsys, "highdim", "--d", "33", "--epsilon", "0.5")
+        assert code == 2 and "at most 32" in err
+
     def test_random_phases_and_custom_tail(self, capsys):
         code, out, _ = run(
             capsys, "highdim", "--d", "3", "--epsilon", "0.5",
@@ -173,6 +191,17 @@ class TestDeterminism:
             report.duration_ms = 0.0
             emissions.append(emit_report(report, "json"))
         assert emissions[0] == emissions[1]
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a in readme_examples() if a[0] != "verify-all"], ids=lambda argv: argv[0]
+)
+def test_readme_examples_run(capsys, argv):
+    # pc-check --r 0,0,1.2 is the README's example of a violated bound
+    expected = 1 if argv[0] == "pc-check" else 0
+    code, out, _ = run(capsys, *argv)
+    assert code == expected
+    assert out
 
 
 def test_verify_all_exits_zero_when_all_criteria_pass(capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from quasilab.bloch import random_bloch_vector, random_direction, to_operator
 from quasilab.discrimination import (
-    bell_state_projectors,
     clonability_check,
     clone_protocol,
     detection_probabilities,
@@ -15,7 +14,7 @@ from quasilab.discrimination import (
     hyperplane_pair,
     overlap,
 )
-from quasilab.operators import Povm, expectation, kron
+from quasilab.operators import expectation, kron
 
 Z = np.array([0.0, 0.0, 1.0])
 RESOURCE = 2.0 * Z
@@ -117,41 +116,11 @@ class TestDiscriminationPovm:
         rng = np.random.default_rng(3)
         for _ in range(20):
             povm = discrimination_povm(rng.uniform(1.1, 3.0) * random_direction(rng))
-            Povm((povm.p_plus, povm.p_minus))
+            assert np.max(np.abs(povm.p_plus + povm.p_minus - np.eye(4))) <= 1e-12
             for p in (povm.p_plus, povm.p_minus):
                 eigs = np.linalg.eigvalsh(p)
+                assert eigs[0] >= -1e-12
                 assert np.sum(eigs > 0.5) == 2
-
-
-class TestBellStateProjectors:
-    def test_rank_one_projectors_summing_to_povm(self):
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            r, y, z = random_instance(rng)
-            pair = hyperplane_pair(r, y, z)
-            phi_p, phi_m, psi_p, psi_m = bell_state_projectors(pair.frame)
-            for proj in (phi_p, phi_m, psi_p, psi_m):
-                assert np.max(np.abs(proj @ proj - proj)) <= 1e-12
-                assert np.trace(proj).real == pytest.approx(1.0, abs=1e-12)
-            povm = discrimination_povm(r)
-            assert np.max(np.abs(phi_p + psi_p - povm.p_plus)) <= 1e-12
-            assert np.max(np.abs(phi_m + psi_m - povm.p_minus)) <= 1e-12
-
-    def test_half_zero_expectation_pattern(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            r, y, z = random_instance(rng)
-            pair = hyperplane_pair(r, y, z)
-            phi_p, phi_m, psi_p, psi_m = bell_state_projectors(pair.frame)
-            rho = to_operator(r).matrix
-            joint_plus = kron(rho, to_operator(pair.r_plus).matrix)
-            joint_minus = kron(rho, to_operator(pair.r_minus).matrix)
-            for proj in (phi_p, psi_p):
-                assert expectation(proj, joint_plus) == pytest.approx(0.5, abs=1e-12)
-                assert expectation(proj, joint_minus) == pytest.approx(0.0, abs=1e-12)
-            for proj in (phi_m, psi_m):
-                assert expectation(proj, joint_plus) == pytest.approx(0.0, abs=1e-12)
-                assert expectation(proj, joint_minus) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDiscriminate:

@@ -134,6 +134,15 @@ class TestProbeStates:
                 if eps >= 0.5:
                     assert value > 0.5
 
+    def test_pinning_dev_is_the_measured_deviation(self):
+        rng = np.random.default_rng(4)
+        for dim in (2, 3, 5):
+            vs = build_violating_state(dim, 0.7, basis=random_basis(rng, dim))
+            for target in (CERTAIN, NULL):
+                probe = build_probe_state(vs, target, phases=rng.uniform(0, 2 * np.pi, size=dim))
+                form = float(np.real(probe.vector.conj() @ vs.state.matrix @ probe.vector))
+                assert probe.pinning_dev == abs(form - target)
+
     def test_wrong_phase_count_rejected(self):
         vs = build_violating_state(3, 0.5)
         with pytest.raises(ValueError, match="phases"):
@@ -143,7 +152,7 @@ class TestProbeStates:
 class TestEntangledProjector:
     def test_dim_two_matches_qubit_povm(self):
         vs = build_violating_state(2, 0.5)
-        p1, p0 = entangled_projector(vs)
+        p1, p0, _ = entangled_projector(vs)
         povm = discrimination_povm(np.array([0.0, 0.0, 2.0]))
         assert np.max(np.abs(p1 - povm.p_plus)) <= 1e-12
         assert np.max(np.abs(p0 - povm.p_minus)) <= 1e-12
@@ -153,7 +162,7 @@ class TestEntangledProjector:
         rng = np.random.default_rng(2)
         for dim in (2, 3, 4, 5):
             vs = build_violating_state(dim, 0.3, basis=random_basis(rng, dim))
-            p1, p0 = entangled_projector(vs)
+            p1, p0, _ = entangled_projector(vs)
             assert np.max(np.abs(p1 @ p1 - p1)) <= 1e-10
             assert np.trace(p1).real == pytest.approx(dim, abs=1e-10)
             assert np.max(np.abs(p1 + p0 - np.eye(dim * dim))) <= 1e-12
@@ -162,13 +171,22 @@ class TestEntangledProjector:
         rng = np.random.default_rng(3)
         for dim in (2, 3, 5, 6):
             vs = build_violating_state(dim, 1.0, basis=random_basis(rng, dim))
-            p1, _ = entangled_projector(vs)
+            p1, _, _ = entangled_projector(vs)
             oracle = sum(
                 np.outer(kron(vs.basis[:, j : j + 1], vs.basis[:, j : j + 1]).ravel(),
                          kron(vs.basis[:, j : j + 1], vs.basis[:, j : j + 1]).ravel().conj())
                 for j in range(dim)
             )
             assert np.max(np.abs(p1 - oracle)) <= 1e-10
+
+    def test_returned_deviation_is_the_measured_one(self):
+        rng = np.random.default_rng(5)
+        for dim in (2, 3, 6):
+            vs = build_violating_state(dim, 0.4, basis=random_basis(rng, dim))
+            p1, _, dev = entangled_projector(vs)
+            # sum_j |psi_j psi_j><psi_j psi_j| as one product of the stacked doubled vectors
+            doubled = np.stack([np.kron(vs.basis[:, j], vs.basis[:, j]) for j in range(dim)])
+            assert dev == np.max(np.abs(p1 - doubled.T @ doubled.conj()))
 
 
 class TestDiscriminateHighdim:

@@ -12,14 +12,12 @@ from quasilab.operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    Povm,
     QuasiState,
     expectation,
     hermitian_eigensystem,
     is_hermitian,
     kron,
     partial_trace,
-    validate_quasistate,
 )
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -64,24 +62,24 @@ class TestKron:
 
 class TestExpectation:
     def test_identity_gives_unit_trace(self):
-        state = validate_quasistate(rho_z(1.7))
+        state = QuasiState(rho_z(1.7))
         assert expectation(np.eye(2), state) == pytest.approx(1.0, abs=1e-14)
 
     def test_eigenstate(self):
-        assert expectation(SIGMA_Z, validate_quasistate(rho_z(1.0))) == pytest.approx(1.0, abs=1e-14)
+        assert expectation(SIGMA_Z, QuasiState(rho_z(1.0))) == pytest.approx(1.0, abs=1e-14)
 
     def test_beyond_unit_norm(self):
         # oracle: mean value equals the Bloch component along z
-        assert expectation(SIGMA_Z, validate_quasistate(rho_z(1.5))) == pytest.approx(1.5, abs=1e-14)
+        assert expectation(SIGMA_Z, QuasiState(rho_z(1.5))) == pytest.approx(1.5, abs=1e-14)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            expectation(np.eye(4), validate_quasistate(rho_z(0.5)))
+            expectation(np.eye(4), QuasiState(rho_z(0.5)))
 
     def test_imaginary_residue_rejected(self):
         skew = np.array([[0, 1], [-1, 0]], dtype=complex)  # anti-Hermitian
         with pytest.raises(ValueError, match="imaginary"):
-            expectation(skew, validate_quasistate(0.5 * (I2 + 0.8 * SIGMA_Y)))
+            expectation(skew, QuasiState(0.5 * (I2 + 0.8 * SIGMA_Y)))
 
     def test_bilinear(self):
         rng = np.random.default_rng(7)
@@ -144,29 +142,33 @@ class TestEigensystem:
 
 class TestValidateQuasistate:
     def test_negative_eigenvalue_accepted(self):
-        state = validate_quasistate(rho_z(1.5))
+        state = QuasiState(rho_z(1.5))
         assert state.min_eigenvalue == pytest.approx(-0.25, abs=1e-14)
         assert not state.is_positive()
 
     def test_traceless_rejected(self):
         with pytest.raises(ValueError, match="trace"):
-            validate_quasistate(SIGMA_X)
+            QuasiState(SIGMA_X)
 
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 1], [0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            validate_quasistate(m)
+            QuasiState(m)
 
     def test_maximally_mixed(self):
         for d in (2, 3, 5):
-            state = validate_quasistate(np.eye(d) / d)
+            state = QuasiState(np.eye(d) / d)
             assert state.min_eigenvalue == pytest.approx(1 / d, abs=1e-14)
             assert state.is_positive()
 
     def test_matrix_is_immutable(self):
-        state = validate_quasistate(np.eye(2) / 2)
+        state = QuasiState(np.eye(2) / 2)
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 3.0
+
+    def test_is_hermitian_tolerance(self):
+        assert is_hermitian(SIGMA_Y)
+        assert not is_hermitian(SIGMA_Y + 1e-9 * np.array([[0, 1], [0, 0]]))
 
 
 class TestPartialTrace:
@@ -185,24 +187,3 @@ class TestPartialTrace:
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         for keep in (0, 1):
             assert np.trace(partial_trace(m, (2, 3), keep)) == pytest.approx(np.trace(m), abs=1e-12)
-
-
-class TestPovm:
-    def test_projective_pair(self):
-        plus = 0.5 * (I2 + SIGMA_X)
-        povm = Povm((plus, I2 - plus))
-        probs = povm.probabilities(validate_quasistate(rho_z(0.4)))
-        assert probs == pytest.approx([0.5, 0.5], abs=1e-14)
-
-    def test_incomplete_rejected(self):
-        plus = 0.5 * (I2 + SIGMA_X)
-        with pytest.raises(ValueError, match="identity"):
-            Povm((plus, 0.5 * plus))
-
-    def test_negative_element_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            Povm((1.5 * np.eye(2), -0.5 * np.eye(2)))
-
-    def test_is_hermitian_tolerance(self):
-        assert is_hermitian(SIGMA_Y)
-        assert not is_hermitian(SIGMA_Y + 1e-9 * np.array([[0, 1], [0, 0]]))
