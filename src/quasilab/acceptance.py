@@ -46,7 +46,7 @@ from .nonlocal_box import (
     setting_tables,
     signalling_deviation,
 )
-from .operators import kron
+from .operators import ATOL, LAW_ATOL, SPECTRAL_ATOL, kron
 from .reporting import CheckResult, RunReport
 
 DEFAULT_SEED = 42
@@ -85,7 +85,7 @@ def chsh_law_criterion() -> Criterion:
     for r in grid:
         value = chsh_value(build_box(_axis_vector(r)), chsh_settings_for(r))
         dev = max(dev, abs(value - 2.0 * SQRT2 * r))
-    return Criterion(1, "chsh-law", [CheckResult("chsh-equals-2sqrt2-r", dev <= 1e-9, dev, 1e-9)])
+    return Criterion(1, "chsh-law", [CheckResult.at_most("chsh-equals-2sqrt2-r", dev, LAW_ATOL)])
 
 
 def maximal_box_criterion() -> Criterion:
@@ -106,9 +106,9 @@ def maximal_box_criterion() -> Criterion:
         2,
         "maximal-box",
         [
-            CheckResult("chsh-equals-4", chsh_dev <= 1e-9, chsh_dev, 1e-9),
-            CheckResult("joint-probabilities-valid", prob_excess <= 1e-12, prob_excess, 1e-12),
-            CheckResult("nonsignalling", signalling <= 1e-12, signalling, 1e-12),
+            CheckResult.at_most("chsh-equals-4", chsh_dev, LAW_ATOL),
+            CheckResult.at_most("joint-probabilities-valid", prob_excess, ATOL),
+            CheckResult.at_most("nonsignalling", signalling, ATOL),
         ],
     )
 
@@ -126,7 +126,7 @@ def pc_psd_equivalence_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000
     return Criterion(
         3,
         "pc-psd-equivalence",
-        [CheckResult("classification-disagreements", disagreements == 0, float(disagreements), 0.0)],
+        [CheckResult.at_most("classification-disagreements", disagreements, 0.0)],
     )
 
 
@@ -141,13 +141,13 @@ def predictability_witness_criterion(seed: int = DEFAULT_SEED, samples: int = 10
         points = predictability_circle(r).sample(8)
         for n in points:
             prob_dev = max(prob_dev, abs(outcome_probability(r, n, +1) - 1.0))
-        colinear += np.linalg.norm(np.cross(points[0], points[2])) <= 1e-12
+        colinear += np.linalg.norm(np.cross(points[0], points[2])) <= ATOL
     return Criterion(
         4,
         "predictability-witness",
         [
-            CheckResult("circle-directions-certain", prob_dev <= 1e-12, prob_dev, 1e-12),
-            CheckResult("witness-pairs-non-colinear", colinear == 0, float(colinear), 0.0),
+            CheckResult.at_most("circle-directions-certain", prob_dev, ATOL),
+            CheckResult.at_most("witness-pairs-non-colinear", colinear, 0.0),
         ],
     )
 
@@ -162,7 +162,7 @@ def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> Cr
         r = random_bloch_vector(rng, 0.0, 3.0)
         rp = random_bloch_vector(rng, 0.0, 3.0)
         t = overlap(r, rp)
-        fixed_point = abs(t * t - t) <= 1e-9
+        fixed_point = abs(t * t - t) <= LAW_ATOL
         disagreements += fixed_point != clonability_check(r, rp)
         margin = min(margin, abs(t * t - t))
     exact_dev = 0.0
@@ -181,9 +181,9 @@ def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> Cr
         5,
         "clonability-fixed-point",
         [
-            CheckResult("agreement-disagreements", disagreements == 0, float(disagreements), 0.0),
-            CheckResult("generic-pairs-margin", margin > 1e-9, float(margin), 1e-9),
-            CheckResult("hyperplane-instances-exact", exact_dev <= 1e-9, exact_dev, 1e-9),
+            CheckResult.at_most("agreement-disagreements", disagreements, 0.0),
+            CheckResult("generic-pairs-margin", margin > LAW_ATOL, margin, LAW_ATOL),
+            CheckResult.at_most("hyperplane-instances-exact", exact_dev, LAW_ATOL),
         ],
     )
 
@@ -220,9 +220,9 @@ def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> C
         6,
         "perfect-discrimination",
         [
-            CheckResult("deterministic-detection", det_dev <= 1e-10, det_dev, 1e-10),
-            CheckResult("overlap-strictly-positive", min_overlap > 0.0, float(min_overlap), 0.0),
-            CheckResult("clone-output-exact", clone_dev <= 1e-12, clone_dev, 1e-12),
+            CheckResult.at_most("deterministic-detection", det_dev, SPECTRAL_ATOL),
+            CheckResult("overlap-strictly-positive", min_overlap > 0.0, min_overlap, 0.0),
+            CheckResult.at_most("clone-output-exact", clone_dev, ATOL),
         ],
     )
 
@@ -234,7 +234,7 @@ def _random_tail(rng: np.random.Generator, dim: int, epsilon: float) -> np.ndarr
         tail = -epsilon * rng.dirichlet(np.ones(dim - 1))
         jitter = rng.normal(0.0, 0.3, size=dim - 1)
         tail = tail + jitter - jitter.mean()
-        if tail.max() < 1.0 + epsilon - 1e-6 and abs(tail.sum() + epsilon) <= 1e-12:
+        if tail.max() < 1.0 + epsilon - 1e-6 and abs(tail.sum() + epsilon) <= ATOL:
             return tail
 
 
@@ -264,9 +264,9 @@ def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> Criterion:
         7,
         "highdim-grid",
         [
-            CheckResult("probe-pinning", pin_dev <= 1e-10, pin_dev, 1e-10),
-            CheckResult("doubled-projector-detection", det_dev <= 1e-10, det_dev, 1e-10),
-            CheckResult("closed-form-weights-exact", weight_dev == 0.0, weight_dev, 0.0),
+            CheckResult.at_most("probe-pinning", pin_dev, ATOL),
+            CheckResult.at_most("doubled-projector-detection", det_dev, SPECTRAL_ATOL),
+            CheckResult.at_most("closed-form-weights-exact", weight_dev, 0.0),
         ],
     )
 
@@ -313,12 +313,12 @@ def cross_consistency_criterion(seed: int = DEFAULT_SEED) -> Criterion:
         8,
         "cross-consistency",
         [
-            CheckResult("qubit-highdim-match", dev <= 1e-10, dev, 1e-10),
+            CheckResult.at_most("qubit-highdim-match", dev, SPECTRAL_ATOL),
             CheckResult(
                 "three-level-example-satisfies",
-                (not classified_violating) and max_form <= 1.0 - 1e-9,
+                (not classified_violating) and max_form <= 1.0 - LAW_ATOL,
                 max_form,
-                1.0 - 1e-9,
+                1.0 - LAW_ATOL,
             ),
         ],
     )
@@ -342,8 +342,8 @@ def pipeline_oracle_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> 
         9,
         "pipeline-oracle",
         [
-            CheckResult("pipeline-matches-closed-form", box_dev <= 1e-10, box_dev, 1e-10),
-            CheckResult("pipeline-unitarity", unitary_dev <= 1e-12, unitary_dev, 1e-12),
+            CheckResult.at_most("pipeline-matches-closed-form", box_dev, SPECTRAL_ATOL),
+            CheckResult.at_most("pipeline-unitarity", unitary_dev, ATOL),
         ],
     )
 

@@ -80,12 +80,12 @@ def pc_check(r) -> PcCheck:
     return PcCheck(satisfied=norm <= 1.0 + ATOL, norm=norm, mean_square_sum=mean_square_sum)
 
 
-def to_operator(r, label: str | None = None) -> QuasiState:
+def to_operator(r) -> QuasiState:
     """Operator (1/2)(I + r.sigma) of a preparation: always Hermitian with
     unit trace, positive semidefinite exactly when ||r|| <= 1."""
     r = as_bloch_vector(r)
     m = 0.5 * (I2 + r[0] * PAULI[0] + r[1] * PAULI[1] + r[2] * PAULI[2])
-    return QuasiState(m, label=label)
+    return QuasiState(m)
 
 
 def from_operator(state: QuasiState | np.ndarray) -> np.ndarray:

@@ -40,12 +40,18 @@ from .nonlocal_box import (
     setting_tables,
     signalling_deviation,
 )
-from .operators import kron
+from .operators import ATOL, LAW_ATOL, SPECTRAL_ATOL, kron
 from .reporting import CheckResult, RunReport, emit_report
 
 # Largest --d for highdim: the dense path holds several (d^2)x(d^2)
 # complex matrices at once, 16 MB each at d = 32.
 MAX_HIGHDIM_DIM = 32
+
+# Largest |r| (and --r-max) for box and chsh-sweep. The box passes every
+# check up to |r| = 1e3; from about 3e3 its entries are large enough that
+# QuasiState's absolute Hermiticity and trace checks (ATOL) reject it, and
+# from about 1e5 the closed-form check fails.
+MAX_BOX_NORM = 1e3
 
 
 def _vector(text: str) -> np.ndarray:
@@ -55,7 +61,12 @@ def _vector(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected 3 components, got {len(parts)}")
-    return np.array(parts)
+    v = np.array(parts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared_norm = v @ v
+    if not np.isfinite(squared_norm):
+        raise argparse.ArgumentTypeError(f"the squared norm of {text!r} is not a finite double")
+    return v
 
 
 def _run_pc_check(args) -> RunReport:
@@ -75,7 +86,7 @@ def _run_pc_check(args) -> RunReport:
         command="pc-check",
         inputs={"r": args.r},
         outputs=outputs,
-        checks=[CheckResult("complementarity", result.satisfied, excess, 1e-12)],
+        checks=[CheckResult("complementarity", result.satisfied, excess, ATOL)],
     )
 
 
@@ -86,6 +97,9 @@ def _resolve_settings(choice: str, norm: float):
 
 
 def _run_box(args) -> RunReport:
+    norm = float(np.linalg.norm(args.r))
+    if norm > MAX_BOX_NORM:
+        raise ValueError(f"|r| must be at most {MAX_BOX_NORM:g}, got {norm:.6g}")
     box = build_box(args.r)
     settings = _resolve_settings(args.settings, box.r)
     value = chsh_value(box, settings)
@@ -114,9 +128,9 @@ def _run_box(args) -> RunReport:
         inputs={"r": args.r, "settings": args.settings},
         outputs=outputs,
         checks=[
-            CheckResult("chsh-law", abs(value - expected) <= 1e-9, abs(value - expected), 1e-9),
-            CheckResult("closed-form-match", box.closed_form_dev <= 1e-10, box.closed_form_dev, 1e-10),
-            CheckResult("nonsignalling", signalling <= 1e-12, signalling, 1e-12),
+            CheckResult.at_most("chsh-law", abs(value - expected), LAW_ATOL),
+            CheckResult.at_most("closed-form-match", box.closed_form_dev, SPECTRAL_ATOL),
+            CheckResult.at_most("nonsignalling", signalling, ATOL),
         ],
     )
 
@@ -124,6 +138,8 @@ def _run_box(args) -> RunReport:
 def _run_chsh_sweep(args) -> RunReport:
     if args.r_min <= 0 or args.r_max < args.r_min or args.steps < 1:
         raise ValueError("sweep needs 0 < r-min <= r-max and steps >= 1")
+    if args.r_max > MAX_BOX_NORM:
+        raise ValueError(f"r-max must be at most {MAX_BOX_NORM:g}, got {args.r_max:.6g}")
     grid = np.linspace(args.r_min, args.r_max, args.steps)
     values, valids = [], []
     for r in grid:
@@ -144,9 +160,10 @@ def _run_discriminate(args) -> RunReport:
     miss_minus, q_minus = detection_probabilities(args.r, pair, -1)
     det_dev = max(abs(q_plus - 1.0), abs(miss_plus), abs(q_minus - 1.0), abs(miss_minus))
 
+    identified = {w: discriminate(args.r, pair, w) for w in (+1, -1)}
     rng = np.random.default_rng(args.seed)
     hidden = rng.choice([+1, -1], size=args.trials)
-    correct = sum(discriminate(args.r, pair, int(w)) == w for w in hidden)
+    correct = sum(identified[int(w)] == w for w in hidden)
 
     return RunReport(
         command="discriminate",
@@ -163,8 +180,8 @@ def _run_discriminate(args) -> RunReport:
             "correct": int(correct),
         },
         checks=[
-            CheckResult("deterministic-detection", det_dev <= 1e-10, det_dev, 1e-10),
-            CheckResult("all-trials-correct", correct == args.trials, float(args.trials - correct), 0.0),
+            CheckResult.at_most("deterministic-detection", det_dev, SPECTRAL_ATOL),
+            CheckResult.at_most("all-trials-correct", args.trials - correct, 0.0),
         ],
     )
 
@@ -191,8 +208,8 @@ def _run_clone_demo(args) -> RunReport:
         inputs={"r": args.r, "y": args.y, "z": args.z},
         outputs=outputs,
         checks=[
-            CheckResult("clone-output-exact", clone_dev <= 1e-12, clone_dev, 1e-12),
-            CheckResult("fidelity-matches-purity-squared", fidelity_dev <= 1e-12, fidelity_dev, 1e-12),
+            CheckResult.at_most("clone-output-exact", clone_dev, ATOL),
+            CheckResult.at_most("fidelity-matches-purity-squared", fidelity_dev, ATOL),
         ],
     )
 
@@ -231,9 +248,9 @@ def _run_highdim(args) -> RunReport:
             "q1_null": q1_null,
         },
         checks=[
-            CheckResult("probe-pinning", pin_dev <= 1e-12, pin_dev, 1e-12),
-            CheckResult("doubled-projector-detection", det_dev <= 1e-10, det_dev, 1e-10),
-            CheckResult("projector-oracle", oracle_dev <= 1e-10, oracle_dev, 1e-10),
+            CheckResult.at_most("probe-pinning", pin_dev, ATOL),
+            CheckResult.at_most("doubled-projector-detection", det_dev, SPECTRAL_ATOL),
+            CheckResult.at_most("projector-oracle", oracle_dev, SPECTRAL_ATOL),
         ],
     )
 

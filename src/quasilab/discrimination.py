@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import as_bloch_vector, to_operator, transverse_frame
-from .operators import ATOL, I2, QuasiState, expectation, kron
+from .operators import ATOL, I2, SPECTRAL_ATOL, QuasiState, expectation, kron
 from .nonlocal_box import observable
-
-DISCRIMINATION_ATOL = 1e-10
 
 
 def overlap(r, rp) -> float:
@@ -27,12 +25,12 @@ def overlap(r, rp) -> float:
     return 0.5 * (1.0 + float(np.dot(as_bloch_vector(r), as_bloch_vector(rp))))
 
 
-def clonability_check(r, rp, atol: float = ATOL) -> bool:
+def clonability_check(r, rp) -> bool:
     """True iff the pair passes the joint-cloning fixed point: a unitary
     copying both preparations forces Tr(rho rho')^2 = Tr(rho rho'), i.e.
     the trace pairing is exactly 0 or 1, i.e. r.r' = -1 or +1."""
     dot = float(np.dot(as_bloch_vector(r), as_bloch_vector(rp)))
-    return abs(abs(dot) - 1.0) <= atol
+    return abs(abs(dot) - 1.0) <= ATOL
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,7 @@ def discriminate(r, pair: HyperplanePair, which: int) -> int:
     is broken and raises."""
     q_plus, q_minus = detection_probabilities(r, pair, which)
     q_hit, q_miss = (q_plus, q_minus) if which == +1 else (q_minus, q_plus)
-    if abs(q_hit - 1.0) > DISCRIMINATION_ATOL or abs(q_miss) > DISCRIMINATION_ATOL:
+    if abs(q_hit - 1.0) > SPECTRAL_ATOL or abs(q_miss) > SPECTRAL_ATOL:
         raise AssertionError(f"discrimination not deterministic: q_hit={q_hit!r}, q_miss={q_miss!r}")
     return which
 

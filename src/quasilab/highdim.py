@@ -21,11 +21,11 @@ from .operators import ATOL, QuasiState, SPECTRAL_ATOL, expectation, kron
 CERTAIN, NULL = 1, 0
 
 
-def violates_pc(m, atol: float = ATOL) -> bool:
+def violates_pc(m) -> bool:
     """True iff the preparation makes two incompatible outcomes certain,
     which happens exactly when its top eigenvalue exceeds 1."""
     matrix = m.matrix if isinstance(m, QuasiState) else np.asarray(m, dtype=complex)
-    return bool(np.linalg.eigvalsh(matrix)[-1] > 1.0 + atol)
+    return bool(np.linalg.eigvalsh(matrix)[-1] > 1.0 + ATOL)
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,7 @@ class ViolatingState:
         return np.concatenate(([1.0 + self.epsilon], self.lambdas))
 
 
-def build_violating_state(
-    dim: int,
-    epsilon: float,
-    lambdas=None,
-    basis=None,
-    label: str | None = None,
-) -> ViolatingState:
+def build_violating_state(dim: int, epsilon: float, lambdas=None, basis=None) -> ViolatingState:
     """Assemble (1+eps)|psi0><psi0| + sum_k lambda_k |psi_k><psi_k|.
 
     The tail defaults to the uniform split -epsilon/(d-1). A custom tail
@@ -90,7 +84,7 @@ def build_violating_state(
         epsilon=float(epsilon),
         lambdas=lambdas,
         basis=basis,
-        state=QuasiState(matrix, label=label),
+        state=QuasiState(matrix),
     )
 
 
@@ -134,7 +128,7 @@ def build_probe_state(vs: ViolatingState, target: int, phases=None) -> ProbeStat
     """Probe vector in the eigenbasis of ``vs`` (zero phases by default).
 
     The construction is verified on the spot: the quadratic form of the
-    violating state on the probe must equal the target to 1e-12, and the
+    violating state on the probe must equal the target to ATOL, and the
     deviation is kept on the probe.
     """
     mags = probe_magnitudes(vs.dim, vs.epsilon, target)

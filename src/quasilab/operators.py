@@ -8,12 +8,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Tolerance policy for double precision at dimensions <= 81:
-# arithmetic identities, spectral reconstruction, PSD classification.
-# A qubit has min eigenvalue (1 - |r|)/2, so ATOL / 2 on the eigenvalue is
-# the same verdict as ATOL on the Bloch norm.
+# The tolerance policy: every check and threshold in the package reads its
+# bound from this table, and no call site overrides it. Sized for double
+# precision on the operators the package builds: qubit and two-qubit
+# operators, and the doubled (d^2)x(d^2) operators of highdim for d <= 32
+# (1024x1024).
+# - ATOL: arithmetic identities and the Bloch norm bound.
+# - SPECTRAL_ATOL: eigendecompositions and products of d^2-dimensional
+#   operators (the closed-form box, the projector oracle, detection
+#   probabilities).
+# - LAW_ATOL: the CHSH law, the clonability fixed point and its margin,
+#   and how far below 1 a satisfying preparation's quadratic form stays.
+# - PSD_ATOL: a qubit has min eigenvalue (1 - |r|)/2, so ATOL / 2 on the
+#   eigenvalue is the same verdict as ATOL on the Bloch norm.
 ATOL = 1e-12
 SPECTRAL_ATOL = 1e-10
+LAW_ATOL = 1e-9
 PSD_ATOL = ATOL / 2
 
 I2 = np.eye(2, dtype=complex)
@@ -36,10 +46,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_hermitian(m, atol: float = ATOL) -> bool:
-    """True if max-entry deviation from the conjugate transpose is <= atol."""
+def is_hermitian(m) -> bool:
+    """True if max-entry deviation from the conjugate transpose is <= ATOL."""
     m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= ATOL)
 
 
 def kron(a, b) -> np.ndarray:
@@ -56,7 +66,6 @@ class QuasiState:
     """
 
     matrix: np.ndarray
-    label: str | None = None
     min_eigenvalue: float = field(init=False)
 
     def __post_init__(self):
@@ -74,8 +83,8 @@ class QuasiState:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_positive(self, atol: float = PSD_ATOL) -> bool:
-        return self.min_eigenvalue >= -atol
+    def is_positive(self) -> bool:
+        return self.min_eigenvalue >= -PSD_ATOL
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,7 @@ class Eigensystem:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eigensystem(m, atol: float = ATOL) -> Eigensystem:
+def hermitian_eigensystem(m) -> Eigensystem:
     """Eigendecomposition of a Hermitian matrix.
 
     Eigenvalues come out descending. Each eigenvector is rescaled so that
@@ -104,7 +113,7 @@ def hermitian_eigensystem(m, atol: float = ATOL) -> Eigensystem:
     constructions need a deterministic choice.
     """
     m = _as_square_matrix(m)
-    if not is_hermitian(m, atol):
+    if not is_hermitian(m):
         raise ValueError("eigensystem requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh(m)
     vals = vals[::-1]
@@ -122,14 +131,14 @@ def expectation(op, state) -> float:
     """Trace pairing Tr(state . op) for a Hermitian operator.
 
     ``state`` may be a QuasiState or a raw matrix. A non-negligible
-    imaginary residue (> 1e-10) signals a non-Hermitian input and raises.
+    imaginary residue (> SPECTRAL_ATOL) signals a non-Hermitian input and raises.
     """
     rho = state.matrix if isinstance(state, QuasiState) else np.asarray(state, dtype=complex)
     op = np.asarray(op, dtype=complex)
     if rho.shape != op.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape} vs operator {op.shape}")
     value = np.trace(rho @ op)
-    if abs(value.imag) > 1e-10:
+    if abs(value.imag) > SPECTRAL_ATOL:
         raise ValueError(f"trace pairing has imaginary residue {value.imag:.3e}; operator not Hermitian?")
     return float(value.real)
 

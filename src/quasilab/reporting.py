@@ -42,6 +42,12 @@ class CheckResult:
         self.measured = float(self.measured)
         self.tolerance = float(self.tolerance)
 
+    @classmethod
+    def at_most(cls, name: str, measured: float, tolerance: float) -> CheckResult:
+        """Upper-bound check that passes iff ``measured <= tolerance``, so
+        the verdict cannot drift from the tolerance it reports."""
+        return cls(name, measured <= tolerance, measured, tolerance)
+
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.name} (measured={fmt_real(self.measured)}, tolerance={fmt_real(self.tolerance)})"

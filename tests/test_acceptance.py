@@ -1,5 +1,6 @@
 """Acceptance suite: every numbered criterion at its stated tolerance,
-one pass/fail line printed per criterion."""
+one pass/fail line printed per criterion. The default-seed criteria come
+from the one ``run_all`` of the session (see conftest.py)."""
 
 import pytest
 
@@ -12,52 +13,59 @@ def _check(criterion):
         assert sub.passed, sub.line()
 
 
-def test_criterion_1_chsh_law():
+def _criterion(criteria, number):
+    criterion = criteria[number - 1]
+    assert criterion.number == number
+    return criterion
+
+
+def test_criterion_1_chsh_law(verify_all_criteria):
     # <B> = 2*sqrt(2)*r within 1e-9 on the grid up to sqrt(2); Tsirelson at r = 1
-    _check(acceptance.chsh_law_criterion())
+    _check(_criterion(verify_all_criteria, 1))
 
 
-def test_criterion_2_maximal_box():
+def test_criterion_2_maximal_box(verify_all_criteria):
     # <B> = 4 within 1e-9 for r in {1.5, 2, 3}, all joint probabilities valid, non-signalling
-    _check(acceptance.maximal_box_criterion())
+    _check(_criterion(verify_all_criteria, 2))
 
 
-def test_criterion_3_pc_psd_equivalence():
+def test_criterion_3_pc_psd_equivalence(verify_all_criteria):
     # 10^4 random vectors: norm bound and spectrum classification never disagree
-    _check(acceptance.pc_psd_equivalence_criterion(samples=10_000))
+    _check(_criterion(verify_all_criteria, 3))
 
 
-def test_criterion_4_predictability_witness():
+def test_criterion_4_predictability_witness(verify_all_criteria):
     # 10^3 random norm > 1 vectors: two non-colinear certain directions each
-    _check(acceptance.predictability_witness_criterion(samples=1000))
+    _check(_criterion(verify_all_criteria, 4))
 
 
-def test_criterion_5_clonability_fixed_point():
+def test_criterion_5_clonability_fixed_point(verify_all_criteria):
     # 10^4 random pairs agree with the trace fixed-point test; exact instances hit both planes
-    _check(acceptance.clonability_criterion(samples=10_000))
+    _check(_criterion(verify_all_criteria, 5))
 
 
-def test_criterion_6_perfect_discrimination():
+def test_criterion_6_perfect_discrimination(verify_all_criteria):
     # 10^3 admissible instances: detection probabilities exactly 1 within 1e-10,
     # strictly positive overlap, clone output exact within 1e-12
-    _check(acceptance.discrimination_criterion(samples=1000))
+    _check(_criterion(verify_all_criteria, 6))
 
 
-def test_criterion_7_highdim_grid():
+def test_criterion_7_highdim_grid(verify_all_criteria):
     # d in 2..6, epsilon in {0.1, 0.5, 1, 2}, uniform + 3 random tails, zero + random
-    # phases: pinning and detection within 1e-10; d=3 eps=0.5 weights exactly 5/7, 1/7
-    _check(acceptance.highdim_grid_criterion())
+    # phases: pinning within 1e-12, detection within 1e-10; d=3 eps=0.5 weights
+    # exactly 5/7, 1/7
+    _check(_criterion(verify_all_criteria, 7))
 
 
-def test_criterion_8_cross_consistency():
+def test_criterion_8_cross_consistency(verify_all_criteria):
     # dim-2 doubled-basis machinery matches the qubit protocol within 1e-10;
     # the diagonal three-level example is classified as satisfying the bound
-    _check(acceptance.cross_consistency_criterion())
+    _check(_criterion(verify_all_criteria, 8))
 
 
-def test_criterion_9_pipeline_oracle():
+def test_criterion_9_pipeline_oracle(verify_all_criteria):
     # 10^3 random resources: pipeline equals closed form within 1e-10, gates unitary within 1e-12
-    _check(acceptance.pipeline_oracle_criterion(samples=1000))
+    _check(_criterion(verify_all_criteria, 9))
 
 
 @pytest.mark.parametrize("seed", [7, 123])

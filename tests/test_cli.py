@@ -2,13 +2,15 @@
 
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quasilab import cli
+from quasilab import acceptance, cli
 from quasilab.cli import build_parser, main
+from quasilab.operators import ATOL, LAW_ATOL, SPECTRAL_ATOL
 from quasilab.reporting import emit_report
 
 SQRT2 = np.sqrt(2.0)
@@ -85,6 +87,29 @@ class TestBox:
         # the diagonal settings beyond sqrt(2) leave the valid region
         assert payload["outputs"]["all_tables_valid"] is False
 
+    def test_largest_supported_norm_passes(self, capsys):
+        code, _, _ = run(capsys, "box", "--r", "1000,0,0")
+        assert code == 0
+
+    def test_norm_above_domain_rejected_before_building(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the box was built")
+
+        monkeypatch.setattr(cli, "build_box", unreachable)
+        code, _, err = run(capsys, "box", "--r", "3e5,4e5,5e5")
+        assert code == 2 and "at most 1000" in err
+        code, _, err = run(capsys, "chsh-sweep", "--r-min", "1", "--r-max", "1001", "--steps", "2")
+        assert code == 2 and "at most 1000" in err
+
+    def test_overflowing_norm_rejected_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(["box", "--r", "1e200,0,0"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "squared norm" in err and "RuntimeWarning" not in err
+
 
 class TestChshSweep:
     def test_rows_follow_the_law(self, capsys):
@@ -114,6 +139,20 @@ class TestDiscriminateAndClone:
         assert payload["outputs"]["q_minus_given_minus"] == pytest.approx(1.0, abs=1e-12)
         assert payload["outputs"]["correct"] == 8
         assert payload["outputs"]["overlap"] == pytest.approx(0.555, abs=1e-12)
+
+    def test_discriminate_runs_once_per_label(self, capsys, monkeypatch):
+        calls = []
+        original = cli.discriminate
+
+        def counted(r, pair, which):
+            calls.append(which)
+            return original(r, pair, which)
+
+        monkeypatch.setattr(cli, "discriminate", counted)
+        code, out, _ = run(capsys, "discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials", "20")
+        assert code == 0
+        assert sorted(calls) == [-1, +1]
+        assert json.loads(out)["outputs"]["correct"] == 20
 
     def test_clone_demo_report(self, capsys):
         code, out, _ = run(capsys, "clone-demo", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--format", "json")
@@ -204,8 +243,39 @@ def test_readme_examples_run(capsys, argv):
     assert out
 
 
-def test_verify_all_exits_zero_when_all_criteria_pass(capsys):
+def _replay_run_all(monkeypatch, criteria):
+    """Make ``verify-all`` return the session's criteria; return the seeds
+    it was asked for."""
+    seeds = []
+
+    def run_all(seed):
+        seeds.append(seed)
+        return criteria
+
+    monkeypatch.setattr(acceptance, "run_all", run_all)
+    return seeds
+
+
+def test_verify_all_exits_zero_when_all_criteria_pass(capsys, monkeypatch, verify_all_criteria):
+    seeds = _replay_run_all(monkeypatch, verify_all_criteria)
     code, out, err = run(capsys, "verify-all")
+    assert seeds == [42]
     assert code == 0
     assert "criteria_passed: 9" in out
     assert err.count("[PASS] criterion") == 9
+
+
+# Every tolerance a report states comes from the table in quasilab.operators.
+POLICY_TOLERANCES = {0.0, ATOL, SPECTRAL_ATOL, LAW_ATOL, 1.0 - LAW_ATOL}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [a for a in readme_examples() if a[0] not in ("chsh-sweep", "planes")],
+    ids=lambda argv: argv[0],
+)
+def test_report_tolerances_come_from_the_policy_table(capsys, monkeypatch, verify_all_criteria, argv):
+    _replay_run_all(monkeypatch, verify_all_criteria)
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    tolerances = {check["tolerance"] for check in json.loads(out)["checks"]}
+    assert tolerances and tolerances <= POLICY_TOLERANCES
