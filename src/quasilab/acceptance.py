@@ -46,7 +46,7 @@ from .nonlocal_box import (
     setting_tables,
     signalling_deviation,
 )
-from .operators import ATOL, LAW_ATOL, SPECTRAL_ATOL, kron
+from .operators import ATOL, LAW_ATOL, SPECTRAL_ATOL
 from .reporting import CheckResult, RunReport
 
 DEFAULT_SEED = 42
@@ -82,10 +82,19 @@ def chsh_law_criterion() -> Criterion:
     this is the quantum maximum."""
     grid = [1.0, 1.1, 1.2, 1.3, 1.4, 1.4142]
     dev = 0.0
+    closed_dev = 0.0
     for r in grid:
-        value = chsh_value(build_box(_axis_vector(r)), chsh_settings_for(r))
-        dev = max(dev, abs(value - 2.0 * SQRT2 * r))
-    return Criterion(1, "chsh-law", [CheckResult.at_most("chsh-equals-2sqrt2-r", dev, LAW_ATOL)])
+        box = build_box(_axis_vector(r))
+        closed_dev = max(closed_dev, box.closed_form_dev)
+        dev = max(dev, abs(chsh_value(box, chsh_settings_for(r)) - 2.0 * SQRT2 * r))
+    return Criterion(
+        1,
+        "chsh-law",
+        [
+            CheckResult.at_most("chsh-equals-2sqrt2-r", dev, LAW_ATOL),
+            CheckResult.at_most("closed-form-match", closed_dev, SPECTRAL_ATOL),
+        ],
+    )
 
 
 def maximal_box_criterion() -> Criterion:
@@ -94,8 +103,10 @@ def maximal_box_criterion() -> Criterion:
     chsh_dev = 0.0
     prob_excess = 0.0
     signalling = 0.0
+    closed_dev = 0.0
     for r in (1.5, 2.0, 3.0):
         box = build_box(_axis_vector(r))
+        closed_dev = max(closed_dev, box.closed_form_dev)
         settings = chsh_settings_for(r)
         chsh_dev = max(chsh_dev, abs(chsh_value(box, settings) - 4.0))
         tables = setting_tables(box, settings)
@@ -109,6 +120,7 @@ def maximal_box_criterion() -> Criterion:
             CheckResult.at_most("chsh-equals-4", chsh_dev, LAW_ATOL),
             CheckResult.at_most("joint-probabilities-valid", prob_excess, ATOL),
             CheckResult.at_most("nonsignalling", signalling, ATOL),
+            CheckResult.at_most("closed-form-match", closed_dev, SPECTRAL_ATOL),
         ],
     )
 
@@ -213,9 +225,7 @@ def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> C
         det_dev = max(det_dev, abs(q_minus - 1.0), abs(q_rest))
         min_overlap = min(min_overlap, overlap(pair.r_plus, pair.r_minus))
         for which in (+1, -1):
-            _, out = clone_protocol(r, pair, which)
-            single = to_operator(pair.r_plus if which == +1 else pair.r_minus).matrix
-            clone_dev = max(clone_dev, float(np.max(np.abs(out.matrix - kron(single, single)))))
+            clone_dev = max(clone_dev, clone_protocol(r, pair, which)[2])
     return Criterion(
         6,
         "perfect-discrimination",
@@ -244,12 +254,14 @@ def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> Criterion:
     rng = np.random.default_rng(seed)
     pin_dev = 0.0
     det_dev = 0.0
+    oracle_dev = 0.0
     for dim in range(2, 7):
         for epsilon in (0.1, 0.5, 1.0, 2.0):
             tails = [None] + [_random_tail(rng, dim, epsilon) for _ in range(3)]
             for tail in tails:
                 basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
                 vs = build_violating_state(dim, epsilon, lambdas=tail, basis=basis)
+                oracle_dev = max(oracle_dev, entangled_projector(vs)[2])
                 for phases in (None, rng.uniform(0.0, 2.0 * np.pi, size=dim)):
                     certain = build_probe_state(vs, CERTAIN, phases=phases)
                     null = build_probe_state(vs, NULL, phases=phases)
@@ -266,6 +278,7 @@ def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> Criterion:
         [
             CheckResult.at_most("probe-pinning", pin_dev, ATOL),
             CheckResult.at_most("doubled-projector-detection", det_dev, SPECTRAL_ATOL),
+            CheckResult.at_most("projector-oracle", oracle_dev, SPECTRAL_ATOL),
             CheckResult.at_most("closed-form-weights-exact", weight_dev, 0.0),
         ],
     )

@@ -4,7 +4,7 @@ from the one ``run_all`` of the session (see conftest.py)."""
 
 import pytest
 
-from quasilab import acceptance
+from quasilab import acceptance, nonlocal_box
 
 
 def _check(criterion):
@@ -78,3 +78,11 @@ def test_randomized_criteria_hold_for_other_seeds(seed):
         acceptance.pipeline_oracle_criterion(seed, samples=200),
     ):
         _check(criterion)
+
+
+def test_invariant_failure_is_a_failed_check(monkeypatch):
+    # a pipeline that misses its closed form fails criterion 1 instead of raising
+    closed_form_box = nonlocal_box.closed_form_box
+    monkeypatch.setattr(nonlocal_box, "closed_form_box", lambda r: closed_form_box(r) + 1.0)
+    criterion = acceptance.chsh_law_criterion()
+    assert [c.name for c in criterion.checks if not c.passed] == ["closed-form-match"]

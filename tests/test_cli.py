@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasilab import acceptance, cli
+from quasilab import acceptance, cli, discrimination, highdim, nonlocal_box
 from quasilab.cli import build_parser, main
 from quasilab.operators import ATOL, LAW_ATOL, SPECTRAL_ATOL
 from quasilab.reporting import emit_report
@@ -53,6 +53,70 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["pc-check", "--r", "1,2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials", "-3"],
+            ["discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials", "0"],
+            ["planes", "--r", "0,0,2", "--points", "0"],
+            ["chsh-sweep", "--r-min", "1", "--r-max", "2", "--steps", "0"],
+        ],
+        ids=lambda argv: " ".join(argv[-2:]),
+    )
+    def test_count_below_one_is_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+
+class TestInvariantFailures:
+    """A construction that measures a deviation past its tolerance gives a
+    failed check: exit 1, the full report, the failing check on stderr."""
+
+    @pytest.fixture
+    def closed_form_off_by_one(self, monkeypatch):
+        closed_form_box = nonlocal_box.closed_form_box
+        monkeypatch.setattr(nonlocal_box, "closed_form_box", lambda r: closed_form_box(r) + 1.0)
+
+    @pytest.fixture
+    def measurement_favours_minus(self, monkeypatch):
+        monkeypatch.setattr(discrimination, "detection_probabilities", lambda r, pair, which: (0.3, 0.7))
+
+    def test_box_closed_form_mismatch(self, capsys, closed_form_off_by_one):
+        code, out, err = run(capsys, "box", "--r", "0,0,2", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["outputs"]["chsh"] == pytest.approx(4.0)
+        [measured] = [c["measured"] for c in payload["checks"] if c["name"] == "closed-form-match"]
+        assert measured == pytest.approx(1.0)
+        assert err.strip() == "failed checks: closed-form-match"
+
+    def test_chsh_sweep_closed_form_mismatch(self, capsys, closed_form_off_by_one):
+        code, out, err = run(capsys, "chsh-sweep", "--r-min", "1", "--r-max", "2", "--steps", "3")
+        assert code == 1
+        assert out.splitlines()[0] == "r,chsh,valid"
+        assert err.strip() == "failed checks: closed-form-match"
+
+    def test_highdim_unpinned_probe(self, capsys, monkeypatch):
+        monkeypatch.setattr(highdim, "probe_magnitudes", lambda dim, epsilon, target: np.full(dim, 1.0 / dim))
+        code, out, err = run(capsys, "highdim", "--d", "3", "--epsilon", "0.5", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["outputs"]["leading_weight_certain"] == pytest.approx(1 / 3)
+        assert "probe-pinning" in err
+
+    def test_discriminate_wrong_label(self, capsys, measurement_favours_minus):
+        code, out, err = run(capsys, "discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials", "20")
+        assert code == 1
+        assert 0 < json.loads(out)["outputs"]["correct"] < 20
+        assert err.strip() == "failed checks: all-trials-correct"
+
+    def test_clone_of_the_wrong_state(self, capsys, measurement_favours_minus):
+        code, out, err = run(capsys, "clone-demo", "--r", "0,0,2", "--y", "0.6", "--z", "0")
+        assert code == 1
+        assert json.loads(out)["outputs"]["label_plus"] == -1
+        assert err.strip() == "failed checks: clone-output-exact"
 
 
 class TestPcCheck:
@@ -127,6 +191,12 @@ class TestChshSweep:
         code, _, err = run(capsys, "chsh-sweep", "--r-min", "0", "--r-max", "1", "--steps", "3")
         assert code == 2 and "error:" in err
 
+    def test_json_judges_every_box(self, capsys):
+        code, out, _ = run(capsys, "chsh-sweep", "--r-min", "1", "--r-max", "3", "--steps", "4", "--format", "json")
+        assert code == 0
+        [check] = json.loads(out)["checks"]
+        assert check["name"] == "closed-form-match" and check["tolerance"] == SPECTRAL_ATOL
+
 
 class TestDiscriminateAndClone:
     def test_discriminate_report(self, capsys):
@@ -183,6 +253,21 @@ class TestHighdim:
         monkeypatch.setattr(cli, "build_violating_state", unreachable)
         code, _, err = run(capsys, "highdim", "--d", "33", "--epsilon", "0.5")
         assert code == 2 and "at most 32" in err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", repr(10 * cli.MAX_HIGHDIM_EPSILON)])
+    def test_epsilon_outside_domain_rejected_before_building(self, capsys, monkeypatch, epsilon):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the violating state was built")
+
+        monkeypatch.setattr(cli, "build_violating_state", unreachable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "highdim", "--d", "3", "--epsilon", epsilon)
+        assert code == 2 and f"at most {cli.MAX_HIGHDIM_EPSILON:g}" in err
+
+    def test_largest_supported_epsilon_passes(self, capsys):
+        code, _, _ = run(capsys, "highdim", "--d", "3", "--epsilon", repr(cli.MAX_HIGHDIM_EPSILON))
+        assert code == 0
 
     def test_random_phases_and_custom_tail(self, capsys):
         code, out, _ = run(

@@ -4,6 +4,7 @@ discrimination of non-orthogonal states, and the cloning protocol."""
 import numpy as np
 import pytest
 
+from quasilab import discrimination
 from quasilab.bloch import random_bloch_vector, random_direction, to_operator
 from quasilab.discrimination import (
     clonability_check,
@@ -14,7 +15,7 @@ from quasilab.discrimination import (
     hyperplane_pair,
     overlap,
 )
-from quasilab.operators import expectation, kron
+from quasilab.operators import ATOL, expectation, kron
 
 Z = np.array([0.0, 0.0, 1.0])
 RESOURCE = 2.0 * Z
@@ -159,6 +160,15 @@ class TestDiscriminate:
             assert detection_probabilities(r, pair, +1)[0] == pytest.approx(1.0, abs=1e-10)
             assert detection_probabilities(r, pair, -1)[1] == pytest.approx(1.0, abs=1e-10)
 
+    def test_label_is_the_likelier_outcome(self, monkeypatch):
+        # a measurement that favours the wrong outcome yields the wrong label,
+        # and the clone of the wrong state shows up as a deviation
+        monkeypatch.setattr(discrimination, "detection_probabilities", lambda r, pair, which: (0.3, 0.7))
+        pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
+        assert discriminate(RESOURCE, pair, +1) == -1
+        label, _, clone_dev = clone_protocol(RESOURCE, pair, +1)
+        assert label == -1 and clone_dev > ATOL
+
     def test_mismatched_pair_rejected(self):
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
         with pytest.raises(ValueError, match="different resource"):
@@ -169,14 +179,15 @@ class TestCloneProtocol:
     def test_outputs_doubled_states(self):
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
         for which, target_vec in ((+1, pair.r_plus), (-1, pair.r_minus)):
-            label, out = clone_protocol(RESOURCE, pair, which)
+            label, out, clone_dev = clone_protocol(RESOURCE, pair, which)
             assert label == which
             single = to_operator(target_vec).matrix
-            assert np.max(np.abs(out.matrix - kron(single, single))) <= 1e-12
+            assert clone_dev == np.max(np.abs(out.matrix - kron(single, single)))
+            assert clone_dev <= 1e-12
 
     def test_fidelity_equals_purity_squared(self):
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
-        _, out = clone_protocol(RESOURCE, pair, +1)
+        _, out, _ = clone_protocol(RESOURCE, pair, +1)
         single = to_operator(pair.r_plus).matrix
         fidelity = expectation(kron(single, single), out)
         purity = 0.5 * (1.0 + float(pair.r_plus @ pair.r_plus))
