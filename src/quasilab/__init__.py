@@ -62,7 +62,6 @@ from .discrimination import (
     HyperplanePair,
     clonability_check,
     clone_protocol,
-    detection_probabilities,
     discriminate,
     discrimination_povm,
     hyperplane_pair,

@@ -22,7 +22,7 @@ from .bloch import (
 from .discrimination import (
     clonability_check,
     clone_protocol,
-    detection_probabilities,
+    discriminate,
     discrimination_povm,
     hyperplane_pair,
     overlap,
@@ -47,7 +47,7 @@ from .nonlocal_box import (
     signalling_deviation,
 )
 from .operators import ATOL, LAW_ATOL, SPECTRAL_ATOL
-from .reporting import CheckResult, RunReport
+from .reporting import CheckResult, RunReport, fmt_real
 
 DEFAULT_SEED = 42
 
@@ -69,7 +69,7 @@ class Criterion:
         worst = max((c for c in self.checks), key=lambda c: (not c.passed, c.measured))
         return (
             f"[{tag}] criterion {self.number}: {self.name} "
-            f"(worst={worst.name}, measured={worst.measured:.3e}, tolerance={worst.tolerance:.3e})"
+            f"(worst={worst.name}, measured={fmt_real(worst.measured)}, tolerance={fmt_real(worst.tolerance)})"
         )
 
 
@@ -219,13 +219,12 @@ def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> C
     for _ in range(samples):
         r, y, z = _random_admissible_instance(rng)
         pair = hyperplane_pair(r, y, z)
-        q_plus, q_rest = detection_probabilities(r, pair, +1)
-        det_dev = max(det_dev, abs(q_plus - 1.0), abs(q_rest))
-        q_rest, q_minus = detection_probabilities(r, pair, -1)
-        det_dev = max(det_dev, abs(q_minus - 1.0), abs(q_rest))
         min_overlap = min(min_overlap, overlap(pair.r_plus, pair.r_minus))
         for which in (+1, -1):
-            clone_dev = max(clone_dev, clone_protocol(r, pair, which)[2])
+            label, q_plus, q_minus = discriminate(r, pair, which)
+            q_hit, q_miss = (q_plus, q_minus) if which == +1 else (q_minus, q_plus)
+            det_dev = max(det_dev, abs(q_hit - 1.0), abs(q_miss))
+            clone_dev = max(clone_dev, clone_protocol(pair, label, which)[1])
     return Criterion(
         6,
         "perfect-discrimination",
@@ -261,7 +260,7 @@ def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> Criterion:
             for tail in tails:
                 basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
                 vs = build_violating_state(dim, epsilon, lambdas=tail, basis=basis)
-                oracle_dev = max(oracle_dev, entangled_projector(vs)[2])
+                oracle_dev = max(oracle_dev, entangled_projector(vs)[1])
                 for phases in (None, rng.uniform(0.0, 2.0 * np.pi, size=dim)):
                     certain = build_probe_state(vs, CERTAIN, phases=phases)
                     null = build_probe_state(vs, NULL, phases=phases)
@@ -304,14 +303,15 @@ def cross_consistency_criterion(seed: int = DEFAULT_SEED) -> Criterion:
         vs = build_violating_state(2, epsilon)
         dev = max(dev, float(np.max(np.abs(vs.state.matrix - to_operator(r).matrix))))
         povm = discrimination_povm(r)
-        p1, p0, _ = entangled_projector(vs)
+        p1, _ = entangled_projector(vs)
+        p0 = np.eye(4) - p1
         dev = max(dev, float(np.max(np.abs(p1 - povm.p_plus))), float(np.max(np.abs(p0 - povm.p_minus))))
         for which, target in ((+1, CERTAIN), (-1, NULL)):
             probe = build_probe_state(vs, target)
             plane_state = pair.r_plus if which == +1 else pair.r_minus
             dev = max(dev, float(np.max(np.abs(from_operator(np.outer(probe.vector, probe.vector.conj())) - plane_state))))
-            q_pair = detection_probabilities(r, pair, which)
-            q_qubit = q_pair[0] if which == +1 else q_pair[1]
+            _, q_plus, q_minus = discriminate(r, pair, which)
+            q_qubit = q_plus if which == +1 else q_minus
             q_high = detection_probability(vs, probe)
             expected = 1.0 if which == +1 else 0.0
             dev = max(dev, abs(q_qubit - 1.0), abs(q_high - expected))

@@ -16,13 +16,7 @@ import numpy as np
 
 from . import acceptance
 from .bloch import pc_check, predictability_circle, to_operator
-from .discrimination import (
-    clone_protocol,
-    detection_probabilities,
-    discriminate,
-    hyperplane_pair,
-    overlap,
-)
+from .discrimination import clone_protocol, discriminate, hyperplane_pair, overlap
 from .highdim import (
     CERTAIN,
     NULL,
@@ -132,7 +126,7 @@ def _run_box(args) -> RunReport:
         "r_norm": box.r,
         "chsh": value,
         "chsh_expected": expected,
-        "box_eigenvalues": np.sort(np.linalg.eigvalsh(box.state.matrix))[::-1],
+        "box_eigenvalues": box.state.eigenvalues[::-1],
         "all_tables_valid": all(t.valid for t in tables.values()),
     }
     for name, vec in (("a1", settings.a1), ("a2", settings.a2), ("b1", settings.b1), ("b2", settings.b2)):
@@ -176,11 +170,11 @@ def _run_chsh_sweep(args) -> RunReport:
 
 def _run_discriminate(args) -> RunReport:
     pair = hyperplane_pair(args.r, args.y, args.z)
-    q_plus, miss_plus = detection_probabilities(args.r, pair, +1)
-    miss_minus, q_minus = detection_probabilities(args.r, pair, -1)
+    label_plus, q_plus, miss_plus = discriminate(args.r, pair, +1)
+    label_minus, miss_minus, q_minus = discriminate(args.r, pair, -1)
     det_dev = max(abs(q_plus - 1.0), abs(miss_plus), abs(q_minus - 1.0), abs(miss_minus))
 
-    identified = {w: discriminate(args.r, pair, w) for w in (+1, -1)}
+    identified = {+1: label_plus, -1: label_minus}
     rng = np.random.default_rng(args.seed)
     hidden = rng.choice([+1, -1], size=args.trials)
     correct = sum(identified[int(w)] == w for w in hidden)
@@ -212,7 +206,8 @@ def _run_clone_demo(args) -> RunReport:
     clone_dev = 0.0
     fidelity_dev = 0.0
     for which, name in ((+1, "plus"), (-1, "minus")):
-        label, out, dev = clone_protocol(args.r, pair, which)
+        label, _, _ = discriminate(args.r, pair, which)
+        out, dev = clone_protocol(pair, label, which)
         clone_dev = max(clone_dev, dev)
         target_vec = pair.r_plus if which == +1 else pair.r_minus
         # Tr[(rho (x) rho) out], with out standing in for rho (x) rho:
@@ -250,7 +245,7 @@ def _run_highdim(args) -> RunReport:
     q1_null = detection_probability(vs, null)
     det_dev = max(abs(q1_certain - 1.0), abs(q1_null))
 
-    _, _, oracle_dev = entangled_projector(vs)
+    _, oracle_dev = entangled_projector(vs)
     pin_dev = max(certain.pinning_dev, null.pinning_dev)
     return RunReport(
         command="highdim",

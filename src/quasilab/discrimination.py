@@ -45,9 +45,6 @@ class HyperplanePair:
     resource: np.ndarray
     r_plus: np.ndarray
     r_minus: np.ndarray
-    y: float
-    z: float
-    frame: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def hyperplane_pair(r, y: float, z: float) -> HyperplanePair:
@@ -71,9 +68,6 @@ def hyperplane_pair(r, y: float, z: float) -> HyperplanePair:
         resource=r,
         r_plus=r_hat / norm + offset,
         r_minus=-r_hat / norm + offset,
-        y=float(y),
-        z=float(z),
-        frame=(r_hat, m, n),
     )
 
 
@@ -85,7 +79,6 @@ class DiscriminationPovm:
 
     p_plus: np.ndarray
     p_minus: np.ndarray
-    axis: np.ndarray
 
 
 def discrimination_povm(r) -> DiscriminationPovm:
@@ -98,11 +91,7 @@ def discrimination_povm(r) -> DiscriminationPovm:
     axis = r / norm
     corr = kron(observable(axis), observable(axis))
     ident = kron(I2, I2)
-    return DiscriminationPovm(
-        p_plus=0.5 * (ident + corr),
-        p_minus=0.5 * (ident - corr),
-        axis=axis,
-    )
+    return DiscriminationPovm(p_plus=0.5 * (ident + corr), p_minus=0.5 * (ident - corr))
 
 
 def _validate_pair(r: np.ndarray, pair: HyperplanePair) -> None:
@@ -113,9 +102,10 @@ def _validate_pair(r: np.ndarray, pair: HyperplanePair) -> None:
 
 
 def detection_probabilities(r, pair: HyperplanePair, which: int) -> tuple[float, float]:
-    """Outcome probabilities (q_plus, q_minus) of the discrimination
-    measurement on resource (x) hidden state, where ``which`` (+1 or -1)
-    selects the hidden state."""
+    """The discrimination measurement on resource (x) hidden state, where
+    ``which`` (+1 or -1) selects the hidden state: its outcome
+    probabilities (q_plus, q_minus). ``discriminate`` makes it once per
+    hidden state and returns them with the label."""
     r = as_bloch_vector(r)
     _validate_pair(r, pair)
     if which not in (+1, -1):
@@ -126,26 +116,31 @@ def detection_probabilities(r, pair: HyperplanePair, which: int) -> tuple[float,
     return expectation(povm.p_plus, joint), expectation(povm.p_minus, joint)
 
 
-def discriminate(r, pair: HyperplanePair, which: int) -> int:
-    """Identify the hidden member of a certainty-plane pair: the label of
-    the outcome the discrimination measurement makes likelier. On a
-    working instance that outcome has probability 1, so the answer is
-    certain."""
+def discriminate(r, pair: HyperplanePair, which: int) -> tuple[int, float, float]:
+    """Identify the hidden member of a certainty-plane pair with one
+    discrimination measurement.
+
+    Returns the label of the outcome the measurement makes likelier and
+    the outcome probabilities (q_plus, q_minus) it gave. On a working
+    instance the likelier outcome has probability 1, so the answer is
+    certain.
+    """
     q_plus, q_minus = detection_probabilities(r, pair, which)
-    return +1 if q_plus >= q_minus else -1
+    return (+1 if q_plus >= q_minus else -1), q_plus, q_minus
 
 
-def clone_protocol(r, pair: HyperplanePair, which: int) -> tuple[int, QuasiState, float]:
-    """Discriminate, then duplicate.
+def clone_protocol(pair: HyperplanePair, label: int, which: int) -> tuple[QuasiState, float]:
+    """Duplicate the state that discrimination identified as ``label``.
 
     The deterministic outcome leaves resource (x) hidden state untouched,
-    so after the label is known the identified state is simply prepared
-    afresh. Returns the label, the dim-4 output rho_label (x) rho_label and
-    its max-entry deviation from rho_which (x) rho_which.
+    so once the label is known the identified state is simply prepared
+    afresh. Returns the dim-4 output rho_label (x) rho_label and its
+    max-entry deviation from rho_which (x) rho_which.
     """
-    label = discriminate(r, pair, which)
     states = {+1: pair.r_plus, -1: pair.r_minus}
+    if label not in states or which not in states:
+        raise ValueError(f"labels must be +1 or -1, got {label} and {which}")
     single = to_operator(states[label]).matrix
     hidden = to_operator(states[which]).matrix
     out = kron(single, single)
-    return label, QuasiState(out), float(np.max(np.abs(out - kron(hidden, hidden))))
+    return QuasiState(out), float(np.max(np.abs(out - kron(hidden, hidden))))

@@ -53,9 +53,10 @@ def build_violating_state(dim: int, epsilon: float, lambdas=None, basis=None) ->
     """Assemble (1+eps)|psi0><psi0| + sum_k lambda_k |psi_k><psi_k|.
 
     The tail defaults to the uniform split -epsilon/(d-1). A custom tail
-    must have length d-1, sum to -epsilon, and stay below 1+epsilon so the
-    leading eigenvalue is the stated one. ``basis`` (columns = psi_n)
-    defaults to the computational basis and must be unitary.
+    must have length d-1, be finite, sum to -epsilon, and stay below
+    1+epsilon so the leading eigenvalue is the stated one. ``basis``
+    (columns = psi_n) defaults to the computational basis and must be
+    unitary.
     """
     if dim < 2:
         raise ValueError("dimension must be at least 2")
@@ -67,6 +68,8 @@ def build_violating_state(dim: int, epsilon: float, lambdas=None, basis=None) ->
         lambdas = np.asarray(lambdas, dtype=float)
         if lambdas.shape != (dim - 1,):
             raise ValueError(f"tail spectrum needs {dim - 1} entries, got {lambdas.shape}")
+        if not np.all(np.isfinite(lambdas)):
+            raise ValueError(f"tail spectrum must be finite, got {lambdas.tolist()}")
         if abs(lambdas.sum() + epsilon) > ATOL:
             raise ValueError(f"tail spectrum must sum to -epsilon, got {lambdas.sum():.15g}")
         if lambdas.max() > 1.0 + epsilon + ATOL:
@@ -118,7 +121,6 @@ class ProbeState:
     is the measured |<probe|state|probe> - target|."""
 
     magnitudes_sq: np.ndarray
-    phases: np.ndarray
     vector: np.ndarray
     target: int
     pinning_dev: float
@@ -138,12 +140,12 @@ def build_probe_state(vs: ViolatingState, target: int, phases=None) -> ProbeStat
     amps = np.sqrt(mags) * np.exp(1j * phases)
     vector = vs.basis @ amps
     dev = abs(float(np.real(vector.conj() @ vs.state.matrix @ vector)) - target)
-    return ProbeState(magnitudes_sq=mags, phases=phases, vector=vector, target=int(target), pinning_dev=dev)
+    return ProbeState(magnitudes_sq=mags, vector=vector, target=int(target), pinning_dev=dev)
 
 
-def entangled_projector(vs: ViolatingState) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rank-d projector P1 onto the doubled eigenvectors, P0 = I - P1, and
-    the max-entry deviation of P1 from its oracle.
+def entangled_projector(vs: ViolatingState) -> tuple[np.ndarray, float]:
+    """Rank-d projector P1 onto the doubled eigenvectors and its max-entry
+    deviation from its oracle.
 
     P1 is assembled from the d Fourier-phased maximally entangled vectors
     (1/sqrt(d)) sum_j w^(jk) |psi_j psi_j>; its oracle is the direct
@@ -158,12 +160,12 @@ def entangled_projector(vs: ViolatingState) -> tuple[np.ndarray, np.ndarray, flo
         p1 += np.outer(phi, phi.conj())
     oracle = doubled.T @ doubled.conj()
     dev = float(np.max(np.abs(p1 - oracle)))
-    return p1, np.eye(d * d, dtype=complex) - p1, dev
+    return p1, dev
 
 
 def detection_probability(vs: ViolatingState, probe: ProbeState) -> float:
     """q1 = Tr[P1 (state (x) probe)] for the doubled-basis projector."""
-    p1, _, _ = entangled_projector(vs)
+    p1, _ = entangled_projector(vs)
     joint = kron(vs.state.matrix, np.outer(probe.vector, probe.vector.conj()))
     return expectation(p1, joint)
 

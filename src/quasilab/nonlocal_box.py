@@ -208,9 +208,6 @@ class JointDistribution:
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 
-    def p(self, x: int, y: int) -> float:
-        return float(self.table[(1 - x) // 2, (1 - y) // 2])
-
     def marginal_a(self) -> np.ndarray:
         return self.table.sum(axis=1)
 

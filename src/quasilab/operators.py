@@ -4,7 +4,7 @@ that are allowed to have negative eigenvalues."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +62,11 @@ class QuasiState:
     """Unit-trace Hermitian operator; positivity is *not* required.
 
     Negative eigenvalues encode preparations outside the quantum state
-    space. ``min_eigenvalue`` is kept as a diagnostic of how far outside.
+    space. The spectrum is computed when read, not on construction;
+    ``min_eigenvalue`` says how far outside a preparation lies.
     """
 
     matrix: np.ndarray
-    min_eigenvalue: float = field(init=False)
 
     def __post_init__(self):
         m = _as_square_matrix(self.matrix)
@@ -77,11 +77,19 @@ class QuasiState:
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"trace must be 1, got {tr:.15g}")
         object.__setattr__(self, "matrix", _frozen(m))
-        object.__setattr__(self, "min_eigenvalue", float(np.linalg.eigvalsh(m)[0]))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The spectrum, ascending, computed on each read."""
+        return np.linalg.eigvalsh(self.matrix)
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.eigenvalues[0])
 
     def is_positive(self) -> bool:
         return self.min_eigenvalue >= -PSD_ATOL
@@ -98,10 +106,6 @@ class Eigensystem:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _frozen(np.asarray(self.eigenvalues, dtype=float)))
         object.__setattr__(self, "eigenvectors", _frozen(np.asarray(self.eigenvectors, dtype=complex)))
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def hermitian_eigensystem(m) -> Eigensystem:

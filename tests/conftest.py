@@ -1,12 +1,35 @@
 """Shared fixtures."""
 
+import numpy as np
 import pytest
 
 from quasilab import acceptance
 
+# numpy routines whose calls the session's run_all counts.
+COUNTED = {"eigvalsh": np.linalg, "eigh": np.linalg, "kron": np}
+
 
 @pytest.fixture(scope="session")
-def verify_all_criteria():
+def verify_all_run():
     """The nine criteria of ``verify-all`` at the default seed, run once
-    per session and shared by the acceptance and CLI tests."""
-    return acceptance.run_all(acceptance.DEFAULT_SEED)
+    per session, and the number of calls that run made to each routine
+    in ``COUNTED``."""
+    calls = dict.fromkeys(COUNTED, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, owner in COUNTED.items():
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            mp.setattr(owner, name, counted)
+        criteria = acceptance.run_all(acceptance.DEFAULT_SEED)
+    return criteria, calls
+
+
+@pytest.fixture(scope="session")
+def verify_all_criteria(verify_all_run):
+    """The criteria of the session's run, shared by the acceptance and CLI
+    tests."""
+    return verify_all_run[0]

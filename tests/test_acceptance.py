@@ -4,7 +4,7 @@ from the one ``run_all`` of the session (see conftest.py)."""
 
 import pytest
 
-from quasilab import acceptance, nonlocal_box
+from quasilab import acceptance, discrimination, nonlocal_box
 
 
 def _check(criterion):
@@ -78,6 +78,31 @@ def test_randomized_criteria_hold_for_other_seeds(seed):
         acceptance.pipeline_oracle_criterion(seed, samples=200),
     ):
         _check(criterion)
+
+
+# Ceilings on the numpy calls of one run_all(DEFAULT_SEED), each set at the
+# count measured when it was last changed. A change that lowers a count
+# lowers its ceiling with it; no change raises one.
+NUMPY_CALL_CEILINGS = {"eigvalsh": 10_001, "eigh": 2_009, "kron": 18_104}
+
+
+def test_numpy_calls_within_ceilings(verify_all_run):
+    _, calls = verify_all_run
+    for name, ceiling in NUMPY_CALL_CEILINGS.items():
+        assert calls[name] <= ceiling, f"{name}: {calls[name]} calls, ceiling {ceiling}"
+
+
+def test_criterion_6_measures_each_hidden_state_once(monkeypatch):
+    measurements = []
+    povm = discrimination.discrimination_povm
+
+    def counted(r):
+        measurements.append(1)
+        return povm(r)
+
+    monkeypatch.setattr(discrimination, "discrimination_povm", counted)
+    acceptance.discrimination_criterion(samples=5)
+    assert len(measurements) == 2 * 5
 
 
 def test_invariant_failure_is_a_failed_check(monkeypatch):

@@ -82,7 +82,10 @@ class TestInvariantFailures:
 
     @pytest.fixture
     def measurement_favours_minus(self, monkeypatch):
-        monkeypatch.setattr(discrimination, "detection_probabilities", lambda r, pair, which: (0.3, 0.7))
+        # the one measurement inside discriminate, giving outcome
+        # probabilities (0.3, 0.7) whatever the hidden state
+        favours_minus = discrimination.DiscriminationPovm(p_plus=0.3 * np.eye(4), p_minus=0.7 * np.eye(4))
+        monkeypatch.setattr(discrimination, "discrimination_povm", lambda r: favours_minus)
 
     def test_box_closed_form_mismatch(self, capsys, closed_form_off_by_one):
         code, out, err = run(capsys, "box", "--r", "0,0,2", "--format", "json")
@@ -109,8 +112,12 @@ class TestInvariantFailures:
     def test_discriminate_wrong_label(self, capsys, measurement_favours_minus):
         code, out, err = run(capsys, "discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials", "20")
         assert code == 1
-        assert 0 < json.loads(out)["outputs"]["correct"] < 20
-        assert err.strip() == "failed checks: all-trials-correct"
+        payload = json.loads(out)
+        assert 0 < payload["outputs"]["correct"] < 20
+        # the check judges the measurement that produced the labels
+        [measured] = [c["measured"] for c in payload["checks"] if c["name"] == "deterministic-detection"]
+        assert measured == pytest.approx(0.7)
+        assert err.strip() == "failed checks: deterministic-detection, all-trials-correct"
 
     def test_clone_of_the_wrong_state(self, capsys, measurement_favours_minus):
         code, out, err = run(capsys, "clone-demo", "--r", "0,0,2", "--y", "0.6", "--z", "0")
@@ -224,6 +231,20 @@ class TestDiscriminateAndClone:
         assert sorted(calls) == [-1, +1]
         assert json.loads(out)["outputs"]["correct"] == 20
 
+    @pytest.mark.parametrize("command", ["discriminate", "clone-demo"])
+    def test_one_measurement_per_hidden_state(self, capsys, monkeypatch, command):
+        measurements = []
+        povm = discrimination.discrimination_povm
+
+        def counted(r):
+            measurements.append(1)
+            return povm(r)
+
+        monkeypatch.setattr(discrimination, "discrimination_povm", counted)
+        code, _, _ = run(capsys, command, "--r", "0,0,2", "--y", "0.6", "--z", "0")
+        assert code == 0
+        assert len(measurements) == 2
+
     def test_clone_demo_report(self, capsys):
         code, out, _ = run(capsys, "clone-demo", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--format", "json")
         assert code == 0
@@ -268,6 +289,14 @@ class TestHighdim:
     def test_largest_supported_epsilon_passes(self, capsys):
         code, _, _ = run(capsys, "highdim", "--d", "3", "--epsilon", repr(cli.MAX_HIGHDIM_EPSILON))
         assert code == 0
+
+    @pytest.mark.parametrize("tail", [["nan", "nan"], ["inf", "0.5"]])
+    def test_non_finite_tail_rejected(self, capsys, tail):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "highdim", "--d", "3", "--epsilon", "0.5", "--lambdas", *tail)
+        assert code == 2
+        assert "tail spectrum must be finite" in err and "Hermitian" not in err
 
     def test_random_phases_and_custom_tail(self, capsys):
         code, out, _ = run(

@@ -7,9 +7,9 @@ import pytest
 from quasilab import discrimination
 from quasilab.bloch import random_bloch_vector, random_direction, to_operator
 from quasilab.discrimination import (
+    DiscriminationPovm,
     clonability_check,
     clone_protocol,
-    detection_probabilities,
     discriminate,
     discrimination_povm,
     hyperplane_pair,
@@ -127,15 +127,15 @@ class TestDiscriminationPovm:
 class TestDiscriminate:
     def test_plus_is_certain(self):
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
-        q_plus, q_minus = detection_probabilities(RESOURCE, pair, +1)
+        label, q_plus, q_minus = discriminate(RESOURCE, pair, +1)
         assert q_plus == pytest.approx(1.0, abs=1e-12) and q_minus == pytest.approx(0.0, abs=1e-12)
-        assert discriminate(RESOURCE, pair, +1) == +1
+        assert label == +1
 
     def test_minus_is_certain(self):
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
-        q_plus, q_minus = detection_probabilities(RESOURCE, pair, -1)
+        label, q_plus, q_minus = discriminate(RESOURCE, pair, -1)
         assert q_minus == pytest.approx(1.0, abs=1e-12) and q_plus == pytest.approx(0.0, abs=1e-12)
-        assert discriminate(RESOURCE, pair, -1) == -1
+        assert label == -1
 
     def test_outcomes_partition_unity(self):
         rng = np.random.default_rng(6)
@@ -143,7 +143,8 @@ class TestDiscriminate:
             r, y, z = random_instance(rng)
             pair = hyperplane_pair(r, y, z)
             for which in (+1, -1):
-                q_plus, q_minus = detection_probabilities(r, pair, which)
+                label, q_plus, q_minus = discriminate(r, pair, which)
+                assert label == which
                 assert abs(q_plus + q_minus - 1.0) <= 1e-10
                 assert abs(q_plus * q_minus) <= 1e-10
             assert overlap(pair.r_plus, pair.r_minus) > 0.0
@@ -157,17 +158,22 @@ class TestDiscriminate:
             y_rot = y * np.cos(theta) - z * np.sin(theta)
             z_rot = y * np.sin(theta) + z * np.cos(theta)
             pair = hyperplane_pair(r, y_rot, z_rot)
-            assert detection_probabilities(r, pair, +1)[0] == pytest.approx(1.0, abs=1e-10)
-            assert detection_probabilities(r, pair, -1)[1] == pytest.approx(1.0, abs=1e-10)
+            assert discriminate(r, pair, +1)[1] == pytest.approx(1.0, abs=1e-10)
+            assert discriminate(r, pair, -1)[2] == pytest.approx(1.0, abs=1e-10)
 
     def test_label_is_the_likelier_outcome(self, monkeypatch):
-        # a measurement that favours the wrong outcome yields the wrong label,
-        # and the clone of the wrong state shows up as a deviation
-        monkeypatch.setattr(discrimination, "detection_probabilities", lambda r, pair, which: (0.3, 0.7))
+        # a measurement with its projectors swapped favours the wrong outcome:
+        # the label and the probabilities it returns come from that one
+        # measurement, and the clone of the wrong state shows up as a deviation
+        povm = discrimination_povm(RESOURCE)
+        swapped = DiscriminationPovm(p_plus=povm.p_minus, p_minus=povm.p_plus)
+        monkeypatch.setattr(discrimination, "discrimination_povm", lambda r: swapped)
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
-        assert discriminate(RESOURCE, pair, +1) == -1
-        label, _, clone_dev = clone_protocol(RESOURCE, pair, +1)
-        assert label == -1 and clone_dev > ATOL
+        label, q_plus, q_minus = discriminate(RESOURCE, pair, +1)
+        assert label == -1
+        assert q_plus == pytest.approx(0.0, abs=1e-12) and q_minus == pytest.approx(1.0, abs=1e-12)
+        _, clone_dev = clone_protocol(pair, label, +1)
+        assert clone_dev > ATOL
 
     def test_mismatched_pair_rejected(self):
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
@@ -179,17 +185,23 @@ class TestCloneProtocol:
     def test_outputs_doubled_states(self):
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
         for which, target_vec in ((+1, pair.r_plus), (-1, pair.r_minus)):
-            label, out, clone_dev = clone_protocol(RESOURCE, pair, which)
+            label, _, _ = discriminate(RESOURCE, pair, which)
             assert label == which
+            out, clone_dev = clone_protocol(pair, label, which)
             single = to_operator(target_vec).matrix
             assert clone_dev == np.max(np.abs(out.matrix - kron(single, single)))
             assert clone_dev <= 1e-12
 
     def test_fidelity_equals_purity_squared(self):
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
-        _, out, _ = clone_protocol(RESOURCE, pair, +1)
+        out, _ = clone_protocol(pair, +1, +1)
         single = to_operator(pair.r_plus).matrix
         fidelity = expectation(kron(single, single), out)
         purity = 0.5 * (1.0 + float(pair.r_plus @ pair.r_plus))
         assert fidelity == pytest.approx(purity**2, abs=1e-12)
         assert fidelity == pytest.approx(0.648025, abs=1e-12)
+
+    def test_rejects_unknown_labels(self):
+        pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
+        with pytest.raises(ValueError, match="labels"):
+            clone_protocol(pair, 0, +1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quasilab.bloch import pc_check, random_bloch_vector, to_operator
-from quasilab.discrimination import detection_probabilities, discrimination_povm
+from quasilab.discrimination import discriminate, discrimination_povm
 from quasilab.highdim import (
     CERTAIN,
     NULL,
@@ -65,6 +65,13 @@ class TestBuildViolatingState:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 build_violating_state(3, epsilon)
+
+    @pytest.mark.parametrize("tail", [[float("nan"), float("nan")], [float("inf"), -float("inf")]])
+    def test_rejects_non_finite_tail_without_warning(self, tail):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="tail spectrum must be finite"):
+                build_violating_state(3, 0.5, lambdas=tail)
 
     def test_random_basis_state_is_valid(self):
         rng = np.random.default_rng(0)
@@ -167,26 +174,25 @@ class TestProbeStates:
 class TestEntangledProjector:
     def test_dim_two_matches_qubit_povm(self):
         vs = build_violating_state(2, 0.5)
-        p1, p0, _ = entangled_projector(vs)
+        p1, _ = entangled_projector(vs)
         povm = discrimination_povm(np.array([0.0, 0.0, 2.0]))
         assert np.max(np.abs(p1 - povm.p_plus)) <= 1e-12
-        assert np.max(np.abs(p0 - povm.p_minus)) <= 1e-12
+        assert np.max(np.abs(np.eye(4) - p1 - povm.p_minus)) <= 1e-12
         assert np.allclose(p1, np.diag([1, 0, 0, 1]))
 
     def test_rank_and_idempotence(self):
         rng = np.random.default_rng(2)
         for dim in (2, 3, 4, 5):
             vs = build_violating_state(dim, 0.3, basis=random_basis(rng, dim))
-            p1, p0, _ = entangled_projector(vs)
+            p1, _ = entangled_projector(vs)
             assert np.max(np.abs(p1 @ p1 - p1)) <= 1e-10
             assert np.trace(p1).real == pytest.approx(dim, abs=1e-10)
-            assert np.max(np.abs(p1 + p0 - np.eye(dim * dim))) <= 1e-12
 
     def test_fourier_sum_equals_diagonal_sum(self):
         rng = np.random.default_rng(3)
         for dim in (2, 3, 5, 6):
             vs = build_violating_state(dim, 1.0, basis=random_basis(rng, dim))
-            p1, _, _ = entangled_projector(vs)
+            p1, _ = entangled_projector(vs)
             oracle = sum(
                 np.outer(kron(vs.basis[:, j : j + 1], vs.basis[:, j : j + 1]).ravel(),
                          kron(vs.basis[:, j : j + 1], vs.basis[:, j : j + 1]).ravel().conj())
@@ -198,7 +204,7 @@ class TestEntangledProjector:
         rng = np.random.default_rng(5)
         for dim in (2, 3, 6):
             vs = build_violating_state(dim, 0.4, basis=random_basis(rng, dim))
-            p1, _, dev = entangled_projector(vs)
+            p1, dev = entangled_projector(vs)
             # sum_j |psi_j psi_j><psi_j psi_j| as one product of the stacked doubled vectors
             doubled = np.stack([np.kron(vs.basis[:, j], vs.basis[:, j]) for j in range(dim)])
             assert dev == np.max(np.abs(p1 - doubled.T @ doubled.conj()))
@@ -236,10 +242,10 @@ class TestDiscriminateHighdim:
         for epsilon in (0.1, 0.5, 1.0, 2.0):
             r, pair = matched_qubit_instance(epsilon)
             vs = build_violating_state(2, epsilon)
-            q_plus = detection_probabilities(r, pair, +1)[0]
+            q_plus = discriminate(r, pair, +1)[1]
             q1 = detection_probability(vs, build_probe_state(vs, CERTAIN))
             assert abs(q_plus - q1) <= 1e-10
-            q_minus = detection_probabilities(r, pair, -1)[1]
+            q_minus = discriminate(r, pair, -1)[2]
             q0 = 1.0 - detection_probability(vs, build_probe_state(vs, NULL))
             assert abs(q_minus - q0) <= 1e-10
 

@@ -121,7 +121,8 @@ class TestEigensystem:
                 m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 m = m + m.conj().T
                 eig = hermitian_eigensystem(m)
-                assert np.max(np.abs(eig.reconstruct() - m)) <= 1e-10
+                v = eig.eigenvectors
+                assert np.max(np.abs((v * eig.eigenvalues) @ v.conj().T - m)) <= 1e-10
                 gram = eig.eigenvectors.conj().T @ eig.eigenvectors
                 assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
                 assert np.all(np.diff(eig.eigenvalues) <= 1e-12)
@@ -145,6 +146,11 @@ class TestValidateQuasistate:
         state = QuasiState(rho_z(1.5))
         assert state.min_eigenvalue == pytest.approx(-0.25, abs=1e-14)
         assert not state.is_positive()
+
+    def test_spectrum_ascending(self):
+        state = QuasiState(np.diag([0.85, 0.25, -0.1]).astype(complex))
+        assert np.allclose(state.eigenvalues, [-0.1, 0.25, 0.85], atol=1e-14)
+        assert state.min_eigenvalue == state.eigenvalues[0]
 
     def test_traceless_rejected(self):
         with pytest.raises(ValueError, match="trace"):
