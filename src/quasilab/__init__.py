@@ -52,7 +52,6 @@ from .nonlocal_box import (
     closed_form_box,
     joint_distribution,
     observable,
-    pipeline_unitaries,
     rotated_cnot,
     setting_tables,
     signalling_deviation,

@@ -73,11 +73,13 @@ def pc_check(r) -> PcCheck:
 
     Equivalently the squared mean values along any three orthogonal axes
     must sum to at most 1; the sum for the canonical axes is reported.
+    This is the package's one decision of the qubit bound: every other
+    norm-side verdict reads ``satisfied``.
     """
     r = as_bloch_vector(r)
     norm = float(np.linalg.norm(r))
     mean_square_sum = float(np.dot(r, r))
-    return PcCheck(satisfied=norm <= 1.0 + ATOL, norm=norm, mean_square_sum=mean_square_sum)
+    return PcCheck(satisfied=norm - 1.0 <= ATOL, norm=norm, mean_square_sum=mean_square_sum)
 
 
 def to_operator(r) -> QuasiState:
@@ -150,11 +152,12 @@ def predictability_circle(r) -> PredictabilityCircle | None:
     (1/r > 1 is unreachable by unit vectors).
     """
     r = as_bloch_vector(r)
-    norm = float(np.linalg.norm(r))
+    check = pc_check(r)
+    norm = check.norm
     if norm < 1.0 - ATOL:
         return None
     r_hat = r / norm
-    if norm <= 1.0 + ATOL:
+    if check.satisfied:
         return PredictabilityCircle(center=r_hat, radius=0.0, plane_normal=r_hat)
     return PredictabilityCircle(
         center=r_hat / norm,

@@ -92,12 +92,11 @@ def _run_pc_check(args) -> RunReport:
     if circle is not None:
         outputs["certain_circle_center"] = circle.center
         outputs["certain_circle_radius"] = circle.radius
-    excess = result.norm - 1.0
     return RunReport(
         command="pc-check",
         inputs={"r": args.r},
         outputs=outputs,
-        checks=[CheckResult("complementarity", result.satisfied, excess, ATOL)],
+        checks=[CheckResult.at_most("complementarity", result.norm - 1.0, ATOL)],
     )
 
 
@@ -141,6 +140,7 @@ def _run_box(args) -> RunReport:
         checks=[
             CheckResult.at_most("chsh-law", abs(value - expected), LAW_ATOL),
             CheckResult.at_most("closed-form-match", box.closed_form_dev, SPECTRAL_ATOL),
+            CheckResult.at_most("pipeline-unitarity", box.unitarity_dev, ATOL),
             CheckResult.at_most("nonsignalling", signalling, ATOL),
         ],
     )
@@ -273,9 +273,9 @@ def _run_highdim(args) -> RunReport:
 
 
 def _run_planes(args) -> RunReport:
-    norm = float(np.linalg.norm(args.r))
-    if norm <= 1.0:
-        raise ValueError(f"the certainty planes cross the ball only for norm > 1, got {norm:.15g}")
+    check = pc_check(args.r)
+    if check.satisfied:
+        raise ValueError(f"the certainty planes cross the ball only for norm > 1 + {ATOL:g}, got {check.norm:.15g}")
     circle = predictability_circle(args.r)
     mirror = replace(circle, center=-circle.center)  # r.x = -1 plane: same frame, opposite centre
     points = np.concatenate((circle.sample(args.points), mirror.sample(args.points)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import as_bloch_vector, to_operator, transverse_frame
+from .bloch import as_bloch_vector, pc_check, to_operator, transverse_frame
 from .operators import ATOL, I2, QuasiState, expectation, kron
 from .nonlocal_box import observable
 
@@ -54,9 +54,10 @@ def hyperplane_pair(r, y: float, z: float) -> HyperplanePair:
     1/r^2 + y^2 + z^2 <= 1 so both outputs are genuine quantum states.
     """
     r = as_bloch_vector(r)
-    norm = float(np.linalg.norm(r))
-    if norm <= 1.0 + ATOL:
-        raise ValueError(f"resource norm must exceed 1, got {norm:.15g}")
+    check = pc_check(r)
+    if check.satisfied:
+        raise ValueError(f"resource norm must exceed 1 by more than {ATOL:g}, got {check.norm:.15g}")
+    norm = check.norm
     if 1.0 / norm**2 + y * y + z * z > 1.0 + ATOL:
         raise ValueError(
             f"transverse components too large: 1/r^2 + y^2 + z^2 = {1.0 / norm**2 + y * y + z * z:.15g} > 1"
@@ -85,10 +86,10 @@ def discrimination_povm(r) -> DiscriminationPovm:
     """Measurement whose outcomes correlate one-to-one with the two
     certainty planes of the resource ``r`` (requires ||r|| > 1)."""
     r = as_bloch_vector(r)
-    norm = float(np.linalg.norm(r))
-    if norm <= 1.0 + ATOL:
-        raise ValueError(f"resource norm must exceed 1, got {norm:.15g}")
-    axis = r / norm
+    check = pc_check(r)
+    if check.satisfied:
+        raise ValueError(f"resource norm must exceed 1 by more than {ATOL:g}, got {check.norm:.15g}")
+    axis = r / check.norm
     corr = kron(observable(axis), observable(axis))
     ident = kron(I2, I2)
     return DiscriminationPovm(p_plus=0.5 * (ident + corr), p_minus=0.5 * (ident - corr))

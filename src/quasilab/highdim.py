@@ -16,16 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ATOL, QuasiState, expectation, kron
+from .operators import ATOL, PSD_ATOL, QuasiState, expectation, kron
 
 CERTAIN, NULL = 1, 0
 
 
 def violates_pc(m) -> bool:
     """True iff the preparation makes two incompatible outcomes certain,
-    which happens exactly when its top eigenvalue exceeds 1."""
+    which happens exactly when its top eigenvalue exceeds 1 (by more than
+    PSD_ATOL, the eigenvalue-side bound that ``is_positive`` also uses)."""
     matrix = m.matrix if isinstance(m, QuasiState) else np.asarray(m, dtype=complex)
-    return bool(np.linalg.eigvalsh(matrix)[-1] > 1.0 + ATOL)
+    return bool(np.linalg.eigvalsh(matrix)[-1] - 1.0 > PSD_ATOL)
 
 
 @dataclass(frozen=True)

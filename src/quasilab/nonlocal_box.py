@@ -64,12 +64,14 @@ def closed_form_box(r: float) -> np.ndarray:
 @dataclass(frozen=True)
 class BipartiteBox:
     """Two-party box: a dim-4 unit-trace Hermitian operator whose one-side
-    reductions are both maximally mixed, plus the source norm r and the
-    max-entry deviation of the operator from ``closed_form_box(r)``."""
+    reductions are both maximally mixed, plus the source norm r, the
+    max-entry deviation of the operator from ``closed_form_box(r)`` and
+    that of the pipeline's gates from unitarity."""
 
     state: QuasiState
     r: float
     closed_form_dev: float
+    unitarity_dev: float
 
     def __post_init__(self):
         if self.state.dim != 4:
@@ -80,43 +82,33 @@ class BipartiteBox:
                 raise ValueError("box reduction is not maximally mixed")
 
 
-def _gates(rho: QuasiState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ancilla ket (|xi> + |xi_perp>)/sqrt(2), rotated CNOT and local basis
-    change, all read off the eigenbasis (xi, xi_perp) of ``rho``."""
-    eig = hermitian_eigensystem(rho.matrix)
-    xi = eig.eigenvectors[:, 0]
-    xi_perp = eig.eigenvectors[:, 1]
-    return (xi + xi_perp) / SQRT2, rotated_cnot(xi, xi_perp), basis_to_computational(xi, xi_perp)
-
-
-def pipeline_unitaries(r) -> tuple[np.ndarray, np.ndarray]:
-    """The two unitaries of the doubling pipeline for the preparation
-    ``r``: the rotated CNOT in its eigenbasis and the local basis change
-    to the computational basis."""
-    _, u, u_loc = _gates(to_operator(r))
-    return u, u_loc
-
-
 def build_box(r) -> BipartiteBox:
     """Run the doubling pipeline on the preparation with Bloch vector ``r``.
 
-    Steps: spectral decomposition of the source operator, attach an
-    ancilla along (|xi> + |xi_perp>)/sqrt(2), apply the rotated CNOT, then
-    rotate both sides into the computational basis. The max-entry deviation
-    of the result from the closed form is kept on the box for the reports
-    to judge.
+    Steps: spectral decomposition (xi, xi_perp) of the source operator,
+    attach an ancilla along (|xi> + |xi_perp>)/sqrt(2), apply the rotated
+    CNOT, then rotate both sides into the computational basis. The max-entry
+    deviations of the result from the closed form and of the two gates from
+    unitarity are kept on the box for the reports to judge.
     """
     r = as_bloch_vector(r)
     norm = float(np.linalg.norm(r))
     rho = to_operator(r)
-    plus, u, u_loc = _gates(rho)
+    eig = hermitian_eigensystem(rho.matrix)
+    xi, xi_perp = eig.eigenvectors[:, 0], eig.eigenvectors[:, 1]
+    plus = (xi + xi_perp) / SQRT2
+    u, u_loc = rotated_cnot(xi, xi_perp), basis_to_computational(xi, xi_perp)
     seed = kron(rho.matrix, np.outer(plus, plus.conj()))
     doubled = u @ seed @ u.conj().T
     u_pair = kron(u_loc, u_loc)
     box = u_pair @ doubled @ u_pair.conj().T
 
     dev = float(np.max(np.abs(box - closed_form_box(norm))))
-    return BipartiteBox(state=QuasiState(box), r=norm, closed_form_dev=dev)
+    unitarity_dev = max(
+        float(np.max(np.abs(u.conj().T @ u - np.eye(4)))),
+        float(np.max(np.abs(u_loc.conj().T @ u_loc - np.eye(2)))),
+    )
+    return BipartiteBox(state=QuasiState(box), r=norm, closed_form_dev=dev, unitarity_dev=unitarity_dev)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ import numpy as np
 #   probabilities).
 # - LAW_ATOL: the CHSH law, the clonability fixed point and its margin,
 #   and how far below 1 a satisfying preparation's quadratic form stays.
-# - PSD_ATOL: a qubit has min eigenvalue (1 - |r|)/2, so ATOL / 2 on the
-#   eigenvalue is the same verdict as ATOL on the Bloch norm.
+# - PSD_ATOL: a qubit has eigenvalues (1 -+ |r|)/2, so ATOL / 2 below 0 on
+#   the smallest or above 1 on the largest is the same verdict as ATOL on
+#   the Bloch norm.
 ATOL = 1e-12
 SPECTRAL_ATOL = 1e-10
 LAW_ATOL = 1e-9

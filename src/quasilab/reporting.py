@@ -42,11 +42,17 @@ class CheckResult:
         self.measured = float(self.measured)
         self.tolerance = float(self.tolerance)
 
+    # The two verdict rules. Every check is built by one of them, so its
+    # verdict is the comparison of the two numbers it reports.
     @classmethod
     def at_most(cls, name: str, measured: float, tolerance: float) -> CheckResult:
-        """Upper-bound check that passes iff ``measured <= tolerance``, so
-        the verdict cannot drift from the tolerance it reports."""
+        """Upper-bound check that passes iff ``measured <= tolerance``."""
         return cls(name, measured <= tolerance, measured, tolerance)
+
+    @classmethod
+    def above(cls, name: str, measured: float, bound: float) -> CheckResult:
+        """Strict lower-bound check that passes iff ``measured > bound``."""
+        return cls(name, measured > bound, measured, bound)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"

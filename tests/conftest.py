@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quasilab import acceptance
+from quasilab import acceptance, nonlocal_box
 
 # numpy routines whose calls the session's run_all counts.
 COUNTED = {"eigvalsh": np.linalg, "eigh": np.linalg, "kron": np}
@@ -26,6 +26,16 @@ def verify_all_run():
             mp.setattr(owner, name, counted)
         criteria = acceptance.run_all(acceptance.DEFAULT_SEED)
     return criteria, calls
+
+
+@pytest.fixture
+def non_unitary_gates(monkeypatch):
+    """Scale the doubling pipeline's rotated CNOT by 1/4 and its local
+    basis change by 2. Neither gate is unitary, but the scales are exact in
+    binary and cancel in the box, so only the gates' own check sees them."""
+    cnot, basis_change = nonlocal_box.rotated_cnot, nonlocal_box.basis_to_computational
+    monkeypatch.setattr(nonlocal_box, "rotated_cnot", lambda xi, xi_perp: 0.25 * cnot(xi, xi_perp))
+    monkeypatch.setattr(nonlocal_box, "basis_to_computational", lambda xi, xi_perp: 2.0 * basis_change(xi, xi_perp))
 
 
 @pytest.fixture(scope="session")

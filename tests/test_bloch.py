@@ -19,12 +19,18 @@ from quasilab.bloch import (
     to_operator,
     transverse_frame,
 )
-from quasilab.operators import I2, SIGMA_X, expectation
+from quasilab.discrimination import hyperplane_pair
+from quasilab.highdim import violates_pc
+from quasilab.operators import ATOL, I2, SIGMA_X, expectation
 
 X, Y, Z = np.eye(3)
 
 finite_components = st.floats(-3.0, 3.0, allow_nan=False)
 bloch_vectors = st.tuples(finite_components, finite_components, finite_components).map(np.array)
+unit_directions = bloch_vectors.filter(lambda v: np.linalg.norm(v) >= 1e-3).map(lambda v: v / np.linalg.norm(v))
+# |r| - 1 across the band where the complementarity verdict flips, less a
+# window around ATOL that is wider than the rounding of |r|
+flip_band_excess = st.floats(-3e-12, 3e-12).filter(lambda e: abs(e - ATOL) > 1e-14)
 
 
 class TestOutcomeProbability:
@@ -109,13 +115,33 @@ class TestOperatorDictionary:
     def test_psd_iff_pc(self, r):
         assert pc_check(r).satisfied == to_operator(r).is_positive()
 
-    @pytest.mark.parametrize("excess", [1e-9, 1e-10, 1e-11, 5e-13, -5e-13])
+    @pytest.mark.parametrize("excess", [1e-9, 1e-10, 1e-11, 1.5e-12, 1e-12, 5e-13, -5e-13])
     def test_psd_iff_pc_at_the_unit_sphere(self, excess):
         # the band where a norm tolerance and an eigenvalue tolerance that
         # are not matched to (1 - |r|)/2 give opposite verdicts
         r = np.array([0.0, 0.0, 1.0 + excess])
         assert pc_check(r).satisfied == to_operator(r).is_positive()
         assert pc_check(r).satisfied == (excess < 1e-12)
+
+    @settings(max_examples=300)
+    @given(unit_directions, flip_band_excess)
+    def test_every_classifier_flips_where_pc_check_does(self, direction, excess):
+        r = (1.0 + excess) * direction
+        state = to_operator(r)
+        try:
+            hyperplane_pair(r, 0.0, 0.0)
+            pair_rejected = False
+        except ValueError:
+            pair_rejected = True
+        circle = predictability_circle(r)
+        verdicts = {
+            "pc_check": pc_check(r).satisfied,
+            "is_positive": state.is_positive(),
+            "not violates_pc": not violates_pc(state),
+            "hyperplane_pair rejects": pair_rejected,
+            "no circle of positive radius": circle is None or circle.radius == 0.0,
+        }
+        assert verdicts == dict.fromkeys(verdicts, excess < ATOL)
 
 
 class TestProjector:

@@ -22,7 +22,6 @@ from quasilab.nonlocal_box import (
     chsh_value,
     closed_form_box,
     joint_distribution,
-    pipeline_unitaries,
     rotated_cnot,
     setting_tables,
     signalling_deviation,
@@ -115,9 +114,12 @@ class TestBuildBox:
         rng = np.random.default_rng(4)
         for _ in range(50):
             r = random_bloch_vector(rng, 1.0 + 1e-9, 3.0)
-            u, u_loc = pipeline_unitaries(r)
-            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
-            assert np.max(np.abs(u_loc.conj().T @ u_loc - I2)) <= 1e-12
+            assert build_box(r).unitarity_dev <= ATOL
+
+    def test_unitarity_dev_is_measured(self, non_unitary_gates):
+        box = build_box(1.3 * Z)
+        assert box.unitarity_dev == pytest.approx(3.0)  # |2^2 - 1| on the local basis change
+        assert box.closed_form_dev <= 1e-10
 
     def test_rotated_cnot_flips_target(self):
         u = rotated_cnot(np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
@@ -128,7 +130,9 @@ class TestBuildBox:
 
     def test_rejects_non_mixed_reductions(self):
         with pytest.raises(ValueError, match="maximally mixed"):
-            BipartiteBox(state=QuasiState(np.diag([1.0, 0, 0, 0]).astype(complex)), r=1.0, closed_form_dev=0.0)
+            BipartiteBox(
+                state=QuasiState(np.diag([1.0, 0, 0, 0]).astype(complex)), r=1.0, closed_form_dev=0.0, unitarity_dev=0.0
+            )
 
 
 class TestBellOperator:

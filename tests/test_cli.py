@@ -96,6 +96,13 @@ class TestInvariantFailures:
         assert measured == pytest.approx(1.0)
         assert err.strip() == "failed checks: closed-form-match"
 
+    def test_box_non_unitary_gates(self, capsys, non_unitary_gates):
+        code, out, err = run(capsys, "box", "--r", "0,0,2", "--format", "json")
+        assert code == 1
+        [measured] = [c["measured"] for c in json.loads(out)["checks"] if c["name"] == "pipeline-unitarity"]
+        assert measured == pytest.approx(3.0)  # |2^2 - 1| on the local basis change
+        assert err.strip() == "failed checks: pipeline-unitarity"
+
     def test_chsh_sweep_closed_form_mismatch(self, capsys, closed_form_off_by_one):
         code, out, err = run(capsys, "chsh-sweep", "--r-min", "1", "--r-max", "2", "--steps", "3")
         assert code == 1
@@ -133,6 +140,16 @@ class TestPcCheck:
         payload = json.loads(out)
         assert payload["outputs"]["norm"] == pytest.approx(1.0)
         assert payload["checks"][0]["passed"] is True
+
+    def test_verdict_is_the_comparison_it_prints(self, capsys):
+        # |r| - 1 rounds to 1.00008890058e-12, just above ATOL
+        code, out, err = run(capsys, "pc-check", "--r", "0,0,1.000000000001", "--format", "json")
+        assert code == 1
+        [check] = json.loads(out)["checks"]
+        assert check["name"] == "complementarity"
+        assert check["measured"] > check["tolerance"] == ATOL
+        assert check["passed"] is False
+        assert err.strip() == "failed checks: complementarity"
 
     def test_violation_reports_circle(self, capsys):
         _, out, _ = run(capsys, "pc-check", "--r", "0,0,2", "--format", "json")
@@ -309,6 +326,14 @@ class TestHighdim:
 
 
 class TestPlanes:
+    def test_resource_inside_the_bound_rejected(self, capsys):
+        # |r| - 1 = 5e-13 is within pc_check's ATOL: both certainty
+        # "circles" would be single points
+        code, out, err = run(capsys, "planes", "--r", "0,0,1.0000000000005")
+        assert code == 2
+        assert out == ""
+        assert "norm > 1" in err
+
     def test_boundary_circles(self, capsys):
         code, out, _ = run(capsys, "planes", "--r", "0.3,-1.1,1.7", "--points", "16")
         assert code == 0
@@ -377,6 +402,22 @@ def test_verify_all_exits_zero_when_all_criteria_pass(capsys, monkeypatch, verif
     assert code == 0
     assert "criteria_passed: 9" in out
     assert err.count("[PASS] criterion") == 9
+
+
+# The two strict lower bounds, built with CheckResult.above; every other
+# check is an upper bound, built with CheckResult.at_most.
+ABOVE_CHECKS = {"generic-pairs-margin", "overlap-strictly-positive"}
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=lambda argv: argv[0])
+def test_every_verdict_is_the_comparison_its_report_prints(capsys, monkeypatch, verify_all_criteria, argv):
+    _replay_run_all(monkeypatch, verify_all_criteria)
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    for check in json.loads(out)["checks"]:
+        if check["name"].rsplit("/", 1)[-1] in ABOVE_CHECKS:
+            assert check["passed"] == (check["measured"] > check["tolerance"]), check
+        else:
+            assert check["passed"] == (check["measured"] <= check["tolerance"]), check
 
 
 # Every tolerance a report states comes from the table in quasilab.operators.

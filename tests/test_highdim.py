@@ -266,6 +266,11 @@ class TestViolationClassification:
         for _ in range(300):
             r = random_bloch_vector(rng, 0.0, 3.0)
             assert violates_pc(to_operator(r)) == (not pc_check(r).satisfied)
+        # on the z axis inside the band 1e-12 < |r| - 1 <= 2e-12, where an
+        # eigenvalue bound of ATOL instead of PSD_ATOL flips late
+        for excess in (-5e-13, 5e-13, 1.5e-12, 3e-12):
+            r = np.array([0.0, 0.0, 1.0 + excess])
+            assert violates_pc(to_operator(r)) == (not pc_check(r).satisfied) == (excess > ATOL)
 
     def test_violating_state_flag(self):
         assert violates_pc(build_violating_state(4, 0.2).state)

@@ -20,6 +20,18 @@ def sample_report():
     )
 
 
+class TestVerdictRules:
+    @pytest.mark.parametrize("measured, passed", [(0.5, True), (1.0, True), (1.5, False)])
+    def test_at_most(self, measured, passed):
+        check = CheckResult.at_most("bound", measured, 1.0)
+        assert (check.passed, check.measured, check.tolerance) == (passed, measured, 1.0)
+
+    @pytest.mark.parametrize("measured, passed", [(0.5, False), (1.0, False), (1.5, True)])
+    def test_above(self, measured, passed):
+        check = CheckResult.above("margin", measured, 1.0)
+        assert (check.passed, check.measured, check.tolerance) == (passed, measured, 1.0)
+
+
 class TestJson:
     def test_round_trip(self):
         report = sample_report()
