@@ -37,8 +37,9 @@ from .nonlocal_box import (
 from .operators import ATOL, LAW_ATOL, SPECTRAL_ATOL, expectation
 from .reporting import CheckResult, RunReport, emit_report
 
-# Largest --d for highdim: the dense path holds several (d^2)x(d^2)
-# complex matrices at once, 16 MB each at d = 32.
+# Largest --d for highdim: the detection probabilities need only d x d
+# matrices, but the projector-oracle check builds the dense (d^2)x(d^2)
+# projector and its oracle, 16 MB each at d = 32.
 MAX_HIGHDIM_DIM = 32
 
 # Largest |r| (and --r-max) for box and chsh-sweep. The box passes every

@@ -14,9 +14,9 @@ import numpy as np
 # operators, and the doubled (d^2)x(d^2) operators of highdim for d <= 32
 # (1024x1024).
 # - ATOL: arithmetic identities and the Bloch norm bound.
-# - SPECTRAL_ATOL: eigendecompositions and products of d^2-dimensional
-#   operators (the closed-form box, the projector oracle, detection
-#   probabilities).
+# - SPECTRAL_ATOL: eigendecompositions, the dense (d^2)x(d^2) projector
+#   and its oracle, the closed-form box, and the detection probabilities
+#   computed in the violating state's eigenbasis.
 # - LAW_ATOL: the CHSH law, the clonability fixed point and its margin,
 #   and how far below 1 a satisfying preparation's quadratic form stays.
 # - PSD_ATOL: a qubit has eigenvalues (1 -+ |r|)/2, so ATOL / 2 below 0 on
@@ -133,7 +133,8 @@ def hermitian_eigensystem(m) -> Eigensystem:
 
 
 def expectation(op, state) -> float:
-    """Trace pairing Tr(state . op) for a Hermitian operator.
+    """Trace pairing Tr(state . op) for a Hermitian operator, summed
+    elementwise as sum_ij state_ij op_ji (n^2 work, no matrix product).
 
     ``state`` may be a QuasiState or a raw matrix. A non-negligible
     imaginary residue (> SPECTRAL_ATOL) signals a non-Hermitian input and raises.
@@ -142,7 +143,12 @@ def expectation(op, state) -> float:
     op = np.asarray(op, dtype=complex)
     if rho.shape != op.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape} vs operator {op.shape}")
-    value = np.trace(rho @ op)
+    return real_pairing(np.einsum("ij,ji->", rho, op))
+
+
+def real_pairing(value: complex) -> float:
+    """The real value of a trace pairing. An imaginary residue above
+    SPECTRAL_ATOL signals a non-Hermitian input and raises."""
     if abs(value.imag) > SPECTRAL_ATOL:
         raise ValueError(f"trace pairing has imaginary residue {value.imag:.3e}; operator not Hermitian?")
     return float(value.real)

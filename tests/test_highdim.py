@@ -2,6 +2,7 @@
 projector, and perfect discrimination beyond qubits."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from quasilab.discrimination import discriminate, discrimination_povm
 from quasilab.highdim import (
     CERTAIN,
     NULL,
+    ProbeState,
     build_probe_state,
     build_violating_state,
     detection_probability,
@@ -19,8 +21,8 @@ from quasilab.highdim import (
     probe_magnitudes,
     violates_pc,
 )
-from quasilab.acceptance import matched_qubit_instance
-from quasilab.operators import ATOL, SPECTRAL_ATOL, kron
+from quasilab.acceptance import _random_tail, matched_qubit_instance
+from quasilab.operators import ATOL, SPECTRAL_ATOL, QuasiState, expectation, kron
 
 
 def random_basis(rng, dim):
@@ -248,6 +250,39 @@ class TestDiscriminateHighdim:
             q_minus = discriminate(r, pair, -1)[2]
             q0 = 1.0 - detection_probability(vs, build_probe_state(vs, NULL))
             assert abs(q_minus - q0) <= 1e-10
+
+
+def random_probe(rng, vs):
+    # an arbitrary unit vector: its q1 is neither pinned at 0 nor at 1
+    v = rng.normal(size=vs.dim) + 1j * rng.normal(size=vs.dim)
+    v /= np.linalg.norm(v)
+    return ProbeState(np.abs(vs.basis.conj().T @ v) ** 2, v, CERTAIN, float("nan"))
+
+
+class TestStructuredDetection:
+    def test_matches_dense_projector_pairing(self):
+        rng = np.random.default_rng(8)
+        for dim in range(2, 17):
+            for epsilon in (0.1, 1.0, 2.0):
+                vs = build_violating_state(
+                    dim, epsilon, lambdas=_random_tail(rng, dim, epsilon), basis=random_basis(rng, dim)
+                )
+                p1, _ = entangled_projector(vs)
+                phases = rng.uniform(0, 2 * np.pi, size=dim)
+                probes = [build_probe_state(vs, t, phases=phases) for t in (CERTAIN, NULL)]
+                probes += [random_probe(rng, vs) for _ in range(2)]
+                for probe in probes:
+                    dense = expectation(p1, kron(vs.state.matrix, np.outer(probe.vector, probe.vector.conj())))
+                    assert abs(detection_probability(vs, probe) - dense) <= SPECTRAL_ATOL
+
+    def test_imaginary_residue_raises(self):
+        vs = build_violating_state(3, 0.5)
+        skew = vs.state.matrix + 1e-6j * np.diag([1.0, 0.0, 0.0])  # anti-Hermitian part
+        state = object.__new__(QuasiState)  # skips the Hermiticity check on purpose
+        object.__setattr__(state, "matrix", skew)
+        probe = build_probe_state(vs, CERTAIN, phases=[0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="imaginary residue"):
+            detection_probability(replace(vs, state=state), probe)
 
 
 class TestViolationClassification:
