@@ -171,8 +171,8 @@ def _run_chsh_sweep(args) -> RunReport:
 
 def _run_discriminate(args) -> RunReport:
     pair = hyperplane_pair(args.r, args.y, args.z)
-    label_plus, q_plus, miss_plus = discriminate(args.r, pair, +1)
-    label_minus, miss_minus, q_minus = discriminate(args.r, pair, -1)
+    label_plus, q_plus, miss_plus = discriminate(pair, +1)
+    label_minus, miss_minus, q_minus = discriminate(pair, -1)
     det_dev = max(abs(q_plus - 1.0), abs(miss_plus), abs(q_minus - 1.0), abs(miss_minus))
 
     identified = {+1: label_plus, -1: label_minus}
@@ -207,7 +207,7 @@ def _run_clone_demo(args) -> RunReport:
     clone_dev = 0.0
     fidelity_dev = 0.0
     for which, name in ((+1, "plus"), (-1, "minus")):
-        label, _, _ = discriminate(args.r, pair, which)
+        label, _, _ = discriminate(pair, which)
         out, dev = clone_protocol(pair, label, which)
         clone_dev = max(clone_dev, dev)
         target_vec = pair.r_plus if which == +1 else pair.r_minus

@@ -11,12 +11,12 @@ certainty and lets it be re-prepared at will.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bloch import as_bloch_vector, pc_check, to_operator, transverse_frame
-from .operators import ATOL, I2, QuasiState, expectation, kron
+from .operators import ATOL, QuasiState, expectation, kron
 from .nonlocal_box import observable
 
 
@@ -35,16 +35,26 @@ def clonability_check(r, rp) -> bool:
 
 @dataclass(frozen=True)
 class HyperplanePair:
-    """Quantum states r+ and r- with r.r+ = +1 and r.r- = -1.
+    """Quantum states r+ and r- with r.r+ = +1 and r.r- = -1, and the
+    discrimination measurement of their resource r.
 
     Both share the transverse offset (y, z) in the right-handed frame
     (r_hat, m, n), so their overlap (1 + y^2 + z^2 - 1/r^2)/2 is strictly
     positive whenever the resource has norm > 1: they are non-orthogonal.
+    A pair is checked once, when it is built (by ``hyperplane_pair`` or by
+    hand), and gets its ``povm`` then.
     """
 
     resource: np.ndarray
     r_plus: np.ndarray
     r_minus: np.ndarray
+    povm: DiscriminationPovm = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        r = self.resource
+        if abs(np.dot(r, self.r_plus) - 1.0) > ATOL or abs(np.dot(r, self.r_minus) + 1.0) > ATOL:
+            raise ValueError("pair does not satisfy r.r+- = +-1")
+        object.__setattr__(self, "povm", discrimination_povm(r))
 
 
 def hyperplane_pair(r, y: float, z: float) -> HyperplanePair:
@@ -91,33 +101,23 @@ def discrimination_povm(r) -> DiscriminationPovm:
         raise ValueError(f"resource norm must exceed 1 by more than {ATOL:g}, got {check.norm:.15g}")
     axis = r / check.norm
     corr = kron(observable(axis), observable(axis))
-    ident = kron(I2, I2)
+    ident = np.eye(4, dtype=complex)
     return DiscriminationPovm(p_plus=0.5 * (ident + corr), p_minus=0.5 * (ident - corr))
 
 
-def _validate_pair(r: np.ndarray, pair: HyperplanePair) -> None:
-    if not np.allclose(pair.resource, r, atol=ATOL):
-        raise ValueError("pair was built for a different resource")
-    if abs(np.dot(r, pair.r_plus) - 1.0) > ATOL or abs(np.dot(r, pair.r_minus) + 1.0) > ATOL:
-        raise ValueError("pair does not satisfy r.r+- = +-1")
-
-
-def detection_probabilities(r, pair: HyperplanePair, which: int) -> tuple[float, float]:
-    """The discrimination measurement on resource (x) hidden state, where
-    ``which`` (+1 or -1) selects the hidden state: its outcome
+def detection_probabilities(pair: HyperplanePair, which: int) -> tuple[float, float]:
+    """The pair's discrimination measurement on resource (x) hidden state,
+    where ``which`` (+1 or -1) selects the hidden state: its outcome
     probabilities (q_plus, q_minus). ``discriminate`` makes it once per
     hidden state and returns them with the label."""
-    r = as_bloch_vector(r)
-    _validate_pair(r, pair)
     if which not in (+1, -1):
         raise ValueError(f"hidden label must be +1 or -1, got {which}")
-    povm = discrimination_povm(r)
     hidden = pair.r_plus if which == +1 else pair.r_minus
-    joint = kron(to_operator(r).matrix, to_operator(hidden).matrix)
-    return expectation(povm.p_plus, joint), expectation(povm.p_minus, joint)
+    joint = kron(to_operator(pair.resource).matrix, to_operator(hidden).matrix)
+    return expectation(pair.povm.p_plus, joint), expectation(pair.povm.p_minus, joint)
 
 
-def discriminate(r, pair: HyperplanePair, which: int) -> tuple[int, float, float]:
+def discriminate(pair: HyperplanePair, which: int) -> tuple[int, float, float]:
     """Identify the hidden member of a certainty-plane pair with one
     discrimination measurement.
 
@@ -126,7 +126,7 @@ def discriminate(r, pair: HyperplanePair, which: int) -> tuple[int, float, float
     instance the likelier outcome has probability 1, so the answer is
     certain.
     """
-    q_plus, q_minus = detection_probabilities(r, pair, which)
+    q_plus, q_minus = detection_probabilities(pair, which)
     return (+1 if q_plus >= q_minus else -1), q_plus, q_minus
 
 
@@ -136,12 +136,15 @@ def clone_protocol(pair: HyperplanePair, label: int, which: int) -> tuple[QuasiS
     The deterministic outcome leaves resource (x) hidden state untouched,
     so once the label is known the identified state is simply prepared
     afresh. Returns the dim-4 output rho_label (x) rho_label and its
-    max-entry deviation from rho_which (x) rho_which.
+    max-entry deviation from rho_which (x) rho_which, which is exactly 0
+    when the label is right: the two are then the same state.
     """
     states = {+1: pair.r_plus, -1: pair.r_minus}
     if label not in states or which not in states:
         raise ValueError(f"labels must be +1 or -1, got {label} and {which}")
     single = to_operator(states[label]).matrix
-    hidden = to_operator(states[which]).matrix
     out = kron(single, single)
+    if which == label:
+        return QuasiState(out), 0.0
+    hidden = to_operator(states[which]).matrix
     return QuasiState(out), float(np.max(np.abs(out - kron(hidden, hidden))))

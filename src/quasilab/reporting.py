@@ -54,6 +54,14 @@ class CheckResult:
         """Strict lower-bound check that passes iff ``measured > bound``."""
         return cls(name, measured > bound, measured, bound)
 
+    @property
+    def headroom(self) -> float:
+        """How close the check came to its bound: the smaller of measured
+        and tolerance over the larger (0 when both are 0). For a passing
+        check of either rule, 1 means at the bound and 0 means far from it."""
+        low, high = sorted((self.measured, self.tolerance))
+        return low / high if high else 0.0
+
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.name} (measured={fmt_real(self.measured)}, tolerance={fmt_real(self.tolerance)})"

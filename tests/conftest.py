@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quasilab import acceptance, nonlocal_box
+from quasilab import acceptance, discrimination, nonlocal_box
 
 # numpy routines whose calls the session's run_all counts.
 COUNTED = {"eigvalsh": np.linalg, "eigh": np.linalg, "kron": np}
@@ -36,6 +36,22 @@ def non_unitary_gates(monkeypatch):
     cnot, basis_change = nonlocal_box.rotated_cnot, nonlocal_box.basis_to_computational
     monkeypatch.setattr(nonlocal_box, "rotated_cnot", lambda xi, xi_perp: 0.25 * cnot(xi, xi_perp))
     monkeypatch.setattr(nonlocal_box, "basis_to_computational", lambda xi, xi_perp: 2.0 * basis_change(xi, xi_perp))
+
+
+@pytest.fixture
+def discrimination_calls(monkeypatch):
+    """Counts of the measurements (``detection_probabilities``) and the
+    POVM builds (``discrimination_povm``) made while the test runs."""
+    calls = {"detection_probabilities": 0, "discrimination_povm": 0}
+    for name in calls:
+        original = getattr(discrimination, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(discrimination, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,8 @@ from the one ``run_all`` of the session (see conftest.py)."""
 
 import pytest
 
-from quasilab import acceptance, discrimination, nonlocal_box
+from quasilab import acceptance, nonlocal_box, operators
+from quasilab.reporting import CheckResult
 
 
 def _check(criterion):
@@ -83,7 +84,7 @@ def test_randomized_criteria_hold_for_other_seeds(seed):
 # Ceilings on the numpy calls of one run_all(DEFAULT_SEED), each set at the
 # count measured when it was last changed. A change that lowers a count
 # lowers its ceiling with it; no change raises one.
-NUMPY_CALL_CEILINGS = {"eigvalsh": 10_001, "eigh": 1_009, "kron": 14_152}
+NUMPY_CALL_CEILINGS = {"eigvalsh": 10_001, "eigh": 1_009, "kron": 9_232}
 
 
 def test_numpy_calls_within_ceilings(verify_all_run):
@@ -92,17 +93,29 @@ def test_numpy_calls_within_ceilings(verify_all_run):
         assert calls[name] <= ceiling, f"{name}: {calls[name]} calls, ceiling {ceiling}"
 
 
-def test_criterion_6_measures_each_hidden_state_once(monkeypatch):
-    measurements = []
-    povm = discrimination.discrimination_povm
-
-    def counted(r):
-        measurements.append(1)
-        return povm(r)
-
-    monkeypatch.setattr(discrimination, "discrimination_povm", counted)
+def test_criterion_6_measures_each_hidden_state_once(discrimination_calls):
     acceptance.discrimination_criterion(samples=5)
-    assert len(measurements) == 2 * 5
+    assert discrimination_calls == {"detection_probabilities": 2 * 5, "discrimination_povm": 5}
+
+
+def test_worst_is_the_check_nearest_its_bound(verify_all_criteria):
+    # overlap-strictly-positive has the largest measured value, but it is far
+    # above its bound of 0; deterministic-detection is nearest its own bound
+    line = _criterion(verify_all_criteria, 6).line()
+    assert "(worst=deterministic-detection, " in line
+    # a failing check comes first, whatever its headroom
+    checks = [CheckResult.at_most("near", 0.9, 1.0), CheckResult.at_most("over", 1.0, 0.5)]
+    assert "(worst=over, " in acceptance.Criterion(0, "mixed", checks).line()
+
+
+@pytest.mark.parametrize("psd_atol", [1e-9, 1e-12])
+def test_criterion_3_samples_the_flip_band(monkeypatch, psd_atol):
+    # a spectrum verdict at PSD_ATOL flips at |r| = 1 + 2 PSD_ATOL, away from
+    # the norm verdict at 1 + ATOL: only vectors within a few ATOL of |r| = 1
+    # show it
+    monkeypatch.setattr(operators, "PSD_ATOL", psd_atol)
+    criterion = acceptance.pc_psd_equivalence_criterion(samples=1000)
+    assert [c.name for c in criterion.checks if not c.passed] == ["classification-disagreements"]
 
 
 def test_invariant_failure_is_a_failed_check(monkeypatch):

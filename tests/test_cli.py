@@ -238,9 +238,9 @@ class TestDiscriminateAndClone:
         calls = []
         original = cli.discriminate
 
-        def counted(r, pair, which):
+        def counted(pair, which):
             calls.append(which)
-            return original(r, pair, which)
+            return original(pair, which)
 
         monkeypatch.setattr(cli, "discriminate", counted)
         code, out, _ = run(capsys, "discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials", "20")
@@ -249,18 +249,10 @@ class TestDiscriminateAndClone:
         assert json.loads(out)["outputs"]["correct"] == 20
 
     @pytest.mark.parametrize("command", ["discriminate", "clone-demo"])
-    def test_one_measurement_per_hidden_state(self, capsys, monkeypatch, command):
-        measurements = []
-        povm = discrimination.discrimination_povm
-
-        def counted(r):
-            measurements.append(1)
-            return povm(r)
-
-        monkeypatch.setattr(discrimination, "discrimination_povm", counted)
+    def test_one_measurement_per_hidden_state(self, capsys, discrimination_calls, command):
         code, _, _ = run(capsys, command, "--r", "0,0,2", "--y", "0.6", "--z", "0")
         assert code == 0
-        assert len(measurements) == 2
+        assert discrimination_calls == {"detection_probabilities": 2, "discrimination_povm": 1}
 
     def test_clone_demo_report(self, capsys):
         code, out, _ = run(capsys, "clone-demo", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--format", "json")

@@ -8,6 +8,7 @@ from quasilab import discrimination
 from quasilab.bloch import random_bloch_vector, random_direction, to_operator
 from quasilab.discrimination import (
     DiscriminationPovm,
+    HyperplanePair,
     clonability_check,
     clone_protocol,
     discriminate,
@@ -83,6 +84,19 @@ class TestHyperplanePair:
         with pytest.raises(ValueError, match="norm must exceed 1"):
             hyperplane_pair(np.array([0.0, 0.0, 0.9]), 0.1, 0.0)
 
+    def test_hand_built_pair_checked_when_built(self):
+        r_plus, r_minus = np.array([0.6, 0.0, 0.5]), np.array([0.6, 0.0, -0.5])
+        with pytest.raises(ValueError, match=r"r\.r\+- = \+-1"):
+            HyperplanePair(RESOURCE, r_plus, r_plus)
+        with pytest.raises(ValueError, match="norm must exceed 1"):
+            HyperplanePair(Z, Z, -Z)
+        pair = HyperplanePair(RESOURCE, r_plus, r_minus)
+        assert discriminate(pair, -1)[0] == -1
+
+    def test_carries_the_measurement_of_its_resource(self):
+        pair, povm = hyperplane_pair(RESOURCE, 0.6, 0.0), discrimination_povm(RESOURCE)
+        assert np.array_equal(pair.povm.p_plus, povm.p_plus) and np.array_equal(pair.povm.p_minus, povm.p_minus)
+
     def test_geometry_for_random_instances(self):
         rng = np.random.default_rng(1)
         for _ in range(300):
@@ -127,13 +141,13 @@ class TestDiscriminationPovm:
 class TestDiscriminate:
     def test_plus_is_certain(self):
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
-        label, q_plus, q_minus = discriminate(RESOURCE, pair, +1)
+        label, q_plus, q_minus = discriminate(pair, +1)
         assert q_plus == pytest.approx(1.0, abs=1e-12) and q_minus == pytest.approx(0.0, abs=1e-12)
         assert label == +1
 
     def test_minus_is_certain(self):
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
-        label, q_plus, q_minus = discriminate(RESOURCE, pair, -1)
+        label, q_plus, q_minus = discriminate(pair, -1)
         assert q_minus == pytest.approx(1.0, abs=1e-12) and q_plus == pytest.approx(0.0, abs=1e-12)
         assert label == -1
 
@@ -143,7 +157,7 @@ class TestDiscriminate:
             r, y, z = random_instance(rng)
             pair = hyperplane_pair(r, y, z)
             for which in (+1, -1):
-                label, q_plus, q_minus = discriminate(r, pair, which)
+                label, q_plus, q_minus = discriminate(pair, which)
                 assert label == which
                 assert abs(q_plus + q_minus - 1.0) <= 1e-10
                 assert abs(q_plus * q_minus) <= 1e-10
@@ -158,8 +172,8 @@ class TestDiscriminate:
             y_rot = y * np.cos(theta) - z * np.sin(theta)
             z_rot = y * np.sin(theta) + z * np.cos(theta)
             pair = hyperplane_pair(r, y_rot, z_rot)
-            assert discriminate(r, pair, +1)[1] == pytest.approx(1.0, abs=1e-10)
-            assert discriminate(r, pair, -1)[2] == pytest.approx(1.0, abs=1e-10)
+            assert discriminate(pair, +1)[1] == pytest.approx(1.0, abs=1e-10)
+            assert discriminate(pair, -1)[2] == pytest.approx(1.0, abs=1e-10)
 
     def test_label_is_the_likelier_outcome(self, monkeypatch):
         # a measurement with its projectors swapped favours the wrong outcome:
@@ -169,23 +183,18 @@ class TestDiscriminate:
         swapped = DiscriminationPovm(p_plus=povm.p_minus, p_minus=povm.p_plus)
         monkeypatch.setattr(discrimination, "discrimination_povm", lambda r: swapped)
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
-        label, q_plus, q_minus = discriminate(RESOURCE, pair, +1)
+        label, q_plus, q_minus = discriminate(pair, +1)
         assert label == -1
         assert q_plus == pytest.approx(0.0, abs=1e-12) and q_minus == pytest.approx(1.0, abs=1e-12)
         _, clone_dev = clone_protocol(pair, label, +1)
         assert clone_dev > ATOL
-
-    def test_mismatched_pair_rejected(self):
-        pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
-        with pytest.raises(ValueError, match="different resource"):
-            discriminate(1.5 * Z, pair, +1)
 
 
 class TestCloneProtocol:
     def test_outputs_doubled_states(self):
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
         for which, target_vec in ((+1, pair.r_plus), (-1, pair.r_minus)):
-            label, _, _ = discriminate(RESOURCE, pair, which)
+            label, _, _ = discriminate(pair, which)
             assert label == which
             out, clone_dev = clone_protocol(pair, label, which)
             single = to_operator(target_vec).matrix

@@ -242,12 +242,12 @@ class TestDiscriminateHighdim:
 
     def test_qubit_machinery_agrees_at_dim_two(self):
         for epsilon in (0.1, 0.5, 1.0, 2.0):
-            r, pair = matched_qubit_instance(epsilon)
+            _, pair = matched_qubit_instance(epsilon)
             vs = build_violating_state(2, epsilon)
-            q_plus = discriminate(r, pair, +1)[1]
+            q_plus = discriminate(pair, +1)[1]
             q1 = detection_probability(vs, build_probe_state(vs, CERTAIN))
             assert abs(q_plus - q1) <= 1e-10
-            q_minus = discriminate(r, pair, -1)[2]
+            q_minus = discriminate(pair, -1)[2]
             q0 = 1.0 - detection_probability(vs, build_probe_state(vs, NULL))
             assert abs(q_minus - q0) <= 1e-10
 

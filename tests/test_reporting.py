@@ -32,6 +32,23 @@ class TestVerdictRules:
         assert (check.passed, check.measured, check.tolerance) == (passed, measured, 1.0)
 
 
+class TestHeadroom:
+    @pytest.mark.parametrize(
+        "measured, tolerance, headroom",
+        [(0.25, 1.0, 0.25), (1.0, 1.0, 1.0), (4.0, 1.0, 0.25), (0.0, 0.0, 0.0), (0.0, 1e-12, 0.0), (2.0, 0.0, 0.0)],
+    )
+    def test_at_most(self, measured, tolerance, headroom):
+        # measured / tolerance while passing, tolerance / measured once failing
+        assert CheckResult.at_most("bound", measured, tolerance).headroom == headroom
+
+    @pytest.mark.parametrize(
+        "measured, bound, headroom", [(4.0, 1.0, 0.25), (0.06, 0.0, 0.0), (0.25, 1.0, 0.25), (1.0, 1.0, 1.0)]
+    )
+    def test_above(self, measured, bound, headroom):
+        # bound / measured while passing, measured / bound once failing
+        assert CheckResult.above("margin", measured, bound).headroom == headroom
+
+
 class TestJson:
     def test_round_trip(self):
         report = sample_report()
