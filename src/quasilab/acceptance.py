@@ -3,7 +3,8 @@
 Every criterion is a pure function returning its named sub-checks with
 measured deviations and pinned tolerances; ``run_all`` executes them in
 order. Randomized criteria draw from a seeded generator so runs are
-reproducible; all of them together finish in a few seconds.
+reproducible. They draw instance by instance, in a fixed order, and then
+compute on the stack of all instances with the ``*_batch`` kernels.
 """
 
 from __future__ import annotations
@@ -13,20 +14,23 @@ from dataclasses import replace
 import numpy as np
 
 from .bloch import (
-    outcome_probability,
-    pc_check,
-    predictability_circle,
+    outcome_probability_batch,
+    pc_check_batch,
+    predictability_circle_batch,
     random_bloch_vector,
     random_direction,
     to_operator,
+    to_operator_batch,
     from_operator,
 )
 from .discrimination import (
-    clonability_check,
-    clone_protocol,
+    clonability_check_batch,
+    clone_protocol_batch,
     discriminate,
+    discriminate_batch,
     hyperplane_pair,
-    overlap,
+    hyperplane_pair_batch,
+    overlap_batch,
 )
 from .highdim import (
     CERTAIN,
@@ -40,7 +44,7 @@ from .highdim import (
 )
 from .nonlocal_box import (
     SQRT2,
-    build_box,
+    build_box_batch,
     chsh_settings_for,
     chsh_value,
     setting_tables,
@@ -81,12 +85,9 @@ def chsh_law_criterion() -> Criterion:
     """CHSH value follows 2*sqrt(2)*r on the sub-sqrt(2) branch; at r = 1
     this is the quantum maximum."""
     grid = [1.0, 1.1, 1.2, 1.3, 1.4, 1.4142]
-    dev = 0.0
-    closed_dev = 0.0
-    for r in grid:
-        box = build_box(_axis_vector(r))
-        closed_dev = max(closed_dev, box.closed_form_dev)
-        dev = max(dev, abs(chsh_value(box, chsh_settings_for(r)) - 2.0 * SQRT2 * r))
+    boxes = build_box_batch([_axis_vector(r) for r in grid])
+    dev = max(abs(chsh_value(boxes[k], chsh_settings_for(r)) - 2.0 * SQRT2 * r) for k, r in enumerate(grid))
+    closed_dev = np.max(boxes.closed_form_dev)
     return Criterion(
         1,
         "chsh-law",
@@ -103,10 +104,11 @@ def maximal_box_criterion() -> Criterion:
     chsh_dev = 0.0
     prob_excess = 0.0
     signalling = 0.0
-    closed_dev = 0.0
-    for r in (1.5, 2.0, 3.0):
-        box = build_box(_axis_vector(r))
-        closed_dev = max(closed_dev, box.closed_form_dev)
+    grid = (1.5, 2.0, 3.0)
+    boxes = build_box_batch([_axis_vector(r) for r in grid])
+    closed_dev = np.max(boxes.closed_form_dev)
+    for k, r in enumerate(grid):
+        box = boxes[k]
         settings = chsh_settings_for(r)
         chsh_dev = max(chsh_dev, abs(chsh_value(box, settings) - 4.0))
         tables = setting_tables(box, settings)
@@ -135,16 +137,27 @@ def _flip_band_vector(rng: np.random.Generator) -> np.ndarray:
             return (1.0 + excess) * random_direction(rng)
 
 
+def _draw_rows(samples: int, width: int, draw) -> np.ndarray:
+    """An array of ``samples`` rows of ``width`` numbers, row k drawn by
+    ``draw(k)`` in order. Each draw goes straight into the array, so the
+    small arrays the draws return never pile up in memory."""
+    rows = np.empty((samples, width))
+    for k in range(samples):
+        rows[k] = draw(k)
+    return rows
+
+
+def _pc_psd_draws(rng: np.random.Generator, samples: int) -> np.ndarray:
+    return _draw_rows(
+        samples, 3, lambda k: _flip_band_vector(rng) if k % 10 == 0 else random_bloch_vector(rng, 0.0, 3.0)
+    )
+
+
 def pc_psd_equivalence_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> Criterion:
     """Norm bound and operator positivity classify every random vector the
     same way. Every tenth vector lies in the band where both flip."""
-    rng = np.random.default_rng(seed)
-    disagreements = 0
-    for k in range(samples):
-        r = _flip_band_vector(rng) if k % 10 == 0 else random_bloch_vector(rng, 0.0, 3.0)
-        by_norm = pc_check(r).satisfied
-        by_spectrum = to_operator(r).is_positive()
-        disagreements += by_norm != by_spectrum
+    rs = _pc_psd_draws(np.random.default_rng(seed), samples)
+    disagreements = np.sum(pc_check_batch(rs).satisfied != to_operator_batch(rs).is_positive())
     return Criterion(
         3,
         "pc-psd-equivalence",
@@ -156,14 +169,12 @@ def predictability_witness_criterion(seed: int = DEFAULT_SEED, samples: int = 10
     """Every norm > 1 vector yields at least two non-colinear directions
     that are simultaneously certain."""
     rng = np.random.default_rng(seed)
-    prob_dev = 0.0
-    colinear = 0
-    for _ in range(samples):
-        r = random_bloch_vector(rng, 1.0 + 1e-6, 3.0)
-        points = predictability_circle(r).sample(8)
-        for n in points:
-            prob_dev = max(prob_dev, abs(outcome_probability(r, n, +1) - 1.0))
-        colinear += np.linalg.norm(np.cross(points[0], points[2])) <= ATOL
+    rs = _draw_rows(samples, 3, lambda _: random_bloch_vector(rng, 1.0 + 1e-6, 3.0))
+    points = predictability_circle_batch(rs).sample(8)
+    probs = outcome_probability_batch(np.repeat(rs, 8, axis=0), points.reshape(-1, 3), +1)
+    prob_dev = np.max(np.abs(probs - 1.0))
+    cross = np.cross(points[:, 0], points[:, 2])
+    colinear = np.sum(np.sqrt(np.vecdot(cross, cross)) <= ATOL)
     return Criterion(
         4,
         "predictability-witness",
@@ -178,27 +189,25 @@ def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> Cr
     """Joint-clonability flag agrees with the trace fixed-point test, with
     exact hyperplane constructions hitting both branches."""
     rng = np.random.default_rng(seed)
-    disagreements = 0
-    margin = np.inf
-    for _ in range(samples):
-        r = random_bloch_vector(rng, 0.0, 3.0)
-        rp = random_bloch_vector(rng, 0.0, 3.0)
-        t = overlap(r, rp)
-        fixed_point = abs(t * t - t) <= LAW_ATOL
-        disagreements += fixed_point != clonability_check(r, rp)
-        margin = min(margin, abs(t * t - t))
-    exact_dev = 0.0
-    for _ in range(100):
+    draws = _draw_rows(samples, 6, lambda _: (*random_bloch_vector(rng, 0.0, 3.0), *random_bloch_vector(rng, 0.0, 3.0)))
+    rs, rps = draws[:, :3], draws[:, 3:]
+    t = overlap_batch(rs, rps)
+    fixed_point_gap = np.abs(t * t - t)
+    disagreements = np.sum((fixed_point_gap <= LAW_ATOL) != clonability_check_batch(rs, rps))
+    margin = np.min(fixed_point_gap)
+
+    def hyperplane_instance(_):
         norm = rng.uniform(1.2, 3.0)
         r = norm * random_direction(rng)
         cap = np.sqrt(1.0 - 1.0 / norm**2)
-        y, z = rng.uniform(-cap / 2, cap / 2, size=2)
-        pair = hyperplane_pair(r, y, z)
-        for rp in (pair.r_plus, pair.r_minus):
-            if not clonability_check(r, rp):
-                exact_dev = 1.0
-            t = overlap(r, rp)
-            exact_dev = max(exact_dev, abs(t * t - t))
+        return (*r, *rng.uniform(-cap / 2, cap / 2, size=2))
+
+    instances = _draw_rows(100, 5, hyperplane_instance)
+    pairs = hyperplane_pair_batch(instances[:, :3], instances[:, 3], instances[:, 4])
+    resources = np.concatenate((pairs.resource, pairs.resource))
+    members = np.concatenate((pairs.r_plus, pairs.r_minus))
+    t = overlap_batch(resources, members)
+    exact_dev = max(float(not np.all(clonability_check_batch(resources, members))), np.max(np.abs(t * t - t)))
     return Criterion(
         5,
         "clonability-fixed-point",
@@ -216,25 +225,27 @@ def _random_admissible_instance(rng: np.random.Generator):
     cap = np.sqrt(1.0 - 1.0 / norm**2)
     rho = np.sqrt(rng.uniform(0.0, 1.0)) * cap
     angle = rng.uniform(0.0, 2.0 * np.pi)
-    return r, rho * np.cos(angle), rho * np.sin(angle)
+    return (*r, rho * np.cos(angle), rho * np.sin(angle))
+
+
+def _discrimination_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resources, y and z of ``samples`` admissible instances."""
+    rows = _draw_rows(samples, 5, lambda _: _random_admissible_instance(rng))
+    return rows[:, :3], rows[:, 3], rows[:, 4]
 
 
 def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> Criterion:
     """Hyperplane states are identified with certainty despite strictly
     positive overlap, and the clone output is the exact doubled state."""
-    rng = np.random.default_rng(seed)
+    pairs = hyperplane_pair_batch(*_discrimination_draws(np.random.default_rng(seed), samples))
+    min_overlap = np.min(overlap_batch(pairs.r_plus, pairs.r_minus))
     det_dev = 0.0
-    min_overlap = np.inf
     clone_dev = 0.0
-    for _ in range(samples):
-        r, y, z = _random_admissible_instance(rng)
-        pair = hyperplane_pair(r, y, z)
-        min_overlap = min(min_overlap, overlap(pair.r_plus, pair.r_minus))
-        for which in (+1, -1):
-            label, q_plus, q_minus = discriminate(pair, which)
-            q_hit, q_miss = (q_plus, q_minus) if which == +1 else (q_minus, q_plus)
-            det_dev = max(det_dev, abs(q_hit - 1.0), abs(q_miss))
-            clone_dev = max(clone_dev, clone_protocol(pair, label, which)[1])
+    for which in (+1, -1):
+        labels, q_plus, q_minus = discriminate_batch(pairs, which)
+        q_hit, q_miss = (q_plus, q_minus) if which == +1 else (q_minus, q_plus)
+        det_dev = max(det_dev, np.max(np.abs(q_hit - 1.0)), np.max(np.abs(q_miss)))
+        clone_dev = max(clone_dev, np.max(clone_protocol_batch(pairs, labels, which)[1]))
     return Criterion(
         6,
         "perfect-discrimination",
@@ -341,17 +352,19 @@ def cross_consistency_criterion(seed: int = DEFAULT_SEED) -> Criterion:
     )
 
 
+def _pipeline_draws(rng: np.random.Generator, samples: int) -> np.ndarray:
+    # the norm is drawn first, then the direction
+    return _draw_rows(
+        samples, 3, lambda k: (rng.uniform(1.0 + 1e-9, 3.0) if k % 4 else rng.uniform(0.0, 1.0)) * random_direction(rng)
+    )
+
+
 def pipeline_oracle_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> Criterion:
     """The unitary pipeline reproduces the closed-form box for random
     resources, with genuinely unitary gates."""
-    rng = np.random.default_rng(seed)
-    box_dev = 0.0
-    unitary_dev = 0.0
-    for k in range(samples):
-        norm = rng.uniform(1.0 + 1e-9, 3.0) if k % 4 else rng.uniform(0.0, 1.0)
-        box = build_box(norm * random_direction(rng))
-        box_dev = max(box_dev, box.closed_form_dev)
-        unitary_dev = max(unitary_dev, box.unitarity_dev)
+    boxes = build_box_batch(_pipeline_draws(np.random.default_rng(seed), samples))
+    box_dev = np.max(boxes.closed_form_dev)
+    unitary_dev = np.max(boxes.unitarity_dev)
     return Criterion(
         9,
         "pipeline-oracle",

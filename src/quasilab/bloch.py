@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ATOL, I2, PAULI, QuasiState
+from .operators import ATOL, I2, PAULI, QuasiState, Stacked
 
 
 class InvalidDirectionError(ValueError):
@@ -22,21 +22,47 @@ class InvalidDirectionError(ValueError):
 
 
 def as_bloch_vector(r) -> np.ndarray:
+    return as_bloch_vectors(as_bloch_row(r))[0]
+
+
+def as_bloch_row(r) -> np.ndarray:
+    """One Bloch vector as the (1, 3) stack a ``*_batch`` kernel takes. Its
+    shape is checked here and its components by the kernel."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
+    return r[None]
+
+
+def as_bloch_vectors(rs) -> np.ndarray:
+    """Validate an (N, 3) stack of Bloch vectors, every component finite."""
+    rs = np.asarray(rs, dtype=float)
+    if rs.ndim != 2 or rs.shape[1] != 3:
+        raise ValueError(f"Bloch vectors must form an (N, 3) stack, got shape {rs.shape}")
+    if not np.isfinite(rs).all():
         raise ValueError("Bloch vector components must be finite")
-    return r
+    return rs
+
+
+def _norms(rs: np.ndarray) -> np.ndarray:
+    # sqrt(r.r) row by row: the bits of the scalar np.linalg.norm(r), which
+    # np.linalg.norm(rs, axis=1) does not keep in the last place
+    return np.sqrt(np.vecdot(rs, rs))
 
 
 def as_direction(n) -> np.ndarray:
     """Validate a measurement direction: a real unit 3-vector."""
-    n = as_bloch_vector(n)
-    norm = np.linalg.norm(n)
-    if abs(norm - 1.0) > ATOL:
-        raise ValueError(f"direction must have unit norm, got {norm:.15g}")
-    return n
+    return as_directions(as_bloch_row(n))[0]
+
+
+def as_directions(ns) -> np.ndarray:
+    """Validate an (N, 3) stack of measurement directions."""
+    ns = as_bloch_vectors(ns)
+    norms = _norms(ns)
+    unit = np.abs(norms - 1.0) <= ATOL
+    if not unit.all():
+        raise ValueError(f"direction must have unit norm, got {norms[np.argmin(unit)]:.15g}")
+    return ns
 
 
 def outcome_probability(r, n, outcome: int) -> float:
@@ -46,18 +72,27 @@ def outcome_probability(r, n, outcome: int) -> float:
     Raises InvalidDirectionError when |r.n| > 1; such directions have no
     genuine probability and are never evaluated.
     """
-    r = as_bloch_vector(r)
-    n = as_direction(n)
-    if outcome not in (+1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    rn = float(np.dot(r, n))
-    if abs(rn) > 1.0 + ATOL:
-        raise InvalidDirectionError(f"|r.n| = {abs(rn):.15g} > 1: no valid probability in this direction")
-    return 0.5 * (1.0 + outcome * rn)
+    return float(outcome_probability_batch(as_bloch_row(r), as_bloch_row(n), outcome)[0])
+
+
+def outcome_probability_batch(rs, ns, outcomes) -> np.ndarray:
+    """``outcome_probability`` row by row over (N, 3) stacks of preparations
+    and directions; ``outcomes`` is one outcome or one per row."""
+    rs, ns = as_bloch_vectors(rs), as_directions(ns)
+    outcomes = np.asarray(outcomes)
+    valid = (outcomes == +1) | (outcomes == -1)
+    if not valid.all():
+        raise ValueError(f"outcome must be +1 or -1, got {outcomes.flat[np.argmin(valid)]}")
+    rn = np.vecdot(rs, ns)
+    genuine = np.abs(rn) <= 1.0 + ATOL
+    if not genuine.all():
+        bad = abs(rn[np.argmin(genuine)])
+        raise InvalidDirectionError(f"|r.n| = {bad:.15g} > 1: no valid probability in this direction")
+    return 0.5 * (1.0 + outcomes * rn)
 
 
 @dataclass(frozen=True)
-class PcCheck:
+class PcCheck(Stacked):
     """Verdict of the complementarity check with its diagnostics: the norm
     of the vector and the sum of squared mean values over the canonical
     axes (the two agree, squared, by the Pythagorean identity)."""
@@ -76,17 +111,33 @@ def pc_check(r) -> PcCheck:
     This is the package's one decision of the qubit bound: every other
     norm-side verdict reads ``satisfied``.
     """
-    r = as_bloch_vector(r)
-    norm = float(np.linalg.norm(r))
-    mean_square_sum = float(np.dot(r, r))
+    return pc_check_batch(as_bloch_row(r))[0]
+
+
+def pc_check_batch(rs) -> PcCheck:
+    """``pc_check`` of each row of an (N, 3) stack."""
+    rs = as_bloch_vectors(rs)
+    mean_square_sum = np.vecdot(rs, rs)
+    norm = np.sqrt(mean_square_sum)
     return PcCheck(satisfied=norm - 1.0 <= ATOL, norm=norm, mean_square_sum=mean_square_sum)
 
 
 def to_operator(r) -> QuasiState:
     """Operator (1/2)(I + r.sigma) of a preparation: always Hermitian with
     unit trace, positive semidefinite exactly when ||r|| <= 1."""
-    r = as_bloch_vector(r)
-    m = 0.5 * (I2 + r[0] * PAULI[0] + r[1] * PAULI[1] + r[2] * PAULI[2])
+    return to_operator_batch(as_bloch_row(r))[0]
+
+
+def to_operator_batch(rs) -> QuasiState:
+    """The stack of operators of an (N, 3) stack of preparations, each
+    checked as ``QuasiState`` checks one."""
+    r = as_bloch_vectors(rs)[:, :, None, None]
+    # (1/2)(I + x X + y Y + z Z), summed in that order, in one array
+    m = r[:, 0] * PAULI[0]
+    m += I2
+    m += r[:, 1] * PAULI[1]
+    m += r[:, 2] * PAULI[2]
+    m *= 0.5
     return QuasiState(m)
 
 
@@ -111,19 +162,28 @@ def transverse_frame(r_hat) -> tuple[np.ndarray, np.ndarray]:
     which case m = x; n = r_hat x m. A fixed rule keeps every construction
     that needs a transverse plane reproducible.
     """
-    r_hat = as_direction(r_hat)
-    z = np.array([0.0, 0.0, 1.0])
-    if abs(np.dot(r_hat, z)) < 1.0 - 1e-6:
-        m = np.cross(z, r_hat)
-        m /= np.linalg.norm(m)
-    else:
-        m = np.array([1.0, 0.0, 0.0])
-    n = np.cross(r_hat, m)
-    return m, n
+    m, n = transverse_frame_batch(as_bloch_row(r_hat))
+    return m[0], n[0]
+
+
+def transverse_frame_batch(r_hats) -> tuple[np.ndarray, np.ndarray]:
+    """``transverse_frame`` of each row of an (N, 3) stack of directions:
+    the two (N, 3) stacks m and n."""
+    r_hats = as_directions(r_hats)
+    polar = ~(np.abs(r_hats[:, 2]) < 1.0 - 1e-6)
+    m = _cross(np.array([0.0, 0.0, 1.0]), r_hats)
+    m = np.where(polar[:, None], np.array([1.0, 0.0, 0.0]), m / np.where(polar, 1.0, _norms(m))[:, None])
+    return m, _cross(r_hats, m)
+
+
+def _cross(a, b) -> np.ndarray:
+    # np.cross's products and differences, row by row, without the cost of
+    # its general axis handling
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
 
 @dataclass(frozen=True)
-class PredictabilityCircle:
+class PredictabilityCircle(Stacked):
     """Unit directions along which a preparation of norm > 1 is certain.
 
     They form the circle {n : r_hat . n = 1/r} on the unit sphere, centred
@@ -135,13 +195,15 @@ class PredictabilityCircle:
     plane_normal: np.ndarray
 
     def sample(self, n_points: int = 64) -> np.ndarray:
-        """Unit directions on the circle at a deterministic angle grid."""
-        m, n = transverse_frame(self.plane_normal)
+        """Unit directions on the circle at a deterministic angle grid: an
+        (n_points, 3) array, or (N, n_points, 3) for a stack of N circles."""
+        normals = np.reshape(self.plane_normal, (-1, 3))
+        m, n = transverse_frame_batch(normals)
         thetas = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-        pts = self.center[None, :] + self.radius * (
-            np.cos(thetas)[:, None] * m[None, :] + np.sin(thetas)[:, None] * n[None, :]
+        pts = np.reshape(self.center, (-1, 1, 3)) + np.reshape(self.radius, (-1, 1, 1)) * (
+            np.cos(thetas)[:, None] * m[:, None, :] + np.sin(thetas)[:, None] * n[:, None, :]
         )
-        return pts
+        return pts.reshape(np.shape(self.center)[:-1] + (n_points, 3))
 
 
 def predictability_circle(r) -> PredictabilityCircle | None:
@@ -151,17 +213,26 @@ def predictability_circle(r) -> PredictabilityCircle | None:
     exactly 1 degenerates to the single point r_hat; norm < 1 gives none
     (1/r > 1 is unreachable by unit vectors).
     """
-    r = as_bloch_vector(r)
-    check = pc_check(r)
-    norm = check.norm
-    if norm < 1.0 - ATOL:
+    rs = as_bloch_row(r)
+    if pc_check_batch(rs).norm[0] < 1.0 - ATOL:
         return None
-    r_hat = r / norm
-    if check.satisfied:
-        return PredictabilityCircle(center=r_hat, radius=0.0, plane_normal=r_hat)
+    return predictability_circle_batch(rs)[0]
+
+
+def predictability_circle_batch(rs) -> PredictabilityCircle:
+    """The stack of circles of an (N, 3) stack of preparations, none of
+    them of norm below 1 (those have no certain direction)."""
+    rs = as_bloch_vectors(rs)
+    check = pc_check_batch(rs)
+    norm = check.norm
+    inside = norm < 1.0 - ATOL
+    if inside.any():
+        raise ValueError(f"no certain direction for norm {norm[np.argmax(inside)]:.15g} < 1")
+    r_hat = rs / norm[:, None]
+    full = ~check.satisfied
     return PredictabilityCircle(
-        center=r_hat / norm,
-        radius=float(np.sqrt(1.0 - 1.0 / norm**2)),
+        center=np.where(full[:, None], r_hat / norm[:, None], r_hat),
+        radius=np.where(full, np.sqrt(np.maximum(1.0 - 1.0 / norm**2, 0.0)), 0.0),
         plane_normal=r_hat,
     )
 

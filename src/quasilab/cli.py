@@ -29,6 +29,7 @@ from .nonlocal_box import (
     SQRT2,
     TSIRELSON_SETTINGS,
     build_box,
+    build_box_batch,
     chsh_settings_for,
     chsh_value,
     setting_tables,
@@ -153,14 +154,13 @@ def _run_chsh_sweep(args) -> RunReport:
     if args.r_max > MAX_BOX_NORM:
         raise ValueError(f"r-max must be at most {MAX_BOX_NORM:g}, got {args.r_max:.6g}")
     grid = np.linspace(args.r_min, args.r_max, args.steps)
+    boxes = build_box_batch(np.stack((np.zeros_like(grid), np.zeros_like(grid), grid), axis=1))
     values, valids = [], []
-    closed_dev = 0.0
-    for r in grid:
-        box = build_box(np.array([0.0, 0.0, r]))
-        closed_dev = max(closed_dev, box.closed_form_dev)
+    for k, r in enumerate(grid):
         settings = chsh_settings_for(r)
-        values.append(chsh_value(box, settings))
-        valids.append(all(t.valid for t in setting_tables(box, settings).values()))
+        values.append(chsh_value(boxes[k], settings))
+        valids.append(all(t.valid for t in setting_tables(boxes[k], settings).values()))
+    closed_dev = np.max(boxes.closed_form_dev)
     return RunReport(
         command="chsh-sweep",
         inputs={"r_min": args.r_min, "r_max": args.r_max, "steps": args.steps},

@@ -14,16 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import as_bloch_vector, projector_for_direction, to_operator
+from .bloch import as_bloch_row, as_bloch_vectors, pc_check_batch, projector_for_direction, to_operator_batch
 from .operators import (
     ATOL,
     I2,
     PAULI,
     QuasiState,
     SPECTRAL_ATOL,
+    Stacked,
     expectation,
-    hermitian_eigensystem,
+    hermitian_eigensystem_batch,
     kron,
+    kron_batch,
     partial_trace,
 )
 
@@ -34,39 +36,56 @@ PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / SQRT2
 PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / SQRT2
 
 
+def _outer(u, v) -> np.ndarray:
+    """|u><v| as np.outer forms it, row by row for stacks of vectors."""
+    return u[..., :, None] * v.conj()[..., None, :]
+
+
+def _dagger(m) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _stack_of(v) -> np.ndarray:
+    return np.reshape(np.asarray(v, dtype=complex), (-1, 2))
+
+
 def rotated_cnot(xi, xi_perp) -> np.ndarray:
     """Controlled-NOT with control and target both in the rotated basis
-    spanned by (|xi> +- |xi_perp>)/sqrt(2)."""
+    spanned by (|xi> +- |xi_perp>)/sqrt(2); for (N, 2) stacks of (xi,
+    xi_perp), the (N, 4, 4) stack of gates."""
+    shape = np.shape(xi)[:-1] + (4, 4)
+    xi, xi_perp = _stack_of(xi), _stack_of(xi_perp)
     plus = (xi + xi_perp) / SQRT2
     minus = (xi - xi_perp) / SQRT2
-    flip = np.outer(xi, xi.conj()) - np.outer(xi_perp, xi_perp.conj())
-    return kron(np.outer(plus, plus.conj()), I2) + kron(np.outer(minus, minus.conj()), flip)
+    flip = _outer(xi, xi) - _outer(xi_perp, xi_perp)
+    return (kron_batch(_outer(plus, plus), I2[None]) + kron_batch(_outer(minus, minus), flip)).reshape(shape)
 
 
 def basis_to_computational(xi, xi_perp) -> np.ndarray:
     """Local unitary |0><+| + |1><-| taking the rotated basis to the
-    computational one."""
+    computational one; for stacks of (xi, xi_perp), the stack of gates."""
+    xi, xi_perp = np.asarray(xi, dtype=complex), np.asarray(xi_perp, dtype=complex)
     plus = (xi + xi_perp) / SQRT2
     minus = (xi - xi_perp) / SQRT2
     ket0 = np.array([1, 0], dtype=complex)
     ket1 = np.array([0, 1], dtype=complex)
-    return np.outer(ket0, plus.conj()) + np.outer(ket1, minus.conj())
+    return _outer(ket0, plus) + _outer(ket1, minus)
 
 
-def closed_form_box(r: float) -> np.ndarray:
-    """Bell-diagonal target (1/2)[(1+r) phi+ + (1-r) phi-] of the pipeline."""
-    return 0.5 * (
-        (1.0 + r) * np.outer(PHI_PLUS, PHI_PLUS.conj())
-        + (1.0 - r) * np.outer(PHI_MINUS, PHI_MINUS.conj())
-    )
+def closed_form_box(r) -> np.ndarray:
+    """Bell-diagonal target (1/2)[(1+r) phi+ + (1-r) phi-] of the pipeline;
+    for an array of norms, the stack of targets."""
+    r = np.asarray(r, dtype=float)[..., None, None]
+    return 0.5 * ((1.0 + r) * np.outer(PHI_PLUS, PHI_PLUS.conj()) + (1.0 - r) * np.outer(PHI_MINUS, PHI_MINUS.conj()))
 
 
 @dataclass(frozen=True)
-class BipartiteBox:
+class BipartiteBox(Stacked):
     """Two-party box: a dim-4 unit-trace Hermitian operator whose one-side
     reductions are both maximally mixed, plus the source norm r, the
     max-entry deviation of the operator from ``closed_form_box(r)`` and
-    that of the pipeline's gates from unitarity."""
+    that of the pipeline's gates from unitarity. A stack of N boxes has
+    one of each per box."""
 
     state: QuasiState
     r: float
@@ -78,7 +97,7 @@ class BipartiteBox:
             raise ValueError("a bipartite box lives on two qubits (dim 4)")
         for side in (0, 1):
             red = partial_trace(self.state.matrix, (2, 2), keep=side)
-            if np.max(np.abs(red - I2 / 2)) > SPECTRAL_ATOL:
+            if np.abs(red - I2 / 2).max(initial=0.0) > SPECTRAL_ATOL:
                 raise ValueError("box reduction is not maximally mixed")
 
 
@@ -91,24 +110,31 @@ def build_box(r) -> BipartiteBox:
     deviations of the result from the closed form and of the two gates from
     unitarity are kept on the box for the reports to judge.
     """
-    r = as_bloch_vector(r)
-    norm = float(np.linalg.norm(r))
-    rho = to_operator(r)
-    eig = hermitian_eigensystem(rho.matrix)
-    xi, xi_perp = eig.eigenvectors[:, 0], eig.eigenvectors[:, 1]
+    return build_box_batch(as_bloch_row(r))[0]
+
+
+def _max_dev(m, target) -> np.ndarray:
+    return np.abs(m - target).max(axis=(-2, -1))
+
+
+def build_box_batch(rs) -> BipartiteBox:
+    """``build_box`` on each row of an (N, 3) stack: one eigendecomposition
+    call and one product per pipeline stage for the whole stack."""
+    rs = as_bloch_vectors(rs)
+    rho = to_operator_batch(rs).matrix
+    vecs = hermitian_eigensystem_batch(rho).eigenvectors
+    xi, xi_perp = vecs[:, :, 0], vecs[:, :, 1]
     plus = (xi + xi_perp) / SQRT2
     u, u_loc = rotated_cnot(xi, xi_perp), basis_to_computational(xi, xi_perp)
-    seed = kron(rho.matrix, np.outer(plus, plus.conj()))
-    doubled = u @ seed @ u.conj().T
-    u_pair = kron(u_loc, u_loc)
-    box = u_pair @ doubled @ u_pair.conj().T
+    doubled = u @ kron_batch(rho, _outer(plus, plus)) @ _dagger(u)
+    u_pair = kron_batch(u_loc, u_loc)
+    box = u_pair @ doubled @ _dagger(u_pair)
 
-    dev = float(np.max(np.abs(box - closed_form_box(norm))))
-    unitarity_dev = max(
-        float(np.max(np.abs(u.conj().T @ u - np.eye(4)))),
-        float(np.max(np.abs(u_loc.conj().T @ u_loc - np.eye(2)))),
+    norm = pc_check_batch(rs).norm
+    unitarity_dev = np.maximum(_max_dev(_dagger(u) @ u, np.eye(4)), _max_dev(_dagger(u_loc) @ u_loc, np.eye(2)))
+    return BipartiteBox(
+        state=QuasiState(box), r=norm, closed_form_dev=_max_dev(box, closed_form_box(norm)), unitarity_dev=unitarity_dev
     )
-    return BipartiteBox(state=QuasiState(box), r=norm, closed_form_dev=dev, unitarity_dev=unitarity_dev)
 
 
 @dataclass(frozen=True)
@@ -130,9 +156,10 @@ class ChshSettings:
 
 
 def observable(v) -> np.ndarray:
-    """Dichotomic observable v.sigma with eigenvalues +-1 for unit v."""
-    v = np.asarray(v, dtype=float)
-    return v[0] * PAULI[0] + v[1] * PAULI[1] + v[2] * PAULI[2]
+    """Dichotomic observable v.sigma with eigenvalues +-1 for unit v; for
+    an (N, 3) stack of vectors, the stack of observables."""
+    v = np.asarray(v, dtype=float)[..., None, None]
+    return v[..., 0, :, :] * PAULI[0] + v[..., 1, :, :] * PAULI[1] + v[..., 2, :, :] * PAULI[2]
 
 
 def bell_operator(settings: ChshSettings) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,10 @@ from quasilab import acceptance, discrimination, nonlocal_box
 COUNTED = {"eigvalsh": np.linalg, "eigh": np.linalg, "kron": np}
 
 
-@pytest.fixture(scope="session")
-def verify_all_run():
-    """The nine criteria of ``verify-all`` at the default seed, run once
-    per session, and the number of calls that run made to each routine
-    in ``COUNTED``."""
+@contextlib.contextmanager
+def counting_numpy_calls():
+    """Yield a dict that counts, while the block runs, the calls made to
+    each routine in ``COUNTED``."""
     calls = dict.fromkeys(COUNTED, 0)
     with pytest.MonkeyPatch.context() as mp:
         for name, owner in COUNTED.items():
@@ -24,6 +25,21 @@ def verify_all_run():
                 return _original(*args, **kwargs)
 
             mp.setattr(owner, name, counted)
+        yield calls
+
+
+@pytest.fixture
+def count_numpy_calls():
+    """The ``counting_numpy_calls`` context manager."""
+    return counting_numpy_calls
+
+
+@pytest.fixture(scope="session")
+def verify_all_run():
+    """The nine criteria of ``verify-all`` at the default seed, run once
+    per session, and the number of calls that run made to each routine
+    in ``COUNTED``."""
+    with counting_numpy_calls() as calls:
         criteria = acceptance.run_all(acceptance.DEFAULT_SEED)
     return criteria, calls
 
@@ -40,17 +56,20 @@ def non_unitary_gates(monkeypatch):
 
 @pytest.fixture
 def discrimination_calls(monkeypatch):
-    """Counts of the measurements (``detection_probabilities``) and the
-    POVM builds (``discrimination_povm``) made while the test runs."""
-    calls = {"detection_probabilities": 0, "discrimination_povm": 0}
-    for name in calls:
-        original = getattr(discrimination, name)
+    """Counts of the instances measured (rows of the stacks passed to
+    ``detection_probabilities_batch``) and of the POVMs built (rows passed
+    to ``discrimination_povm_batch``) while the test runs, however the
+    rows are batched into calls."""
+    rows_of = {"detection_probabilities": lambda pairs, *_: pairs.resource, "discrimination_povm": lambda rs: rs}
+    calls = dict.fromkeys(rows_of, 0)
+    for name, rows in rows_of.items():
+        original = getattr(discrimination, f"{name}_batch")
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
+        def counted(*args, _name=name, _rows=rows, _original=original):
+            calls[_name] += len(_rows(*args))
             return _original(*args)
 
-        monkeypatch.setattr(discrimination, name, counted)
+        monkeypatch.setattr(discrimination, f"{name}_batch", counted)
     return calls
 
 

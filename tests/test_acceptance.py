@@ -84,13 +84,34 @@ def test_randomized_criteria_hold_for_other_seeds(seed):
 # Ceilings on the numpy calls of one run_all(DEFAULT_SEED), each set at the
 # count measured when it was last changed. A change that lowers a count
 # lowers its ceiling with it; no change raises one.
-NUMPY_CALL_CEILINGS = {"eigvalsh": 10_001, "eigh": 1_009, "kron": 9_232}
+NUMPY_CALL_CEILINGS = {"eigvalsh": 2, "eigh": 3, "kron": 84}
 
 
 def test_numpy_calls_within_ceilings(verify_all_run):
     _, calls = verify_all_run
     for name, ceiling in NUMPY_CALL_CEILINGS.items():
         assert calls[name] <= ceiling, f"{name}: {calls[name]} calls, ceiling {ceiling}"
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [
+        acceptance.pc_psd_equivalence_criterion,
+        acceptance.predictability_witness_criterion,
+        acceptance.clonability_criterion,
+        acceptance.discrimination_criterion,
+        acceptance.pipeline_oracle_criterion,
+    ],
+    ids=lambda criterion: criterion.__name__,
+)
+def test_numpy_calls_do_not_grow_with_samples(criterion, count_numpy_calls):
+    # the randomized criteria compute on the stack of their samples
+    counts = []
+    for samples in (10, 1000):
+        with count_numpy_calls() as calls:
+            criterion(samples=samples)
+        counts.append(calls)
+    assert counts[0] == counts[1]
 
 
 def test_criterion_6_measures_each_hidden_state_once(discrimination_calls):

@@ -57,6 +57,24 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["discriminate", "--r", "0,0,2", "--y", "nan", "--z", "0"],
+            ["clone-demo", "--r", "0,0,0.5", "--y", "0.1", "--z", "0"],
+            ["discriminate", "--r", "0,0,1.0001", "--y", "0.9", "--z", "0"],
+            ["box", "--r", "3e5,4e5,5e5"],
+            ["chsh-sweep", "--r-min", "1", "--r-max", "2e3", "--steps", "3"],
+            ["planes", "--r", "0,0,0.5"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_rejected_input_is_two_without_traceback(self, capsys, argv):
+        # the batched constructions reject these as the scalar ones did
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials", "-3"],
             ["discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials", "0"],
             ["planes", "--r", "0,0,2", "--points", "0"],
@@ -84,8 +102,8 @@ class TestInvariantFailures:
     def measurement_favours_minus(self, monkeypatch):
         # the one measurement inside discriminate, giving outcome
         # probabilities (0.3, 0.7) whatever the hidden state
-        favours_minus = discrimination.DiscriminationPovm(p_plus=0.3 * np.eye(4), p_minus=0.7 * np.eye(4))
-        monkeypatch.setattr(discrimination, "discrimination_povm", lambda r: favours_minus)
+        favours_minus = discrimination.DiscriminationPovm(p_plus=0.3 * np.eye(4)[None], p_minus=0.7 * np.eye(4)[None])
+        monkeypatch.setattr(discrimination, "discrimination_povm_batch", lambda rs: favours_minus)
 
     def test_box_closed_form_mismatch(self, capsys, closed_form_off_by_one):
         code, out, err = run(capsys, "box", "--r", "0,0,2", "--format", "json")

@@ -180,8 +180,8 @@ class TestDiscriminate:
         # the label and the probabilities it returns come from that one
         # measurement, and the clone of the wrong state shows up as a deviation
         povm = discrimination_povm(RESOURCE)
-        swapped = DiscriminationPovm(p_plus=povm.p_minus, p_minus=povm.p_plus)
-        monkeypatch.setattr(discrimination, "discrimination_povm", lambda r: swapped)
+        swapped = DiscriminationPovm(p_plus=povm.p_minus[None], p_minus=povm.p_plus[None])
+        monkeypatch.setattr(discrimination, "discrimination_povm_batch", lambda rs: swapped)
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
         label, q_plus, q_minus = discriminate(pair, +1)
         assert label == -1

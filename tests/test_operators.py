@@ -14,9 +14,11 @@ from quasilab.operators import (
     SIGMA_Z,
     QuasiState,
     expectation,
+    expectation_batch,
     hermitian_eigensystem,
     is_hermitian,
     kron,
+    kron_batch,
     partial_trace,
 )
 
@@ -58,6 +60,19 @@ class TestKron:
         if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
             return
         assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) <= 1e-12
+
+
+def test_batched_kron_and_pairing_match_the_scalar_ones_bit_for_bit():
+    # kron is the oracle of kron_batch (both form every entry as one
+    # product), and expectation that of expectation_batch
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(50, 2, 3)) + 1j * rng.normal(size=(50, 2, 3))
+    b = rng.normal(size=(50, 3, 2)) + 1j * rng.normal(size=(50, 3, 2))
+    stacked = kron_batch(a, b)
+    assert all(np.array_equal(stacked[k], kron(a[k], b[k])) for k in range(50))
+    ops, states = (m + m.conj().swapaxes(1, 2) for m in (kron_batch(a, b), kron_batch(b, a)))
+    pairings = expectation_batch(ops, states)
+    assert all(pairings[k] == expectation(ops[k], states[k]) for k in range(50))
 
 
 class TestExpectation:
