@@ -18,36 +18,25 @@ from .operators import (
     Eigensystem,
     QuasiState,
     expectation,
-    expectation_batch,
     hermitian_eigensystem,
-    hermitian_eigensystem_batch,
-    is_hermitian,
     kron,
-    kron_batch,
     partial_trace,
 )
 from .bloch import (
     InvalidDirectionError,
     PcCheck,
     PredictabilityCircle,
-    as_bloch_vector,
     as_bloch_vectors,
-    as_direction,
     as_directions,
     from_operator,
     outcome_probability,
-    outcome_probability_batch,
     pc_check,
-    pc_check_batch,
     predictability_circle,
-    predictability_circle_batch,
     projector_for_direction,
     random_bloch_vector,
     random_direction,
     to_operator,
-    to_operator_batch,
     transverse_frame,
-    transverse_frame_batch,
 )
 from .nonlocal_box import (
     BipartiteBox,
@@ -57,7 +46,6 @@ from .nonlocal_box import (
     basis_to_computational,
     bell_operator,
     build_box,
-    build_box_batch,
     chsh_settings_for,
     chsh_value,
     closed_form_box,
@@ -71,17 +59,11 @@ from .discrimination import (
     DiscriminationPovm,
     HyperplanePair,
     clonability_check,
-    clonability_check_batch,
     clone_protocol,
-    clone_protocol_batch,
     discriminate,
-    discriminate_batch,
     discrimination_povm,
-    discrimination_povm_batch,
     hyperplane_pair,
-    hyperplane_pair_batch,
     overlap,
-    overlap_batch,
 )
 from .highdim import (
     CERTAIN,

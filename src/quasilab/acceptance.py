@@ -4,7 +4,7 @@ Every criterion is a pure function returning its named sub-checks with
 measured deviations and pinned tolerances; ``run_all`` executes them in
 order. Randomized criteria draw from a seeded generator so runs are
 reproducible. They draw instance by instance, in a fixed order, and then
-compute on the stack of all instances with the ``*_batch`` kernels.
+compute on the stack of all instances with one call of each operation.
 """
 
 from __future__ import annotations
@@ -14,23 +14,20 @@ from dataclasses import replace
 import numpy as np
 
 from .bloch import (
-    outcome_probability_batch,
-    pc_check_batch,
-    predictability_circle_batch,
+    outcome_probability,
+    pc_check,
+    predictability_circle,
     random_bloch_vector,
     random_direction,
     to_operator,
-    to_operator_batch,
     from_operator,
 )
 from .discrimination import (
-    clonability_check_batch,
-    clone_protocol_batch,
+    clonability_check,
+    clone_protocol,
     discriminate,
-    discriminate_batch,
     hyperplane_pair,
-    hyperplane_pair_batch,
-    overlap_batch,
+    overlap,
 )
 from .highdim import (
     CERTAIN,
@@ -44,7 +41,7 @@ from .highdim import (
 )
 from .nonlocal_box import (
     SQRT2,
-    build_box_batch,
+    build_box,
     chsh_settings_for,
     chsh_value,
     setting_tables,
@@ -85,7 +82,7 @@ def chsh_law_criterion() -> Criterion:
     """CHSH value follows 2*sqrt(2)*r on the sub-sqrt(2) branch; at r = 1
     this is the quantum maximum."""
     grid = [1.0, 1.1, 1.2, 1.3, 1.4, 1.4142]
-    boxes = build_box_batch([_axis_vector(r) for r in grid])
+    boxes = build_box([_axis_vector(r) for r in grid])
     dev = max(abs(chsh_value(boxes[k], chsh_settings_for(r)) - 2.0 * SQRT2 * r) for k, r in enumerate(grid))
     closed_dev = np.max(boxes.closed_form_dev)
     return Criterion(
@@ -105,7 +102,7 @@ def maximal_box_criterion() -> Criterion:
     prob_excess = 0.0
     signalling = 0.0
     grid = (1.5, 2.0, 3.0)
-    boxes = build_box_batch([_axis_vector(r) for r in grid])
+    boxes = build_box([_axis_vector(r) for r in grid])
     closed_dev = np.max(boxes.closed_form_dev)
     for k, r in enumerate(grid):
         box = boxes[k]
@@ -157,7 +154,7 @@ def pc_psd_equivalence_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000
     """Norm bound and operator positivity classify every random vector the
     same way. Every tenth vector lies in the band where both flip."""
     rs = _pc_psd_draws(np.random.default_rng(seed), samples)
-    disagreements = np.sum(pc_check_batch(rs).satisfied != to_operator_batch(rs).is_positive())
+    disagreements = np.sum(pc_check(rs).satisfied != to_operator(rs).is_positive())
     return Criterion(
         3,
         "pc-psd-equivalence",
@@ -170,8 +167,8 @@ def predictability_witness_criterion(seed: int = DEFAULT_SEED, samples: int = 10
     that are simultaneously certain."""
     rng = np.random.default_rng(seed)
     rs = _draw_rows(samples, 3, lambda _: random_bloch_vector(rng, 1.0 + 1e-6, 3.0))
-    points = predictability_circle_batch(rs).sample(8)
-    probs = outcome_probability_batch(np.repeat(rs, 8, axis=0), points.reshape(-1, 3), +1)
+    points = predictability_circle(rs).sample(8)
+    probs = outcome_probability(np.repeat(rs, 8, axis=0), points.reshape(-1, 3), +1)
     prob_dev = np.max(np.abs(probs - 1.0))
     cross = np.cross(points[:, 0], points[:, 2])
     colinear = np.sum(np.sqrt(np.vecdot(cross, cross)) <= ATOL)
@@ -191,9 +188,9 @@ def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> Cr
     rng = np.random.default_rng(seed)
     draws = _draw_rows(samples, 6, lambda _: (*random_bloch_vector(rng, 0.0, 3.0), *random_bloch_vector(rng, 0.0, 3.0)))
     rs, rps = draws[:, :3], draws[:, 3:]
-    t = overlap_batch(rs, rps)
+    t = overlap(rs, rps)
     fixed_point_gap = np.abs(t * t - t)
-    disagreements = np.sum((fixed_point_gap <= LAW_ATOL) != clonability_check_batch(rs, rps))
+    disagreements = np.sum((fixed_point_gap <= LAW_ATOL) != clonability_check(rs, rps))
     margin = np.min(fixed_point_gap)
 
     def hyperplane_instance(_):
@@ -203,11 +200,11 @@ def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> Cr
         return (*r, *rng.uniform(-cap / 2, cap / 2, size=2))
 
     instances = _draw_rows(100, 5, hyperplane_instance)
-    pairs = hyperplane_pair_batch(instances[:, :3], instances[:, 3], instances[:, 4])
+    pairs = hyperplane_pair(instances[:, :3], instances[:, 3], instances[:, 4])
     resources = np.concatenate((pairs.resource, pairs.resource))
     members = np.concatenate((pairs.r_plus, pairs.r_minus))
-    t = overlap_batch(resources, members)
-    exact_dev = max(float(not np.all(clonability_check_batch(resources, members))), np.max(np.abs(t * t - t)))
+    t = overlap(resources, members)
+    exact_dev = max(float(not np.all(clonability_check(resources, members))), np.max(np.abs(t * t - t)))
     return Criterion(
         5,
         "clonability-fixed-point",
@@ -237,15 +234,15 @@ def _discrimination_draws(rng: np.random.Generator, samples: int) -> tuple[np.nd
 def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> Criterion:
     """Hyperplane states are identified with certainty despite strictly
     positive overlap, and the clone output is the exact doubled state."""
-    pairs = hyperplane_pair_batch(*_discrimination_draws(np.random.default_rng(seed), samples))
-    min_overlap = np.min(overlap_batch(pairs.r_plus, pairs.r_minus))
+    pairs = hyperplane_pair(*_discrimination_draws(np.random.default_rng(seed), samples))
+    min_overlap = np.min(overlap(pairs.r_plus, pairs.r_minus))
     det_dev = 0.0
     clone_dev = 0.0
     for which in (+1, -1):
-        labels, q_plus, q_minus = discriminate_batch(pairs, which)
+        labels, q_plus, q_minus = discriminate(pairs, which)
         q_hit, q_miss = (q_plus, q_minus) if which == +1 else (q_minus, q_plus)
         det_dev = max(det_dev, np.max(np.abs(q_hit - 1.0)), np.max(np.abs(q_miss)))
-        clone_dev = max(clone_dev, np.max(clone_protocol_batch(pairs, labels, which)[1]))
+        clone_dev = max(clone_dev, np.max(clone_protocol(pairs, labels, which)[1]))
     return Criterion(
         6,
         "perfect-discrimination",
@@ -362,7 +359,7 @@ def _pipeline_draws(rng: np.random.Generator, samples: int) -> np.ndarray:
 def pipeline_oracle_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> Criterion:
     """The unitary pipeline reproduces the closed-form box for random
     resources, with genuinely unitary gates."""
-    boxes = build_box_batch(_pipeline_draws(np.random.default_rng(seed), samples))
+    boxes = build_box(_pipeline_draws(np.random.default_rng(seed), samples))
     box_dev = np.max(boxes.closed_form_dev)
     unitary_dev = np.max(boxes.unitarity_dev)
     return Criterion(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ATOL, I2, PAULI, QuasiState, Stacked
+from .operators import ATOL, I2, PAULI, QuasiState, Stacked, as_stack
 
 
 class InvalidDirectionError(ValueError):
@@ -21,27 +21,15 @@ class InvalidDirectionError(ValueError):
     leave [0, 1], so the direction is rejected rather than clamped."""
 
 
-def as_bloch_vector(r) -> np.ndarray:
-    return as_bloch_vectors(as_bloch_row(r))[0]
-
-
-def as_bloch_row(r) -> np.ndarray:
-    """One Bloch vector as the (1, 3) stack a ``*_batch`` kernel takes. Its
-    shape is checked here and its components by the kernel."""
+def as_bloch_vectors(r) -> np.ndarray:
+    """Validate one Bloch vector (shape (3,)) or an (N, 3) stack of them,
+    every component finite."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
+    if r.ndim not in (1, 2) or r.shape[-1] != 3:
         raise ValueError(f"Bloch vector must have 3 components, got shape {r.shape}")
-    return r[None]
-
-
-def as_bloch_vectors(rs) -> np.ndarray:
-    """Validate an (N, 3) stack of Bloch vectors, every component finite."""
-    rs = np.asarray(rs, dtype=float)
-    if rs.ndim != 2 or rs.shape[1] != 3:
-        raise ValueError(f"Bloch vectors must form an (N, 3) stack, got shape {rs.shape}")
-    if not np.isfinite(rs).all():
+    if not np.isfinite(r).all():
         raise ValueError("Bloch vector components must be finite")
-    return rs
+    return r
 
 
 def _norms(rs: np.ndarray) -> np.ndarray:
@@ -50,19 +38,15 @@ def _norms(rs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rs, rs))
 
 
-def as_direction(n) -> np.ndarray:
-    """Validate a measurement direction: a real unit 3-vector."""
-    return as_directions(as_bloch_row(n))[0]
-
-
-def as_directions(ns) -> np.ndarray:
-    """Validate an (N, 3) stack of measurement directions."""
-    ns = as_bloch_vectors(ns)
-    norms = _norms(ns)
+def as_directions(n) -> np.ndarray:
+    """Validate a measurement direction, a real unit 3-vector, or an (N, 3)
+    stack of them."""
+    n = as_bloch_vectors(n)
+    norms = np.reshape(_norms(n), -1)
     unit = np.abs(norms - 1.0) <= ATOL
     if not unit.all():
         raise ValueError(f"direction must have unit norm, got {norms[np.argmin(unit)]:.15g}")
-    return ns
+    return n
 
 
 def outcome_probability(r, n, outcome: int) -> float:
@@ -70,16 +54,11 @@ def outcome_probability(r, n, outcome: int) -> float:
     along unit direction ``n`` on the preparation ``r``.
 
     Raises InvalidDirectionError when |r.n| > 1; such directions have no
-    genuine probability and are never evaluated.
+    genuine probability and are never evaluated. For (N, 3) stacks of
+    preparations and directions, the probability row by row, with one
+    outcome for all rows or one per row.
     """
-    return float(outcome_probability_batch(as_bloch_row(r), as_bloch_row(n), outcome)[0])
-
-
-def outcome_probability_batch(rs, ns, outcomes) -> np.ndarray:
-    """``outcome_probability`` row by row over (N, 3) stacks of preparations
-    and directions; ``outcomes`` is one outcome or one per row."""
-    rs, ns = as_bloch_vectors(rs), as_directions(ns)
-    outcomes = np.asarray(outcomes)
+    shaped, rs, ns, outcomes = as_stack(1, as_bloch_vectors(r), as_directions(n), np.asarray(outcome))
     valid = (outcomes == +1) | (outcomes == -1)
     if not valid.all():
         raise ValueError(f"outcome must be +1 or -1, got {outcomes.flat[np.argmin(valid)]}")
@@ -88,7 +67,7 @@ def outcome_probability_batch(rs, ns, outcomes) -> np.ndarray:
     if not genuine.all():
         bad = abs(rn[np.argmin(genuine)])
         raise InvalidDirectionError(f"|r.n| = {bad:.15g} > 1: no valid probability in this direction")
-    return 0.5 * (1.0 + outcomes * rn)
+    return shaped(0.5 * (1.0 + outcomes * rn))
 
 
 @dataclass(frozen=True)
@@ -111,34 +90,24 @@ def pc_check(r) -> PcCheck:
     This is the package's one decision of the qubit bound: every other
     norm-side verdict reads ``satisfied``.
     """
-    return pc_check_batch(as_bloch_row(r))[0]
-
-
-def pc_check_batch(rs) -> PcCheck:
-    """``pc_check`` of each row of an (N, 3) stack."""
-    rs = as_bloch_vectors(rs)
+    shaped, rs = as_stack(1, as_bloch_vectors(r))
     mean_square_sum = np.vecdot(rs, rs)
     norm = np.sqrt(mean_square_sum)
-    return PcCheck(satisfied=norm - 1.0 <= ATOL, norm=norm, mean_square_sum=mean_square_sum)
+    return shaped(PcCheck(satisfied=norm - 1.0 <= ATOL, norm=norm, mean_square_sum=mean_square_sum))
 
 
 def to_operator(r) -> QuasiState:
     """Operator (1/2)(I + r.sigma) of a preparation: always Hermitian with
     unit trace, positive semidefinite exactly when ||r|| <= 1."""
-    return to_operator_batch(as_bloch_row(r))[0]
-
-
-def to_operator_batch(rs) -> QuasiState:
-    """The stack of operators of an (N, 3) stack of preparations, each
-    checked as ``QuasiState`` checks one."""
-    r = as_bloch_vectors(rs)[:, :, None, None]
+    shaped, rs = as_stack(1, as_bloch_vectors(r))
+    r = rs[:, :, None, None]
     # (1/2)(I + x X + y Y + z Z), summed in that order, in one array
     m = r[:, 0] * PAULI[0]
     m += I2
     m += r[:, 1] * PAULI[1]
     m += r[:, 2] * PAULI[2]
     m *= 0.5
-    return QuasiState(m)
+    return shaped(QuasiState(m))
 
 
 def from_operator(state: QuasiState | np.ndarray) -> np.ndarray:
@@ -151,7 +120,7 @@ def from_operator(state: QuasiState | np.ndarray) -> np.ndarray:
 
 def projector_for_direction(n) -> np.ndarray:
     """Rank-1 projector (1/2)(I + n.sigma) onto the +1 outcome along ``n``."""
-    n = as_direction(n)
+    n = as_directions(n)
     return 0.5 * (I2 + n[0] * PAULI[0] + n[1] * PAULI[1] + n[2] * PAULI[2])
 
 
@@ -159,21 +128,19 @@ def transverse_frame(r_hat) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic right-handed completion (r_hat, m, n) of a unit vector.
 
     m = normalize(z x r_hat) unless r_hat is within 1e-6 of the z axis, in
-    which case m = x; n = r_hat x m. A fixed rule keeps every construction
-    that needs a transverse plane reproducible.
+    which case m = normalize(x - (x.r_hat) r_hat), which is x on the axis
+    itself; n = r_hat x m. A fixed rule keeps every construction that needs
+    a transverse plane reproducible. For an (N, 3) stack of directions, the
+    two (N, 3) stacks m and n.
     """
-    m, n = transverse_frame_batch(as_bloch_row(r_hat))
-    return m[0], n[0]
-
-
-def transverse_frame_batch(r_hats) -> tuple[np.ndarray, np.ndarray]:
-    """``transverse_frame`` of each row of an (N, 3) stack of directions:
-    the two (N, 3) stacks m and n."""
-    r_hats = as_directions(r_hats)
+    shaped, r_hats = as_stack(1, as_directions(r_hat))
     polar = ~(np.abs(r_hats[:, 2]) < 1.0 - 1e-6)
-    m = _cross(np.array([0.0, 0.0, 1.0]), r_hats)
-    m = np.where(polar[:, None], np.array([1.0, 0.0, 0.0]), m / np.where(polar, 1.0, _norms(m))[:, None])
-    return m, _cross(r_hats, m)
+    # near the axis z x r_hat is too short to normalize; the rejection of x
+    # from r_hat is not, and stays orthogonal to r_hat as x would not
+    x_rejected = np.array([1.0, 0.0, 0.0]) - r_hats[:, :1] * r_hats
+    m = np.where(polar[:, None], x_rejected, _cross(np.array([0.0, 0.0, 1.0]), r_hats))
+    m = m / _norms(m)[:, None]
+    return shaped((m, _cross(r_hats, m)))
 
 
 def _cross(a, b) -> np.ndarray:
@@ -198,7 +165,7 @@ class PredictabilityCircle(Stacked):
         """Unit directions on the circle at a deterministic angle grid: an
         (n_points, 3) array, or (N, n_points, 3) for a stack of N circles."""
         normals = np.reshape(self.plane_normal, (-1, 3))
-        m, n = transverse_frame_batch(normals)
+        m, n = transverse_frame(normals)
         thetas = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
         pts = np.reshape(self.center, (-1, 1, 3)) + np.reshape(self.radius, (-1, 1, 1)) * (
             np.cos(thetas)[:, None] * m[:, None, :] + np.sin(thetas)[:, None] * n[:, None, :]
@@ -211,30 +178,25 @@ def predictability_circle(r) -> PredictabilityCircle | None:
 
     Norm > 1 gives a full circle of non-colinear certain directions; norm
     exactly 1 degenerates to the single point r_hat; norm < 1 gives none
-    (1/r > 1 is unreachable by unit vectors).
+    (1/r > 1 is unreachable by unit vectors). For an (N, 3) stack, the
+    stack of circles; a row of norm below 1 has no circle and raises.
     """
-    rs = as_bloch_row(r)
-    if pc_check_batch(rs).norm[0] < 1.0 - ATOL:
-        return None
-    return predictability_circle_batch(rs)[0]
-
-
-def predictability_circle_batch(rs) -> PredictabilityCircle:
-    """The stack of circles of an (N, 3) stack of preparations, none of
-    them of norm below 1 (those have no certain direction)."""
-    rs = as_bloch_vectors(rs)
-    check = pc_check_batch(rs)
+    shaped, rs = as_stack(1, as_bloch_vectors(r))
+    check = pc_check(rs)
     norm = check.norm
     inside = norm < 1.0 - ATOL
     if inside.any():
+        if np.ndim(r) == 1:
+            return None
         raise ValueError(f"no certain direction for norm {norm[np.argmax(inside)]:.15g} < 1")
     r_hat = rs / norm[:, None]
     full = ~check.satisfied
-    return PredictabilityCircle(
+    circles = PredictabilityCircle(
         center=np.where(full[:, None], r_hat / norm[:, None], r_hat),
         radius=np.where(full, np.sqrt(np.maximum(1.0 - 1.0 / norm**2, 0.0)), 0.0),
         plane_normal=r_hat,
     )
+    return shaped(circles)
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:

@@ -8,6 +8,7 @@ Exit codes: 0 when all checks of a run pass, 1 when some check fails
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import replace
@@ -29,7 +30,6 @@ from .nonlocal_box import (
     SQRT2,
     TSIRELSON_SETTINGS,
     build_box,
-    build_box_batch,
     chsh_settings_for,
     chsh_value,
     setting_tables,
@@ -154,7 +154,7 @@ def _run_chsh_sweep(args) -> RunReport:
     if args.r_max > MAX_BOX_NORM:
         raise ValueError(f"r-max must be at most {MAX_BOX_NORM:g}, got {args.r_max:.6g}")
     grid = np.linspace(args.r_min, args.r_max, args.steps)
-    boxes = build_box_batch(np.stack((np.zeros_like(grid), np.zeros_like(grid), grid), axis=1))
+    boxes = build_box(np.stack((np.zeros_like(grid), np.zeros_like(grid), grid), axis=1))
     values, valids = [], []
     for k, r in enumerate(grid):
         settings = chsh_settings_for(r)
@@ -303,7 +303,10 @@ def _run_verify_all(args) -> RunReport:
     return acceptance.as_report(criteria, seed=args.seed, duration_ms=duration)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process. Each handler
+    reads the package's functions when it runs, not when it is bound."""
     parser = argparse.ArgumentParser(
         prog="quasilab",
         description="Constructions over unit-trace Hermitian preparations that "

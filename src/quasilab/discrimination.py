@@ -16,37 +16,29 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import as_bloch_row, as_bloch_vectors, pc_check_batch, to_operator_batch, transverse_frame_batch
-from .operators import ATOL, QuasiState, Stacked, expectation_batch, kron_batch
+from .bloch import as_bloch_vectors, pc_check, to_operator, transverse_frame
+from .operators import ATOL, QuasiState, Stacked, as_stack, expectation, kron
 from .nonlocal_box import observable
 
 
 def overlap(r, rp) -> float:
     """Trace pairing of two preparations: Tr(rho rho') = (1 + r.r')/2."""
-    return float(overlap_batch(as_bloch_row(r), as_bloch_row(rp))[0])
-
-
-def overlap_batch(rs, rps) -> np.ndarray:
-    """``overlap`` row by row over two (N, 3) stacks."""
-    return 0.5 * (1.0 + np.vecdot(as_bloch_vectors(rs), as_bloch_vectors(rps)))
+    shaped, rs, rps = as_stack(1, as_bloch_vectors(r), as_bloch_vectors(rp))
+    return shaped(0.5 * (1.0 + np.vecdot(rs, rps)))
 
 
 def clonability_check(r, rp) -> bool:
     """True iff the pair passes the joint-cloning fixed point: a unitary
     copying both preparations forces Tr(rho rho')^2 = Tr(rho rho'), i.e.
     the trace pairing is exactly 0 or 1, i.e. r.r' = -1 or +1."""
-    return bool(clonability_check_batch(as_bloch_row(r), as_bloch_row(rp))[0])
-
-
-def clonability_check_batch(rs, rps) -> np.ndarray:
-    """``clonability_check`` row by row over two (N, 3) stacks."""
-    return np.abs(np.abs(np.vecdot(as_bloch_vectors(rs), as_bloch_vectors(rps))) - 1.0) <= ATOL
+    shaped, rs, rps = as_stack(1, as_bloch_vectors(r), as_bloch_vectors(rp))
+    return shaped(np.abs(np.abs(np.vecdot(rs, rps)) - 1.0) <= ATOL)
 
 
 def _violating_norms(rs: np.ndarray) -> np.ndarray:
     """The norms of an (N, 3) stack of resources, each required to exceed 1
     (by pc_check's verdict)."""
-    check = pc_check_batch(rs)
+    check = pc_check(rs)
     if check.satisfied.any():
         norm = check.norm[np.argmax(check.satisfied)]
         raise ValueError(f"resource norm must exceed 1 by more than {ATOL:g}, got {norm:.15g}")
@@ -62,9 +54,9 @@ class HyperplanePair(Stacked):
     (r_hat, m, n), so their overlap (1 + y^2 + z^2 - 1/r^2)/2 is strictly
     positive whenever the resource has norm > 1: they are non-orthogonal.
     A pair, or a stack of N pairs (one per row), is checked once, when it
-    is built (by ``hyperplane_pair``, ``hyperplane_pair_batch`` or by
-    hand). What measuring it needs, its ``povm`` and ``resource_state``,
-    is built when first read, once per pair.
+    is built (by ``hyperplane_pair`` or by hand). What measuring it needs,
+    its ``povm`` and ``resource_state``, is built when first read, once
+    per pair.
     """
 
     resource: np.ndarray
@@ -79,32 +71,15 @@ class HyperplanePair(Stacked):
             raise ValueError("pair does not satisfy r.r+- = +-1")
         _violating_norms(np.reshape(r, (-1, 3)))
 
-    @property
-    def stack(self) -> HyperplanePair:
-        """The pair as a stack of one (a stack is its own): what the
-        measurement kernels take. A single pair reads what they build from
-        its stack, so it is built once however often the pair is measured."""
-        return self if np.ndim(self.resource) == 2 else self._stack_of_one
-
-    @cached_property
-    def _stack_of_one(self) -> HyperplanePair:
-        # kept apart from ``stack``: a stack caching itself would be a
-        # reference cycle, freed only by the cyclic garbage collector
-        return self[None]
-
     @cached_property
     def povm(self) -> DiscriminationPovm:
         """The discrimination measurement of the resource, one per pair."""
-        if self.stack is not self:
-            return self.stack.povm[0]
-        return discrimination_povm_batch(self.resource)
+        return discrimination_povm(self.resource)
 
     @cached_property
     def resource_state(self) -> QuasiState:
         """The resource as an operator, one per pair."""
-        if self.stack is not self:
-            return self.stack.resource_state[0]
-        return to_operator_batch(self.resource)
+        return to_operator(self.resource)
 
     def member(self, labels) -> np.ndarray:
         """Row by row, r+ where the label (one, or one per pair) is +1 and
@@ -116,15 +91,11 @@ def hyperplane_pair(r, y: float, z: float) -> HyperplanePair:
     """States +-(1/r) r_hat + y m + z n on the two certainty planes.
 
     Requires ||r|| > 1 (otherwise the planes miss the ball interior) and
-    1/r^2 + y^2 + z^2 <= 1 so both outputs are genuine quantum states.
+    1/r^2 + y^2 + z^2 <= 1 so both outputs are genuine quantum states. For
+    an (N, 3) stack of resources and (N,) offsets, the stack of N pairs,
+    with no measurement built yet.
     """
-    return hyperplane_pair_batch(as_bloch_row(r), [y], [z])[0]
-
-
-def hyperplane_pair_batch(rs, ys, zs) -> HyperplanePair:
-    """``hyperplane_pair`` on each row of an (N, 3) stack of resources and
-    (N,) offsets: the stack of N pairs, with no measurement built yet."""
-    rs = as_bloch_vectors(rs)
+    shaped, rs, ys, zs = as_stack(1, as_bloch_vectors(r), y, z)
     norm = _violating_norms(rs)
     ys, zs = np.asarray(ys, dtype=float), np.asarray(zs, dtype=float)
     if not (np.isfinite(ys).all() and np.isfinite(zs).all()):
@@ -135,13 +106,14 @@ def hyperplane_pair_batch(rs, ys, zs) -> HyperplanePair:
         value = reach[np.argmax(too_large)]
         raise ValueError(f"transverse components too large: 1/r^2 + y^2 + z^2 = {value:.15g} > 1")
     r_hat = rs / norm[:, None]
-    m, n = transverse_frame_batch(r_hat)
+    m, n = transverse_frame(r_hat)
     offset = ys[:, None] * m + zs[:, None] * n
-    return HyperplanePair(
+    pairs = HyperplanePair(
         resource=rs,
         r_plus=r_hat / norm[:, None] + offset,
         r_minus=-r_hat / norm[:, None] + offset,
     )
+    return shaped(pairs)
 
 
 @dataclass(frozen=True)
@@ -157,16 +129,11 @@ class DiscriminationPovm(Stacked):
 def discrimination_povm(r) -> DiscriminationPovm:
     """Measurement whose outcomes correlate one-to-one with the two
     certainty planes of the resource ``r`` (requires ||r|| > 1)."""
-    return discrimination_povm_batch(as_bloch_row(r))[0]
-
-
-def discrimination_povm_batch(rs) -> DiscriminationPovm:
-    """``discrimination_povm`` of each row of an (N, 3) stack of resources."""
-    rs = as_bloch_vectors(rs)
+    shaped, rs = as_stack(1, as_bloch_vectors(r))
     axis = rs / _violating_norms(rs)[:, None]
-    corr = kron_batch(observable(axis), observable(axis))
+    corr = kron(observable(axis), observable(axis))
     ident = np.eye(4, dtype=complex)
-    return DiscriminationPovm(p_plus=0.5 * (ident + corr), p_minus=0.5 * (ident - corr))
+    return shaped(DiscriminationPovm(p_plus=0.5 * (ident + corr), p_minus=0.5 * (ident - corr)))
 
 
 def _is_label(labels: np.ndarray) -> np.ndarray:
@@ -177,20 +144,19 @@ def detection_probabilities(pair: HyperplanePair, which: int) -> tuple[float, fl
     """The pair's discrimination measurement on resource (x) hidden state,
     where ``which`` (+1 or -1) selects the hidden state: its outcome
     probabilities (q_plus, q_minus). ``discriminate`` makes it once per
-    hidden state and returns them with the label."""
-    q_plus, q_minus = detection_probabilities_batch(pair.stack, which)
-    return float(q_plus[0]), float(q_minus[0])
-
-
-def detection_probabilities_batch(pairs: HyperplanePair, which) -> tuple[np.ndarray, np.ndarray]:
-    """``detection_probabilities`` on each pair of a stack, with one hidden
-    label per pair (or one for all): the (N,) arrays q_plus and q_minus."""
+    hidden state and returns them with the label. For a stack of pairs,
+    with one hidden label per pair (or one for all), the (N,) arrays
+    q_plus and q_minus.
+    """
     which = np.asarray(which)
     valid = _is_label(which)
     if not valid.all():
         raise ValueError(f"hidden label must be +1 or -1, got {which.flat[np.argmin(valid)]}")
-    joint = kron_batch(pairs.resource_state.matrix, to_operator_batch(pairs.member(which)).matrix)
-    return expectation_batch(pairs.povm.p_plus, joint), expectation_batch(pairs.povm.p_minus, joint)
+    povm, hidden = pair.povm, to_operator(pair.member(which)).matrix
+    # a single pair's cached fields, read as stacks of one
+    shaped, rho, p_plus, p_minus, hidden = as_stack(2, pair.resource_state.matrix, povm.p_plus, povm.p_minus, hidden)
+    joint = kron(rho, hidden)
+    return shaped((expectation(p_plus, joint), expectation(p_minus, joint)))
 
 
 def discriminate(pair: HyperplanePair, which: int) -> tuple[int, float, float]:
@@ -200,17 +166,11 @@ def discriminate(pair: HyperplanePair, which: int) -> tuple[int, float, float]:
     Returns the label of the outcome the measurement makes likelier and
     the outcome probabilities (q_plus, q_minus) it gave. On a working
     instance the likelier outcome has probability 1, so the answer is
-    certain.
+    certain. For a stack of pairs, with one hidden label per pair (or one
+    for all), the (N,) labels, q_plus and q_minus.
     """
-    labels, q_plus, q_minus = discriminate_batch(pair.stack, which)
-    return int(labels[0]), float(q_plus[0]), float(q_minus[0])
-
-
-def discriminate_batch(pairs: HyperplanePair, which) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``discriminate`` on each pair of a stack, with one hidden label per
-    pair (or one for all): the (N,) labels, q_plus and q_minus."""
-    q_plus, q_minus = detection_probabilities_batch(pairs, which)
-    return np.where(q_plus >= q_minus, +1, -1), q_plus, q_minus
+    shaped, q_plus, q_minus = as_stack(0, *detection_probabilities(pair, which))
+    return shaped((np.where(q_plus >= q_minus, +1, -1), q_plus, q_minus))
 
 
 def clone_protocol(pair: HyperplanePair, label: int, which: int) -> tuple[QuasiState, float]:
@@ -220,27 +180,23 @@ def clone_protocol(pair: HyperplanePair, label: int, which: int) -> tuple[QuasiS
     so once the label is known the identified state is simply prepared
     afresh. Returns the dim-4 output rho_label (x) rho_label and its
     max-entry deviation from rho_which (x) rho_which, which is exactly 0
-    when the label is right: the two are then the same state.
+    when the label is right: the two are then the same state. For a stack
+    of pairs, with one label and one hidden label per pair (or one for
+    all), the stack of outputs and the (N,) deviations, compared only
+    where the label is wrong.
     """
-    out, dev = clone_protocol_batch(pair.stack, label, which)
-    return out[0], float(dev[0])
-
-
-def clone_protocol_batch(pairs: HyperplanePair, label, which) -> tuple[QuasiState, np.ndarray]:
-    """``clone_protocol`` on each pair of a stack, with one label and one
-    hidden label per pair (or one for all): the stack of outputs and the
-    (N,) deviations, compared only where the label is wrong."""
     label, which = np.asarray(label), np.asarray(which)
     valid = _is_label(label) & _is_label(which)
     if not valid.all():
         k = np.argmin(np.ravel(valid))
         label, which = (np.broadcast_to(x, valid.shape).flat[k] for x in (label, which))
         raise ValueError(f"labels must be +1 or -1, got {label} and {which}")
-    single = to_operator_batch(pairs.member(label)).matrix
-    out = kron_batch(single, single)
+    shaped, chosen, hidden = as_stack(1, pair.member(label), pair.member(which))
+    single = to_operator(chosen).matrix
+    out = kron(single, single)
     dev = np.zeros(len(out))
     if np.any(label != which):
         wrong = np.broadcast_to(label != which, dev.shape)
-        hidden = to_operator_batch(pairs.member(which)[wrong]).matrix
-        dev[wrong] = np.abs(out[wrong] - kron_batch(hidden, hidden)).max(axis=(1, 2))
-    return QuasiState(out), dev
+        actual = to_operator(hidden[wrong]).matrix
+        dev[wrong] = np.abs(out[wrong] - kron(actual, actual)).max(axis=(1, 2))
+    return shaped((QuasiState(out), dev))

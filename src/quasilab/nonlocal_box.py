@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import as_bloch_row, as_bloch_vectors, pc_check_batch, projector_for_direction, to_operator_batch
+from .bloch import as_bloch_vectors, pc_check, projector_for_direction, to_operator
 from .operators import (
     ATOL,
     I2,
@@ -22,10 +22,10 @@ from .operators import (
     QuasiState,
     SPECTRAL_ATOL,
     Stacked,
+    as_stack,
     expectation,
-    hermitian_eigensystem_batch,
+    hermitian_eigensystem,
     kron,
-    kron_batch,
     partial_trace,
 )
 
@@ -45,20 +45,15 @@ def _dagger(m) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _stack_of(v) -> np.ndarray:
-    return np.reshape(np.asarray(v, dtype=complex), (-1, 2))
-
-
 def rotated_cnot(xi, xi_perp) -> np.ndarray:
     """Controlled-NOT with control and target both in the rotated basis
     spanned by (|xi> +- |xi_perp>)/sqrt(2); for (N, 2) stacks of (xi,
     xi_perp), the (N, 4, 4) stack of gates."""
-    shape = np.shape(xi)[:-1] + (4, 4)
-    xi, xi_perp = _stack_of(xi), _stack_of(xi_perp)
+    shaped, xi, xi_perp = as_stack(1, np.asarray(xi, dtype=complex), np.asarray(xi_perp, dtype=complex))
     plus = (xi + xi_perp) / SQRT2
     minus = (xi - xi_perp) / SQRT2
     flip = _outer(xi, xi) - _outer(xi_perp, xi_perp)
-    return (kron_batch(_outer(plus, plus), I2[None]) + kron_batch(_outer(minus, minus), flip)).reshape(shape)
+    return shaped(kron(_outer(plus, plus), I2[None]) + kron(_outer(minus, minus), flip))
 
 
 def basis_to_computational(xi, xi_perp) -> np.ndarray:
@@ -101,6 +96,10 @@ class BipartiteBox(Stacked):
                 raise ValueError("box reduction is not maximally mixed")
 
 
+def _max_dev(m, target) -> np.ndarray:
+    return np.abs(m - target).max(axis=(-2, -1))
+
+
 def build_box(r) -> BipartiteBox:
     """Run the doubling pipeline on the preparation with Bloch vector ``r``.
 
@@ -108,33 +107,26 @@ def build_box(r) -> BipartiteBox:
     attach an ancilla along (|xi> + |xi_perp>)/sqrt(2), apply the rotated
     CNOT, then rotate both sides into the computational basis. The max-entry
     deviations of the result from the closed form and of the two gates from
-    unitarity are kept on the box for the reports to judge.
+    unitarity are kept on the box for the reports to judge. For an (N, 3)
+    stack, the stack of boxes: one eigendecomposition call and one product
+    per pipeline stage for the whole stack.
     """
-    return build_box_batch(as_bloch_row(r))[0]
-
-
-def _max_dev(m, target) -> np.ndarray:
-    return np.abs(m - target).max(axis=(-2, -1))
-
-
-def build_box_batch(rs) -> BipartiteBox:
-    """``build_box`` on each row of an (N, 3) stack: one eigendecomposition
-    call and one product per pipeline stage for the whole stack."""
-    rs = as_bloch_vectors(rs)
-    rho = to_operator_batch(rs).matrix
-    vecs = hermitian_eigensystem_batch(rho).eigenvectors
+    shaped, rs = as_stack(1, as_bloch_vectors(r))
+    rho = to_operator(rs).matrix
+    vecs = hermitian_eigensystem(rho).eigenvectors
     xi, xi_perp = vecs[:, :, 0], vecs[:, :, 1]
     plus = (xi + xi_perp) / SQRT2
     u, u_loc = rotated_cnot(xi, xi_perp), basis_to_computational(xi, xi_perp)
-    doubled = u @ kron_batch(rho, _outer(plus, plus)) @ _dagger(u)
-    u_pair = kron_batch(u_loc, u_loc)
+    doubled = u @ kron(rho, _outer(plus, plus)) @ _dagger(u)
+    u_pair = kron(u_loc, u_loc)
     box = u_pair @ doubled @ _dagger(u_pair)
 
-    norm = pc_check_batch(rs).norm
+    norm = pc_check(rs).norm
     unitarity_dev = np.maximum(_max_dev(_dagger(u) @ u, np.eye(4)), _max_dev(_dagger(u_loc) @ u_loc, np.eye(2)))
-    return BipartiteBox(
+    boxes = BipartiteBox(
         state=QuasiState(box), r=norm, closed_form_dev=_max_dev(box, closed_form_box(norm)), unitarity_dev=unitarity_dev
     )
+    return shaped(boxes)
 
 
 @dataclass(frozen=True)

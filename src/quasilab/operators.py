@@ -2,10 +2,10 @@
 eigensystems, trace pairings, and validation of unit-trace preparations
 that are allowed to have negative eigenvalues.
 
-The qubit layers compute on stacks: a ``*_batch`` kernel takes N instances
-along a leading axis and makes one numpy call per stage for all of them,
-and its scalar function is the kernel's result on a stack of one. The
-result types (``Stacked``) hold one instance or a stack of N."""
+Every operation on instances takes one instance or a stack of N along a
+leading axis, as a numpy gufunc does (``as_stack``), and computes on the
+stack with one numpy call per stage; one instance is computed as a stack
+of one. The result types (``Stacked``) hold one instance or a stack of N."""
 
 from __future__ import annotations
 
@@ -39,13 +39,11 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def _as_square(m, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
-    """``m`` as complex, checked to be a square matrix (ndim 2) or a stack
-    of them (ndim 3), as ``ndims`` allows."""
+def _as_square(m) -> np.ndarray:
+    """``m`` as complex, checked to be a square matrix or a stack of them."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim not in ndims or m.shape[-1] != m.shape[-2]:
-        kind = "a square matrix" if 2 in ndims else "a stack of square matrices"
-        raise ValueError(f"expected {kind}, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
 
 
@@ -60,31 +58,13 @@ def _hermitian_gap(m: np.ndarray) -> np.ndarray:
     return np.abs(m - m.conj().swapaxes(-1, -2))
 
 
-def is_hermitian(m) -> bool:
-    """True if max-entry deviation from the conjugate transpose is <= ATOL."""
-    return bool(_hermitian_gap(np.asarray(m, dtype=complex)).max() <= ATOL)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices; output dims are the products."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def kron_batch(a, b) -> np.ndarray:
-    """``kron`` row by row over two stacks of N matrices. Every entry is one
-    product, as in ``kron``, so row k equals kron(a[k], b[k]) bit for bit."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    n, (ra, ca), (rb, cb) = len(a), a.shape[1:], b.shape[1:]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
-
-
 class Stacked:
     """Mixin of the frozen dataclasses that hold one instance, or a stack of
-    N instances along a leading axis of every field (what the ``*_batch``
-    kernels return). ``s[k]`` is instance k of a stack and ``x[None]`` is a
-    single instance as a stack of one; numpy scalars come out as Python
-    ones. Neither is checked again: a stack is checked row by row when it
-    is built, so each of its rows has passed the checks of one instance."""
+    N instances along a leading axis of every field (what an operation
+    returns for a stack). ``s[k]`` is instance k of a stack, with numpy
+    scalars as Python ones. It is not checked again: a stack is checked row
+    by row when it is built, so each of its rows has passed the checks of
+    one instance."""
 
     def __getitem__(self, index):
         picked = object.__new__(type(self))
@@ -94,10 +74,41 @@ class Stacked:
 
 
 def _pick(value, index):
+    if isinstance(value, tuple):
+        return tuple(_pick(part, index) for part in value)
     if isinstance(value, Stacked):
         return value[index]
     picked = np.asarray(value)[index]
     return picked.item() if picked.ndim == 0 else picked
+
+
+def as_stack(core_ndim: int, x, *more):
+    """The shape rule of every operation, as a numpy gufunc treats leading
+    axes: ``x`` with ``core_ndim`` dimensions is one instance, with one more
+    a stack of N. Returns ``shaped``, then ``x`` and ``more`` as stacks (one
+    instance as a stack of one). ``shaped`` turns a result computed on the
+    stack into its instance 0 for one instance (numpy scalars as Python
+    ones, a tuple part by part) and passes a stack's result through."""
+    if np.ndim(x) != core_ndim:
+        return _whole, x, *more
+    return _first, np.asarray(x)[None], *(np.asarray(m)[None] for m in more)
+
+
+def _whole(result):
+    return result
+
+
+def _first(result):
+    return _pick(result, 0)
+
+
+def kron(a, b) -> np.ndarray:
+    """Kronecker product of two matrices; output dims are the products. For
+    two stacks of N matrices, the product row by row. Every entry is one
+    product, as in ``np.kron``, so the bits are numpy's."""
+    shaped, a, b = as_stack(2, np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    n, (ra, ca), (rb, cb) = len(a), a.shape[1:], b.shape[1:]
+    return shaped((a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, ra * rb, ca * cb))
 
 
 @dataclass(frozen=True)
@@ -114,7 +125,7 @@ class QuasiState(Stacked):
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_square(self.matrix, ndims=(2, 3))
+        m = _as_square(self.matrix)
         rows = m.reshape((-1,) + m.shape[-2:])
         gap = _hermitian_gap(rows)
         tr = rows.trace(axis1=1, axis2=2)
@@ -166,15 +177,10 @@ def hermitian_eigensystem(m) -> Eigensystem:
     Eigenvalues come out descending. Each eigenvector is rescaled so that
     its first component of magnitude > 1e-8 is real and positive; the
     decomposition is otherwise degenerate under phases, and downstream
-    constructions need a deterministic choice.
+    constructions need a deterministic choice. For an (N, d, d) stack, the
+    eigensystem of each matrix, with one ``eigh`` call.
     """
-    return hermitian_eigensystem_batch(_as_square(m)[None])[0]
-
-
-def hermitian_eigensystem_batch(ms) -> Eigensystem:
-    """``hermitian_eigensystem`` of each matrix of an (N, d, d) stack, with
-    one ``eigh`` call and the phase rule applied per eigenvector."""
-    ms = _as_square(ms, ndims=(3,))
+    shaped, ms = as_stack(2, _as_square(m))
     if not _hermitian_gap(ms).max(initial=0.0) <= ATOL:
         raise ValueError("eigensystem requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh(ms)
@@ -183,7 +189,7 @@ def hermitian_eigensystem_batch(ms) -> Eigensystem:
     n, d = vals.shape
     pivot = vecs[np.arange(n)[:, None], big.argmax(axis=1), np.arange(d)]
     phase = np.divide(np.abs(pivot), pivot, out=np.ones_like(pivot), where=big.any(axis=1))
-    return Eigensystem(vals, vecs * phase[:, None, :])
+    return shaped(Eigensystem(vals, vecs * phase[:, None, :]))
 
 
 def expectation(op, state) -> float:
@@ -192,24 +198,19 @@ def expectation(op, state) -> float:
 
     ``state`` may be a QuasiState or a raw matrix. A non-negligible
     imaginary residue (> SPECTRAL_ATOL) signals a non-Hermitian input and raises.
+    For (N, n, n) stacks of operators and states, the pairing row by row;
+    the first row with a residue raises.
     """
     rho = state.matrix if isinstance(state, QuasiState) else np.asarray(state, dtype=complex)
     op = np.asarray(op, dtype=complex)
     if rho.shape != op.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape} vs operator {op.shape}")
-    return real_pairing(np.einsum("ij,ji->", rho, op))
-
-
-def expectation_batch(ops, states) -> np.ndarray:
-    """``expectation`` row by row over (N, n, n) stacks of operators and
-    states (either may be one matrix shared by every row); raises as
-    ``expectation`` does, on the first row with an imaginary residue."""
-    rho = states.matrix if isinstance(states, QuasiState) else np.asarray(states, dtype=complex)
-    values = np.einsum("...ij,...ji->...", rho, np.asarray(ops, dtype=complex))
+    shaped, ops, rhos = as_stack(2, op, rho)
+    values = np.einsum("...ij,...ji->...", rhos, ops)
     residue = np.abs(values.imag) > SPECTRAL_ATOL
     if residue.any():
         real_pairing(values[np.argmax(residue)])
-    return values.real
+    return shaped(values.real)
 
 
 def real_pairing(value: complex) -> float:
@@ -227,7 +228,7 @@ def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
     side and 1 for the second.
     """
     da, db = dims
-    m = _as_square(m, ndims=(2, 3))
+    m = _as_square(m)
     if m.shape[-1] != da * db:
         raise ValueError(f"matrix of dim {m.shape[-1]} does not factor as {da}x{db}")
     t = m.reshape(m.shape[:-2] + (da, db, da, db))

@@ -56,20 +56,20 @@ def non_unitary_gates(monkeypatch):
 
 @pytest.fixture
 def discrimination_calls(monkeypatch):
-    """Counts of the instances measured (rows of the stacks passed to
-    ``detection_probabilities_batch``) and of the POVMs built (rows passed
-    to ``discrimination_povm_batch``) while the test runs, however the
-    rows are batched into calls."""
-    rows_of = {"detection_probabilities": lambda pairs, *_: pairs.resource, "discrimination_povm": lambda rs: rs}
+    """Counts of the instances measured (pairs passed to
+    ``detection_probabilities``) and of the POVMs built (resources passed
+    to ``discrimination_povm``) while the test runs, however the instances
+    are stacked into calls."""
+    rows_of = {"detection_probabilities": lambda pair, *_: pair.resource, "discrimination_povm": lambda r: r}
     calls = dict.fromkeys(rows_of, 0)
     for name, rows in rows_of.items():
-        original = getattr(discrimination, f"{name}_batch")
+        original = getattr(discrimination, name)
 
         def counted(*args, _name=name, _rows=rows, _original=original):
-            calls[_name] += len(_rows(*args))
+            calls[_name] += len(np.reshape(_rows(*args), (-1, 3)))
             return _original(*args)
 
-        monkeypatch.setattr(discrimination, f"{name}_batch", counted)
+        monkeypatch.setattr(discrimination, name, counted)
     return calls
 
 

@@ -1,12 +1,13 @@
-"""Batched kernels against their N = 1 results.
+"""Stacks against single instances.
 
-Every ``*_batch`` kernel run on a stack must give, row by row, the bits it
-gives on that row alone: a value computed over the whole stack where a
-per-row value was meant (a max over the batch, a shared pivot) shows up
-here. The stacks are the seed-42 draws of criteria 3, 6 and 9 plus edge
-rows: r = 0 (degenerate spectrum), r within 1e-6 of +-z (the other branch
-of ``transverse_frame``) and |r| - 1 = +-3 ATOL. One bad row fails the
-whole stack with the error its scalar call raises.
+Every operation run on a stack must give, row by row, the bits it gives on
+that row's instance alone, and one instance must come back with Python
+numbers: a value computed over the whole stack where a per-row value was
+meant (a max over the batch, a shared pivot) shows up here. The stacks are
+the seed-42 draws of criteria 3, 6 and 9 plus edge rows: r = 0 (degenerate
+spectrum), r within 1e-6 of +-z (the other branch of ``transverse_frame``)
+and |r| - 1 = +-3 ATOL. One bad row fails the whole stack with the error
+the call on that row's instance raises.
 """
 
 import numpy as np
@@ -16,29 +17,23 @@ from quasilab import acceptance
 from quasilab.bloch import (
     InvalidDirectionError,
     outcome_probability,
-    outcome_probability_batch,
     pc_check,
-    pc_check_batch,
-    predictability_circle_batch,
+    predictability_circle,
     to_operator,
-    to_operator_batch,
-    transverse_frame_batch,
+    transverse_frame,
 )
 from quasilab.discrimination import (
     HyperplanePair,
-    clonability_check_batch,
+    clonability_check,
     clone_protocol,
-    clone_protocol_batch,
-    detection_probabilities_batch,
-    discriminate_batch,
+    detection_probabilities,
+    discriminate,
     discrimination_povm,
-    discrimination_povm_batch,
     hyperplane_pair,
-    hyperplane_pair_batch,
-    overlap_batch,
+    overlap,
 )
-from quasilab.nonlocal_box import build_box, build_box_batch
-from quasilab.operators import ATOL, I2, QuasiState, Stacked, hermitian_eigensystem_batch
+from quasilab.nonlocal_box import build_box
+from quasilab.operators import ATOL, I2, QuasiState, Stacked, hermitian_eigensystem
 
 SEED = acceptance.DEFAULT_SEED
 Z = np.array([0.0, 0.0, 1.0])
@@ -66,41 +61,42 @@ PIPELINE_ROWS = np.concatenate((_draws("_pipeline_draws", 400), EDGE_ROWS))
 DISCRIMINATION_DRAWS = _draws("_discrimination_draws", 300)
 
 
-def _rows(result, k):
-    """Row k of a kernel's result: a Stacked value, an array or a tuple."""
+def _leaves(result) -> tuple:
+    """The arrays and numbers a result holds: a Stacked value, a tuple, an
+    array or a number."""
     if isinstance(result, tuple):
-        return tuple(_rows(part, k) for part in result)
+        return tuple(leaf for part in result for leaf in _leaves(part))
     if isinstance(result, Stacked):
-        return tuple(_rows(getattr(result, name), k) for name in result.__dataclass_fields__)
-    return np.asarray(result)[k]
+        return tuple(leaf for name in result.__dataclass_fields__ for leaf in _leaves(getattr(result, name)))
+    return (result,)
 
 
 def _same_bits(a, b) -> bool:
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(_same_bits(x, y) for x, y in zip(a, b))
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def assert_rows_match_singles(kernel, *stacks):
-    """kernel(*stacks)[k] equals kernel(*(s[k:k+1]))[0] bit for bit, for every k."""
-    batched = kernel(*stacks)
+def assert_rows_match_singles(operation, *stacks):
+    """Row k of operation(*stacks) equals operation on the k-th instances
+    bit for bit, for every k."""
+    stacked = _leaves(operation(*stacks))
     for k in range(len(stacks[0])):
-        single = kernel(*(s[k : k + 1] for s in stacks))
-        assert _same_bits(_rows(batched, k), _rows(single, 0)), f"row {k}"
+        single = _leaves(operation(*(s[k] for s in stacks)))
+        assert len(single) == len(stacked), f"row {k}"
+        assert all(_same_bits(np.asarray(x)[k], y) for x, y in zip(stacked, single)), f"row {k}"
 
 
 class TestStackEqualsSingles:
     def test_pc_check(self):
-        assert_rows_match_singles(pc_check_batch, PC_PSD_ROWS)
+        assert_rows_match_singles(pc_check, PC_PSD_ROWS)
 
     def test_to_operator_and_its_spectrum(self):
-        assert_rows_match_singles(lambda rs: to_operator_batch(rs), PC_PSD_ROWS)
-        assert_rows_match_singles(lambda rs: to_operator_batch(rs).eigenvalues, PC_PSD_ROWS)
-        assert_rows_match_singles(lambda rs: to_operator_batch(rs).is_positive(), PC_PSD_ROWS)
+        assert_rows_match_singles(to_operator, PC_PSD_ROWS)
+        assert_rows_match_singles(lambda rs: to_operator(rs).eigenvalues, PC_PSD_ROWS)
+        assert_rows_match_singles(lambda rs: to_operator(rs).is_positive(), PC_PSD_ROWS)
 
     def test_hermitian_eigensystem(self):
-        assert_rows_match_singles(lambda rs: hermitian_eigensystem_batch(to_operator_batch(rs).matrix), PC_PSD_ROWS)
+        assert_rows_match_singles(lambda rs: hermitian_eigensystem(to_operator(rs).matrix), PC_PSD_ROWS)
 
     def test_outcome_probability(self):
         # preparations inside the ball, so that every direction is genuine
@@ -109,52 +105,53 @@ class TestStackEqualsSingles:
         ns = np.where(np.linalg.norm(ns, axis=1, keepdims=True) > 0.1, ns, Z)
         ns = ns / np.sqrt(np.vecdot(ns, ns))[:, None]
         outcomes = np.where(np.arange(len(rs)) % 2, +1, -1)
-        assert_rows_match_singles(outcome_probability_batch, rs, ns, outcomes)
+        assert_rows_match_singles(outcome_probability, rs, ns, outcomes)
 
     def test_transverse_frame(self):
         r_hats = PIPELINE_ROWS[np.linalg.norm(PIPELINE_ROWS, axis=1) > 0.5]
         r_hats = r_hats / np.sqrt(np.vecdot(r_hats, r_hats))[:, None]
-        assert_rows_match_singles(transverse_frame_batch, r_hats)
+        assert_rows_match_singles(transverse_frame, r_hats)
 
     def test_predictability_circle(self):
-        rs = PC_PSD_ROWS[pc_check_batch(PC_PSD_ROWS).norm >= 1.0 - ATOL]
-        assert_rows_match_singles(predictability_circle_batch, rs)
-        assert_rows_match_singles(lambda rs: predictability_circle_batch(rs).sample(8), rs)
+        rs = PC_PSD_ROWS[pc_check(PC_PSD_ROWS).norm >= 1.0 - ATOL]
+        assert_rows_match_singles(predictability_circle, rs)
+        assert_rows_match_singles(lambda rs: predictability_circle(rs).sample(8), rs)
 
     def test_build_box(self):
-        assert_rows_match_singles(build_box_batch, PIPELINE_ROWS)
+        assert_rows_match_singles(build_box, PIPELINE_ROWS)
 
     def test_overlap_and_clonability(self):
         rps = PC_PSD_ROWS[::-1]
-        assert_rows_match_singles(overlap_batch, PC_PSD_ROWS, rps)
-        assert_rows_match_singles(clonability_check_batch, PC_PSD_ROWS, rps)
+        assert_rows_match_singles(overlap, PC_PSD_ROWS, rps)
+        assert_rows_match_singles(clonability_check, PC_PSD_ROWS, rps)
 
     def test_hyperplane_pair_and_its_measurement(self):
         rs, ys, zs = DISCRIMINATION_DRAWS
-        # resources on the z axis take the other branch of transverse_frame
-        rs = np.concatenate((rs, [2.0 * Z, -1.5 * Z]))
-        ys, zs = np.concatenate((ys, [0.6, 0.0])), np.concatenate((zs, [0.0, -0.3]))
+        # resources on and within 1e-6 of the z axis take the other branch
+        # of transverse_frame
+        rs = np.concatenate((rs, [2.0 * Z, -1.5 * Z, [1e-7, 0.0, 2.0], [0.0, -1e-7, -1.5]]))
+        ys, zs = np.concatenate((ys, [0.6, 0.0, 0.6, 0.2])), np.concatenate((zs, [0.0, -0.3, 0.0, -0.3]))
         labels = np.where(np.arange(len(rs)) % 3, +1, -1)
         hidden = np.where(np.arange(len(rs)) % 5, -1, +1)
-        pairs = hyperplane_pair_batch
+        pairs = hyperplane_pair
 
         assert_rows_match_singles(pairs, rs, ys, zs)
-        assert_rows_match_singles(discrimination_povm_batch, rs)
-        assert_rows_match_singles(lambda *a: detection_probabilities_batch(pairs(*a[:3]), a[3]), rs, ys, zs, hidden)
-        assert_rows_match_singles(lambda *a: discriminate_batch(pairs(*a[:3]), a[3]), rs, ys, zs, hidden)
+        assert_rows_match_singles(discrimination_povm, rs)
+        assert_rows_match_singles(lambda *a: detection_probabilities(pairs(*a[:3]), a[3]), rs, ys, zs, hidden)
+        assert_rows_match_singles(lambda *a: discriminate(pairs(*a[:3]), a[3]), rs, ys, zs, hidden)
         # labels that differ from the hidden state exercise the deviation
-        clone = lambda *a: clone_protocol_batch(pairs(*a[:3]), a[3], a[4])  # noqa: E731
+        clone = lambda *a: clone_protocol(pairs(*a[:3]), a[3], a[4])  # noqa: E731
         assert_rows_match_singles(clone, rs, ys, zs, labels, hidden)
 
 
 @pytest.mark.parametrize(
     "kernel",
     [
-        pc_check_batch,
-        to_operator_batch,
-        build_box_batch,
-        discrimination_povm_batch,
-        lambda rs: hyperplane_pair_batch(rs, [], []),
+        pc_check,
+        to_operator,
+        build_box,
+        discrimination_povm,
+        lambda rs: hyperplane_pair(rs, [], []),
     ],
     ids=["pc_check", "to_operator", "build_box", "discrimination_povm", "hyperplane_pair"],
 )
@@ -165,6 +162,19 @@ def test_empty_stack_gives_empty_results(kernel):
         return [value]
 
     assert all(np.shape(leaf)[0] == 0 for leaf in leaves(kernel(np.empty((0, 3)))))
+
+
+def test_one_instance_gives_python_numbers():
+    pair = hyperplane_pair(2.0 * Z, 0.6, 0.0)
+    check, box = pc_check(Z), build_box(Z)
+    label, q_plus, q_minus = discriminate(pair, -1)
+    out, dev = clone_protocol(pair, +1, -1)
+    assert type(check.satisfied) is bool and type(clonability_check(Z, Z)) is bool
+    assert type(label) is int
+    floats = [check.norm, check.mean_square_sum, box.r, box.closed_form_dev, box.unitarity_dev, q_plus, q_minus, dev]
+    floats += [outcome_probability(Z, Z, +1), overlap(Z, Z), *detection_probabilities(pair, +1)]
+    assert all(type(x) is float for x in floats)
+    assert isinstance(out, QuasiState) and out.matrix.shape == (4, 4)
 
 
 def _eigensystem_loop(m):
@@ -190,8 +200,8 @@ def _random_hermitian(rng, n, dim):
 @pytest.mark.parametrize(
     "matrices",
     [
-        to_operator_batch(PC_PSD_ROWS).matrix,
-        to_operator_batch(PIPELINE_ROWS).matrix,
+        to_operator(PC_PSD_ROWS).matrix,
+        to_operator(PIPELINE_ROWS).matrix,
         _random_hermitian(np.random.default_rng(5), 200, 3),
         _random_hermitian(np.random.default_rng(6), 200, 4),
         # a zero pivot candidate in the first row: the rule skips to the next
@@ -200,7 +210,7 @@ def _random_hermitian(rng, n, dim):
     ids=["criterion-3", "criterion-9", "dim-3", "dim-4", "sparse"],
 )
 def test_batched_phase_rule_matches_the_column_loop(matrices):
-    eig = hermitian_eigensystem_batch(matrices)
+    eig = hermitian_eigensystem(matrices)
     for k, m in enumerate(matrices):
         vals, vecs = _eigensystem_loop(m)
         assert _same_bits(eig.eigenvalues[k], vals) and _same_bits(eig.eigenvectors[k], vecs), f"matrix {k}"
@@ -213,7 +223,8 @@ def _error(call):
 
 
 class TestOneBadRowFailsTheBatch:
-    """A bad row raises the error of its scalar call, wherever it sits."""
+    """A bad row raises the error of the call on its instance, wherever it
+    sits."""
 
     @pytest.mark.parametrize("position", [0, 3, 7])
     @pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [0.0, np.inf, 1.0]], ids=["nan", "inf"])
@@ -221,15 +232,10 @@ class TestOneBadRowFailsTheBatch:
         rs = PC_PSD_ROWS[:8].copy()
         rs[position] = bad
         rps = PC_PSD_ROWS[8:16]
-        for batch, scalar in (
-            (pc_check_batch, pc_check),
-            (to_operator_batch, to_operator),
-            (build_box_batch, build_box),
-            (discrimination_povm_batch, discrimination_povm),
-        ):
-            assert _error(lambda: batch(rs)) == _error(lambda: scalar(np.array(bad)))
-        assert _error(lambda: overlap_batch(rs, rps)) == _error(lambda: overlap_batch(np.array([bad]), rps[:1]))
-        assert _error(lambda: hyperplane_pair_batch(rs, np.zeros(8), np.zeros(8))) == _error(
+        for operation in (pc_check, to_operator, build_box, discrimination_povm):
+            assert _error(lambda: operation(rs)) == _error(lambda: operation(np.array(bad)))
+        assert _error(lambda: overlap(rs, rps)) == _error(lambda: overlap(np.array(bad), rps[0]))
+        assert _error(lambda: hyperplane_pair(rs, np.zeros(8), np.zeros(8))) == _error(
             lambda: hyperplane_pair(np.array(bad), 0.0, 0.0)
         )
 
@@ -255,16 +261,23 @@ class TestOneBadRowFailsTheBatch:
         rs = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 2.0], [0.3, 0.0, 0.0]])
         ns = np.array([Z, Z, Z])
         with pytest.raises(InvalidDirectionError) as batched:
-            outcome_probability_batch(rs, ns, +1)
+            outcome_probability(rs, ns, +1)
         with pytest.raises(InvalidDirectionError) as single:
             outcome_probability(rs[1], Z, +1)
         assert str(batched.value) == str(single.value)
 
     def test_bad_labels(self):
-        pairs = hyperplane_pair_batch(*(d[:3] for d in DISCRIMINATION_DRAWS))
+        pairs = hyperplane_pair(*(d[:3] for d in DISCRIMINATION_DRAWS))
         pair = pairs[1]
-        assert _error(lambda: detection_probabilities_batch(pairs, [1, 0, -1])) == _error(
-            lambda: detection_probabilities_batch(pair.stack, 0)
+        assert _error(lambda: detection_probabilities(pairs, [1, 0, -1])) == _error(
+            lambda: detection_probabilities(pair, 0)
         )
-        bad_label = _error(lambda: clone_protocol_batch(pairs, [1, 2, -1], -1))
+        bad_label = _error(lambda: clone_protocol(pairs, [1, 2, -1], -1))
         assert bad_label == _error(lambda: clone_protocol(pair, 2, -1))
+
+    def test_preparation_inside_the_ball_has_no_circle(self):
+        # the one operation whose single call does not raise: it returns None
+        rs = np.array([[0.0, 0.0, 2.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.5]])
+        assert predictability_circle(rs[1]) is None
+        with pytest.raises(ValueError, match="no certain direction for norm 0.5 < 1"):
+            predictability_circle(rs)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quasilab.bloch import (
     InvalidDirectionError,
-    as_direction,
+    as_directions,
     from_operator,
     outcome_probability,
     pc_check,
@@ -200,7 +200,7 @@ class TestPredictabilityCircle:
             r = random_bloch_vector(rng, 1.0 + 1e-9, 3.0)
             points = predictability_circle(r).sample(64)
             for n in points:
-                as_direction(n)
+                as_directions(n)
                 assert abs(outcome_probability(r, n, +1) - 1.0) <= 1e-12
             assert np.linalg.norm(np.cross(points[0], points[1])) > 1e-12
 
@@ -219,3 +219,32 @@ def test_observation_sum_matches_norm(r):
     # squared mean values along the canonical axes against the norm
     means = [np.dot(r, axis) for axis in (X, Y, Z)]
     assert abs(sum(m * m for m in means) - np.dot(r, r)) <= 1e-12
+
+
+@settings(max_examples=100)
+@given(
+    st.floats(-12.0, -5.0).map(lambda exponent: 10.0**exponent),
+    st.floats(0.0, 2.0 * np.pi),
+    st.sampled_from([+1.0, -1.0]),
+    st.floats(1.05, 3.0),
+    st.floats(-1.0, 1.0),
+)
+def test_frame_near_the_z_axis(distance, azimuth, pole, norm, offset):
+    # r_hat between 1e-12 and 1e-5 from +-z, inside the band where the frame
+    # starts from x: the frame stays orthonormal, the pair on its planes,
+    # and the certainty circle on the sphere
+    r_hat = np.array([distance * np.cos(azimuth), distance * np.sin(azimuth), pole * np.sqrt(1.0 - distance**2)])
+    m, n = transverse_frame(r_hat)
+    gram = np.array([r_hat, m, n]) @ np.array([r_hat, m, n]).T
+    assert np.max(np.abs(gram - np.eye(3))) <= ATOL
+    assert np.dot(r_hat, np.cross(m, n)) == pytest.approx(1.0, abs=ATOL)
+
+    r = norm * r_hat
+    cap = np.sqrt(1.0 - 1.0 / norm**2)
+    pair = hyperplane_pair(r, offset * cap / 2, offset * cap / 2)
+    assert abs(r @ pair.r_plus - 1.0) <= ATOL and abs(r @ pair.r_minus + 1.0) <= ATOL
+
+    points = predictability_circle(r).sample(16)
+    as_directions(points)
+    assert np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) <= ATOL
+    assert np.max(np.abs(outcome_probability(np.tile(r, (16, 1)), points, +1) - 1.0)) <= ATOL

@@ -102,8 +102,8 @@ class TestInvariantFailures:
     def measurement_favours_minus(self, monkeypatch):
         # the one measurement inside discriminate, giving outcome
         # probabilities (0.3, 0.7) whatever the hidden state
-        favours_minus = discrimination.DiscriminationPovm(p_plus=0.3 * np.eye(4)[None], p_minus=0.7 * np.eye(4)[None])
-        monkeypatch.setattr(discrimination, "discrimination_povm_batch", lambda rs: favours_minus)
+        favours_minus = discrimination.DiscriminationPovm(p_plus=0.3 * np.eye(4), p_minus=0.7 * np.eye(4))
+        monkeypatch.setattr(discrimination, "discrimination_povm", lambda r: favours_minus)
 
     def test_box_closed_form_mismatch(self, capsys, closed_form_off_by_one):
         code, out, err = run(capsys, "box", "--r", "0,0,2", "--format", "json")
@@ -252,6 +252,16 @@ class TestDiscriminateAndClone:
         assert payload["outputs"]["correct"] == 8
         assert payload["outputs"]["overlap"] == pytest.approx(0.555, abs=1e-12)
 
+    @pytest.mark.parametrize("command", ["discriminate", "clone-demo"])
+    def test_resource_near_the_z_axis(self, capsys, command):
+        # 1e-7 off the z axis, where the transverse frame starts from x
+        code, out, _ = run(capsys, command, "--r", "1e-7,0,2", "--y", "0.6", "--z", "0", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert all(check["passed"] for check in payload["checks"])
+        r = np.array([1e-7, 0.0, 2.0])
+        assert float(r @ payload["outputs"]["r_plus"]) == pytest.approx(1.0, abs=ATOL)
+
     def test_discriminate_runs_once_per_label(self, capsys, monkeypatch):
         calls = []
         original = cli.discriminate
@@ -359,7 +369,42 @@ class TestPlanes:
             assert float(r @ point) == pytest.approx(plane, abs=1e-11)
 
 
+    def test_circles_near_the_z_axis(self, capsys):
+        code, out, _ = run(capsys, "planes", "--r", "1e-7,0,2", "--points", "16", "--format", "json")
+        assert code == 0
+        outputs = json.loads(out)["outputs"]
+        points = np.array([outputs["x"], outputs["y"], outputs["z"]]).T
+        assert np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) <= ATOL
+        assert np.max(np.abs(points @ np.array([1e-7, 0.0, 2.0]) - np.array(outputs["plane"]))) <= ATOL
+
+
 class TestDeterminism:
+    def test_requests_in_one_process_match_separate_ones(self, capsys):
+        # the parser is built once and reused: a request must not see what
+        # an earlier one parsed
+        requests = (
+            ["pc-check", "--r", "0,0,1.2"],
+            ["box", "--r", "0.2,-0.4,1.9"],
+            ["discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials", "5"],
+            ["pc-check", "--r", "0,0,0.5"],
+        )
+
+        def request(argv):
+            code, out, err = run(capsys, *argv, "--format", "json")
+            payload = json.loads(out)
+            del payload["duration_ms"]
+            return code, payload, err
+
+        separate = []
+        for argv in requests:
+            cli.build_parser.cache_clear()
+            separate.append(request(argv))
+        cli.build_parser.cache_clear()
+        together = [request(argv) for argv in requests]
+        assert together == separate
+        assert [code for code, _, _ in together] == [1, 0, 0, 0]
+        assert cli.build_parser.cache_info().misses == 1
+
     def test_identical_inputs_identical_reports(self):
         parser = build_parser()
         emissions = []

@@ -1,6 +1,9 @@
 """Joint-clonability condition, hyperplane state pairs, deterministic
 discrimination of non-orthogonal states, and the cloning protocol."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -120,12 +123,13 @@ class TestDiscriminationPovm:
 
     def test_projector_invariants_random_axes(self):
         rng = np.random.default_rng(2)
-        for _ in range(10_000):
-            povm = discrimination_povm(rng.uniform(1.1, 3.0) * random_direction(rng))
-            p, q = povm.p_plus, povm.p_minus
-            assert np.max(np.abs(p @ p - p)) <= 1e-12
-            assert np.max(np.abs(p @ q)) <= 1e-12
-            assert np.max(np.abs(p + q - np.eye(4))) <= 1e-12
+        resources = np.array([rng.uniform(1.1, 3.0) * random_direction(rng) for _ in range(10_000)])
+        povm = discrimination_povm(resources)
+        p, q = povm.p_plus, povm.p_minus
+        assert len(p) == 10_000
+        assert np.all(np.abs(p @ p - p).max(axis=(1, 2)) <= 1e-12)
+        assert np.all(np.abs(p @ q).max(axis=(1, 2)) <= 1e-12)
+        assert np.all(np.abs(p + q - np.eye(4)).max(axis=(1, 2)) <= 1e-12)
 
     def test_rank_two_and_valid_povm(self):
         rng = np.random.default_rng(3)
@@ -180,14 +184,29 @@ class TestDiscriminate:
         # the label and the probabilities it returns come from that one
         # measurement, and the clone of the wrong state shows up as a deviation
         povm = discrimination_povm(RESOURCE)
-        swapped = DiscriminationPovm(p_plus=povm.p_minus[None], p_minus=povm.p_plus[None])
-        monkeypatch.setattr(discrimination, "discrimination_povm_batch", lambda rs: swapped)
+        swapped = DiscriminationPovm(p_plus=povm.p_minus, p_minus=povm.p_plus)
+        monkeypatch.setattr(discrimination, "discrimination_povm", lambda r: swapped)
         pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
         label, q_plus, q_minus = discriminate(pair, +1)
         assert label == -1
         assert q_plus == pytest.approx(0.0, abs=1e-12) and q_minus == pytest.approx(1.0, abs=1e-12)
         _, clone_dev = clone_protocol(pair, label, +1)
         assert clone_dev > ATOL
+
+
+def test_a_measured_pair_is_freed_without_the_cycle_collector():
+    # a pair caches its measurement, never a view of itself, so dropping the
+    # last reference frees it at once
+    gc.disable()
+    try:
+        pair = hyperplane_pair(RESOURCE, 0.6, 0.0)
+        label, _, _ = discriminate(pair, +1)
+        clone_protocol(pair, label, +1)
+        freed = weakref.ref(pair)
+        del pair
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 class TestCloneProtocol:

@@ -14,11 +14,8 @@ from quasilab.operators import (
     SIGMA_Z,
     QuasiState,
     expectation,
-    expectation_batch,
     hermitian_eigensystem,
-    is_hermitian,
     kron,
-    kron_batch,
     partial_trace,
 )
 
@@ -63,16 +60,18 @@ class TestKron:
 
 
 def test_batched_kron_and_pairing_match_the_scalar_ones_bit_for_bit():
-    # kron is the oracle of kron_batch (both form every entry as one
-    # product), and expectation that of expectation_batch
+    # each row of a stack is what the single call gives, and the single
+    # kron is numpy's (every entry is one product)
     rng = np.random.default_rng(8)
     a = rng.normal(size=(50, 2, 3)) + 1j * rng.normal(size=(50, 2, 3))
     b = rng.normal(size=(50, 3, 2)) + 1j * rng.normal(size=(50, 3, 2))
-    stacked = kron_batch(a, b)
+    stacked = kron(a, b)
     assert all(np.array_equal(stacked[k], kron(a[k], b[k])) for k in range(50))
-    ops, states = (m + m.conj().swapaxes(1, 2) for m in (kron_batch(a, b), kron_batch(b, a)))
-    pairings = expectation_batch(ops, states)
+    assert all(np.array_equal(stacked[k], np.kron(a[k], b[k])) for k in range(50))
+    ops, states = (m + m.conj().swapaxes(1, 2) for m in (kron(a, b), kron(b, a)))
+    pairings = expectation(ops, states)
     assert all(pairings[k] == expectation(ops[k], states[k]) for k in range(50))
+    assert type(expectation(ops[0], states[0])) is float
 
 
 class TestExpectation:
@@ -187,9 +186,11 @@ class TestValidateQuasistate:
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 3.0
 
-    def test_is_hermitian_tolerance(self):
-        assert is_hermitian(SIGMA_Y)
-        assert not is_hermitian(SIGMA_Y + 1e-9 * np.array([[0, 1], [0, 0]]))
+    def test_hermiticity_tolerance(self):
+        # SIGMA_Y's imaginary entries are Hermitian; a 1e-9 skew is past ATOL
+        QuasiState(0.5 * (I2 + 0.8 * SIGMA_Y))
+        with pytest.raises(ValueError, match="Hermitian"):
+            QuasiState(0.5 * (I2 + 0.8 * SIGMA_Y) + 1e-9 * np.array([[0, 1], [0, 0]]))
 
 
 class TestPartialTrace:

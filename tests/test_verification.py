@@ -1,7 +1,8 @@
 """One verification mechanism: constructions return what they measured and
 only reports judge it, so no module of the package asserts or raises
 AssertionError, and every verdict is built by one of the two verdict rules
-(``CheckResult.at_most``, ``CheckResult.above``)."""
+(``CheckResult.at_most``, ``CheckResult.above``). One name per operation:
+no public function is a ``*_batch`` twin or a wrapper of a stack of one."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,39 @@ def test_no_hand_built_verdicts(path):
     }
     offending = [node.lineno for node in ast.walk(tree) if _is_check_result_call(node) and id(node) not in exempt]
     assert offending == [], f"{path.name} calls CheckResult(...) directly at lines {offending}"
+
+
+def _public_functions(tree: ast.Module) -> list[ast.FunctionDef]:
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+PUBLIC = {fn.name for path in SOURCES for fn in _public_functions(ast.parse(path.read_text()))}
+
+
+def _wraps_a_stack_of_one(fn: ast.FunctionDef) -> bool:
+    """True when the body, past its docstring, is one ``return`` that takes
+    instance 0 of what a public function returns (``return f(...)[0]``,
+    also inside a conversion such as ``float(f(...)[0])``)."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or body[0].value is None:
+        return False
+    return any(
+        isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value == 0
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id in PUBLIC
+        for node in ast.walk(body[0].value)
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_public_name_per_operation(path):
+    # the shape of an operation's input chooses one instance or a stack, so
+    # no operation has a second name for stacks or a wrapper for one instance
+    functions = _public_functions(ast.parse(path.read_text(), filename=str(path)))
+    twins = [fn.name for fn in functions if fn.name.endswith("_batch")]
+    wrappers = [fn.name for fn in functions if _wraps_a_stack_of_one(fn)]
+    assert twins == [], f"{path.name} defines stack twins {twins}"
+    assert wrappers == [], f"{path.name} wraps a stack of one in {wrappers}"
