@@ -32,7 +32,6 @@ from .bloch import (
     outcome_probability,
     pc_check,
     predictability_circle,
-    projector_for_direction,
     random_bloch_vector,
     random_direction,
     to_operator,

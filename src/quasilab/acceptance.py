@@ -81,9 +81,9 @@ def _axis_vector(r: float) -> np.ndarray:
 def chsh_law_criterion() -> Criterion:
     """CHSH value follows 2*sqrt(2)*r on the sub-sqrt(2) branch; at r = 1
     this is the quantum maximum."""
-    grid = [1.0, 1.1, 1.2, 1.3, 1.4, 1.4142]
+    grid = np.array([1.0, 1.1, 1.2, 1.3, 1.4, 1.4142])
     boxes = build_box([_axis_vector(r) for r in grid])
-    dev = max(abs(chsh_value(boxes[k], chsh_settings_for(r)) - 2.0 * SQRT2 * r) for k, r in enumerate(grid))
+    dev = np.max(np.abs(chsh_value(boxes, chsh_settings_for(grid)) - 2.0 * SQRT2 * grid))
     closed_dev = np.max(boxes.closed_form_dev)
     return Criterion(
         1,
@@ -98,20 +98,14 @@ def chsh_law_criterion() -> Criterion:
 def maximal_box_criterion() -> Criterion:
     """Past r = sqrt(2) the tilted settings hold the CHSH value at the
     algebraic maximum 4 with valid, non-signalling joint tables."""
-    chsh_dev = 0.0
-    prob_excess = 0.0
-    signalling = 0.0
-    grid = (1.5, 2.0, 3.0)
+    grid = np.array([1.5, 2.0, 3.0])
     boxes = build_box([_axis_vector(r) for r in grid])
+    settings = chsh_settings_for(grid)
+    chsh_dev = np.max(np.abs(chsh_value(boxes, settings) - 4.0))
+    tables = setting_tables(boxes, settings)
+    prob_excess = max(0.0, np.max(-tables.table), np.max(tables.table - 1.0))
+    signalling = np.max(signalling_deviation(tables))
     closed_dev = np.max(boxes.closed_form_dev)
-    for k, r in enumerate(grid):
-        box = boxes[k]
-        settings = chsh_settings_for(r)
-        chsh_dev = max(chsh_dev, abs(chsh_value(box, settings) - 4.0))
-        tables = setting_tables(box, settings)
-        for table in tables.values():
-            prob_excess = max(prob_excess, float(np.max(-table.table)), float(np.max(table.table - 1.0)))
-        signalling = max(signalling, signalling_deviation(tables))
     return Criterion(
         2,
         "maximal-box",

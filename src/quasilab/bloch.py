@@ -118,12 +118,6 @@ def from_operator(state: QuasiState | np.ndarray) -> np.ndarray:
     return np.array([np.trace(m @ s).real for s in PAULI])
 
 
-def projector_for_direction(n) -> np.ndarray:
-    """Rank-1 projector (1/2)(I + n.sigma) onto the +1 outcome along ``n``."""
-    n = as_directions(n)
-    return 0.5 * (I2 + n[0] * PAULI[0] + n[1] * PAULI[1] + n[2] * PAULI[2])
-
-
 def transverse_frame(r_hat) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic right-handed completion (r_hat, m, n) of a unit vector.
 

@@ -128,13 +128,13 @@ def _run_box(args) -> RunReport:
         "chsh": value,
         "chsh_expected": expected,
         "box_eigenvalues": box.state.eigenvalues[::-1],
-        "all_tables_valid": all(t.valid for t in tables.values()),
+        "all_tables_valid": tables.valid.all(),
     }
     for name, vec in (("a1", settings.a1), ("a2", settings.a2), ("b1", settings.b1), ("b2", settings.b2)):
         outputs[f"setting_{name}"] = vec
-    for (i, j), table in sorted(tables.items()):
-        outputs[f"p_a{i}_b{j}"] = table.table.ravel()
-        outputs[f"valid_a{i}_b{j}"] = table.valid
+    for i, j in np.ndindex(2, 2):
+        outputs[f"p_a{i + 1}_b{j + 1}"] = tables.table[i, j].ravel()
+        outputs[f"valid_a{i + 1}_b{j + 1}"] = tables.valid[i, j]
     return RunReport(
         command="box",
         inputs={"r": args.r, "settings": args.settings},
@@ -155,17 +155,13 @@ def _run_chsh_sweep(args) -> RunReport:
         raise ValueError(f"r-max must be at most {MAX_BOX_NORM:g}, got {args.r_max:.6g}")
     grid = np.linspace(args.r_min, args.r_max, args.steps)
     boxes = build_box(np.stack((np.zeros_like(grid), np.zeros_like(grid), grid), axis=1))
-    values, valids = [], []
-    for k, r in enumerate(grid):
-        settings = chsh_settings_for(r)
-        values.append(chsh_value(boxes[k], settings))
-        valids.append(all(t.valid for t in setting_tables(boxes[k], settings).values()))
-    closed_dev = np.max(boxes.closed_form_dev)
+    settings = chsh_settings_for(grid)
+    valid = setting_tables(boxes, settings).valid.all(axis=(1, 2))
     return RunReport(
         command="chsh-sweep",
         inputs={"r_min": args.r_min, "r_max": args.r_max, "steps": args.steps},
-        outputs={"r": list(grid), "chsh": values, "valid": valids},
-        checks=[CheckResult.at_most("closed-form-match", closed_dev, SPECTRAL_ATOL)],
+        outputs={"r": grid, "chsh": chsh_value(boxes, settings), "valid": valid},
+        checks=[CheckResult.at_most("closed-form-match", np.max(boxes.closed_form_dev), SPECTRAL_ATOL)],
     )
 
 
@@ -214,7 +210,7 @@ def _run_clone_demo(args) -> RunReport:
         # Tr[(rho (x) rho) out], with out standing in for rho (x) rho:
         # clone-output-exact judges how far apart the two are.
         fidelity = expectation(out.matrix, out)
-        purity_sq = (0.5 * (1.0 + float(target_vec @ target_vec))) ** 2
+        purity_sq = overlap(target_vec, target_vec) ** 2
         fidelity_dev = max(fidelity_dev, abs(fidelity - purity_sq))
         outputs[f"label_{name}"] = label
         outputs[f"fidelity_{name}"] = fidelity

@@ -6,6 +6,9 @@ in the preparation's own eigenbasis followed by a local change of basis.
 For r <= 1 the result is an ordinary two-qubit state; for r > 1 it is a
 unit-trace Hermitian operator whose measurement correlations exceed the
 quantum CHSH maximum 2*sqrt(2) while staying non-signalling.
+
+Building and measuring boxes follow the package's shape rule: the shape of
+``r``, or of the box, chooses one instance or a stack of N (see ``as_stack``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import as_bloch_vectors, pc_check, projector_for_direction, to_operator
+from .bloch import as_bloch_vectors, as_directions, pc_check, to_operator
 from .operators import (
     ATOL,
     I2,
@@ -130,9 +133,10 @@ def build_box(r) -> BipartiteBox:
 
 
 @dataclass(frozen=True)
-class ChshSettings:
+class ChshSettings(Stacked):
     """Four dichotomic observables (a1, a2 for one party, b1, b2 for the
-    other), each given by the unit coefficient vector of v.sigma."""
+    other), each given by the unit coefficient vector of v.sigma. A stack
+    of N settings holds an (N, 3) array in each field."""
 
     a1: np.ndarray
     a2: np.ndarray
@@ -142,8 +146,9 @@ class ChshSettings:
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > ATOL:
-                raise ValueError(f"setting {name} must be a unit 3-vector")
+            shape_ok = v.shape == np.shape(self.a1) and v.ndim in (1, 2) and v.shape[-1] == 3
+            if not shape_ok or (np.abs(np.sqrt(np.vecdot(v, v)) - 1.0) > ATOL).any():
+                raise ValueError(f"setting {name} must be a unit 3-vector, or a stack of them shaped as a1")
             object.__setattr__(self, name, v)
 
 
@@ -155,10 +160,11 @@ def observable(v) -> np.ndarray:
 
 
 def bell_operator(settings: ChshSettings) -> np.ndarray:
-    """CHSH combination A1B1 + A1B2 + A2B1 - A2B2 as a dim-4 operator."""
-    a1, a2 = observable(settings.a1), observable(settings.a2)
-    b1, b2 = observable(settings.b1), observable(settings.b2)
-    return kron(a1, b1) + kron(a1, b2) + kron(a2, b1) - kron(a2, b2)
+    """CHSH combination A1B1 + A1B2 + A2B1 - A2B2 as a dim-4 operator (per row of a stack)."""
+    a = observable(np.stack((settings.a1, settings.a1, settings.a2, settings.a2), axis=-2))
+    b = observable(np.stack((settings.b1, settings.b2, settings.b1, settings.b2), axis=-2))
+    terms = kron(a.reshape(-1, 2, 2), b.reshape(-1, 2, 2)).reshape(a.shape[:-3] + (4, 4, 4))
+    return terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :] - terms[..., 3, :, :]
 
 
 TSIRELSON_SETTINGS = ChshSettings(
@@ -169,7 +175,7 @@ TSIRELSON_SETTINGS = ChshSettings(
 )
 
 
-def chsh_settings_for(r: float) -> ChshSettings:
+def chsh_settings_for(r) -> ChshSettings:
     """Measurement settings extremizing CHSH on the box of strength ``r``.
 
     For r <= sqrt(2) the diagonal settings give <B> = 2*sqrt(2)*r (the
@@ -177,83 +183,91 @@ def chsh_settings_for(r: float) -> ChshSettings:
     joint probabilities outside [0, 1], so the receiver axes tilt out of
     the equatorial plane by exactly the amount that pins every correlator
     at +-1: <B> saturates the algebraic maximum 4 with all sixteen joint
-    probabilities still valid.
+    probabilities still valid. For an array of N strengths, the stack of
+    N settings, each row on its own branch.
     """
-    if r <= 0:
+    shaped, rs = as_stack(0, np.asarray(r, dtype=float))
+    if (rs <= 0).any():
         raise ValueError("settings are defined for r > 0")
-    if r <= SQRT2:
-        return TSIRELSON_SETTINGS
-    tilt = float(np.sqrt(r * r - 2.0)) / r
-    return ChshSettings(
-        a1=TSIRELSON_SETTINGS.a1,
-        a2=TSIRELSON_SETTINGS.a2,
-        b1=np.array([SQRT2 / r, 0.0, tilt]),
-        b2=np.array([0.0, -SQRT2 / r, tilt]),
+    diagonal = (rs <= SQRT2)[:, None]
+    # the rows on the diagonal branch have no tilt; 0 stands in for it
+    tilt = np.sqrt(np.maximum(rs * rs - 2.0, 0.0)) / rs
+    zero = np.zeros_like(rs)
+    settings = ChshSettings(
+        a1=np.broadcast_to(TSIRELSON_SETTINGS.a1, rs.shape + (3,)),
+        a2=np.broadcast_to(TSIRELSON_SETTINGS.a2, rs.shape + (3,)),
+        b1=np.where(diagonal, TSIRELSON_SETTINGS.b1, np.stack((SQRT2 / rs, zero, tilt), axis=-1)),
+        b2=np.where(diagonal, TSIRELSON_SETTINGS.b2, np.stack((zero, -SQRT2 / rs, tilt), axis=-1)),
     )
+    return shaped(settings)
 
 
 def chsh_value(box: BipartiteBox, settings: ChshSettings) -> float:
-    """Tr(B . box) for the CHSH operator of the given settings."""
+    """Tr(B . box) for the CHSH operator of the given settings; for a stack
+    of N boxes and a stack of N settings, the value row by row."""
     return expectation(bell_operator(settings), box.state)
 
 
 @dataclass(frozen=True)
-class JointDistribution:
-    """Joint outcome table p(x, y) for one pair of dichotomic settings.
+class JointDistribution(Stacked):
+    """Joint outcome table p(x, y) for one pair of dichotomic settings, or
+    tables stacked along leading axes.
 
-    ``table[i, j]`` holds p(x, y) with x, y = +1 at index 0 and -1 at
-    index 1. Entries always sum to 1; the ``valid`` flag records whether
-    each one actually lies in [0, 1]. An invalid table is a diagnostic,
-    not an error: it marks where the formalism leaves genuine probability.
+    ``table[..., x, y]`` holds p(x, y) with x, y = +1 at index 0 and -1 at
+    index 1. Each table sums to 1; ``valid[...]`` records whether its
+    entries actually lie in [0, 1]. An invalid table is a diagnostic, not
+    an error: it marks where the formalism leaves genuine probability.
     """
 
     table: np.ndarray
-    valid: bool
+    valid: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
-        if t.shape != (2, 2):
+        if t.shape[-2:] != (2, 2):
             raise ValueError("joint table must be 2x2")
-        if abs(t.sum() - 1.0) > ATOL:
-            raise ValueError(f"joint table must sum to 1, got {t.sum():.15g}")
+        sums = np.reshape(t.sum(axis=(-2, -1)), -1)
+        off = np.abs(sums - 1.0) > ATOL
+        if off.any():
+            raise ValueError(f"joint table must sum to 1, got {sums[np.argmax(off)]:.15g}")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
-
-    def marginal_a(self) -> np.ndarray:
-        return self.table.sum(axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        return self.table.sum(axis=0)
 
 
 def joint_distribution(box: BipartiteBox, a, b) -> JointDistribution:
     """Outcome table p(x, y) = Tr[(Pi_a^x (x) Pi_b^y) box] for unit
     coefficient vectors a, b; the validity flag reports whether every
-    entry is a genuine probability."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    a_proj = (projector_for_direction(a), projector_for_direction(-a))
-    b_proj = (projector_for_direction(b), projector_for_direction(-b))
-    table = np.empty((2, 2))
-    for i, pa in enumerate(a_proj):
-        for j, pb in enumerate(b_proj):
-            table[i, j] = expectation(kron(pa, pb), box.state)
-    valid = bool(np.all(table >= -ATOL) and np.all(table <= 1.0 + ATOL))
-    return JointDistribution(table=table, valid=valid)
+    entry is a genuine probability. For a stack of N boxes and (N, 3)
+    stacks a and b, the N tables, with one ``kron`` and one
+    ``expectation`` call for all 4N entries."""
+    shaped, rhos = as_stack(2, box.state.matrix)
+    a, b = (np.reshape(as_directions(v), (len(rhos), 3)) for v in (a, b))
+    # Pi_a^x and Pi_b^y of each row, [row, party, (x, y)], (x, y) = (+, +), (+, -), (-, +), (-, -)
+    proj = to_operator(np.stack((a, a, -a, -a, b, -b, b, -b), axis=1).reshape(-1, 3)).matrix.reshape(-1, 2, 4, 2, 2)
+    ops = kron(proj[:, 0].reshape(-1, 2, 2), proj[:, 1].reshape(-1, 2, 2))
+    table = expectation(ops, np.repeat(rhos, 4, axis=0)).reshape(-1, 2, 2)
+    valid = ((table >= -ATOL) & (table <= 1.0 + ATOL)).all(axis=(-2, -1))
+    return shaped(JointDistribution(table=table, valid=valid))
 
 
-def setting_tables(box: BipartiteBox, settings: ChshSettings) -> dict[tuple[int, int], JointDistribution]:
-    """Joint tables for all four setting pairs, keyed by (i, j) in 1..2."""
-    a = {1: settings.a1, 2: settings.a2}
-    b = {1: settings.b1, 2: settings.b2}
-    return {(i, j): joint_distribution(box, a[i], b[j]) for i in (1, 2) for j in (1, 2)}
+def setting_tables(box: BipartiteBox, settings: ChshSettings) -> JointDistribution:
+    """Joint tables for all four setting pairs (a_i, b_j): ``table[..., i,
+    j, x, y]`` and ``valid[..., i, j]``, with i, j = 1, 2 at index 0, 1.
+    For a stack of N boxes and a stack of N settings, the tables of each
+    row, from one ``joint_distribution`` call on the 4N (box, a_i, b_j)."""
+    shaped, rhos, boxes, settings = as_stack(2, box.state.matrix, box, settings)
+    a = np.stack((settings.a1, settings.a1, settings.a2, settings.a2), axis=-2).reshape(-1, 3)
+    b = np.stack((settings.b1, settings.b2, settings.b1, settings.b2), axis=-2).reshape(-1, 3)
+    pairs = joint_distribution(boxes[np.repeat(np.arange(len(rhos)), 4)], a, b)
+    return shaped(JointDistribution(table=pairs.table.reshape(-1, 2, 2, 2, 2), valid=pairs.valid.reshape(-1, 2, 2)))
 
 
-def signalling_deviation(tables: dict[tuple[int, int], JointDistribution]) -> float:
+def signalling_deviation(tables: JointDistribution) -> float:
     """Largest change of any party's outcome marginal under a change of the
-    other party's setting; 0 for a non-signalling table grid."""
-    dev = 0.0
-    for i in (1, 2):
-        dev = max(dev, float(np.max(np.abs(tables[(i, 1)].marginal_a() - tables[(i, 2)].marginal_a()))))
-    for j in (1, 2):
-        dev = max(dev, float(np.max(np.abs(tables[(1, j)].marginal_b() - tables[(2, j)].marginal_b()))))
-    return dev
+    other party's setting, in the tables of ``setting_tables``: 0 for a
+    non-signalling box, and one value per box of a stack."""
+    shaped, t = as_stack(4, tables.table)
+    p_x, p_y = t.sum(axis=-1), t.sum(axis=-2)
+    dev_a = np.abs(p_x[:, :, 0] - p_x[:, :, 1]).max(axis=(1, 2))
+    dev_b = np.abs(p_y[:, 0] - p_y[:, 1]).max(axis=(1, 2))
+    return shaped(np.maximum(dev_a, dev_b))

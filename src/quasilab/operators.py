@@ -86,12 +86,13 @@ def as_stack(core_ndim: int, x, *more):
     """The shape rule of every operation, as a numpy gufunc treats leading
     axes: ``x`` with ``core_ndim`` dimensions is one instance, with one more
     a stack of N. Returns ``shaped``, then ``x`` and ``more`` as stacks (one
-    instance as a stack of one). ``shaped`` turns a result computed on the
-    stack into its instance 0 for one instance (numpy scalars as Python
-    ones, a tuple part by part) and passes a stack's result through."""
+    instance as a stack of one, a ``Stacked`` one field by field).
+    ``shaped`` turns a result computed on the stack into its instance 0 for
+    one instance (numpy scalars as Python ones, a tuple part by part) and
+    passes a stack's result through."""
     if np.ndim(x) != core_ndim:
         return _whole, x, *more
-    return _first, np.asarray(x)[None], *(np.asarray(m)[None] for m in more)
+    return _first, *(_pick(value, None) for value in (x, *more))
 
 
 def _whole(result):

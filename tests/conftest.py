@@ -1,21 +1,26 @@
 """Shared fixtures."""
 
 import contextlib
+import sys
 
 import numpy as np
 import pytest
 
-from quasilab import acceptance, discrimination, nonlocal_box
+from quasilab import acceptance, discrimination, nonlocal_box, operators
 
-# numpy routines whose calls the session's run_all counts.
-COUNTED = {"eigvalsh": np.linalg, "eigh": np.linalg, "kron": np}
+# Routines whose calls are counted, by the module that defines them: numpy's
+# two eigendecompositions and the package's own kron and expectation.
+COUNTED = {"eigvalsh": np.linalg, "eigh": np.linalg, "kron": operators, "expectation": operators}
 
 
 @contextlib.contextmanager
-def counting_numpy_calls():
+def counting_calls():
     """Yield a dict that counts, while the block runs, the calls made to
-    each routine in ``COUNTED``."""
+    each routine in ``COUNTED``. A routine is replaced in its module and in
+    every quasilab module that binds it by name (``from .operators import
+    kron``), so calls between modules are counted too."""
     calls = dict.fromkeys(COUNTED, 0)
+    package = [module for name, module in sys.modules.items() if name.split(".")[0] == "quasilab"]
     with pytest.MonkeyPatch.context() as mp:
         for name, owner in COUNTED.items():
             original = getattr(owner, name)
@@ -24,14 +29,16 @@ def counting_numpy_calls():
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            mp.setattr(owner, name, counted)
+            for module in (owner, *package):
+                if getattr(module, name, None) is original:
+                    mp.setattr(module, name, counted)
         yield calls
 
 
 @pytest.fixture
-def count_numpy_calls():
-    """The ``counting_numpy_calls`` context manager."""
-    return counting_numpy_calls
+def count_calls():
+    """The ``counting_calls`` context manager."""
+    return counting_calls
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +46,7 @@ def verify_all_run():
     """The nine criteria of ``verify-all`` at the default seed, run once
     per session, and the number of calls that run made to each routine
     in ``COUNTED``."""
-    with counting_numpy_calls() as calls:
+    with counting_calls() as calls:
         criteria = acceptance.run_all(acceptance.DEFAULT_SEED)
     return criteria, calls
 

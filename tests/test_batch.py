@@ -6,8 +6,9 @@ numbers: a value computed over the whole stack where a per-row value was
 meant (a max over the batch, a shared pivot) shows up here. The stacks are
 the seed-42 draws of criteria 3, 6 and 9 plus edge rows: r = 0 (degenerate
 spectrum), r within 1e-6 of +-z (the other branch of ``transverse_frame``)
-and |r| - 1 = +-3 ATOL. One bad row fails the whole stack with the error
-the call on that row's instance raises.
+and |r| - 1 = +-3 ATOL. Boxes are measured at strengths on both sides of
+sqrt(2) and one ulp from it. One bad row fails the whole stack with the
+error the call on that row's instance raises.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from quasilab.bloch import (
     outcome_probability,
     pc_check,
     predictability_circle,
+    random_direction,
     to_operator,
     transverse_frame,
 )
@@ -32,7 +34,17 @@ from quasilab.discrimination import (
     hyperplane_pair,
     overlap,
 )
-from quasilab.nonlocal_box import build_box
+from quasilab.nonlocal_box import (
+    SQRT2,
+    TSIRELSON_SETTINGS,
+    ChshSettings,
+    build_box,
+    chsh_settings_for,
+    chsh_value,
+    joint_distribution,
+    setting_tables,
+    signalling_deviation,
+)
 from quasilab.operators import ATOL, I2, QuasiState, Stacked, hermitian_eigensystem
 
 SEED = acceptance.DEFAULT_SEED
@@ -60,6 +72,30 @@ PC_PSD_ROWS = np.concatenate((_draws("_pc_psd_draws", 2000), EDGE_ROWS))
 PIPELINE_ROWS = np.concatenate((_draws("_pipeline_draws", 400), EDGE_ROWS))
 DISCRIMINATION_DRAWS = _draws("_discrimination_draws", 300)
 
+# CHSH strengths on both branches of chsh_settings_for, and one ulp either
+# side of the branch point sqrt(2)
+STRENGTHS = np.array([1e-3, 1.0, np.nextafter(SQRT2, 0.0), SQRT2, np.nextafter(SQRT2, 2.0), 3.0, 1000.0])
+
+
+def _settings_stack(settings) -> ChshSettings:
+    return ChshSettings(*(np.array([getattr(s, name) for s in settings]) for name in ("a1", "a2", "b1", "b2")))
+
+
+def _chsh_instances():
+    """Boxes and settings, row by row: the box of each strength along a
+    random direction with the settings for that strength, the box of each
+    strength along z with the Tsirelson settings, then boxes of criterion 9
+    with random settings."""
+    rng = np.random.default_rng(SEED)
+    directions = np.array([random_direction(rng) for _ in STRENGTHS])
+    rs = np.concatenate((STRENGTHS[:, None] * directions, STRENGTHS[:, None] * Z, PIPELINE_ROWS[:20]))
+    settings = [chsh_settings_for(r) for r in STRENGTHS] + [TSIRELSON_SETTINGS] * len(STRENGTHS)
+    settings += [ChshSettings(*(random_direction(rng) for _ in range(4))) for _ in range(20)]
+    return build_box(rs), _settings_stack(settings)
+
+
+CHSH_BOXES, CHSH_SETTINGS = _chsh_instances()
+
 
 def _leaves(result) -> tuple:
     """The arrays and numbers a result holds: a Stacked value, a tuple, an
@@ -80,7 +116,7 @@ def assert_rows_match_singles(operation, *stacks):
     """Row k of operation(*stacks) equals operation on the k-th instances
     bit for bit, for every k."""
     stacked = _leaves(operation(*stacks))
-    for k in range(len(stacks[0])):
+    for k in range(len(_leaves(stacks[0])[0])):
         single = _leaves(operation(*(s[k] for s in stacks)))
         assert len(single) == len(stacked), f"row {k}"
         assert all(_same_bits(np.asarray(x)[k], y) for x, y in zip(stacked, single)), f"row {k}"
@@ -144,6 +180,28 @@ class TestStackEqualsSingles:
         assert_rows_match_singles(clone, rs, ys, zs, labels, hidden)
 
 
+class TestChshStackEqualsSingles:
+    def test_chsh_settings_for(self):
+        assert_rows_match_singles(chsh_settings_for, STRENGTHS)
+        assert_rows_match_singles(lambda rs: chsh_settings_for(rs.tolist()), STRENGTHS)
+
+    def test_chsh_value(self):
+        assert_rows_match_singles(chsh_value, CHSH_BOXES, CHSH_SETTINGS)
+
+    def test_joint_distribution(self):
+        # a = a1 of each row, b = b2 of the row before
+        a, b = CHSH_SETTINGS.a1, np.roll(CHSH_SETTINGS.b2, 1, axis=0)
+        assert_rows_match_singles(joint_distribution, CHSH_BOXES, a, b)
+
+    def test_setting_tables_and_signalling(self):
+        assert_rows_match_singles(setting_tables, CHSH_BOXES, CHSH_SETTINGS)
+        assert_rows_match_singles(lambda *a: signalling_deviation(setting_tables(*a)), CHSH_BOXES, CHSH_SETTINGS)
+
+
+def _tables(rs):
+    return setting_tables(build_box(rs), chsh_settings_for(pc_check(rs).norm))
+
+
 @pytest.mark.parametrize(
     "kernel",
     [
@@ -152,8 +210,22 @@ class TestStackEqualsSingles:
         build_box,
         discrimination_povm,
         lambda rs: hyperplane_pair(rs, [], []),
+        lambda rs: chsh_settings_for(pc_check(rs).norm),
+        lambda rs: chsh_value(build_box(rs), chsh_settings_for(pc_check(rs).norm)),
+        _tables,
+        lambda rs: signalling_deviation(_tables(rs)),
     ],
-    ids=["pc_check", "to_operator", "build_box", "discrimination_povm", "hyperplane_pair"],
+    ids=[
+        "pc_check",
+        "to_operator",
+        "build_box",
+        "discrimination_povm",
+        "hyperplane_pair",
+        "chsh_settings_for",
+        "chsh_value",
+        "setting_tables",
+        "signalling_deviation",
+    ],
 )
 def test_empty_stack_gives_empty_results(kernel):
     def leaves(value):
@@ -173,7 +245,9 @@ def test_one_instance_gives_python_numbers():
     assert type(label) is int
     floats = [check.norm, check.mean_square_sum, box.r, box.closed_form_dev, box.unitarity_dev, q_plus, q_minus, dev]
     floats += [outcome_probability(Z, Z, +1), overlap(Z, Z), *detection_probabilities(pair, +1)]
+    floats += [chsh_value(box, TSIRELSON_SETTINGS), signalling_deviation(setting_tables(box, TSIRELSON_SETTINGS))]
     assert all(type(x) is float for x in floats)
+    assert type(joint_distribution(box, Z, Z).valid) is bool
     assert isinstance(out, QuasiState) and out.matrix.shape == (4, 4)
 
 
@@ -274,6 +348,25 @@ class TestOneBadRowFailsTheBatch:
         )
         bad_label = _error(lambda: clone_protocol(pairs, [1, 2, -1], -1))
         assert bad_label == _error(lambda: clone_protocol(pair, 2, -1))
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_non_unit_setting_or_direction(self, position):
+        settings = [chsh_settings_for(r) for r in STRENGTHS]
+        fields = {name: np.array([getattr(s, name) for s in settings]) for name in ("a1", "a2", "b1", "b2")}
+        fields["b1"][position] *= 1.5
+        single = {name: v[position] for name, v in fields.items()}
+        assert _error(lambda: ChshSettings(**fields)) == _error(lambda: ChshSettings(**single))
+        boxes = CHSH_BOXES[np.arange(len(STRENGTHS))]
+        a, b = fields["a1"], fields["b1"]
+        assert _error(lambda: joint_distribution(boxes, a, b)) == _error(
+            lambda: joint_distribution(boxes[position], a[position], b[position])
+        )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_strength(self, bad):
+        rs = STRENGTHS.copy()
+        rs[2] = bad
+        assert _error(lambda: chsh_settings_for(rs)) == _error(lambda: chsh_settings_for(bad))
 
     def test_preparation_inside_the_ball_has_no_circle(self):
         # the one operation whose single call does not raise: it returns None

@@ -13,7 +13,6 @@ from quasilab.bloch import (
     outcome_probability,
     pc_check,
     predictability_circle,
-    projector_for_direction,
     random_bloch_vector,
     random_direction,
     to_operator,
@@ -21,6 +20,7 @@ from quasilab.bloch import (
 )
 from quasilab.discrimination import hyperplane_pair
 from quasilab.highdim import violates_pc
+from quasilab.nonlocal_box import build_box, joint_distribution
 from quasilab.operators import ATOL, I2, SIGMA_X, expectation
 
 X, Y, Z = np.eye(3)
@@ -145,21 +145,26 @@ class TestOperatorDictionary:
 
 
 class TestProjector:
+    """The operator of a unit direction is the projector onto its +1
+    outcome; the joint tables build their outcome projectors this way."""
+
     def test_poles(self):
-        assert np.allclose(projector_for_direction(Z), np.diag([1, 0]))
-        assert np.allclose(projector_for_direction(X), 0.5 * np.ones((2, 2)))
+        assert np.allclose(to_operator(Z).matrix, np.diag([1, 0]))
+        assert np.allclose(to_operator(X).matrix, 0.5 * np.ones((2, 2)))
 
     def test_idempotent_and_complete(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             n = random_direction(rng)
-            p = projector_for_direction(n)
+            p = to_operator(n).matrix
             assert np.max(np.abs(p @ p - p)) <= 1e-12
-            assert np.allclose(p + projector_for_direction(-n), I2, atol=1e-15)
+            assert np.allclose(p + to_operator(-n).matrix, I2, atol=1e-15)
 
     def test_rejects_non_unit(self):
-        with pytest.raises(ValueError, match="unit"):
-            projector_for_direction([0.0, 0.0, 0.5])
+        box = build_box(Z)
+        for a, b in (([0.0, 0.0, 0.5], Z), (Z, [0.0, 0.0, 0.5])):
+            with pytest.raises(ValueError, match="direction must have unit norm, got 0.5"):
+                joint_distribution(box, a, b)
 
 
 class TestRuleEquivalence:
@@ -175,7 +180,7 @@ class TestRuleEquivalence:
             state = to_operator(r)
             for outcome in (+1, -1):
                 p_rule = outcome_probability(r, n, outcome)
-                p_trace = expectation(projector_for_direction(outcome * n), state)
+                p_trace = expectation(to_operator(outcome * n).matrix, state)
                 assert abs(p_rule - p_trace) <= 1e-12
 
 

@@ -199,7 +199,7 @@ class TestChshValue:
         for r in (1.5, 2.0, 2.5, 3.0):
             box = build_box(r * Z)
             assert chsh_value(box, chsh_settings_for(r)) == pytest.approx(4.0, abs=1e-9)
-            assert all(t.valid for t in setting_tables(box, chsh_settings_for(r)).values())
+            assert setting_tables(box, chsh_settings_for(r)).valid.all()
 
     def test_against_tensor_oracle(self):
         rng = np.random.default_rng(6)
@@ -234,10 +234,11 @@ class TestJointDistribution:
 
     def test_maximal_box_tables_are_half_or_zero(self):
         box = build_box(2.0 * Z)
-        for table in setting_tables(box, chsh_settings_for(2.0)).values():
-            assert table.valid
-            for entry in table.table.ravel():
-                assert min(abs(entry), abs(entry - 0.5)) <= 1e-12
+        tables = setting_tables(box, chsh_settings_for(2.0))
+        assert tables.valid.shape == (2, 2) and tables.valid.all()
+        assert tables.table.shape == (2, 2, 2, 2)
+        for entry in tables.table.ravel():
+            assert min(abs(entry), abs(entry - 0.5)) <= 1e-12
 
     def test_against_table_oracle(self):
         rng = np.random.default_rng(8)
@@ -246,12 +247,26 @@ class TestJointDistribution:
             a, b = random_direction(rng), random_direction(rng)
             table = joint_distribution(box, a, b)
             assert np.max(np.abs(table.table - table_oracle(box.r, a, b))) <= 1e-12
-            assert np.allclose(table.marginal_a(), [0.5, 0.5], atol=1e-12)
-            assert np.allclose(table.marginal_b(), [0.5, 0.5], atol=1e-12)
+            assert np.allclose(table.table.sum(-1), [0.5, 0.5], atol=1e-12)  # p(x)
+            assert np.allclose(table.table.sum(-2), [0.5, 0.5], atol=1e-12)  # p(y)
+
+    def test_setting_tables_are_indexed_by_setting_pair(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            box, s = build_box(random_bloch_vector(rng, 0.0, 3.0)), random_settings(rng)
+            tables = setting_tables(box, s)
+            for i, a in enumerate((s.a1, s.a2)):
+                for j, b in enumerate((s.b1, s.b2)):
+                    single = joint_distribution(box, a, b)
+                    assert tables.table[i, j].tobytes() == single.table.tobytes()
+                    assert tables.valid[i, j] == single.valid
 
     def test_table_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
+        with pytest.raises(ValueError, match="sum to 1, got 0.9"):
             JointDistribution(table=np.array([[0.5, 0.0], [0.0, 0.4]]), valid=True)
+        stack = np.array([[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.4]]])
+        with pytest.raises(ValueError, match="sum to 1, got 0.9"):
+            JointDistribution(table=stack, valid=np.ones(2, dtype=bool))
 
 
 class TestNonsignalling:
@@ -267,7 +282,10 @@ class TestNonsignalling:
             assert signalling_deviation(setting_tables(box, random_settings(rng))) <= ATOL
 
     def test_hand_built_signalling_table(self):
-        determined = JointDistribution(table=np.array([[1.0, 0.0], [0.0, 0.0]]), valid=True)
-        flipped = JointDistribution(table=np.array([[0.0, 0.0], [0.0, 1.0]]), valid=True)
-        tables = {(1, 1): determined, (1, 2): flipped, (2, 1): determined, (2, 2): determined}
-        assert signalling_deviation(tables) > ATOL
+        determined = np.array([[1.0, 0.0], [0.0, 0.0]])
+        flipped = np.array([[0.0, 0.0], [0.0, 1.0]])
+        # the pair (a1, b2) flips both outcomes: each party's marginal then
+        # depends on the other party's setting
+        table = np.array([[determined, flipped], [determined, determined]])
+        tables = JointDistribution(table=table, valid=np.ones((2, 2), dtype=bool))
+        assert signalling_deviation(tables) == 1.0

@@ -229,6 +229,17 @@ class TestChshSweep:
             assert float(chsh) == pytest.approx(2 * SQRT2 * float(r), abs=1e-9)
             assert valid == "true"
 
+    def test_calls_do_not_grow_with_steps(self, capsys, count_calls):
+        # the sweep builds and measures the stack of its boxes, on both
+        # sides of sqrt(2)
+        counts = []
+        for steps in ("2", "50"):
+            with count_calls() as calls:
+                code, _, _ = run(capsys, "chsh-sweep", "--r-min", "0.5", "--r-max", "3", "--steps", steps)
+            assert code == 0
+            counts.append((calls["kron"], calls["expectation"]))
+        assert counts[0] == counts[1]
+
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run(capsys, "chsh-sweep", "--r-min", "0", "--r-max", "1", "--steps", "3")
         assert code == 2 and "error:" in err
