@@ -1,10 +1,12 @@
 """Acceptance suite: the nine numbered criteria the package must meet.
 
 Every criterion is a pure function returning its named sub-checks with
-measured deviations and pinned tolerances; ``run_all`` executes them in
-order. Randomized criteria draw from a seeded generator so runs are
-reproducible. They draw instance by instance, in a fixed order, and then
-compute on the stack of all instances with one call of each operation.
+measured deviations and pinned tolerances. ``run_all`` runs them in order
+and is the one place that numbers and names them; ``as_report`` turns what
+it returns into the ``verify-all`` report. Randomized criteria draw from a
+seeded generator so runs are reproducible. They draw instance by instance,
+in a fixed order, and then compute on the stack of all instances with one
+call of each operation.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ DEFAULT_SEED = 42
 
 
 class Criterion:
-    """One numbered acceptance criterion with its sub-checks."""
+    """One numbered acceptance criterion with its sub-checks, as ``run_all``
+    numbers and names it."""
 
     def __init__(self, number: int, name: str, checks: list[CheckResult]):
         self.number = number
@@ -78,24 +81,20 @@ def _axis_vector(r: float) -> np.ndarray:
     return np.array([0.0, 0.0, r])
 
 
-def chsh_law_criterion() -> Criterion:
+def chsh_law_criterion() -> list[CheckResult]:
     """CHSH value follows 2*sqrt(2)*r on the sub-sqrt(2) branch; at r = 1
     this is the quantum maximum."""
     grid = np.array([1.0, 1.1, 1.2, 1.3, 1.4, 1.4142])
     boxes = build_box([_axis_vector(r) for r in grid])
     dev = np.max(np.abs(chsh_value(boxes, chsh_settings_for(grid)) - 2.0 * SQRT2 * grid))
     closed_dev = np.max(boxes.closed_form_dev)
-    return Criterion(
-        1,
-        "chsh-law",
-        [
-            CheckResult.at_most("chsh-equals-2sqrt2-r", dev, LAW_ATOL),
-            CheckResult.at_most("closed-form-match", closed_dev, SPECTRAL_ATOL),
-        ],
-    )
+    return [
+        CheckResult.at_most("chsh-equals-2sqrt2-r", dev, LAW_ATOL),
+        CheckResult.at_most("closed-form-match", closed_dev, SPECTRAL_ATOL),
+    ]
 
 
-def maximal_box_criterion() -> Criterion:
+def maximal_box_criterion() -> list[CheckResult]:
     """Past r = sqrt(2) the tilted settings hold the CHSH value at the
     algebraic maximum 4 with valid, non-signalling joint tables."""
     grid = np.array([1.5, 2.0, 3.0])
@@ -106,16 +105,12 @@ def maximal_box_criterion() -> Criterion:
     prob_excess = max(0.0, np.max(-tables.table), np.max(tables.table - 1.0))
     signalling = np.max(signalling_deviation(tables))
     closed_dev = np.max(boxes.closed_form_dev)
-    return Criterion(
-        2,
-        "maximal-box",
-        [
-            CheckResult.at_most("chsh-equals-4", chsh_dev, LAW_ATOL),
-            CheckResult.at_most("joint-probabilities-valid", prob_excess, ATOL),
-            CheckResult.at_most("nonsignalling", signalling, ATOL),
-            CheckResult.at_most("closed-form-match", closed_dev, SPECTRAL_ATOL),
-        ],
-    )
+    return [
+        CheckResult.at_most("chsh-equals-4", chsh_dev, LAW_ATOL),
+        CheckResult.at_most("joint-probabilities-valid", prob_excess, ATOL),
+        CheckResult.at_most("nonsignalling", signalling, ATOL),
+        CheckResult.at_most("closed-form-match", closed_dev, SPECTRAL_ATOL),
+    ]
 
 
 def _flip_band_vector(rng: np.random.Generator) -> np.ndarray:
@@ -144,19 +139,15 @@ def _pc_psd_draws(rng: np.random.Generator, samples: int) -> np.ndarray:
     )
 
 
-def pc_psd_equivalence_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> Criterion:
+def pc_psd_equivalence_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> list[CheckResult]:
     """Norm bound and operator positivity classify every random vector the
     same way. Every tenth vector lies in the band where both flip."""
     rs = _pc_psd_draws(np.random.default_rng(seed), samples)
     disagreements = np.sum(pc_check(rs).satisfied != to_operator(rs).is_positive())
-    return Criterion(
-        3,
-        "pc-psd-equivalence",
-        [CheckResult.at_most("classification-disagreements", disagreements, 0.0)],
-    )
+    return [CheckResult.at_most("classification-disagreements", disagreements, 0.0)]
 
 
-def predictability_witness_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> Criterion:
+def predictability_witness_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> list[CheckResult]:
     """Every norm > 1 vector yields at least two non-colinear directions
     that are simultaneously certain."""
     rng = np.random.default_rng(seed)
@@ -166,17 +157,13 @@ def predictability_witness_criterion(seed: int = DEFAULT_SEED, samples: int = 10
     prob_dev = np.max(np.abs(probs - 1.0))
     cross = np.cross(points[:, 0], points[:, 2])
     colinear = np.sum(np.sqrt(np.vecdot(cross, cross)) <= ATOL)
-    return Criterion(
-        4,
-        "predictability-witness",
-        [
-            CheckResult.at_most("circle-directions-certain", prob_dev, ATOL),
-            CheckResult.at_most("witness-pairs-non-colinear", colinear, 0.0),
-        ],
-    )
+    return [
+        CheckResult.at_most("circle-directions-certain", prob_dev, ATOL),
+        CheckResult.at_most("witness-pairs-non-colinear", colinear, 0.0),
+    ]
 
 
-def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> Criterion:
+def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> list[CheckResult]:
     """Joint-clonability flag agrees with the trace fixed-point test, with
     exact hyperplane constructions hitting both branches."""
     rng = np.random.default_rng(seed)
@@ -199,15 +186,11 @@ def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> Cr
     members = np.concatenate((pairs.r_plus, pairs.r_minus))
     t = overlap(resources, members)
     exact_dev = max(float(not np.all(clonability_check(resources, members))), np.max(np.abs(t * t - t)))
-    return Criterion(
-        5,
-        "clonability-fixed-point",
-        [
-            CheckResult.at_most("agreement-disagreements", disagreements, 0.0),
-            CheckResult.above("generic-pairs-margin", margin, LAW_ATOL),
-            CheckResult.at_most("hyperplane-instances-exact", exact_dev, LAW_ATOL),
-        ],
-    )
+    return [
+        CheckResult.at_most("agreement-disagreements", disagreements, 0.0),
+        CheckResult.above("generic-pairs-margin", margin, LAW_ATOL),
+        CheckResult.at_most("hyperplane-instances-exact", exact_dev, LAW_ATOL),
+    ]
 
 
 def _random_admissible_instance(rng: np.random.Generator):
@@ -225,7 +208,7 @@ def _discrimination_draws(rng: np.random.Generator, samples: int) -> tuple[np.nd
     return rows[:, :3], rows[:, 3], rows[:, 4]
 
 
-def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> Criterion:
+def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> list[CheckResult]:
     """Hyperplane states are identified with certainty despite strictly
     positive overlap, and the clone output is the exact doubled state."""
     pairs = hyperplane_pair(*_discrimination_draws(np.random.default_rng(seed), samples))
@@ -237,15 +220,11 @@ def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> C
         q_hit, q_miss = (q_plus, q_minus) if which == +1 else (q_minus, q_plus)
         det_dev = max(det_dev, np.max(np.abs(q_hit - 1.0)), np.max(np.abs(q_miss)))
         clone_dev = max(clone_dev, np.max(clone_protocol(pairs, labels, which)[1]))
-    return Criterion(
-        6,
-        "perfect-discrimination",
-        [
-            CheckResult.at_most("deterministic-detection", det_dev, SPECTRAL_ATOL),
-            CheckResult.above("overlap-strictly-positive", min_overlap, 0.0),
-            CheckResult.at_most("clone-output-exact", clone_dev, ATOL),
-        ],
-    )
+    return [
+        CheckResult.at_most("deterministic-detection", det_dev, SPECTRAL_ATOL),
+        CheckResult.above("overlap-strictly-positive", min_overlap, 0.0),
+        CheckResult.at_most("clone-output-exact", clone_dev, ATOL),
+    ]
 
 
 def _random_tail(rng: np.random.Generator, dim: int, epsilon: float) -> np.ndarray:
@@ -259,7 +238,7 @@ def _random_tail(rng: np.random.Generator, dim: int, epsilon: float) -> np.ndarr
             return tail
 
 
-def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> Criterion:
+def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Probe pinning and doubled-projector detection across the full
     (dimension, epsilon, spectrum, phases) grid."""
     rng = np.random.default_rng(seed)
@@ -283,16 +262,12 @@ def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> Criterion:
     weight_dev = abs(mags[0] - 5.0 / 7.0)
     mags = probe_magnitudes(3, 0.5, NULL)
     weight_dev = max(weight_dev, abs(mags[0] - 1.0 / 7.0))
-    return Criterion(
-        7,
-        "highdim-grid",
-        [
-            CheckResult.at_most("probe-pinning", pin_dev, ATOL),
-            CheckResult.at_most("doubled-projector-detection", det_dev, SPECTRAL_ATOL),
-            CheckResult.at_most("projector-oracle", oracle_dev, SPECTRAL_ATOL),
-            CheckResult.at_most("closed-form-weights-exact", weight_dev, 0.0),
-        ],
-    )
+    return [
+        CheckResult.at_most("probe-pinning", pin_dev, ATOL),
+        CheckResult.at_most("doubled-projector-detection", det_dev, SPECTRAL_ATOL),
+        CheckResult.at_most("projector-oracle", oracle_dev, SPECTRAL_ATOL),
+        CheckResult.at_most("closed-form-weights-exact", weight_dev, 0.0),
+    ]
 
 
 def matched_qubit_instance(epsilon: float):
@@ -305,7 +280,7 @@ def matched_qubit_instance(epsilon: float):
     return r, hyperplane_pair(r, y, 0.0)
 
 
-def cross_consistency_criterion(seed: int = DEFAULT_SEED) -> Criterion:
+def cross_consistency_criterion(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """dim-2 doubled-projector discrimination matches the qubit machinery
     instance by instance, and the three-level diagonal example stays on
     the satisfying side of the bound."""
@@ -332,15 +307,11 @@ def cross_consistency_criterion(seed: int = DEFAULT_SEED) -> Criterion:
     kets = rng.normal(size=(100_000, 3)) + 1j * rng.normal(size=(100_000, 3))
     kets /= np.linalg.norm(kets, axis=1, keepdims=True)
     max_form = float(np.max(np.einsum("ki,ij,kj->k", kets.conj(), three_level, kets).real))
-    return Criterion(
-        8,
-        "cross-consistency",
-        [
-            CheckResult.at_most("qubit-highdim-match", dev, SPECTRAL_ATOL),
-            CheckResult.at_most("three-level-not-classified-violating", float(violates_pc(three_level)), 0.0),
-            CheckResult.at_most("three-level-example-satisfies", max_form, 1.0 - LAW_ATOL),
-        ],
-    )
+    return [
+        CheckResult.at_most("qubit-highdim-match", dev, SPECTRAL_ATOL),
+        CheckResult.at_most("three-level-not-classified-violating", float(violates_pc(three_level)), 0.0),
+        CheckResult.at_most("three-level-example-satisfies", max_form, 1.0 - LAW_ATOL),
+    ]
 
 
 def _pipeline_draws(rng: np.random.Generator, samples: int) -> np.ndarray:
@@ -350,34 +321,33 @@ def _pipeline_draws(rng: np.random.Generator, samples: int) -> np.ndarray:
     )
 
 
-def pipeline_oracle_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> Criterion:
+def pipeline_oracle_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> list[CheckResult]:
     """The unitary pipeline reproduces the closed-form box for random
     resources, with genuinely unitary gates."""
     boxes = build_box(_pipeline_draws(np.random.default_rng(seed), samples))
     box_dev = np.max(boxes.closed_form_dev)
     unitary_dev = np.max(boxes.unitarity_dev)
-    return Criterion(
-        9,
-        "pipeline-oracle",
-        [
-            CheckResult.at_most("pipeline-matches-closed-form", box_dev, SPECTRAL_ATOL),
-            CheckResult.at_most("pipeline-unitarity", unitary_dev, ATOL),
-        ],
-    )
+    return [
+        CheckResult.at_most("pipeline-matches-closed-form", box_dev, SPECTRAL_ATOL),
+        CheckResult.at_most("pipeline-unitarity", unitary_dev, ATOL),
+    ]
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[Criterion]:
-    return [
-        chsh_law_criterion(),
-        maximal_box_criterion(),
-        pc_psd_equivalence_criterion(seed),
-        predictability_witness_criterion(seed),
-        clonability_criterion(seed),
-        discrimination_criterion(seed),
-        highdim_grid_criterion(seed),
-        cross_consistency_criterion(seed),
-        pipeline_oracle_criterion(seed),
-    ]
+    """The nine criteria in run order: this table names each one, and its
+    place in the table is its number."""
+    named = (
+        ("chsh-law", chsh_law_criterion()),
+        ("maximal-box", maximal_box_criterion()),
+        ("pc-psd-equivalence", pc_psd_equivalence_criterion(seed)),
+        ("predictability-witness", predictability_witness_criterion(seed)),
+        ("clonability-fixed-point", clonability_criterion(seed)),
+        ("perfect-discrimination", discrimination_criterion(seed)),
+        ("highdim-grid", highdim_grid_criterion(seed)),
+        ("cross-consistency", cross_consistency_criterion(seed)),
+        ("pipeline-oracle", pipeline_oracle_criterion(seed)),
+    )
+    return [Criterion(number, name, checks) for number, (name, checks) in enumerate(named, start=1)]
 
 
 def as_report(criteria: list[Criterion], seed: int, duration_ms: float = 0.0) -> RunReport:

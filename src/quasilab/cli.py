@@ -1,6 +1,10 @@
 """Command-line front end: run the constructions, sweeps, and the
 verification suite; emit machine-readable reports.
 
+Each handler returns its outputs and checks. ``main`` alone assembles the
+report: the subcommand's name, its parsed flags as the echoed inputs, and
+the time of one timer around the handler.
+
 Exit codes: 0 when all checks of a run pass, 1 when some check fails
 (failing names go to stderr), 2 for unusable flags or inputs.
 """
@@ -82,7 +86,7 @@ def _count(text: str) -> int:
     return n
 
 
-def _run_pc_check(args) -> RunReport:
+def _run_pc_check(args):
     result = pc_check(args.r)
     state = to_operator(args.r)
     outputs = {
@@ -94,12 +98,7 @@ def _run_pc_check(args) -> RunReport:
     if circle is not None:
         outputs["certain_circle_center"] = circle.center
         outputs["certain_circle_radius"] = circle.radius
-    return RunReport(
-        command="pc-check",
-        inputs={"r": args.r},
-        outputs=outputs,
-        checks=[CheckResult.at_most("complementarity", result.norm - 1.0, ATOL)],
-    )
+    return outputs, [CheckResult.at_most("complementarity", result.norm - 1.0, ATOL)]
 
 
 def _resolve_settings(choice: str, norm: float):
@@ -108,7 +107,7 @@ def _resolve_settings(choice: str, norm: float):
     return chsh_settings_for(norm)
 
 
-def _run_box(args) -> RunReport:
+def _run_box(args):
     norm = float(np.linalg.norm(args.r))
     if norm > MAX_BOX_NORM:
         raise ValueError(f"|r| must be at most {MAX_BOX_NORM:g}, got {norm:.6g}")
@@ -135,20 +134,15 @@ def _run_box(args) -> RunReport:
     for i, j in np.ndindex(2, 2):
         outputs[f"p_a{i + 1}_b{j + 1}"] = tables.table[i, j].ravel()
         outputs[f"valid_a{i + 1}_b{j + 1}"] = tables.valid[i, j]
-    return RunReport(
-        command="box",
-        inputs={"r": args.r, "settings": args.settings},
-        outputs=outputs,
-        checks=[
-            CheckResult.at_most("chsh-law", abs(value - expected), LAW_ATOL),
-            CheckResult.at_most("closed-form-match", box.closed_form_dev, SPECTRAL_ATOL),
-            CheckResult.at_most("pipeline-unitarity", box.unitarity_dev, ATOL),
-            CheckResult.at_most("nonsignalling", signalling, ATOL),
-        ],
-    )
+    return outputs, [
+        CheckResult.at_most("chsh-law", abs(value - expected), LAW_ATOL),
+        CheckResult.at_most("closed-form-match", box.closed_form_dev, SPECTRAL_ATOL),
+        CheckResult.at_most("pipeline-unitarity", box.unitarity_dev, ATOL),
+        CheckResult.at_most("nonsignalling", signalling, ATOL),
+    ]
 
 
-def _run_chsh_sweep(args) -> RunReport:
+def _run_chsh_sweep(args):
     if args.r_min <= 0 or args.r_max < args.r_min:
         raise ValueError("sweep needs 0 < r-min <= r-max")
     if args.r_max > MAX_BOX_NORM:
@@ -157,15 +151,11 @@ def _run_chsh_sweep(args) -> RunReport:
     boxes = build_box(np.stack((np.zeros_like(grid), np.zeros_like(grid), grid), axis=1))
     settings = chsh_settings_for(grid)
     valid = setting_tables(boxes, settings).valid.all(axis=(1, 2))
-    return RunReport(
-        command="chsh-sweep",
-        inputs={"r_min": args.r_min, "r_max": args.r_max, "steps": args.steps},
-        outputs={"r": grid, "chsh": chsh_value(boxes, settings), "valid": valid},
-        checks=[CheckResult.at_most("closed-form-match", np.max(boxes.closed_form_dev), SPECTRAL_ATOL)],
-    )
+    outputs = {"r": grid, "chsh": chsh_value(boxes, settings), "valid": valid}
+    return outputs, [CheckResult.at_most("closed-form-match", np.max(boxes.closed_form_dev), SPECTRAL_ATOL)]
 
 
-def _run_discriminate(args) -> RunReport:
+def _run_discriminate(args):
     pair = hyperplane_pair(args.r, args.y, args.z)
     label_plus, q_plus, miss_plus = discriminate(pair, +1)
     label_minus, miss_minus, q_minus = discriminate(pair, -1)
@@ -176,28 +166,24 @@ def _run_discriminate(args) -> RunReport:
     hidden = rng.choice([+1, -1], size=args.trials)
     correct = sum(identified[int(w)] == w for w in hidden)
 
-    return RunReport(
-        command="discriminate",
-        inputs={"r": args.r, "y": args.y, "z": args.z, "trials": args.trials, "seed": args.seed},
-        outputs={
-            "r_plus": pair.r_plus,
-            "r_minus": pair.r_minus,
-            "overlap": overlap(pair.r_plus, pair.r_minus),
-            "q_plus_given_plus": q_plus,
-            "q_minus_given_plus": miss_plus,
-            "q_minus_given_minus": q_minus,
-            "q_plus_given_minus": miss_minus,
-            "trials": args.trials,
-            "correct": int(correct),
-        },
-        checks=[
-            CheckResult.at_most("deterministic-detection", det_dev, SPECTRAL_ATOL),
-            CheckResult.at_most("all-trials-correct", args.trials - correct, 0.0),
-        ],
-    )
+    outputs = {
+        "r_plus": pair.r_plus,
+        "r_minus": pair.r_minus,
+        "overlap": overlap(pair.r_plus, pair.r_minus),
+        "q_plus_given_plus": q_plus,
+        "q_minus_given_plus": miss_plus,
+        "q_minus_given_minus": q_minus,
+        "q_plus_given_minus": miss_minus,
+        "trials": args.trials,
+        "correct": int(correct),
+    }
+    return outputs, [
+        CheckResult.at_most("deterministic-detection", det_dev, SPECTRAL_ATOL),
+        CheckResult.at_most("all-trials-correct", args.trials - correct, 0.0),
+    ]
 
 
-def _run_clone_demo(args) -> RunReport:
+def _run_clone_demo(args):
     pair = hyperplane_pair(args.r, args.y, args.z)
     outputs = {"r_plus": pair.r_plus, "r_minus": pair.r_minus, "overlap": overlap(pair.r_plus, pair.r_minus)}
     clone_dev = 0.0
@@ -215,24 +201,19 @@ def _run_clone_demo(args) -> RunReport:
         outputs[f"label_{name}"] = label
         outputs[f"fidelity_{name}"] = fidelity
         outputs[f"purity_squared_{name}"] = purity_sq
-    return RunReport(
-        command="clone-demo",
-        inputs={"r": args.r, "y": args.y, "z": args.z},
-        outputs=outputs,
-        checks=[
-            CheckResult.at_most("clone-output-exact", clone_dev, ATOL),
-            CheckResult.at_most("fidelity-matches-purity-squared", fidelity_dev, ATOL),
-        ],
-    )
+    return outputs, [
+        CheckResult.at_most("clone-output-exact", clone_dev, ATOL),
+        CheckResult.at_most("fidelity-matches-purity-squared", fidelity_dev, ATOL),
+    ]
 
 
-def _run_highdim(args) -> RunReport:
+def _run_highdim(args):
     if args.d > MAX_HIGHDIM_DIM:
         raise ValueError(f"dimension must be at most {MAX_HIGHDIM_DIM}, got {args.d}")
     if not np.isfinite(args.epsilon) or args.epsilon > MAX_HIGHDIM_EPSILON:
         raise ValueError(f"epsilon must be finite and at most {MAX_HIGHDIM_EPSILON:g}, got {args.epsilon:.6g}")
-    lambdas = np.array(args.lambdas) if args.lambdas else None
-    vs = build_violating_state(args.d, args.epsilon, lambdas=lambdas)
+    args.lambdas = args.lambdas or "uniform"  # --lambdas absent or given no values
+    vs = build_violating_state(args.d, args.epsilon, lambdas=None if args.lambdas == "uniform" else args.lambdas)
     rng = np.random.default_rng(args.seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=args.d) if args.phases == "random" else None
     certain = build_probe_state(vs, CERTAIN, phases=phases)
@@ -244,32 +225,22 @@ def _run_highdim(args) -> RunReport:
 
     _, oracle_dev = entangled_projector(vs)
     pin_dev = max(certain.pinning_dev, null.pinning_dev)
-    return RunReport(
-        command="highdim",
-        inputs={
-            "d": args.d,
-            "epsilon": args.epsilon,
-            "lambdas": list(args.lambdas) if args.lambdas else "uniform",
-            "phases": args.phases,
-            "seed": args.seed,
-        },
-        outputs={
-            "spectrum": vs.spectrum,
-            "leading_weight_certain": certain.magnitudes_sq[0],
-            "leading_weight_null": null.magnitudes_sq[0],
-            "probe_overlap": float(np.abs(certain.vector.conj() @ null.vector)),
-            "q1_certain": q1_certain,
-            "q1_null": q1_null,
-        },
-        checks=[
-            CheckResult.at_most("probe-pinning", pin_dev, ATOL),
-            CheckResult.at_most("doubled-projector-detection", det_dev, SPECTRAL_ATOL),
-            CheckResult.at_most("projector-oracle", oracle_dev, SPECTRAL_ATOL),
-        ],
-    )
+    outputs = {
+        "spectrum": vs.spectrum,
+        "leading_weight_certain": certain.magnitudes_sq[0],
+        "leading_weight_null": null.magnitudes_sq[0],
+        "probe_overlap": float(np.abs(certain.vector.conj() @ null.vector)),
+        "q1_certain": q1_certain,
+        "q1_null": q1_null,
+    }
+    return outputs, [
+        CheckResult.at_most("probe-pinning", pin_dev, ATOL),
+        CheckResult.at_most("doubled-projector-detection", det_dev, SPECTRAL_ATOL),
+        CheckResult.at_most("projector-oracle", oracle_dev, SPECTRAL_ATOL),
+    ]
 
 
-def _run_planes(args) -> RunReport:
+def _run_planes(args):
     check = pc_check(args.r)
     if check.satisfied:
         raise ValueError(f"the certainty planes cross the ball only for norm > 1 + {ATOL:g}, got {check.norm:.15g}")
@@ -277,26 +248,27 @@ def _run_planes(args) -> RunReport:
     mirror = replace(circle, center=-circle.center)  # r.x = -1 plane: same frame, opposite centre
     points = np.concatenate((circle.sample(args.points), mirror.sample(args.points)))
     thetas = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
-    return RunReport(
-        command="planes",
-        inputs={"r": args.r, "points": args.points},
-        outputs={
-            "plane": [+1] * args.points + [-1] * args.points,
-            "theta": [float(t) for t in thetas] * 2,
-            "x": [float(v) for v in points[:, 0]],
-            "y": [float(v) for v in points[:, 1]],
-            "z": [float(v) for v in points[:, 2]],
-        },
-    )
+    plane = [+1] * args.points + [-1] * args.points
+    # unit and on r_hat.p = +-1/|r|: on this scale rounding stays near 1e-16
+    # at any |r|, where r.p = +-1 drifts by |r| times that
+    off_sphere = np.abs(np.linalg.norm(points, axis=1) - 1.0)
+    off_plane = np.abs(points @ circle.plane_normal - np.array(plane) / check.norm)
+    outputs = {
+        "plane": plane,
+        "theta": [float(t) for t in thetas] * 2,
+        "x": [float(v) for v in points[:, 0]],
+        "y": [float(v) for v in points[:, 1]],
+        "z": [float(v) for v in points[:, 2]],
+    }
+    return outputs, [CheckResult.at_most("points-on-certainty-planes", np.max([off_sphere, off_plane]), ATOL)]
 
 
-def _run_verify_all(args) -> RunReport:
-    start = time.perf_counter()
+def _run_verify_all(args):
     criteria = acceptance.run_all(seed=args.seed)
-    duration = (time.perf_counter() - start) * 1000.0
     for criterion in criteria:
         print(criterion.line(), file=sys.stderr)
-    return acceptance.as_report(criteria, seed=args.seed, duration_ms=duration)
+    report = acceptance.as_report(criteria, seed=args.seed)
+    return report.outputs, report.checks
 
 
 @functools.cache
@@ -363,12 +335,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        report = args.func(args)
+        outputs, checks = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if report.duration_ms == 0.0:
-        report.duration_ms = (time.perf_counter() - start) * 1000.0
+    duration_ms = (time.perf_counter() - start) * 1000.0
+    # the handler may have normalised a flag, so the echo is read after it ran
+    inputs = {key: value for key, value in vars(args).items() if key not in ("command", "func", "format")}
+    report = RunReport(args.command, inputs, outputs, checks, duration_ms)
     sys.stdout.write(emit_report(report, args.format))
     if not report.all_passed:
         print("failed checks: " + ", ".join(report.failing()), file=sys.stderr)

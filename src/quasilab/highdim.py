@@ -107,8 +107,8 @@ def probe_magnitudes(dim: int, epsilon: float, target: int) -> np.ndarray:
     """
     if dim < 2:
         raise ValueError("dimension must be at least 2")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if target == CERTAIN:
         a0 = (epsilon + dim - 1) / (dim * epsilon + dim - 1)
     elif target == NULL:
@@ -141,8 +141,8 @@ def build_probe_state(vs: ViolatingState, target: int, phases=None) -> ProbeStat
         phases = np.zeros(vs.dim)
     else:
         phases = np.asarray(phases, dtype=float)
-        if phases.shape != (vs.dim,):
-            raise ValueError(f"need {vs.dim} phases, got {phases.shape}")
+        if not (phases.shape == (vs.dim,) and np.isfinite(phases).all()):
+            raise ValueError(f"need {vs.dim} finite phases, got {phases.tolist()}")
     amps = np.sqrt(mags) * np.exp(1j * phases)
     vector = vs.basis @ amps
     dev = abs(float(np.real(vector.conj() @ vs.state.matrix @ vector)) - target)

@@ -147,7 +147,7 @@ class ChshSettings(Stacked):
         for name in ("a1", "a2", "b1", "b2"):
             v = np.asarray(getattr(self, name), dtype=float)
             shape_ok = v.shape == np.shape(self.a1) and v.ndim in (1, 2) and v.shape[-1] == 3
-            if not shape_ok or (np.abs(np.sqrt(np.vecdot(v, v)) - 1.0) > ATOL).any():
+            if not (shape_ok and (np.abs(np.sqrt(np.vecdot(v, v)) - 1.0) <= ATOL).all()):
                 raise ValueError(f"setting {name} must be a unit 3-vector, or a stack of them shaped as a1")
             object.__setattr__(self, name, v)
 
@@ -187,8 +187,8 @@ def chsh_settings_for(r) -> ChshSettings:
     N settings, each row on its own branch.
     """
     shaped, rs = as_stack(0, np.asarray(r, dtype=float))
-    if (rs <= 0).any():
-        raise ValueError("settings are defined for r > 0")
+    if not (np.isfinite(rs) & (rs > 0)).all():
+        raise ValueError("settings are defined for finite r > 0")
     diagonal = (rs <= SQRT2)[:, None]
     # the rows on the diagonal branch have no tilt; 0 stands in for it
     tilt = np.sqrt(np.maximum(rs * rs - 2.0, 0.0)) / rs
@@ -227,7 +227,7 @@ class JointDistribution(Stacked):
         if t.shape[-2:] != (2, 2):
             raise ValueError("joint table must be 2x2")
         sums = np.reshape(t.sum(axis=(-2, -1)), -1)
-        off = np.abs(sums - 1.0) > ATOL
+        off = ~(np.abs(sums - 1.0) <= ATOL)
         if off.any():
             raise ValueError(f"joint table must sum to 1, got {sums[np.argmax(off)]:.15g}")
         t.setflags(write=False)

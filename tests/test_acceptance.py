@@ -10,7 +10,11 @@ from quasilab.reporting import CheckResult
 
 def _check(criterion):
     print(criterion.line())
-    for sub in criterion.checks:
+    _check_all(criterion.checks)
+
+
+def _check_all(checks):
+    for sub in checks:
         assert sub.passed, sub.line()
 
 
@@ -71,14 +75,14 @@ def test_criterion_9_pipeline_oracle(verify_all_criteria):
 
 @pytest.mark.parametrize("seed", [7, 123])
 def test_randomized_criteria_hold_for_other_seeds(seed):
-    for criterion in (
+    for checks in (
         acceptance.pc_psd_equivalence_criterion(seed, samples=2000),
         acceptance.predictability_witness_criterion(seed, samples=200),
         acceptance.clonability_criterion(seed, samples=2000),
         acceptance.discrimination_criterion(seed, samples=200),
         acceptance.pipeline_oracle_criterion(seed, samples=200),
     ):
-        _check(criterion)
+        _check_all(checks)
 
 
 # Ceilings on the calls of one run_all(DEFAULT_SEED) to numpy's
@@ -136,18 +140,18 @@ def test_criterion_3_samples_the_flip_band(monkeypatch, psd_atol):
     # the norm verdict at 1 + ATOL: only vectors within a few ATOL of |r| = 1
     # show it
     monkeypatch.setattr(operators, "PSD_ATOL", psd_atol)
-    criterion = acceptance.pc_psd_equivalence_criterion(samples=1000)
-    assert [c.name for c in criterion.checks if not c.passed] == ["classification-disagreements"]
+    checks = acceptance.pc_psd_equivalence_criterion(samples=1000)
+    assert [c.name for c in checks if not c.passed] == ["classification-disagreements"]
 
 
 def test_invariant_failure_is_a_failed_check(monkeypatch):
     # a pipeline that misses its closed form fails criterion 1 instead of raising
     closed_form_box = nonlocal_box.closed_form_box
     monkeypatch.setattr(nonlocal_box, "closed_form_box", lambda r: closed_form_box(r) + 1.0)
-    criterion = acceptance.chsh_law_criterion()
-    assert [c.name for c in criterion.checks if not c.passed] == ["closed-form-match"]
+    checks = acceptance.chsh_law_criterion()
+    assert [c.name for c in checks if not c.passed] == ["closed-form-match"]
 
 
 def test_criterion_9_reads_the_gates_unitarity(non_unitary_gates):
-    criterion = acceptance.pipeline_oracle_criterion(samples=8)
-    assert [c.name for c in criterion.checks if not c.passed] == ["pipeline-unitarity"]
+    checks = acceptance.pipeline_oracle_criterion(samples=8)
+    assert [c.name for c in checks if not c.passed] == ["pipeline-unitarity"]

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -8,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasilab import acceptance, cli, discrimination, highdim, nonlocal_box
-from quasilab.cli import build_parser, main
+from quasilab import acceptance, bloch, cli, discrimination, highdim, nonlocal_box
+from quasilab.cli import main
 from quasilab.operators import ATOL, LAW_ATOL, SPECTRAL_ATOL
-from quasilab.reporting import emit_report
 
 SQRT2 = np.sqrt(2.0)
 
@@ -346,6 +346,14 @@ class TestHighdim:
         assert code == 2
         assert "tail spectrum must be finite" in err and "Hermitian" not in err
 
+    @pytest.mark.parametrize("lambdas", [[], ["--lambdas"]], ids=["absent", "no-values"])
+    def test_uniform_tail_without_lambdas(self, capsys, lambdas):
+        code, out, _ = run(capsys, "highdim", "--d", "4", "--epsilon", "0.6", *lambdas, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["inputs"]["lambdas"] == "uniform"
+        assert payload["outputs"]["spectrum"] == pytest.approx([1.6, -0.2, -0.2, -0.2], abs=1e-15)
+
     def test_random_phases_and_custom_tail(self, capsys):
         code, out, _ = run(
             capsys, "highdim", "--d", "3", "--epsilon", "0.5",
@@ -379,6 +387,32 @@ class TestPlanes:
             assert np.linalg.norm(point) == pytest.approx(1.0, abs=1e-11)
             assert float(r @ point) == pytest.approx(plane, abs=1e-11)
 
+
+    @pytest.mark.parametrize("direction", [(0.3, -1.1, 1.7), (1e-7, 0.0, 1.0), (-2.0, 0.5, -0.1)])
+    @pytest.mark.parametrize("norm", [1.0 + 1e-9, 1.05, 3.0, 1e3, 1e6])
+    def test_points_on_certainty_planes(self, capsys, norm, direction):
+        # judged on r_hat.p = +-1/|r|, which rounding keeps near 1e-16 at
+        # every norm, where r.p = +-1 drifts by |r| times that
+        r = norm * np.array(direction) / np.linalg.norm(direction)
+        flag = "--r=" + ",".join(repr(float(c)) for c in r)
+        code, out, _ = run(capsys, "planes", flag, "--points", "32", "--format", "json")
+        assert code == 0
+        (check,) = json.loads(out)["checks"]
+        assert check["name"] == "points-on-certainty-planes"
+        assert check["passed"] and check["tolerance"] == ATOL
+
+    def test_non_orthogonal_frame_fails(self, capsys, monkeypatch):
+        frame = bloch.transverse_frame
+
+        def skewed(r_hat):
+            m, n = frame(r_hat)
+            return m, (m + n) / np.sqrt(2.0)  # unit and transverse, but not orthogonal to m
+
+        monkeypatch.setattr(bloch, "transverse_frame", skewed)
+        code, out, err = run(capsys, "planes", "--r", "0.3,-1.1,1.7", "--points", "16")
+        assert code == 1
+        assert out.splitlines()[0] == "plane,theta,x,y,z"
+        assert "failed checks: points-on-certainty-planes" in err
 
     def test_circles_near_the_z_axis(self, capsys):
         code, out, _ = run(capsys, "planes", "--r", "1e-7,0,2", "--points", "16", "--format", "json")
@@ -416,24 +450,22 @@ class TestDeterminism:
         assert [code for code, _, _ in together] == [1, 0, 0, 0]
         assert cli.build_parser.cache_info().misses == 1
 
-    def test_identical_inputs_identical_reports(self):
-        parser = build_parser()
+    @staticmethod
+    def emissions(capsys, *argv) -> list[str]:
+        """The JSON report of two runs of one request, with the one
+        nondeterministic field, the timing, blanked."""
         emissions = []
         for _ in range(2):
-            args = parser.parse_args(["box", "--r", "0.2,-0.4,1.9", "--format", "json"])
-            report = args.func(args)
-            report.duration_ms = 0.0  # timing is the one nondeterministic field
-            emissions.append(emit_report(report, "json"))
+            _, out, _ = run(capsys, *argv, "--format", "json")
+            emissions.append(re.sub(r'"duration_ms": [^,\n]+', '"duration_ms": 0', out))
+        return emissions
+
+    def test_identical_inputs_identical_reports(self, capsys):
+        emissions = self.emissions(capsys, "box", "--r", "0.2,-0.4,1.9")
         assert emissions[0] == emissions[1]
 
-    def test_seeded_commands_are_reproducible(self):
-        parser = build_parser()
-        emissions = []
-        for _ in range(2):
-            args = parser.parse_args(["highdim", "--d", "4", "--epsilon", "1.0", "--phases", "random"])
-            report = args.func(args)
-            report.duration_ms = 0.0
-            emissions.append(emit_report(report, "json"))
+    def test_seeded_commands_are_reproducible(self, capsys):
+        emissions = self.emissions(capsys, "highdim", "--d", "4", "--epsilon", "1.0", "--phases", "random")
         assert emissions[0] == emissions[1]
 
 

@@ -1,13 +1,20 @@
 """One verification mechanism: constructions return what they measured and
 only reports judge it, so no module of the package asserts or raises
-AssertionError, and every verdict is built by one of the two verdict rules
-(``CheckResult.at_most``, ``CheckResult.above``). One name per operation:
-no public function is a ``*_batch`` twin or a wrapper of a stack of one."""
+AssertionError, every verdict is built by one of the two verdict rules
+(``CheckResult.at_most``, ``CheckResult.above``), and every validator is
+written as its passing comparison, so NaN and infinities fail it. One
+assembler per report: only ``cli.main`` and ``acceptance.as_report`` build
+a ``RunReport``, and only ``acceptance.run_all`` numbers and names the
+criteria. One name per operation: no public function is a ``*_batch``
+twin or a wrapper of a stack of one."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from quasilab import highdim, nonlocal_box
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "quasilab").glob("*.py"))
 
@@ -29,13 +36,11 @@ def test_no_assert_or_assertion_error(path):
     assert offending == [], f"{path.name} asserts or raises AssertionError at lines {offending}"
 
 
-def _is_check_result_call(node: ast.AST) -> bool:
+def _is_call_of(node: ast.AST, name: str) -> bool:
     if not isinstance(node, ast.Call):
         return False
     func = node.func
-    return (isinstance(func, ast.Name) and func.id == "CheckResult") or (
-        isinstance(func, ast.Attribute) and func.attr == "CheckResult"
-    )
+    return (isinstance(func, ast.Name) and func.id == name) or (isinstance(func, ast.Attribute) and func.attr == name)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -48,8 +53,60 @@ def test_no_hand_built_verdicts(path):
         if isinstance(fn, ast.FunctionDef) and path.name == "reporting.py" and fn.name == "parse_report"
         for node in ast.walk(fn)
     }
-    offending = [node.lineno for node in ast.walk(tree) if _is_check_result_call(node) and id(node) not in exempt]
+    offending = [node.lineno for node in ast.walk(tree) if _is_call_of(node, "CheckResult") and id(node) not in exempt]
     assert offending == [], f"{path.name} calls CheckResult(...) directly at lines {offending}"
+
+
+# (module, top-level function) where each report frame may be built; None
+# stands for anywhere in the module. The CLI handlers and the criteria
+# return their checks, and these few places number, name, echo and time them.
+ASSEMBLERS = {
+    "RunReport": {("cli.py", "main"), ("acceptance.py", "as_report"), ("reporting.py", None)},
+    "Criterion": {("acceptance.py", "run_all")},
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("frame", sorted(ASSEMBLERS))
+def test_reports_are_assembled_in_one_place(path, frame):
+    allowed = ASSEMBLERS[frame]
+    offending = [
+        node.lineno
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if (path.name, None) not in allowed and (path.name, getattr(top, "name", None)) not in allowed
+        for node in ast.walk(top)
+        if _is_call_of(node, frame)
+    ]
+    assert offending == [], f"{path.name} builds {frame}(...) at lines {offending}"
+
+
+NAN3 = np.array([np.nan, 0.0, 0.0])
+
+# Each builds a value from a NaN or infinite input, which its validator must
+# reject rather than pass on.
+NON_FINITE_INPUTS = {
+    "chsh_settings_for-nan": lambda: nonlocal_box.chsh_settings_for(np.nan),
+    "chsh_settings_for-inf": lambda: nonlocal_box.chsh_settings_for(np.inf),
+    "chsh_settings-nan": lambda: nonlocal_box.ChshSettings(NAN3, NAN3, NAN3, NAN3),
+    "joint_distribution-nan": lambda: nonlocal_box.JointDistribution(np.full((2, 2), np.nan), np.True_),
+    "joint_distribution-inf": lambda: nonlocal_box.JointDistribution(
+        np.array([[np.inf, -np.inf], [1.0, 0.0]]), np.True_
+    ),
+    "probe_magnitudes-nan": lambda: highdim.probe_magnitudes(3, np.nan, highdim.CERTAIN),
+    "probe_magnitudes-inf": lambda: highdim.probe_magnitudes(3, np.inf, highdim.CERTAIN),
+    "probe_phases-nan": lambda: highdim.build_probe_state(
+        highdim.build_violating_state(3, 0.5), highdim.CERTAIN, phases=[np.nan, 0.0, 0.0]
+    ),
+    "probe_phases-inf": lambda: highdim.build_probe_state(
+        highdim.build_violating_state(3, 0.5), highdim.NULL, phases=[0.0, -np.inf, 0.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
+def test_non_finite_input_is_rejected(build):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        build()
 
 
 def _public_functions(tree: ast.Module) -> list[ast.FunctionDef]:
