@@ -4,13 +4,18 @@ Every criterion is a pure function returning its named sub-checks with
 measured deviations and pinned tolerances. ``run_all`` runs them in order
 and is the one place that numbers and names them; ``as_report`` turns what
 it returns into the ``verify-all`` report. Randomized criteria draw from a
-seeded generator so runs are reproducible. They draw instance by instance,
-in a fixed order, and then compute on the stack of all instances with one
-call of each operation.
+seeded generator so runs are reproducible. Their draws are split in two:
+a loop over the samples makes the generator calls, instance by instance
+in a fixed order, and the arithmetic that turns the draws into instances
+runs once on the stack (``random_bloch_vector``, ``scale_directions``);
+the criterion then computes on the stack of all instances with one call
+of each operation. Only per-sample expressions whose bits a vectorized
+form would change stay in the loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +25,7 @@ from .bloch import (
     pc_check,
     predictability_circle,
     random_bloch_vector,
-    random_direction,
+    scale_directions,
     to_operator,
     from_operator,
 )
@@ -113,30 +118,23 @@ def maximal_box_criterion() -> list[CheckResult]:
     ]
 
 
-def _flip_band_vector(rng: np.random.Generator) -> np.ndarray:
-    # |r| - 1 within +-3 ATOL, where both verdicts flip (at 1 + ATOL), less a
-    # window around the flip that is wider than the rounding of |r|: inside
-    # it the two independent computations may round to opposite sides
-    while True:
-        excess = rng.uniform(-3 * ATOL, 3 * ATOL)
-        if abs(excess - ATOL) > 1e-14:
-            return (1.0 + excess) * random_direction(rng)
-
-
-def _draw_rows(samples: int, width: int, draw) -> np.ndarray:
-    """An array of ``samples`` rows of ``width`` numbers, row k drawn by
-    ``draw(k)`` in order. Each draw goes straight into the array, so the
-    small arrays the draws return never pile up in memory."""
-    rows = np.empty((samples, width))
-    for k in range(samples):
-        rows[k] = draw(k)
-    return rows
-
-
 def _pc_psd_draws(rng: np.random.Generator, samples: int) -> np.ndarray:
-    return _draw_rows(
-        samples, 3, lambda k: _flip_band_vector(rng) if k % 10 == 0 else random_bloch_vector(rng, 0.0, 3.0)
-    )
+    # every tenth vector has |r| - 1 within +-3 ATOL, where both verdicts
+    # flip (at 1 + ATOL), less a window around the flip that is wider than
+    # the rounding of |r|: inside it the two independent computations may
+    # round to opposite sides. The others have norms uniform in [0, 3).
+    norms = np.empty(samples)
+    normals = np.empty((samples, 3))
+    for k in range(samples):
+        if k % 10:
+            norms[k] = 3.0 * rng.random()  # the bits of rng.uniform(0.0, 3.0)
+        else:
+            excess = rng.uniform(-3 * ATOL, 3 * ATOL)
+            while abs(excess - ATOL) <= 1e-14:
+                excess = rng.uniform(-3 * ATOL, 3 * ATOL)
+            norms[k] = 1.0 + excess
+        rng.standard_normal(out=normals[k])
+    return scale_directions(normals, norms)
 
 
 def pc_psd_equivalence_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> list[CheckResult]:
@@ -147,11 +145,14 @@ def pc_psd_equivalence_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000
     return [CheckResult.at_most("classification-disagreements", disagreements, 0.0)]
 
 
+def _witness_draws(rng: np.random.Generator, samples: int) -> np.ndarray:
+    return random_bloch_vector(rng, np.full(samples, 1.0 + 1e-6), 3.0)
+
+
 def predictability_witness_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> list[CheckResult]:
     """Every norm > 1 vector yields at least two non-colinear directions
     that are simultaneously certain."""
-    rng = np.random.default_rng(seed)
-    rs = _draw_rows(samples, 3, lambda _: random_bloch_vector(rng, 1.0 + 1e-6, 3.0))
+    rs = _witness_draws(np.random.default_rng(seed), samples)
     points = predictability_circle(rs).sample(8)
     probs = outcome_probability(np.repeat(rs, 8, axis=0), points.reshape(-1, 3), +1)
     prob_dev = np.max(np.abs(probs - 1.0))
@@ -163,25 +164,39 @@ def predictability_witness_criterion(seed: int = DEFAULT_SEED, samples: int = 10
     ]
 
 
+def _clonability_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """``samples`` pairs r, r' of norms uniform in [0, 3), r drawn first."""
+    draws = random_bloch_vector(rng, np.zeros(2 * samples), 3.0).reshape(samples, 6)
+    return draws[:, :3], draws[:, 3:]
+
+
+def _hyperplane_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resources, y and z of ``samples`` hyperplane pairs: norm uniform in
+    [1.2, 3), y and z uniform in [-cap/2, cap/2) for cap = sqrt(1 - 1/norm^2)."""
+    norms = np.empty(samples)
+    normals = np.empty((samples, 3))
+    yz = np.empty((samples, 2))
+    for k in range(samples):
+        norm = norms[k] = rng.uniform(1.2, 3.0)
+        rng.standard_normal(out=normals[k])
+        # per sample on a Python float: norm**2 is C pow, which differs in
+        # the last bit from the square of a vectorized norms * norms
+        cap = math.sqrt(1.0 - 1.0 / norm**2)
+        yz[k] = rng.uniform(-cap / 2, cap / 2, size=2)
+    return scale_directions(normals, norms), yz[:, 0], yz[:, 1]
+
+
 def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> list[CheckResult]:
     """Joint-clonability flag agrees with the trace fixed-point test, with
     exact hyperplane constructions hitting both branches."""
     rng = np.random.default_rng(seed)
-    draws = _draw_rows(samples, 6, lambda _: (*random_bloch_vector(rng, 0.0, 3.0), *random_bloch_vector(rng, 0.0, 3.0)))
-    rs, rps = draws[:, :3], draws[:, 3:]
+    rs, rps = _clonability_draws(rng, samples)
     t = overlap(rs, rps)
     fixed_point_gap = np.abs(t * t - t)
     disagreements = np.sum((fixed_point_gap <= LAW_ATOL) != clonability_check(rs, rps))
     margin = np.min(fixed_point_gap)
 
-    def hyperplane_instance(_):
-        norm = rng.uniform(1.2, 3.0)
-        r = norm * random_direction(rng)
-        cap = np.sqrt(1.0 - 1.0 / norm**2)
-        return (*r, *rng.uniform(-cap / 2, cap / 2, size=2))
-
-    instances = _draw_rows(100, 5, hyperplane_instance)
-    pairs = hyperplane_pair(instances[:, :3], instances[:, 3], instances[:, 4])
+    pairs = hyperplane_pair(*_hyperplane_draws(rng, 100))
     resources = np.concatenate((pairs.resource, pairs.resource))
     members = np.concatenate((pairs.r_plus, pairs.r_minus))
     t = overlap(resources, members)
@@ -193,19 +208,22 @@ def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> li
     ]
 
 
-def _random_admissible_instance(rng: np.random.Generator):
-    norm = rng.uniform(1.05, 3.0)
-    r = norm * random_direction(rng)
-    cap = np.sqrt(1.0 - 1.0 / norm**2)
-    rho = np.sqrt(rng.uniform(0.0, 1.0)) * cap
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    return (*r, rho * np.cos(angle), rho * np.sin(angle))
-
-
 def _discrimination_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resources, y and z of ``samples`` admissible instances."""
-    rows = _draw_rows(samples, 5, lambda _: _random_admissible_instance(rng))
-    return rows[:, :3], rows[:, 3], rows[:, 4]
+    """Resources, y and z of ``samples`` admissible instances: norm uniform
+    in [1.05, 3), y + iz uniform in the disc of radius sqrt(1 - 1/norm^2)."""
+    norms = np.empty(samples)
+    normals = np.empty((samples, 3))
+    yz = np.empty((samples, 2))
+    for k in range(samples):
+        norm = norms[k] = rng.uniform(1.05, 3.0)
+        rng.standard_normal(out=normals[k])
+        # per sample on Python floats, as in _hyperplane_draws: a vectorized
+        # cap or rho changes y or z in the last bit at some seeds (rng.random()
+        # is rng.uniform(0.0, 1.0) bit for bit)
+        rho = math.sqrt(rng.random()) * math.sqrt(1.0 - 1.0 / norm**2)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        yz[k] = rho * np.cos(angle), rho * np.sin(angle)
+    return scale_directions(normals, norms), yz[:, 0], yz[:, 1]
 
 
 def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> list[CheckResult]:
@@ -315,10 +333,9 @@ def cross_consistency_criterion(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 
 def _pipeline_draws(rng: np.random.Generator, samples: int) -> np.ndarray:
-    # the norm is drawn first, then the direction
-    return _draw_rows(
-        samples, 3, lambda k: (rng.uniform(1.0 + 1e-9, 3.0) if k % 4 else rng.uniform(0.0, 1.0)) * random_direction(rng)
-    )
+    # every fourth resource inside the unit ball, the rest outside
+    outside = np.arange(samples) % 4 != 0
+    return random_bloch_vector(rng, np.where(outside, 1.0 + 1e-9, 0.0), np.where(outside, 3.0, 1.0))
 
 
 def pipeline_oracle_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> list[CheckResult]:

@@ -194,11 +194,41 @@ def predictability_circle(r) -> PredictabilityCircle | None:
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:
-    """Uniform unit vector on the sphere."""
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    """Uniform unit vector on the sphere, from three standard normal draws."""
+    return scale_directions(rng.standard_normal(3), 1.0)
 
 
-def random_bloch_vector(rng: np.random.Generator, min_norm: float, max_norm: float) -> np.ndarray:
-    """Random vector with uniform direction and uniform norm in a range."""
-    return rng.uniform(min_norm, max_norm) * random_direction(rng)
+def scale_directions(normals: np.ndarray, norms) -> np.ndarray:
+    """The vector of norm ``norms`` along the direction of three standard
+    normal draws, which is uniform on the sphere; for an (N, 3) stack of
+    draws, one vector per row, with one norm for all rows or one per row.
+    The draws are overwritten: each row is divided by its length and then
+    multiplied by its norm, the arithmetic of ``norm * random_direction(rng)``
+    on the same normals, bit for bit."""
+    shaped, rows = as_stack(1, normals)
+    rows /= _norms(rows)[:, None]
+    rows *= np.reshape(norms, (-1, 1))
+    return shaped(rows)
+
+
+def random_bloch_vector(rng: np.random.Generator, min_norm, max_norm) -> np.ndarray:
+    """Random vector with uniform direction and norm uniform in
+    [min_norm, max_norm). For (N,) ranges (or one range and one number),
+    an (N, 3) stack whose row k has its norm in range k.
+
+    Row by row the generator makes one uniform draw for the norm, then
+    three standard normals for the direction: the stream, and the bits, of
+    ``rng.uniform(min_norm, max_norm) * random_direction(rng)`` called row
+    after row. The loop over rows makes only those generator calls; the
+    arithmetic runs once on the stack.
+    """
+    lows, highs = np.broadcast_arrays(np.asarray(min_norm, dtype=float), np.asarray(max_norm, dtype=float))
+    if lows.ndim > 1:
+        raise ValueError(f"norm ranges must be numbers or (N,) arrays, got shape {lows.shape}")
+    shaped, lows, highs = as_stack(0, lows, highs)
+    draws = np.empty(len(lows))
+    normals = np.empty((len(lows), 3))
+    for k in range(len(lows)):
+        draws[k] = rng.random()
+        rng.standard_normal(out=normals[k])
+    return shaped(scale_directions(normals, lows + (highs - lows) * draws))

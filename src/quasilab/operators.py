@@ -198,9 +198,9 @@ def expectation(op, state) -> float:
     elementwise as sum_ij state_ij op_ji (n^2 work, no matrix product).
 
     ``state`` may be a QuasiState or a raw matrix. A non-negligible
-    imaginary residue (> SPECTRAL_ATOL) signals a non-Hermitian input and raises.
-    For (N, n, n) stacks of operators and states, the pairing row by row;
-    the first row with a residue raises.
+    imaginary residue (> SPECTRAL_ATOL) signals a non-Hermitian input and raises,
+    as does a non-finite pairing. For (N, n, n) stacks of operators and
+    states, the pairing row by row; the first row that fails raises.
     """
     rho = state.matrix if isinstance(state, QuasiState) else np.asarray(state, dtype=complex)
     op = np.asarray(op, dtype=complex)
@@ -208,15 +208,18 @@ def expectation(op, state) -> float:
         raise ValueError(f"dimension mismatch: state {rho.shape} vs operator {op.shape}")
     shaped, ops, rhos = as_stack(2, op, rho)
     values = np.einsum("...ij,...ji->...", rhos, ops)
-    residue = np.abs(values.imag) > SPECTRAL_ATOL
-    if residue.any():
-        real_pairing(values[np.argmax(residue)])
+    real = np.isfinite(values) & (np.abs(values.imag) <= SPECTRAL_ATOL)
+    if not real.all():
+        real_pairing(values[np.argmin(real)])
     return shaped(values.real)
 
 
 def real_pairing(value: complex) -> float:
-    """The real value of a trace pairing. An imaginary residue above
-    SPECTRAL_ATOL signals a non-Hermitian input and raises."""
+    """The real value of a trace pairing. A non-finite value raises, and so
+    does an imaginary residue above SPECTRAL_ATOL, which signals a
+    non-Hermitian input."""
+    if not np.isfinite(value):
+        raise ValueError(f"trace pairing is not finite ({value}); operator or state not finite?")
     if abs(value.imag) > SPECTRAL_ATOL:
         raise ValueError(f"trace pairing has imaginary residue {value.imag:.3e}; operator not Hermitian?")
     return float(value.real)

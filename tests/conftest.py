@@ -9,8 +9,15 @@ import pytest
 from quasilab import acceptance, discrimination, nonlocal_box, operators
 
 # Routines whose calls are counted, by the module that defines them: numpy's
-# two eigendecompositions and the package's own kron and expectation.
-COUNTED = {"eigvalsh": np.linalg, "eigh": np.linalg, "kron": operators, "expectation": operators}
+# two eigendecompositions and its vector norm, and the package's own kron
+# and expectation.
+COUNTED = {
+    "eigvalsh": np.linalg,
+    "eigh": np.linalg,
+    "norm": np.linalg,
+    "kron": operators,
+    "expectation": operators,
+}
 
 
 @contextlib.contextmanager

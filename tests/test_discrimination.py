@@ -123,7 +123,7 @@ class TestDiscriminationPovm:
 
     def test_projector_invariants_random_axes(self):
         rng = np.random.default_rng(2)
-        resources = np.array([rng.uniform(1.1, 3.0) * random_direction(rng) for _ in range(10_000)])
+        resources = random_bloch_vector(rng, np.full(10_000, 1.1), 3.0)
         povm = discrimination_povm(resources)
         p, q = povm.p_plus, povm.p_minus
         assert len(p) == 10_000

@@ -1,0 +1,141 @@
+"""Random draws: the stacked draws of the randomized criteria and of
+``random_bloch_vector`` equal, bit for bit, the draws they replaced, made
+instance by instance with scalar expressions. Those are written out here
+as references: the norm from ``rng.uniform``, then a direction of three
+normals divided by ``np.linalg.norm``, then each criterion's own draws."""
+
+import numpy as np
+import pytest
+
+from quasilab import acceptance
+from quasilab.bloch import random_bloch_vector, random_direction
+from quasilab.operators import ATOL
+
+# At this seed one of criterion 6's norms has a Python square (C pow) that
+# differs in the last bit from the product norm * norm a vectorized draw
+# would take, and so do its y and z (see test_trap_seed_squares_differ).
+POW_TRAP_SEED = 5
+SEEDS = [0, 1, POW_TRAP_SEED, acceptance.DEFAULT_SEED]
+
+
+def _direction(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def _vector(rng, min_norm, max_norm):
+    return rng.uniform(min_norm, max_norm) * _direction(rng)
+
+
+def _flip_band_vector(rng):
+    while True:
+        excess = rng.uniform(-3 * ATOL, 3 * ATOL)
+        if abs(excess - ATOL) > 1e-14:
+            return (1.0 + excess) * _direction(rng)
+
+
+def _hyperplane_instance(rng):
+    norm = rng.uniform(1.2, 3.0)
+    r = norm * _direction(rng)
+    cap = np.sqrt(1.0 - 1.0 / norm**2)
+    return (r, *rng.uniform(-cap / 2, cap / 2, size=2))
+
+
+def _admissible_instances(rng, samples, square=lambda norm: norm**2):
+    """Criterion 6's norms, then its resources, y and z."""
+    rows = []
+    for _ in range(samples):
+        norm = rng.uniform(1.05, 3.0)
+        r = norm * _direction(rng)
+        cap = np.sqrt(1.0 - 1.0 / square(norm))
+        rho = np.sqrt(rng.uniform(0.0, 1.0)) * cap
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        rows.append((norm, r, rho * np.cos(angle), rho * np.sin(angle)))
+    return _columns(rows)
+
+
+def _columns(rows):
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def _pairs(rng, samples):
+    rows = [(_vector(rng, 0.0, 3.0), _vector(rng, 0.0, 3.0)) for _ in range(samples)]
+    return _columns(rows) + _columns(_hyperplane_instance(rng) for _ in range(100))
+
+
+def _stacked_pairs(rng, samples):
+    return (*acceptance._clonability_draws(rng, samples), *acceptance._hyperplane_draws(rng, 100))
+
+
+# criterion: (samples, reference, stacked), each draw a tuple of arrays
+DRAWS = {
+    3: (
+        1000,
+        lambda rng, n: (np.array([_flip_band_vector(rng) if k % 10 == 0 else _vector(rng, 0.0, 3.0) for k in range(n)]),),
+        lambda rng, n: (acceptance._pc_psd_draws(rng, n),),
+    ),
+    4: (
+        300,
+        lambda rng, n: (np.array([_vector(rng, 1.0 + 1e-6, 3.0) for _ in range(n)]),),
+        lambda rng, n: (acceptance._witness_draws(rng, n),),
+    ),
+    5: (1000, _pairs, _stacked_pairs),
+    6: (
+        1000,
+        lambda rng, n: _admissible_instances(rng, n)[1:],
+        acceptance._discrimination_draws,
+    ),
+    9: (
+        400,
+        lambda rng, n: (
+            np.array([_vector(rng, *((1.0 + 1e-9, 3.0) if k % 4 else (0.0, 1.0))) for k in range(n)]),
+        ),
+        lambda rng, n: (acceptance._pipeline_draws(rng, n),),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("criterion", sorted(DRAWS))
+def test_stacked_draws_equal_the_per_sample_draws(criterion, seed):
+    samples, reference, stacked = DRAWS[criterion]
+    rng, stacked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected, drawn = reference(rng, samples), stacked(stacked_rng, samples)
+    assert len(drawn) == len(expected)
+    for want, got in zip(expected, drawn):
+        assert np.array_equal(got, want)
+    # and both consumed the same stream, so a later draw starts where it did
+    assert stacked_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_trap_seed_squares_differ():
+    # squaring criterion 6's norms as a vectorized draw would change its
+    # instances at this seed, so the test above would catch that draw
+    samples = DRAWS[6][0]
+    norms, *expected = _admissible_instances(np.random.default_rng(POW_TRAP_SEED), samples)
+    assert np.any(norms * norms != np.array([norm**2 for norm in norms]))
+    _, *multiplied = _admissible_instances(np.random.default_rng(POW_TRAP_SEED), samples, square=lambda norm: norm * norm)
+    assert not all(np.array_equal(a, b) for a, b in zip(multiplied, expected))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scalar_draws_are_the_stack_of_one(seed):
+    rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(200):
+        if k % 2:
+            assert np.array_equal(random_bloch_vector(scalar_rng, 0.5, 2.0), _vector(rng, 0.5, 2.0))
+        else:
+            assert np.array_equal(random_direction(scalar_rng), _direction(rng))
+
+
+def test_ranges_row_by_row():
+    lows = np.array([0.0, 1.0, 2.0, 5.0])
+    rs = random_bloch_vector(np.random.default_rng(3), lows, lows + 0.5)
+    assert rs.shape == (4, 3)
+    norms = np.sqrt(np.sum(rs * rs, axis=1))
+    assert np.all((lows - 1e-12 <= norms) & (norms <= lows + 0.5 + 1e-12))
+    # one number for all rows, on either side
+    assert random_bloch_vector(np.random.default_rng(3), 1.0, np.full(5, 2.0)).shape == (5, 3)
+    assert random_bloch_vector(np.random.default_rng(3), np.zeros(0), 1.0).shape == (0, 3)
+    with pytest.raises(ValueError, match="norm ranges"):
+        random_bloch_vector(np.random.default_rng(3), np.zeros((2, 2)), 1.0)

@@ -240,6 +240,15 @@ class TestDiscriminateHighdim:
         q1 = detection_probability(build_violating_state(3, 2.0), probe)
         assert abs(q1) > SPECTRAL_ATOL and abs(q1 - 1.0) > SPECTRAL_ATOL
 
+    def test_nan_probe_rejected(self):
+        # a hand-built probe skips build_probe_state's checks; its NaN
+        # detection probability raises instead of reading as the null label
+        vs = build_violating_state(3, 0.5)
+        mags = build_probe_state(vs, CERTAIN).magnitudes_sq
+        probe = ProbeState(mags, np.full(3, np.nan, dtype=complex), CERTAIN, 0.0)
+        with pytest.raises(ValueError, match="not finite"):
+            discriminate_highdim(vs, CERTAIN, probe=probe)
+
     def test_qubit_machinery_agrees_at_dim_two(self):
         for epsilon in (0.1, 0.5, 1.0, 2.0):
             _, pair = matched_qubit_instance(epsilon)

@@ -17,6 +17,7 @@ from quasilab.operators import (
     hermitian_eigensystem,
     kron,
     partial_trace,
+    real_pairing,
 )
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -94,6 +95,19 @@ class TestExpectation:
         skew = np.array([[0, 1], [-1, 0]], dtype=complex)  # anti-Hermitian
         with pytest.raises(ValueError, match="imaginary"):
             expectation(skew, QuasiState(0.5 * (I2 + 0.8 * SIGMA_Y)))
+
+    @pytest.mark.parametrize("value", [complex("nan+nanj"), complex("nan"), complex("infj"), complex("-inf")])
+    def test_non_finite_pairing_rejected(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            real_pairing(value)
+
+    def test_nan_operator_rejected(self):
+        # a NaN residue is not below the tolerance, so it is no real pairing
+        with pytest.raises(ValueError, match="not finite"):
+            expectation(np.full((2, 2), np.nan), QuasiState(rho_z(0.5)))
+        ops = np.stack((np.eye(2), np.full((2, 2), np.nan)))
+        with pytest.raises(ValueError, match="not finite"):
+            expectation(ops, np.stack((rho_z(0.5), rho_z(0.5))))
 
     def test_bilinear(self):
         rng = np.random.default_rng(7)
