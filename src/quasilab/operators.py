@@ -5,7 +5,9 @@ that are allowed to have negative eigenvalues.
 Every operation on instances takes one instance or a stack of N along a
 leading axis, as a numpy gufunc does (``as_stack``), and computes on the
 stack with one numpy call per stage; one instance is computed as a stack
-of one. The result types (``Stacked``) hold one instance or a stack of N."""
+of one, or, in ``highdim``, by broadcasting over the leading axes
+(``as_number``). The result types (``Stacked``) hold one instance or a
+stack of N."""
 
 from __future__ import annotations
 
@@ -93,6 +95,15 @@ def as_stack(core_ndim: int, x, *more):
     if np.ndim(x) != core_ndim:
         return _whole, x, *more
     return _first, *(_pick(value, None) for value in (x, *more))
+
+
+def as_number(result):
+    """A result computed by broadcasting over leading axes, as numpy's own
+    gufuncs do, without adding a stack axis: a 0-d result (one instance) as
+    a Python number, a stack's result as it is. It is the other half of the
+    shape rule, for layers where a stack of one costs more than the work
+    (``highdim``, see its docstring)."""
+    return _pick(result, ())
 
 
 def _whole(result):
@@ -207,17 +218,19 @@ def expectation(op, state) -> float:
     if rho.shape != op.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape} vs operator {op.shape}")
     shaped, ops, rhos = as_stack(2, op, rho)
-    values = np.einsum("...ij,...ji->...", rhos, ops)
-    real = np.isfinite(values) & (np.abs(values.imag) <= SPECTRAL_ATOL)
-    if not real.all():
-        real_pairing(values[np.argmin(real)])
-    return shaped(values.real)
+    return shaped(real_pairing(np.einsum("...ij,...ji->...", rhos, ops)))
 
 
 def real_pairing(value: complex) -> float:
-    """The real value of a trace pairing. A non-finite value raises, and so
-    does an imaginary residue above SPECTRAL_ATOL, which signals a
-    non-Hermitian input."""
+    """The real value of a trace pairing, or of each of an array of them. A
+    non-finite value raises, and so does an imaginary residue above
+    SPECTRAL_ATOL, which signals a non-Hermitian input; in an array, the
+    first value that fails raises."""
+    if np.ndim(value):
+        real = np.isfinite(value) & (np.abs(value.imag) <= SPECTRAL_ATOL)
+        if not real.all():
+            real_pairing(value.flat[np.argmin(real)])
+        return value.real
     if not np.isfinite(value):
         raise ValueError(f"trace pairing is not finite ({value}); operator or state not finite?")
     if abs(value.imag) > SPECTRAL_ATOL:

@@ -2,7 +2,10 @@
 one pass/fail line printed per criterion. The default-seed criteria come
 from the one ``run_all`` of the session (see conftest.py)."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasilab import acceptance, nonlocal_box, operators
 from quasilab.reporting import CheckResult
@@ -64,7 +67,8 @@ def test_criterion_7_highdim_grid(verify_all_criteria):
 
 def test_criterion_8_cross_consistency(verify_all_criteria):
     # dim-2 doubled-basis machinery matches the qubit protocol within 1e-10;
-    # the diagonal three-level example is classified as satisfying the bound
+    # the diagonal three-level example is classified as satisfying the bound,
+    # and its Gershgorin bound (0.85) stays below 1
     _check(_criterion(verify_all_criteria, 8))
 
 
@@ -89,9 +93,10 @@ def test_randomized_criteria_hold_for_other_seeds(seed):
 # eigendecompositions and vector norm and to the package's kron and
 # expectation, each set at the count measured when it was last changed. A
 # change that lowers a count lowers its ceiling with it; no change raises
-# one. The one norm is criterion 8's, of its 10^5 kets at once: the random
-# Bloch vectors are normalized on the stack.
-CALL_CEILINGS = {"eigvalsh": 2, "eigh": 3, "norm": 1, "kron": 32, "expectation": 23}
+# one. No criterion calls norm: the random Bloch vectors are normalized on
+# the stack, and criterion 8 bounds its three-level example in closed form
+# instead of sampling kets.
+CALL_CEILINGS = {"eigvalsh": 2, "eigh": 3, "norm": 0, "kron": 32, "expectation": 23}
 
 
 def test_numpy_calls_within_ceilings(verify_all_run):
@@ -126,6 +131,29 @@ def test_criterion_6_measures_each_hidden_state_once(discrimination_calls):
     assert discrimination_calls == {"detection_probabilities": 2 * 5, "discrimination_povm": 5}
 
 
+def test_criterion_7_stacks_each_dimension(monkeypatch):
+    # one stack of 16 states per dimension d = 2..6: one build and one
+    # projector, and four probe families each built and measured once
+    calls = dict.fromkeys(
+        ["build_violating_state", "entangled_projector", "build_probe_state", "detection_probability"], 0
+    )
+    for name in calls:
+        original = getattr(acceptance, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(acceptance, name, counted)
+    acceptance.highdim_grid_criterion()
+    assert calls == {
+        "build_violating_state": 5,
+        "entangled_projector": 5,
+        "build_probe_state": 20,
+        "detection_probability": 20,
+    }
+
+
 def test_worst_is_the_check_nearest_its_bound(verify_all_criteria):
     # overlap-strictly-positive has the largest measured value, but it is far
     # above its bound of 0; deterministic-detection is nearest its own bound
@@ -157,3 +185,40 @@ def test_invariant_failure_is_a_failed_check(monkeypatch):
 def test_criterion_9_reads_the_gates_unitarity(non_unitary_gates):
     checks = acceptance.pipeline_oracle_criterion(samples=8)
     assert [c.name for c in checks if not c.passed] == ["pipeline-unitarity"]
+
+
+entries = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+def _hermitian(values):
+    m = np.array(values[:9]).reshape(3, 3) + 1j * np.array(values[9:]).reshape(3, 3)
+    return (m + m.conj().T) / 2
+
+
+def _unit_ket(values):
+    ket = np.array(values[:3]) + 1j * np.array(values[3:])
+    return ket / np.linalg.norm(ket)
+
+
+# rounding allowance of one comparison: a few ulps of the matrix's scale
+def _slack(m):
+    return 8 * np.finfo(float).eps * (1.0 + np.abs(m).sum())
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(entries, min_size=18, max_size=18).map(_hermitian),
+    st.lists(entries, min_size=6, max_size=6).filter(lambda v: np.linalg.norm(v) > 1e-3).map(_unit_ket),
+)
+def test_criterion_8_gershgorin_bound_is_sound(m, ket):
+    # every quadratic form on a unit ket and the top eigenvalue lie below it
+    bound = acceptance._gershgorin_bound(m)
+    form = float(np.real(ket.conj() @ m @ ket))
+    assert form <= bound + _slack(m)
+    assert np.linalg.eigvalsh(m)[-1] <= bound + _slack(m)
+
+
+@given(st.lists(entries, min_size=3, max_size=3))
+@example([0.85, 0.25, -0.1])  # criterion 8's three-level example
+def test_criterion_8_gershgorin_bound_of_a_diagonal_is_its_largest_entry(diagonal):
+    assert acceptance._gershgorin_bound(np.diag(diagonal)) == max(diagonal)

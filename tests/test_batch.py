@@ -7,8 +7,9 @@ meant (a max over the batch, a shared pivot) shows up here. The stacks are
 the seed-42 draws of criteria 3, 6 and 9 plus edge rows: r = 0 (degenerate
 spectrum), r within 1e-6 of +-z (the other branch of ``transverse_frame``)
 and |r| - 1 = +-3 ATOL. Boxes are measured at strengths on both sides of
-sqrt(2) and one ulp from it. One bad row fails the whole stack with the
-error the call on that row's instance raises.
+sqrt(2) and one ulp from it. The high-dimensional stacks are drawn as
+criterion 7 draws them, for d = 2..8. One bad row fails the whole stack
+with the error the call on that row's instance raises.
 """
 
 import numpy as np
@@ -33,6 +34,16 @@ from quasilab.discrimination import (
     discrimination_povm,
     hyperplane_pair,
     overlap,
+)
+from quasilab.highdim import (
+    CERTAIN,
+    NULL,
+    build_probe_state,
+    build_violating_state,
+    detection_probability,
+    discriminate_highdim,
+    entangled_projector,
+    probe_magnitudes,
 )
 from quasilab.nonlocal_box import (
     SQRT2,
@@ -196,6 +207,103 @@ class TestChshStackEqualsSingles:
     def test_setting_tables_and_signalling(self):
         assert_rows_match_singles(setting_tables, CHSH_BOXES, CHSH_SETTINGS)
         assert_rows_match_singles(lambda *a: signalling_deviation(setting_tables(*a)), CHSH_BOXES, CHSH_SETTINGS)
+
+
+# States drawn as criterion 7 draws them, at seed 42 + d for d = 2..8: per
+# epsilon the uniform tail and three random ones, random bases and phases
+HIGHDIM_DIMS = range(2, 9)
+HIGHDIM_DRAWS = {dim: acceptance._highdim_grid_draws(np.random.default_rng(SEED + dim), dim) for dim in HIGHDIM_DIMS}
+
+
+def _violating_states(dim):
+    epsilons, tails, bases, _ = HIGHDIM_DRAWS[dim]
+    return build_violating_state(dim, epsilons, lambdas=tails, basis=bases)
+
+
+@pytest.mark.parametrize("dim", HIGHDIM_DIMS)
+class TestHighdimStackEqualsSingles:
+    def test_build_violating_state(self, dim):
+        epsilons, tails, bases, _ = HIGHDIM_DRAWS[dim]
+        build = lambda *a: build_violating_state(dim, a[0], lambdas=a[1], basis=a[2])  # noqa: E731
+        assert_rows_match_singles(build, epsilons, tails, bases)
+        assert_rows_match_singles(lambda eps: build_violating_state(dim, eps), epsilons)
+        assert_rows_match_singles(lambda vs: vs.spectrum, _violating_states(dim))
+
+    def test_stack_item_is_the_instance(self, dim):
+        epsilons, tails, bases, _ = HIGHDIM_DRAWS[dim]
+        states = _violating_states(dim)
+        for k in range(len(epsilons)):
+            single = build_violating_state(dim, epsilons[k], lambdas=tails[k], basis=bases[k])
+            assert all(_same_bits(x, y) for x, y in zip(_leaves(states[k]), _leaves(single))), f"row {k}"
+
+    @pytest.mark.parametrize("target", [CERTAIN, NULL])
+    def test_probes_and_their_detection(self, dim, target):
+        epsilons, _, _, phases = HIGHDIM_DRAWS[dim]
+        states = _violating_states(dim)
+        assert_rows_match_singles(lambda eps: probe_magnitudes(dim, eps, target), epsilons)
+        assert_rows_match_singles(lambda vs: build_probe_state(vs, target), states)
+        assert_rows_match_singles(lambda vs, ph: build_probe_state(vs, target, phases=ph), states, phases)
+        probes = build_probe_state(states, target, phases=phases)
+        assert_rows_match_singles(detection_probability, states, probes)
+        assert_rows_match_singles(lambda vs, probe: discriminate_highdim(vs, target, probe), states, probes)
+        assert_rows_match_singles(lambda vs: discriminate_highdim(vs, target), states)
+
+    def test_entangled_projector(self, dim):
+        assert_rows_match_singles(entangled_projector, _violating_states(dim))
+
+
+def test_one_highdim_instance_gives_python_numbers():
+    vs = build_violating_state(3, 0.5)
+    probe = build_probe_state(vs, CERTAIN)
+    assert type(vs.epsilon) is float and type(probe.pinning_dev) is float and type(probe.target) is int
+    assert type(detection_probability(vs, probe)) is float and type(entangled_projector(vs)[1]) is float
+    assert type(discriminate_highdim(vs, NULL)) is int
+
+
+class TestOneBadHighdimRowFailsTheStack:
+    """A bad row of a highdim stack raises the error that row's instance
+    raises alone."""
+
+    DIM = 4
+
+    def _draws(self):
+        return tuple(np.array(x) for x in HIGHDIM_DRAWS[self.DIM])
+
+    @pytest.mark.parametrize("position", [0, 5, 15])
+    def test_unnormalized_basis(self, position):
+        epsilons, tails, bases, _ = self._draws()
+        bases[position] *= 1.0 + 1e-6
+        assert _error(lambda: build_violating_state(self.DIM, epsilons, lambdas=tails, basis=bases)) == _error(
+            lambda: build_violating_state(self.DIM, epsilons[position], lambdas=tails[position], basis=bases[position])
+        )
+
+    @pytest.mark.parametrize("position", [1, 6, 14])
+    def test_tail_off_its_sum(self, position):
+        epsilons, tails, bases, _ = self._draws()
+        tails[position, 0] += 1e-9
+        error = _error(lambda: build_violating_state(self.DIM, epsilons, lambdas=tails, basis=bases))
+        assert error == _error(lambda: build_violating_state(self.DIM, epsilons[position], lambdas=tails[position]))
+        assert "sum to -epsilon" in error[1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_phase(self, bad):
+        epsilons, tails, bases, phases = self._draws()
+        phases[9, 2] = bad
+        states = build_violating_state(self.DIM, epsilons, lambdas=tails, basis=bases)
+        assert _error(lambda: build_probe_state(states, CERTAIN, phases=phases)) == _error(
+            lambda: build_probe_state(states[9], CERTAIN, phases=phases[9])
+        )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_epsilon(self, bad):
+        epsilons = self._draws()[0]
+        epsilons[3] = bad
+        assert _error(lambda: build_violating_state(self.DIM, epsilons)) == _error(
+            lambda: build_violating_state(self.DIM, bad)
+        )
+        assert _error(lambda: probe_magnitudes(self.DIM, epsilons, NULL)) == _error(
+            lambda: probe_magnitudes(self.DIM, bad, NULL)
+        )
 
 
 def _tables(rs):

@@ -108,6 +108,30 @@ def test_stacked_draws_equal_the_per_sample_draws(criterion, seed):
     assert stacked_rng.bit_generator.state == rng.bit_generator.state
 
 
+def _highdim_grid_states(rng, dim):
+    """Criterion 7's 16 states of one dimension in the order the per-state
+    loop drew them: per epsilon three random tails, then per tail (the
+    uniform one first) a basis and then the phases."""
+    rows = []
+    for epsilon in (0.1, 0.5, 1.0, 2.0):
+        tails = [np.full(dim - 1, -epsilon / (dim - 1))]
+        tails += [acceptance._random_tail(rng, dim, epsilon) for _ in range(3)]
+        for tail in tails:
+            basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+            rows.append((epsilon, tail, basis, rng.uniform(0.0, 2.0 * np.pi, size=dim)))
+    return _columns(rows)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_highdim_grid_draws_equal_the_per_state_draws(seed):
+    rng, stacked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for dim in range(2, 7):
+        expected, drawn = _highdim_grid_states(rng, dim), acceptance._highdim_grid_draws(stacked_rng, dim)
+        for want, got in zip(expected, drawn):
+            assert np.array_equal(got, want), f"d = {dim}"
+    assert stacked_rng.bit_generator.state == rng.bit_generator.state
+
+
 def test_trap_seed_squares_differ():
     # squaring criterion 6's norms as a vectorized draw would change its
     # instances at this seed, so the test above would catch that draw

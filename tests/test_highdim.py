@@ -84,6 +84,24 @@ class TestBuildViolatingState:
             assert eigs[0] == pytest.approx(1.7, abs=1e-12)
 
 
+class TestEigenbasisDiagonal:
+    def test_equals_the_spectrum(self):
+        rng = np.random.default_rng(9)
+        for dim in range(2, 9):
+            for epsilon in (0.1, 2.0, 5e2):
+                vs = build_violating_state(
+                    dim, epsilon, lambdas=_random_tail(rng, dim, epsilon), basis=random_basis(rng, dim)
+                )
+                assert np.max(np.abs(vs.diag - vs.spectrum)) <= SPECTRAL_ATOL
+
+    def test_replace_recomputes_it(self):
+        vs = build_violating_state(3, 0.5, basis=random_basis(np.random.default_rng(10), 3))
+        other = build_violating_state(3, 2.0, lambdas=[0.25, -2.25], basis=vs.basis)
+        moved = replace(vs, state=other.state)
+        assert np.array_equal(moved.diag, other.diag)
+        assert not np.allclose(moved.diag, vs.diag)
+
+
 class TestProbeMagnitudes:
     def test_closed_form_instance(self):
         certain = probe_magnitudes(3, 0.5, CERTAIN)
