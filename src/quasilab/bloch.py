@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ATOL, I2, PAULI, QuasiState, Stacked, as_stack
+from .operators import ATOL, I2, PAULI, QuasiState, Stacked, as_number
 
 
 class InvalidDirectionError(ValueError):
@@ -58,16 +58,16 @@ def outcome_probability(r, n, outcome: int) -> float:
     preparations and directions, the probability row by row, with one
     outcome for all rows or one per row.
     """
-    shaped, rs, ns, outcomes = as_stack(1, as_bloch_vectors(r), as_directions(n), np.asarray(outcome))
+    rs, ns, outcomes = as_bloch_vectors(r), as_directions(n), np.asarray(outcome)
     valid = (outcomes == +1) | (outcomes == -1)
     if not valid.all():
         raise ValueError(f"outcome must be +1 or -1, got {outcomes.flat[np.argmin(valid)]}")
     rn = np.vecdot(rs, ns)
     genuine = np.abs(rn) <= 1.0 + ATOL
     if not genuine.all():
-        bad = abs(rn[np.argmin(genuine)])
+        bad = abs(rn.flat[np.argmin(genuine)])
         raise InvalidDirectionError(f"|r.n| = {bad:.15g} > 1: no valid probability in this direction")
-    return shaped(0.5 * (1.0 + outcomes * rn))
+    return as_number(0.5 * (1.0 + outcomes * rn))
 
 
 @dataclass(frozen=True)
@@ -90,24 +90,23 @@ def pc_check(r) -> PcCheck:
     This is the package's one decision of the qubit bound: every other
     norm-side verdict reads ``satisfied``.
     """
-    shaped, rs = as_stack(1, as_bloch_vectors(r))
+    rs = as_bloch_vectors(r)
     mean_square_sum = np.vecdot(rs, rs)
     norm = np.sqrt(mean_square_sum)
-    return shaped(PcCheck(satisfied=norm - 1.0 <= ATOL, norm=norm, mean_square_sum=mean_square_sum))
+    return as_number(PcCheck(satisfied=norm - 1.0 <= ATOL, norm=norm, mean_square_sum=mean_square_sum))
 
 
 def to_operator(r) -> QuasiState:
     """Operator (1/2)(I + r.sigma) of a preparation: always Hermitian with
     unit trace, positive semidefinite exactly when ||r|| <= 1."""
-    shaped, rs = as_stack(1, as_bloch_vectors(r))
-    r = rs[:, :, None, None]
+    r = as_bloch_vectors(r)[..., None, None]
     # (1/2)(I + x X + y Y + z Z), summed in that order, in one array
-    m = r[:, 0] * PAULI[0]
+    m = r[..., 0, :, :] * PAULI[0]
     m += I2
-    m += r[:, 1] * PAULI[1]
-    m += r[:, 2] * PAULI[2]
+    m += r[..., 1, :, :] * PAULI[1]
+    m += r[..., 2, :, :] * PAULI[2]
     m *= 0.5
-    return shaped(QuasiState(m))
+    return QuasiState(m)
 
 
 def from_operator(state: QuasiState | np.ndarray) -> np.ndarray:
@@ -127,14 +126,14 @@ def transverse_frame(r_hat) -> tuple[np.ndarray, np.ndarray]:
     a transverse plane reproducible. For an (N, 3) stack of directions, the
     two (N, 3) stacks m and n.
     """
-    shaped, r_hats = as_stack(1, as_directions(r_hat))
-    polar = ~(np.abs(r_hats[:, 2]) < 1.0 - 1e-6)
+    r_hat = as_directions(r_hat)
+    polar = ~(np.abs(r_hat[..., 2:]) < 1.0 - 1e-6)
     # near the axis z x r_hat is too short to normalize; the rejection of x
     # from r_hat is not, and stays orthogonal to r_hat as x would not
-    x_rejected = np.array([1.0, 0.0, 0.0]) - r_hats[:, :1] * r_hats
-    m = np.where(polar[:, None], x_rejected, _cross(np.array([0.0, 0.0, 1.0]), r_hats))
-    m = m / _norms(m)[:, None]
-    return shaped((m, _cross(r_hats, m)))
+    x_rejected = np.array([1.0, 0.0, 0.0]) - r_hat[..., :1] * r_hat
+    m = np.where(polar, x_rejected, _cross(np.array([0.0, 0.0, 1.0]), r_hat))
+    m = m / _norms(m)[..., None]
+    return m, _cross(r_hat, m)
 
 
 def _cross(a, b) -> np.ndarray:
@@ -158,13 +157,11 @@ class PredictabilityCircle(Stacked):
     def sample(self, n_points: int = 64) -> np.ndarray:
         """Unit directions on the circle at a deterministic angle grid: an
         (n_points, 3) array, or (N, n_points, 3) for a stack of N circles."""
-        normals = np.reshape(self.plane_normal, (-1, 3))
-        m, n = transverse_frame(normals)
+        m, n = transverse_frame(self.plane_normal)
         thetas = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-        pts = np.reshape(self.center, (-1, 1, 3)) + np.reshape(self.radius, (-1, 1, 1)) * (
-            np.cos(thetas)[:, None] * m[:, None, :] + np.sin(thetas)[:, None] * n[:, None, :]
+        return np.asarray(self.center)[..., None, :] + np.asarray(self.radius)[..., None, None] * (
+            np.cos(thetas)[:, None] * m[..., None, :] + np.sin(thetas)[:, None] * n[..., None, :]
         )
-        return pts.reshape(np.shape(self.center)[:-1] + (n_points, 3))
 
 
 def predictability_circle(r) -> PredictabilityCircle | None:
@@ -175,22 +172,23 @@ def predictability_circle(r) -> PredictabilityCircle | None:
     (1/r > 1 is unreachable by unit vectors). For an (N, 3) stack, the
     stack of circles; a row of norm below 1 has no circle and raises.
     """
-    shaped, rs = as_stack(1, as_bloch_vectors(r))
+    rs = as_bloch_vectors(r)
     check = pc_check(rs)
-    norm = check.norm
+    norm = np.asarray(check.norm)
     inside = norm < 1.0 - ATOL
     if inside.any():
-        if np.ndim(r) == 1:
+        if rs.ndim == 1:
             return None
         raise ValueError(f"no certain direction for norm {norm[np.argmax(inside)]:.15g} < 1")
-    r_hat = rs / norm[:, None]
-    full = ~check.satisfied
+    # each row's norm and verdict as a column against the row's components
+    norm, full = norm[..., None], ~np.asarray(check.satisfied)[..., None]
+    r_hat = rs / norm
     circles = PredictabilityCircle(
-        center=np.where(full[:, None], r_hat / norm[:, None], r_hat),
-        radius=np.where(full, np.sqrt(np.maximum(1.0 - 1.0 / norm**2, 0.0)), 0.0),
+        center=np.where(full, r_hat / norm, r_hat),
+        radius=np.where(full, np.sqrt(np.maximum(1.0 - 1.0 / norm**2, 0.0)), 0.0)[..., 0],
         plane_normal=r_hat,
     )
-    return shaped(circles)
+    return as_number(circles)
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:
@@ -205,10 +203,9 @@ def scale_directions(normals: np.ndarray, norms) -> np.ndarray:
     The draws are overwritten: each row is divided by its length and then
     multiplied by its norm, the arithmetic of ``norm * random_direction(rng)``
     on the same normals, bit for bit."""
-    shaped, rows = as_stack(1, normals)
-    rows /= _norms(rows)[:, None]
-    rows *= np.reshape(norms, (-1, 1))
-    return shaped(rows)
+    normals /= _norms(normals)[..., None]
+    normals *= np.asarray(norms)[..., None]
+    return normals
 
 
 def random_bloch_vector(rng: np.random.Generator, min_norm, max_norm) -> np.ndarray:
@@ -225,10 +222,9 @@ def random_bloch_vector(rng: np.random.Generator, min_norm, max_norm) -> np.ndar
     lows, highs = np.broadcast_arrays(np.asarray(min_norm, dtype=float), np.asarray(max_norm, dtype=float))
     if lows.ndim > 1:
         raise ValueError(f"norm ranges must be numbers or (N,) arrays, got shape {lows.shape}")
-    shaped, lows, highs = as_stack(0, lows, highs)
-    draws = np.empty(len(lows))
-    normals = np.empty((len(lows), 3))
-    for k in range(len(lows)):
+    draws = np.empty(lows.size)
+    normals = np.empty((lows.size, 3))
+    for k in range(lows.size):
         draws[k] = rng.random()
         rng.standard_normal(out=normals[k])
-    return shaped(scale_directions(normals, lows + (highs - lows) * draws))
+    return scale_directions(normals.reshape(lows.shape + (3,)), lows + (highs - lows) * draws.reshape(lows.shape))

@@ -161,10 +161,9 @@ def _run_discriminate(args):
     label_minus, miss_minus, q_minus = discriminate(pair, -1)
     det_dev = max(abs(q_plus - 1.0), abs(miss_plus), abs(q_minus - 1.0), abs(miss_minus))
 
-    identified = {+1: label_plus, -1: label_minus}
     rng = np.random.default_rng(args.seed)
     hidden = rng.choice([+1, -1], size=args.trials)
-    correct = sum(identified[int(w)] == w for w in hidden)
+    correct = np.count_nonzero(np.where(hidden == +1, label_plus, label_minus) == hidden)
 
     outputs = {
         "r_plus": pair.r_plus,
@@ -175,7 +174,7 @@ def _run_discriminate(args):
         "q_minus_given_minus": q_minus,
         "q_plus_given_minus": miss_minus,
         "trials": args.trials,
-        "correct": int(correct),
+        "correct": correct,
     }
     return outputs, [
         CheckResult.at_most("deterministic-detection", det_dev, SPECTRAL_ATOL),

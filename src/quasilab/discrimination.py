@@ -17,32 +17,32 @@ from functools import cached_property
 import numpy as np
 
 from .bloch import as_bloch_vectors, pc_check, to_operator, transverse_frame
-from .operators import ATOL, QuasiState, Stacked, as_stack, expectation, kron
+from .operators import ATOL, QuasiState, Stacked, as_number, expectation, kron
 from .nonlocal_box import observable
 
 
 def overlap(r, rp) -> float:
     """Trace pairing of two preparations: Tr(rho rho') = (1 + r.r')/2."""
-    shaped, rs, rps = as_stack(1, as_bloch_vectors(r), as_bloch_vectors(rp))
-    return shaped(0.5 * (1.0 + np.vecdot(rs, rps)))
+    return as_number(0.5 * (1.0 + np.vecdot(as_bloch_vectors(r), as_bloch_vectors(rp))))
 
 
 def clonability_check(r, rp) -> bool:
     """True iff the pair passes the joint-cloning fixed point: a unitary
     copying both preparations forces Tr(rho rho')^2 = Tr(rho rho'), i.e.
     the trace pairing is exactly 0 or 1, i.e. r.r' = -1 or +1."""
-    shaped, rs, rps = as_stack(1, as_bloch_vectors(r), as_bloch_vectors(rp))
-    return shaped(np.abs(np.abs(np.vecdot(rs, rps)) - 1.0) <= ATOL)
+    return as_number(np.abs(np.abs(np.vecdot(as_bloch_vectors(r), as_bloch_vectors(rp))) - 1.0) <= ATOL)
 
 
 def _violating_norms(rs: np.ndarray) -> np.ndarray:
-    """The norms of an (N, 3) stack of resources, each required to exceed 1
-    (by pc_check's verdict)."""
+    """The norms of a resource or a stack of them, each required to exceed
+    1 (by pc_check's verdict), as an array with a trailing axis of one,
+    which broadcasts against the components."""
     check = pc_check(rs)
-    if check.satisfied.any():
-        norm = check.norm[np.argmax(check.satisfied)]
+    satisfied = np.asarray(check.satisfied)
+    if satisfied.any():
+        norm = np.ravel(check.norm)[np.argmax(satisfied)]
         raise ValueError(f"resource norm must exceed 1 by more than {ATOL:g}, got {norm:.15g}")
-    return check.norm
+    return np.asarray(check.norm)[..., None]
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class HyperplanePair(Stacked):
         minus = np.abs(np.vecdot(r, self.r_minus) + 1.0) <= ATOL
         if not (np.all(plus) and np.all(minus)):
             raise ValueError("pair does not satisfy r.r+- = +-1")
-        _violating_norms(np.reshape(r, (-1, 3)))
+        _violating_norms(r)
 
     @cached_property
     def povm(self) -> DiscriminationPovm:
@@ -95,25 +95,22 @@ def hyperplane_pair(r, y: float, z: float) -> HyperplanePair:
     an (N, 3) stack of resources and (N,) offsets, the stack of N pairs,
     with no measurement built yet.
     """
-    shaped, rs, ys, zs = as_stack(1, as_bloch_vectors(r), y, z)
+    rs = as_bloch_vectors(r)
     norm = _violating_norms(rs)
-    ys, zs = np.asarray(ys, dtype=float), np.asarray(zs, dtype=float)
+    ys, zs = np.asarray(y, dtype=float)[..., None], np.asarray(z, dtype=float)[..., None]
     if not (np.isfinite(ys).all() and np.isfinite(zs).all()):
         raise ValueError("transverse components must be finite")
-    reach = 1.0 / norm**2 + ys * ys + zs * zs
+    # a y or z beyond about 1e154 squares to inf, which the bound rejects
+    with np.errstate(over="ignore"):
+        reach = 1.0 / norm**2 + ys * ys + zs * zs
     too_large = reach > 1.0 + ATOL
     if too_large.any():
-        value = reach[np.argmax(too_large)]
+        value = reach.flat[np.argmax(too_large)]
         raise ValueError(f"transverse components too large: 1/r^2 + y^2 + z^2 = {value:.15g} > 1")
-    r_hat = rs / norm[:, None]
+    r_hat = rs / norm
     m, n = transverse_frame(r_hat)
-    offset = ys[:, None] * m + zs[:, None] * n
-    pairs = HyperplanePair(
-        resource=rs,
-        r_plus=r_hat / norm[:, None] + offset,
-        r_minus=-r_hat / norm[:, None] + offset,
-    )
-    return shaped(pairs)
+    offset = ys * m + zs * n
+    return HyperplanePair(resource=rs, r_plus=r_hat / norm + offset, r_minus=-r_hat / norm + offset)
 
 
 @dataclass(frozen=True)
@@ -129,11 +126,11 @@ class DiscriminationPovm(Stacked):
 def discrimination_povm(r) -> DiscriminationPovm:
     """Measurement whose outcomes correlate one-to-one with the two
     certainty planes of the resource ``r`` (requires ||r|| > 1)."""
-    shaped, rs = as_stack(1, as_bloch_vectors(r))
-    axis = rs / _violating_norms(rs)[:, None]
+    rs = as_bloch_vectors(r)
+    axis = rs / _violating_norms(rs)
     corr = kron(observable(axis), observable(axis))
     ident = np.eye(4, dtype=complex)
-    return shaped(DiscriminationPovm(p_plus=0.5 * (ident + corr), p_minus=0.5 * (ident - corr)))
+    return DiscriminationPovm(p_plus=0.5 * (ident + corr), p_minus=0.5 * (ident - corr))
 
 
 def _is_label(labels: np.ndarray) -> np.ndarray:
@@ -153,10 +150,8 @@ def detection_probabilities(pair: HyperplanePair, which: int) -> tuple[float, fl
     if not valid.all():
         raise ValueError(f"hidden label must be +1 or -1, got {which.flat[np.argmin(valid)]}")
     povm, hidden = pair.povm, to_operator(pair.member(which)).matrix
-    # a single pair's cached fields, read as stacks of one
-    shaped, rho, p_plus, p_minus, hidden = as_stack(2, pair.resource_state.matrix, povm.p_plus, povm.p_minus, hidden)
-    joint = kron(rho, hidden)
-    return shaped((expectation(p_plus, joint), expectation(p_minus, joint)))
+    joint = kron(pair.resource_state.matrix, hidden)
+    return expectation(povm.p_plus, joint), expectation(povm.p_minus, joint)
 
 
 def discriminate(pair: HyperplanePair, which: int) -> tuple[int, float, float]:
@@ -169,8 +164,8 @@ def discriminate(pair: HyperplanePair, which: int) -> tuple[int, float, float]:
     certain. For a stack of pairs, with one hidden label per pair (or one
     for all), the (N,) labels, q_plus and q_minus.
     """
-    shaped, q_plus, q_minus = as_stack(0, *detection_probabilities(pair, which))
-    return shaped((np.where(q_plus >= q_minus, +1, -1), q_plus, q_minus))
+    q_plus, q_minus = detection_probabilities(pair, which)
+    return as_number((np.where(q_plus >= q_minus, +1, -1), q_plus, q_minus))
 
 
 def clone_protocol(pair: HyperplanePair, label: int, which: int) -> tuple[QuasiState, float]:
@@ -191,12 +186,11 @@ def clone_protocol(pair: HyperplanePair, label: int, which: int) -> tuple[QuasiS
         k = np.argmin(np.ravel(valid))
         label, which = (np.broadcast_to(x, valid.shape).flat[k] for x in (label, which))
         raise ValueError(f"labels must be +1 or -1, got {label} and {which}")
-    shaped, chosen, hidden = as_stack(1, pair.member(label), pair.member(which))
-    single = to_operator(chosen).matrix
+    single = to_operator(pair.member(label)).matrix
     out = kron(single, single)
-    dev = np.zeros(len(out))
+    dev = np.zeros(out.shape[:-2])
     if np.any(label != which):
         wrong = np.broadcast_to(label != which, dev.shape)
-        actual = to_operator(hidden[wrong]).matrix
-        dev[wrong] = np.abs(out[wrong] - kron(actual, actual)).max(axis=(1, 2))
-    return shaped((QuasiState(out), dev))
+        actual = to_operator(pair.member(which)[wrong]).matrix
+        dev[wrong] = np.abs(out[wrong] - kron(actual, actual)).max(axis=(-2, -1))
+    return QuasiState(out), as_number(dev)

@@ -15,18 +15,11 @@ once when the state is built (O(d^3)), and one change of the probe into
 the eigenbasis: O(d^2) time and memory per call. The dense (d^2)x(d^2)
 projector is built only where a report judges it against its oracle.
 
-Every operation takes one instance, or a stack of N instances of one
-dimension d along a leading axis, as a numpy gufunc treats leading axes
-(the package's shape rule): N epsilons, (N, d-1) tails, (N, d, d) bases
-and (N, d) phases. The same expressions compute both, with one numpy call
-per stage, by broadcasting over the leading axes (``...``) rather than as
-a stack of one (``operators.as_stack``): one instance's epsilon stays a
-numpy scalar, whose arithmetic costs a tenth of a one-row array's, and no
-field is picked in and out of a stack, which made single states half
-again as slow. One instance comes back with Python numbers
-(``operators.as_number``), and ``[k]`` picks instance k of a stack. A
-stack is validated row by row, and a bad row raises the error it raises
-on its own.
+Every operation follows the package's shape rule: it takes one instance,
+or a stack of N instances of one dimension d along a leading axis (N
+epsilons, (N, d-1) tails, (N, d, d) bases and (N, d) phases), and
+broadcasts over the leading axes. A stack is validated row by row, and a
+bad row raises the error it raises on its own.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ unit-trace Hermitian operator whose measurement correlations exceed the
 quantum CHSH maximum 2*sqrt(2) while staying non-signalling.
 
 Building and measuring boxes follow the package's shape rule: the shape of
-``r``, or of the box, chooses one instance or a stack of N (see ``as_stack``).
+``r``, or of the box, chooses one instance or a stack of N, and the same
+expressions compute both by broadcasting over the leading axes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .operators import (
     QuasiState,
     SPECTRAL_ATOL,
     Stacked,
-    as_stack,
+    as_number,
     expectation,
     hermitian_eigensystem,
     kron,
@@ -52,11 +53,11 @@ def rotated_cnot(xi, xi_perp) -> np.ndarray:
     """Controlled-NOT with control and target both in the rotated basis
     spanned by (|xi> +- |xi_perp>)/sqrt(2); for (N, 2) stacks of (xi,
     xi_perp), the (N, 4, 4) stack of gates."""
-    shaped, xi, xi_perp = as_stack(1, np.asarray(xi, dtype=complex), np.asarray(xi_perp, dtype=complex))
+    xi, xi_perp = np.asarray(xi, dtype=complex), np.asarray(xi_perp, dtype=complex)
     plus = (xi + xi_perp) / SQRT2
     minus = (xi - xi_perp) / SQRT2
     flip = _outer(xi, xi) - _outer(xi_perp, xi_perp)
-    return shaped(kron(_outer(plus, plus), I2[None]) + kron(_outer(minus, minus), flip))
+    return kron(_outer(plus, plus), I2) + kron(_outer(minus, minus), flip)
 
 
 def basis_to_computational(xi, xi_perp) -> np.ndarray:
@@ -114,10 +115,10 @@ def build_box(r) -> BipartiteBox:
     stack, the stack of boxes: one eigendecomposition call and one product
     per pipeline stage for the whole stack.
     """
-    shaped, rs = as_stack(1, as_bloch_vectors(r))
+    rs = as_bloch_vectors(r)
     rho = to_operator(rs).matrix
     vecs = hermitian_eigensystem(rho).eigenvectors
-    xi, xi_perp = vecs[:, :, 0], vecs[:, :, 1]
+    xi, xi_perp = vecs[..., 0], vecs[..., 1]
     plus = (xi + xi_perp) / SQRT2
     u, u_loc = rotated_cnot(xi, xi_perp), basis_to_computational(xi, xi_perp)
     doubled = u @ kron(rho, _outer(plus, plus)) @ _dagger(u)
@@ -129,7 +130,7 @@ def build_box(r) -> BipartiteBox:
     boxes = BipartiteBox(
         state=QuasiState(box), r=norm, closed_form_dev=_max_dev(box, closed_form_box(norm)), unitarity_dev=unitarity_dev
     )
-    return shaped(boxes)
+    return as_number(boxes)
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def bell_operator(settings: ChshSettings) -> np.ndarray:
     """CHSH combination A1B1 + A1B2 + A2B1 - A2B2 as a dim-4 operator (per row of a stack)."""
     a = observable(np.stack((settings.a1, settings.a1, settings.a2, settings.a2), axis=-2))
     b = observable(np.stack((settings.b1, settings.b2, settings.b1, settings.b2), axis=-2))
-    terms = kron(a.reshape(-1, 2, 2), b.reshape(-1, 2, 2)).reshape(a.shape[:-3] + (4, 4, 4))
+    terms = kron(a, b)
     return terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :] - terms[..., 3, :, :]
 
 
@@ -186,20 +187,22 @@ def chsh_settings_for(r) -> ChshSettings:
     probabilities still valid. For an array of N strengths, the stack of
     N settings, each row on its own branch.
     """
-    shaped, rs = as_stack(0, np.asarray(r, dtype=float))
+    rs = np.asarray(r, dtype=float)
     if not (np.isfinite(rs) & (rs > 0)).all():
         raise ValueError("settings are defined for finite r > 0")
-    diagonal = (rs <= SQRT2)[:, None]
-    # the rows on the diagonal branch have no tilt; 0 stands in for it
+    diagonal = (rs <= SQRT2)[..., None]
+    # the rows on the diagonal branch have no tilt and use none of the
+    # tilted components: 0 stands in for the tilt, and sqrt(2)/max(r,
+    # sqrt(2)), which cannot overflow, for sqrt(2)/r
     tilt = np.sqrt(np.maximum(rs * rs - 2.0, 0.0)) / rs
+    along = SQRT2 / np.maximum(rs, SQRT2)
     zero = np.zeros_like(rs)
-    settings = ChshSettings(
+    return ChshSettings(
         a1=np.broadcast_to(TSIRELSON_SETTINGS.a1, rs.shape + (3,)),
         a2=np.broadcast_to(TSIRELSON_SETTINGS.a2, rs.shape + (3,)),
-        b1=np.where(diagonal, TSIRELSON_SETTINGS.b1, np.stack((SQRT2 / rs, zero, tilt), axis=-1)),
-        b2=np.where(diagonal, TSIRELSON_SETTINGS.b2, np.stack((zero, -SQRT2 / rs, tilt), axis=-1)),
+        b1=np.where(diagonal, TSIRELSON_SETTINGS.b1, np.stack((along, zero, tilt), axis=-1)),
+        b2=np.where(diagonal, TSIRELSON_SETTINGS.b2, np.stack((zero, -along, tilt), axis=-1)),
     )
-    return shaped(settings)
 
 
 def chsh_value(box: BipartiteBox, settings: ChshSettings) -> float:
@@ -234,40 +237,48 @@ class JointDistribution(Stacked):
         object.__setattr__(self, "table", t)
 
 
+def _tables(rho, a, b) -> JointDistribution:
+    """The tables p(x, y) = Tr[(Pi_a^x (x) Pi_b^y) rho] of dim-4 operators
+    ``rho`` and unit vectors a, b with the same leading axes, with one
+    ``kron`` and one ``expectation`` call for all their entries."""
+    # Pi_a^x and Pi_b^y, [..., party, (x, y)], (x, y) = (+, +), (+, -), (-, +), (-, -)
+    signs = np.stack((a, a, -a, -a, b, -b, b, -b), axis=-2)
+    proj = to_operator(signs.reshape(-1, 3)).matrix.reshape(a.shape[:-1] + (2, 4, 2, 2))
+    ops = kron(proj[..., 0, :, :, :], proj[..., 1, :, :, :])
+    # rho once per entry, as a copy: a broadcast operand changes the bits
+    # of the pairings
+    table = expectation(ops, np.repeat(rho[..., None, :, :], 4, axis=-3)).reshape(ops.shape[:-3] + (2, 2))
+    valid = ((table >= -ATOL) & (table <= 1.0 + ATOL)).all(axis=(-2, -1))
+    return as_number(JointDistribution(table=table, valid=valid))
+
+
 def joint_distribution(box: BipartiteBox, a, b) -> JointDistribution:
     """Outcome table p(x, y) = Tr[(Pi_a^x (x) Pi_b^y) box] for unit
     coefficient vectors a, b; the validity flag reports whether every
     entry is a genuine probability. For a stack of N boxes and (N, 3)
     stacks a and b, the N tables, with one ``kron`` and one
     ``expectation`` call for all 4N entries."""
-    shaped, rhos = as_stack(2, box.state.matrix)
-    a, b = (np.reshape(as_directions(v), (len(rhos), 3)) for v in (a, b))
-    # Pi_a^x and Pi_b^y of each row, [row, party, (x, y)], (x, y) = (+, +), (+, -), (-, +), (-, -)
-    proj = to_operator(np.stack((a, a, -a, -a, b, -b, b, -b), axis=1).reshape(-1, 3)).matrix.reshape(-1, 2, 4, 2, 2)
-    ops = kron(proj[:, 0].reshape(-1, 2, 2), proj[:, 1].reshape(-1, 2, 2))
-    table = expectation(ops, np.repeat(rhos, 4, axis=0)).reshape(-1, 2, 2)
-    valid = ((table >= -ATOL) & (table <= 1.0 + ATOL)).all(axis=(-2, -1))
-    return shaped(JointDistribution(table=table, valid=valid))
+    return _tables(box.state.matrix, as_directions(a), as_directions(b))
 
 
 def setting_tables(box: BipartiteBox, settings: ChshSettings) -> JointDistribution:
     """Joint tables for all four setting pairs (a_i, b_j): ``table[..., i,
     j, x, y]`` and ``valid[..., i, j]``, with i, j = 1, 2 at index 0, 1.
     For a stack of N boxes and a stack of N settings, the tables of each
-    row, from one ``joint_distribution`` call on the 4N (box, a_i, b_j)."""
-    shaped, rhos, boxes, settings = as_stack(2, box.state.matrix, box, settings)
-    a = np.stack((settings.a1, settings.a1, settings.a2, settings.a2), axis=-2).reshape(-1, 3)
-    b = np.stack((settings.b1, settings.b2, settings.b1, settings.b2), axis=-2).reshape(-1, 3)
-    pairs = joint_distribution(boxes[np.repeat(np.arange(len(rhos)), 4)], a, b)
-    return shaped(JointDistribution(table=pairs.table.reshape(-1, 2, 2, 2, 2), valid=pairs.valid.reshape(-1, 2, 2)))
+    row, from the 16N entries of the 4N (box, a_i, b_j)."""
+    a = np.stack((settings.a1, settings.a1, settings.a2, settings.a2), axis=-2)
+    b = np.stack((settings.b1, settings.b2, settings.b1, settings.b2), axis=-2)
+    pairs = _tables(np.repeat(box.state.matrix[..., None, :, :], 4, axis=-3), a, b)
+    lead = pairs.table.shape[:-3]
+    return JointDistribution(table=pairs.table.reshape(lead + (2, 2, 2, 2)), valid=pairs.valid.reshape(lead + (2, 2)))
 
 
 def signalling_deviation(tables: JointDistribution) -> float:
     """Largest change of any party's outcome marginal under a change of the
     other party's setting, in the tables of ``setting_tables``: 0 for a
     non-signalling box, and one value per box of a stack."""
-    shaped, t = as_stack(4, tables.table)
+    t = tables.table
     p_x, p_y = t.sum(axis=-1), t.sum(axis=-2)
-    dev_a = np.abs(p_x[:, :, 0] - p_x[:, :, 1]).max(axis=(1, 2))
-    dev_b = np.abs(p_y[:, 0] - p_y[:, 1]).max(axis=(1, 2))
-    return shaped(np.maximum(dev_a, dev_b))
+    dev_a = np.abs(p_x[..., :, 0, :] - p_x[..., :, 1, :]).max(axis=(-2, -1))
+    dev_b = np.abs(p_y[..., 0, :, :] - p_y[..., 1, :, :]).max(axis=(-2, -1))
+    return as_number(np.maximum(dev_a, dev_b))

@@ -3,11 +3,10 @@ eigensystems, trace pairings, and validation of unit-trace preparations
 that are allowed to have negative eigenvalues.
 
 Every operation on instances takes one instance or a stack of N along a
-leading axis, as a numpy gufunc does (``as_stack``), and computes on the
-stack with one numpy call per stage; one instance is computed as a stack
-of one, or, in ``highdim``, by broadcasting over the leading axes
-(``as_number``). The result types (``Stacked``) hold one instance or a
-stack of N."""
+leading axis and, as a numpy gufunc does, broadcasts over the leading
+axes: the same expressions compute both, with one numpy call per stage.
+One instance's 0-d results come back as Python numbers (``as_number``).
+The result types (``Stacked``) hold one instance or a stack of N."""
 
 from __future__ import annotations
 
@@ -84,43 +83,22 @@ def _pick(value, index):
     return picked.item() if picked.ndim == 0 else picked
 
 
-def as_stack(core_ndim: int, x, *more):
-    """The shape rule of every operation, as a numpy gufunc treats leading
-    axes: ``x`` with ``core_ndim`` dimensions is one instance, with one more
-    a stack of N. Returns ``shaped``, then ``x`` and ``more`` as stacks (one
-    instance as a stack of one, a ``Stacked`` one field by field).
-    ``shaped`` turns a result computed on the stack into its instance 0 for
-    one instance (numpy scalars as Python ones, a tuple part by part) and
-    passes a stack's result through."""
-    if np.ndim(x) != core_ndim:
-        return _whole, x, *more
-    return _first, *(_pick(value, None) for value in (x, *more))
-
-
 def as_number(result):
-    """A result computed by broadcasting over leading axes, as numpy's own
-    gufuncs do, without adding a stack axis: a 0-d result (one instance) as
-    a Python number, a stack's result as it is. It is the other half of the
-    shape rule, for layers where a stack of one costs more than the work
-    (``highdim``, see its docstring)."""
+    """The one exit of the shape rule: a result computed by broadcasting
+    over leading axes with its 0-d values (one instance) as Python numbers,
+    a tuple part by part and a ``Stacked`` field by field; a stack's result
+    as it is."""
     return _pick(result, ())
-
-
-def _whole(result):
-    return result
-
-
-def _first(result):
-    return _pick(result, 0)
 
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two matrices; output dims are the products. For
     two stacks of N matrices, the product row by row. Every entry is one
     product, as in ``np.kron``, so the bits are numpy's."""
-    shaped, a, b = as_stack(2, np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-    n, (ra, ca), (rb, cb) = len(a), a.shape[1:], b.shape[1:]
-    return shaped((a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, ra * rb, ca * cb))
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (ra * rb, ca * cb))
 
 
 @dataclass(frozen=True)
@@ -138,15 +116,16 @@ class QuasiState(Stacked):
 
     def __post_init__(self):
         m = _as_square(self.matrix)
-        rows = m.reshape((-1,) + m.shape[-2:])
-        gap = _hermitian_gap(rows)
-        tr = rows.trace(axis1=1, axis2=2)
-        if not (gap.max(initial=0.0) <= ATOL and np.abs(tr - 1.0).max(initial=0.0) <= ATOL):
-            dev = gap.max(axis=(1, 2))
-            k = np.argmin((dev <= ATOL) & (np.abs(tr - 1.0) <= ATOL))
-            if not dev[k] <= ATOL:
-                raise ValueError(f"matrix is not Hermitian (max deviation {dev[k]:.3e})")
-            raise ValueError(f"trace must be 1, got {tr[k]:.15g}")
+        # one verdict per operator on both conditions; the first bad one raises
+        dev = _hermitian_gap(m).max(axis=(-2, -1), initial=0.0)
+        tr = m.trace(axis1=-2, axis2=-1)
+        ok = (dev <= ATOL) & (np.abs(tr - 1.0) <= ATOL)
+        if np.count_nonzero(ok) != ok.size:
+            k = np.argmin(ok)
+            dev, tr = np.ravel(dev)[k], np.ravel(tr)[k]
+            if not dev <= ATOL:
+                raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+            raise ValueError(f"trace must be 1, got {tr:.15g}")
         object.__setattr__(self, "matrix", _frozen(m))
 
     @property
@@ -192,16 +171,15 @@ def hermitian_eigensystem(m) -> Eigensystem:
     constructions need a deterministic choice. For an (N, d, d) stack, the
     eigensystem of each matrix, with one ``eigh`` call.
     """
-    shaped, ms = as_stack(2, _as_square(m))
-    if not _hermitian_gap(ms).max(initial=0.0) <= ATOL:
+    m = _as_square(m)
+    if not _hermitian_gap(m).max(initial=0.0) <= ATOL:
         raise ValueError("eigensystem requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh(ms)
-    vals, vecs = vals[:, ::-1], vecs[:, :, ::-1]
+    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
     big = np.abs(vecs) > 1e-8
-    n, d = vals.shape
-    pivot = vecs[np.arange(n)[:, None], big.argmax(axis=1), np.arange(d)]
-    phase = np.divide(np.abs(pivot), pivot, out=np.ones_like(pivot), where=big.any(axis=1))
-    return shaped(Eigensystem(vals, vecs * phase[:, None, :]))
+    pivot = np.take_along_axis(vecs, big.argmax(axis=-2)[..., None, :], axis=-2)[..., 0, :]
+    phase = np.divide(np.abs(pivot), pivot, out=np.ones_like(pivot), where=big.any(axis=-2))
+    return Eigensystem(vals, vecs * phase[..., None, :])
 
 
 def expectation(op, state) -> float:
@@ -217,8 +195,7 @@ def expectation(op, state) -> float:
     op = np.asarray(op, dtype=complex)
     if rho.shape != op.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape} vs operator {op.shape}")
-    shaped, ops, rhos = as_stack(2, op, rho)
-    return shaped(real_pairing(np.einsum("...ij,...ji->...", rhos, ops)))
+    return real_pairing(np.einsum("...ij,...ji->...", rho, op))
 
 
 def real_pairing(value: complex) -> float:

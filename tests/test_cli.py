@@ -73,6 +73,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            # the tilted branch's sqrt(2)/r overflows at r = 1e-320, but the
+            # diagonal branch is the one used
+            (["chsh-sweep", "--r-min", "1e-320", "--r-max", "1e-320", "--steps", "2"], 0, ""),
+            (["discriminate", "--r", "0,0,2", "--y", "1e200", "--z", "0"], 2, "too large"),
+            (["clone-demo", "--r", "0,0,2", "--y", "1e200", "--z", "0"], 2, "too large"),
+        ],
+        ids=["chsh-sweep", "discriminate", "clone-demo"],
+    )
+    def test_overflow_in_a_discarded_or_rejected_value_prints_no_warning(self, capsys, argv, code, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _, err = run(capsys, *argv)
+        assert got == code and message in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials", "-3"],

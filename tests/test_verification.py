@@ -6,7 +6,9 @@ written as its passing comparison, so NaN and infinities fail it. One
 assembler per report: only ``cli.main`` and ``acceptance.as_report`` build
 a ``RunReport``, and only ``acceptance.run_all`` numbers and names the
 criteria. One name per operation: no public function is a ``*_batch``
-twin or a wrapper of a stack of one."""
+twin or a wrapper of a stack of one. One shape rule: every operation
+broadcasts over leading axes, so no module lifts one instance to a stack
+of one, and only ``operators`` picks results apart."""
 
 import ast
 from pathlib import Path
@@ -143,3 +145,28 @@ def test_one_public_name_per_operation(path):
     wrappers = [fn.name for fn in functions if _wraps_a_stack_of_one(fn)]
     assert twins == [], f"{path.name} defines stack twins {twins}"
     assert wrappers == [], f"{path.name} wraps a stack of one in {wrappers}"
+
+
+def _identifiers(tree: ast.Module) -> set[str]:
+    """Every name a module defines, imports, reads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_layer_lifts_or_picks_its_own_instances(path):
+    # one instance is computed by broadcasting and leaves through
+    # operators.as_number, never as a stack of one picked back out
+    names = _identifiers(ast.parse(path.read_text(), filename=str(path)))
+    lifts = sorted(names & {"as_stack", "_first", "_whole"})
+    assert lifts == [], f"{path.name} names the stack-of-one lift {lifts}"
+    assert path.name == "operators.py" or "_pick" not in names, f"{path.name} picks results apart itself"
