@@ -82,15 +82,16 @@ class Criterion:
         )
 
 
-def _axis_vector(r: float) -> np.ndarray:
-    return np.array([0.0, 0.0, r])
+def _axis_vectors(r) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    return np.stack((np.zeros_like(r), np.zeros_like(r), r), axis=-1)
 
 
 def chsh_law_criterion() -> list[CheckResult]:
     """CHSH value follows 2*sqrt(2)*r on the sub-sqrt(2) branch; at r = 1
     this is the quantum maximum."""
     grid = np.array([1.0, 1.1, 1.2, 1.3, 1.4, 1.4142])
-    boxes = build_box([_axis_vector(r) for r in grid])
+    boxes = build_box(_axis_vectors(grid))
     dev = np.max(np.abs(chsh_value(boxes, chsh_settings_for(grid)) - 2.0 * SQRT2 * grid))
     closed_dev = np.max(boxes.closed_form_dev)
     return [
@@ -103,7 +104,7 @@ def maximal_box_criterion() -> list[CheckResult]:
     """Past r = sqrt(2) the tilted settings hold the CHSH value at the
     algebraic maximum 4 with valid, non-signalling joint tables."""
     grid = np.array([1.5, 2.0, 3.0])
-    boxes = build_box([_axis_vector(r) for r in grid])
+    boxes = build_box(_axis_vectors(grid))
     settings = chsh_settings_for(grid)
     chsh_dev = np.max(np.abs(chsh_value(boxes, settings) - 4.0))
     tables = setting_tables(boxes, settings)
@@ -154,7 +155,7 @@ def predictability_witness_criterion(seed: int = DEFAULT_SEED, samples: int = 10
     that are simultaneously certain."""
     rs = _witness_draws(np.random.default_rng(seed), samples)
     points = predictability_circle(rs).sample(8)
-    probs = outcome_probability(np.repeat(rs, 8, axis=0), points.reshape(-1, 3), +1)
+    probs = outcome_probability(rs[:, None], points, +1)
     prob_dev = np.max(np.abs(probs - 1.0))
     cross = np.cross(points[:, 0], points[:, 2])
     colinear = np.sum(np.sqrt(np.vecdot(cross, cross)) <= ATOL)
@@ -197,10 +198,9 @@ def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> li
     margin = np.min(fixed_point_gap)
 
     pairs = hyperplane_pair(*_hyperplane_draws(rng, 100))
-    resources = np.concatenate((pairs.resource, pairs.resource))
-    members = np.concatenate((pairs.r_plus, pairs.r_minus))
-    t = overlap(resources, members)
-    exact_dev = max(float(not np.all(clonability_check(resources, members))), np.max(np.abs(t * t - t)))
+    members = np.stack((pairs.r_plus, pairs.r_minus))
+    t = overlap(pairs.resource, members)
+    exact_dev = max(float(not np.all(clonability_check(pairs.resource, members))), np.max(np.abs(t * t - t)))
     return [
         CheckResult.at_most("agreement-disagreements", disagreements, 0.0),
         CheckResult.above("generic-pairs-margin", margin, LAW_ATOL),
@@ -261,13 +261,13 @@ def _highdim_grid_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray,
     dimension: per epsilon the uniform tail and three random ones, and per
     tail a random unitary basis and then random phases."""
     epsilons = (0.1, 0.5, 1.0, 2.0)
-    tails, bases, phases = [], [], []
+    tails, matrices, phases = [], [], []
     for epsilon in epsilons:
         tails += [np.full(dim - 1, -epsilon / (dim - 1))] + [_random_tail(rng, dim, epsilon) for _ in range(3)]
         for _ in range(4):
-            bases.append(np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0])
+            matrices.append(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
             phases.append(rng.uniform(0.0, 2.0 * np.pi, size=dim))
-    return np.repeat(epsilons, 4), np.array(tails), np.array(bases), np.array(phases)
+    return np.repeat(epsilons, 4), np.array(tails), np.linalg.qr(np.array(matrices))[0], np.array(phases)
 
 
 def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> list[CheckResult]:
@@ -299,12 +299,12 @@ def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     ]
 
 
-def matched_qubit_instance(epsilon: float):
+def matched_qubit_instance(epsilon):
     """The qubit picture of a dim-2 violating state: resource along z with
     norm 1 + 2*epsilon, hyperplane offset chosen so the two plane states
-    are exactly the zero-phase probe vectors."""
+    are exactly the zero-phase probe vectors (for an array of epsilons, one per epsilon)."""
     norm = 1.0 + 2.0 * epsilon
-    r = _axis_vector(norm)
+    r = _axis_vectors(norm)
     y = 2.0 * np.sqrt(epsilon * (epsilon + 1.0)) / norm
     return r, hyperplane_pair(r, y, 0.0)
 
@@ -326,23 +326,19 @@ def cross_consistency_criterion() -> list[CheckResult]:
     Gershgorin bound, which no quadratic form <psi|A|psi> on a unit ket
     exceeds: a proof that the supremum stays below 1, where the largest of
     sampled forms could only under-estimate it."""
-    dev = 0.0
-    for epsilon in (0.1, 0.5, 1.0, 2.0):
-        r, pair = matched_qubit_instance(epsilon)
-        vs = build_violating_state(2, epsilon)
-        dev = max(dev, float(np.max(np.abs(vs.state.matrix - to_operator(r).matrix))))
-        p1, _ = entangled_projector(vs)
-        p0 = np.eye(4) - p1
-        dev = max(dev, float(np.max(np.abs(p1 - pair.povm.p_plus))), float(np.max(np.abs(p0 - pair.povm.p_minus))))
-        for which, target in ((+1, CERTAIN), (-1, NULL)):
-            probe = build_probe_state(vs, target)
-            plane_state = pair.r_plus if which == +1 else pair.r_minus
-            dev = max(dev, float(np.max(np.abs(from_operator(np.outer(probe.vector, probe.vector.conj())) - plane_state))))
-            _, q_plus, q_minus = discriminate(pair, which)
-            q_qubit = q_plus if which == +1 else q_minus
-            q_high = detection_probability(vs, probe)
-            expected = 1.0 if which == +1 else 0.0
-            dev = max(dev, abs(q_qubit - 1.0), abs(q_high - expected))
+    epsilons = np.array([0.1, 0.5, 1.0, 2.0])
+    rs, pairs = matched_qubit_instance(epsilons)
+    vs = build_violating_state(2, epsilons)
+    p1, _ = entangled_projector(vs)
+    devs = [vs.state.matrix - to_operator(rs).matrix, p1 - pairs.povm.p_plus, np.eye(4) - p1 - pairs.povm.p_minus]
+    for which, target in ((+1, CERTAIN), (-1, NULL)):
+        probe = build_probe_state(vs, target)
+        projectors = probe.vector[:, :, None] * probe.vector.conj()[:, None, :]
+        _, q_plus, q_minus = discriminate(pairs, which)
+        q_qubit = q_plus if which == +1 else q_minus
+        plane_dev = from_operator(projectors) - pairs.member(which)
+        devs += [plane_dev, q_qubit - 1.0, detection_probability(vs, probe) - target]
+    dev = max(float(np.max(np.abs(d))) for d in devs)
 
     three_level = np.diag([0.85, 0.25, -0.1]).astype(complex)
     return [

@@ -15,6 +15,9 @@ import numpy as np
 
 from .operators import ATOL, I2, PAULI, QuasiState, Stacked, as_number
 
+# the next and the previous component of each component, for _cross
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
 
 class InvalidDirectionError(ValueError):
     """Measurement direction with |r.n| > 1: the probability rule would
@@ -22,10 +25,10 @@ class InvalidDirectionError(ValueError):
 
 
 def as_bloch_vectors(r) -> np.ndarray:
-    """Validate one Bloch vector (shape (3,)) or an (N, 3) stack of them,
-    every component finite."""
+    """Validate one Bloch vector (shape (3,)) or a stack of them (shape
+    (..., 3)), every component finite."""
     r = np.asarray(r, dtype=float)
-    if r.ndim not in (1, 2) or r.shape[-1] != 3:
+    if r.ndim < 1 or r.shape[-1] != 3:
         raise ValueError(f"Bloch vector must have 3 components, got shape {r.shape}")
     if not np.isfinite(r).all():
         raise ValueError("Bloch vector components must be finite")
@@ -110,11 +113,11 @@ def to_operator(r) -> QuasiState:
 
 
 def from_operator(state: QuasiState | np.ndarray) -> np.ndarray:
-    """Bloch vector of a dim-2 preparation: r_i = Tr(state . sigma_i)."""
+    """Bloch vector r_i = Tr(state . sigma_i) of a dim-2 preparation, or of each of a stack."""
     m = state.matrix if isinstance(state, QuasiState) else np.asarray(state, dtype=complex)
-    if m.shape != (2, 2):
+    if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    return np.array([np.trace(m @ s).real for s in PAULI])
+    return np.stack([np.trace(m @ s, axis1=-2, axis2=-1).real for s in PAULI], axis=-1)
 
 
 def transverse_frame(r_hat) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +142,7 @@ def transverse_frame(r_hat) -> tuple[np.ndarray, np.ndarray]:
 def _cross(a, b) -> np.ndarray:
     # np.cross's products and differences, row by row, without the cost of
     # its general axis handling
-    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def _resolve_settings(choice: str, norm: float):
 
 
 def _run_box(args):
-    norm = float(np.linalg.norm(args.r))
+    norm = pc_check(args.r).norm
     if norm > MAX_BOX_NORM:
         raise ValueError(f"|r| must be at most {MAX_BOX_NORM:g}, got {norm:.6g}")
     box = build_box(args.r)

@@ -16,7 +16,7 @@ the eigenbasis: O(d^2) time and memory per call. The dense (d^2)x(d^2)
 projector is built only where a report judges it against its oracle.
 
 Every operation follows the package's shape rule: it takes one instance,
-or a stack of N instances of one dimension d along a leading axis (N
+or a stack of instances of one dimension d along leading axes (N
 epsilons, (N, d-1) tails, (N, d, d) bases and (N, d) phases), and
 broadcasts over the leading axes. A stack is validated row by row, and a
 bad row raises the error it raises on its own.
@@ -36,9 +36,9 @@ CERTAIN, NULL = 1, 0
 def violates_pc(m) -> bool:
     """True iff the preparation makes two incompatible outcomes certain,
     which happens exactly when its top eigenvalue exceeds 1 (by more than
-    PSD_ATOL, the eigenvalue-side bound that ``is_positive`` also uses)."""
+    PSD_ATOL, the bound of ``is_positive``); one verdict per operator."""
     matrix = m.matrix if isinstance(m, QuasiState) else np.asarray(m, dtype=complex)
-    return bool(np.linalg.eigvalsh(matrix)[-1] - 1.0 > PSD_ATOL)
+    return as_number(np.linalg.eigvalsh(matrix)[..., -1] - 1.0 > PSD_ATOL)
 
 
 def _all(ok) -> bool:

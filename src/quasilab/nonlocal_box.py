@@ -8,8 +8,8 @@ unit-trace Hermitian operator whose measurement correlations exceed the
 quantum CHSH maximum 2*sqrt(2) while staying non-signalling.
 
 Building and measuring boxes follow the package's shape rule: the shape of
-``r``, or of the box, chooses one instance or a stack of N, and the same
-expressions compute both by broadcasting over the leading axes.
+``r``, or of the box, chooses one instance or a stack along any leading
+axes, and the same expressions compute both, broadcasting over those axes.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def build_box(r) -> BipartiteBox:
 class ChshSettings(Stacked):
     """Four dichotomic observables (a1, a2 for one party, b1, b2 for the
     other), each given by the unit coefficient vector of v.sigma. A stack
-    of N settings holds an (N, 3) array in each field."""
+    of settings holds a (..., 3) array in each field."""
 
     a1: np.ndarray
     a2: np.ndarray
@@ -147,7 +147,7 @@ class ChshSettings(Stacked):
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
             v = np.asarray(getattr(self, name), dtype=float)
-            shape_ok = v.shape == np.shape(self.a1) and v.ndim in (1, 2) and v.shape[-1] == 3
+            shape_ok = v.shape == np.shape(self.a1) and v.ndim >= 1 and v.shape[-1] == 3
             if not (shape_ok and (np.abs(np.sqrt(np.vecdot(v, v)) - 1.0) <= ATOL).all()):
                 raise ValueError(f"setting {name} must be a unit 3-vector, or a stack of them shaped as a1")
             object.__setattr__(self, name, v)
@@ -239,15 +239,12 @@ class JointDistribution(Stacked):
 
 def _tables(rho, a, b) -> JointDistribution:
     """The tables p(x, y) = Tr[(Pi_a^x (x) Pi_b^y) rho] of dim-4 operators
-    ``rho`` and unit vectors a, b with the same leading axes, with one
-    ``kron`` and one ``expectation`` call for all their entries."""
-    # Pi_a^x and Pi_b^y, [..., party, (x, y)], (x, y) = (+, +), (+, -), (-, +), (-, -)
-    signs = np.stack((a, a, -a, -a, b, -b, b, -b), axis=-2)
-    proj = to_operator(signs.reshape(-1, 3)).matrix.reshape(a.shape[:-1] + (2, 4, 2, 2))
-    ops = kron(proj[..., 0, :, :, :], proj[..., 1, :, :, :])
-    # rho once per entry, as a copy: a broadcast operand changes the bits
-    # of the pairings
-    table = expectation(ops, np.repeat(rho[..., None, :, :], 4, axis=-3)).reshape(ops.shape[:-3] + (2, 2))
+    ``rho`` and unit vectors a, b of one shape broadcast against ``rho``,
+    with one ``kron`` and one ``expectation`` call for all their entries."""
+    # Pi_a^x of the entries (x, y) = (+, +), (+, -), (-, +), (-, -), then Pi_b^y of each
+    proj = to_operator(np.stack((a, a, -a, -a, b, -b, b, -b), axis=-2)).matrix
+    ops = kron(proj[..., :4, :, :], proj[..., 4:, :, :])
+    table = expectation(ops, rho[..., None, :, :]).reshape(ops.shape[:-3] + (2, 2))
     valid = ((table >= -ATOL) & (table <= 1.0 + ATOL)).all(axis=(-2, -1))
     return as_number(JointDistribution(table=table, valid=valid))
 
@@ -268,7 +265,7 @@ def setting_tables(box: BipartiteBox, settings: ChshSettings) -> JointDistributi
     row, from the 16N entries of the 4N (box, a_i, b_j)."""
     a = np.stack((settings.a1, settings.a1, settings.a2, settings.a2), axis=-2)
     b = np.stack((settings.b1, settings.b2, settings.b1, settings.b2), axis=-2)
-    pairs = _tables(np.repeat(box.state.matrix[..., None, :, :], 4, axis=-3), a, b)
+    pairs = _tables(box.state.matrix[..., None, :, :], a, b)
     lead = pairs.table.shape[:-3]
     return JointDistribution(table=pairs.table.reshape(lead + (2, 2, 2, 2)), valid=pairs.valid.reshape(lead + (2, 2)))
 

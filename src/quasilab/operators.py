@@ -2,11 +2,11 @@
 eigensystems, trace pairings, and validation of unit-trace preparations
 that are allowed to have negative eigenvalues.
 
-Every operation on instances takes one instance or a stack of N along a
-leading axis and, as a numpy gufunc does, broadcasts over the leading
-axes: the same expressions compute both, with one numpy call per stage.
+Every operation on instances takes one instance or a stack of them along
+any number of leading axes and, as a numpy gufunc does, broadcasts over
+them: the same expressions compute both, with one numpy call per stage.
 One instance's 0-d results come back as Python numbers (``as_number``).
-The result types (``Stacked``) hold one instance or a stack of N."""
+The result types (``Stacked``) hold one instance or a stack."""
 
 from __future__ import annotations
 
@@ -41,9 +41,9 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def _as_square(m) -> np.ndarray:
-    """``m`` as complex, checked to be a square matrix or a stack of them."""
+    """``m`` as complex, checked to be a square matrix or a stack of them (..., d, d)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
 
@@ -188,13 +188,17 @@ def expectation(op, state) -> float:
 
     ``state`` may be a QuasiState or a raw matrix. A non-negligible
     imaginary residue (> SPECTRAL_ATOL) signals a non-Hermitian input and raises,
-    as does a non-finite pairing. For (N, n, n) stacks of operators and
-    states, the pairing row by row; the first row that fails raises.
+    as does a non-finite pairing. Stacks broadcast over their leading axes,
+    and the first pairing that fails raises. A broadcast operand is copied
+    out in full first: with a stride-0 operand ``einsum`` sums in another
+    order, which changes the last bits of the pairings.
     """
     rho = state.matrix if isinstance(state, QuasiState) else np.asarray(state, dtype=complex)
     op = np.asarray(op, dtype=complex)
-    if rho.shape != op.shape:
+    if rho.shape[-2:] != op.shape[-2:]:
         raise ValueError(f"dimension mismatch: state {rho.shape} vs operator {op.shape}")
+    full = np.broadcast_shapes(rho.shape, op.shape)
+    rho, op = (x if x.shape == full else np.broadcast_to(x, full).copy() for x in (rho, op))
     return real_pairing(np.einsum("...ij,...ji->...", rho, op))
 
 

@@ -5,7 +5,7 @@ keys, fixed float formatting) so identical inputs give identical reports."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,7 @@ def fmt_real(x) -> str:
 def _plain(value):
     """Recursively convert numpy containers/scalars to plain Python."""
     if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
+        return value.tolist()
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, (list, tuple)):
@@ -100,7 +100,7 @@ def emit_report(report: RunReport, fmt: str = "json") -> str:
     significant digits with one [PASS]/[FAIL] line per check.
     """
     if fmt == "json":
-        return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+        return json.dumps({**vars(report), "checks": [vars(c) for c in report.checks]}, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
         return _emit_csv(report)
     if fmt == "text":

@@ -18,6 +18,7 @@ import pytest
 from quasilab import acceptance
 from quasilab.bloch import (
     InvalidDirectionError,
+    from_operator,
     outcome_probability,
     pc_check,
     predictability_circle,
@@ -44,6 +45,7 @@ from quasilab.highdim import (
     discriminate_highdim,
     entangled_projector,
     probe_magnitudes,
+    violates_pc,
 )
 from quasilab.nonlocal_box import (
     SQRT2,
@@ -56,7 +58,7 @@ from quasilab.nonlocal_box import (
     setting_tables,
     signalling_deviation,
 )
-from quasilab.operators import ATOL, I2, QuasiState, Stacked, hermitian_eigensystem
+from quasilab.operators import ATOL, I2, QuasiState, Stacked, expectation, hermitian_eigensystem, partial_trace
 
 SEED = acceptance.DEFAULT_SEED
 Z = np.array([0.0, 0.0, 1.0])
@@ -304,6 +306,76 @@ class TestOneBadHighdimRowFailsTheStack:
         assert _error(lambda: probe_magnitudes(self.DIM, epsilons, NULL)) == _error(
             lambda: probe_magnitudes(self.DIM, bad, NULL)
         )
+
+
+# 24 rows of criterion 9 (norms in (0, 3)) against 24 of criterion 3, as a
+# flat (24, ...) stack and as a (4, 6, ...) one
+LEAD = (4, 6)
+FLAT_RS, FLAT_RPS = PIPELINE_ROWS[:24], PC_PSD_ROWS[:24]
+FLAT_DIRECTIONS = FLAT_RPS / np.sqrt(np.vecdot(FLAT_RPS, FLAT_RPS))[:, None]
+FLAT_PAIR_DRAWS = tuple(d[:24] for d in DISCRIMINATION_DRAWS)
+
+
+def _norm_settings(rs):
+    return chsh_settings_for(pc_check(rs).norm)
+
+
+@pytest.mark.parametrize(
+    "operation, flat",
+    [
+        (pc_check, (FLAT_RS,)),
+        (to_operator, (FLAT_RS,)),
+        (lambda rs, ns: outcome_probability(rs, ns, +1), (FLAT_RS / 3.0, FLAT_DIRECTIONS)),
+        (overlap, (FLAT_RS, FLAT_RPS)),
+        (clonability_check, (FLAT_RS, FLAT_RPS)),
+        (hyperplane_pair, FLAT_PAIR_DRAWS),
+        (build_box, (FLAT_RS,)),
+        (hermitian_eigensystem, (to_operator(FLAT_RS).matrix,)),
+        (lambda m: partial_trace(m, (2, 2), keep=1), (build_box(FLAT_RS).state.matrix,)),
+        (from_operator, (to_operator(FLAT_RS).matrix,)),
+        (violates_pc, (to_operator(FLAT_RS).matrix,)),
+        (chsh_settings_for, (pc_check(FLAT_RS).norm,)),
+        (lambda rs: chsh_value(build_box(rs), _norm_settings(rs)), (FLAT_RS,)),
+    ],
+    ids=[
+        "pc_check",
+        "to_operator",
+        "outcome_probability",
+        "overlap",
+        "clonability_check",
+        "hyperplane_pair",
+        "build_box",
+        "hermitian_eigensystem",
+        "partial_trace",
+        "from_operator",
+        "violates_pc",
+        "chsh_settings_for",
+        "chsh_value",
+    ],
+)
+def test_any_leading_axes_give_the_flat_stack(operation, flat):
+    """A (4, 6, ...) stack gives, leaf by leaf, the result of its flat (24,
+    ...) stack reshaped, bit for bit."""
+    stacked = _leaves(operation(*(x.reshape(LEAD + x.shape[1:]) for x in flat)))
+    flat_leaves = _leaves(operation(*flat))
+    assert len(stacked) == len(flat_leaves)
+    for x, y in zip(stacked, flat_leaves):
+        assert _same_bits(x, np.reshape(y, LEAD + np.shape(y)[1:]))
+
+
+def test_expectation_copies_a_broadcast_operand():
+    # one box against four operators each: the pairings on the box repeated
+    # four times, bit for bit
+    rho = CHSH_BOXES.state.matrix
+    ops = _random_hermitian(np.random.default_rng(7), 4 * len(rho), 4).reshape(len(rho), 4, 4, 4)
+    repeated = np.repeat(rho[:, None], 4, axis=1)
+    assert _same_bits(expectation(ops, rho[:, None]), expectation(ops, repeated))
+    assert _same_bits(expectation(ops[:1], rho[:, None]), expectation(np.repeat(ops[:1], len(rho), axis=0), repeated))
+
+
+def test_more_leading_axes_keep_the_component_check():
+    with pytest.raises(ValueError, match="must have 3 components, got shape \\(2, 2, 4\\)"):
+        pc_check(np.zeros((2, 2, 4)))
 
 
 def _tables(rs):

@@ -1,7 +1,9 @@
 """Report serialization: JSON round trip, CSV layouts, text rendering."""
 
 import json
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from quasilab.reporting import CheckResult, RunReport, emit_report, fmt_real, parse_report
@@ -60,8 +62,6 @@ class TestJson:
         assert list(payload["inputs"]) == sorted(payload["inputs"])
 
     def test_numpy_values_normalized(self):
-        import numpy as np
-
         report = RunReport(command="x", inputs={"r": np.array([1.0, 2.0])}, outputs={"v": np.float64(3.0)})
         assert report.inputs["r"] == [1.0, 2.0]
         assert isinstance(report.outputs["v"], float)
@@ -69,6 +69,17 @@ class TestJson:
 
     def test_deterministic(self):
         assert emit_report(sample_report(), "json") == emit_report(sample_report(), "json")
+
+    def test_same_text_as_the_dataclass_dict(self):
+        nested = RunReport(
+            command="sweep",
+            inputs={"r": np.array([[0.0, 1.0], [2.0, 3.0]]), "steps": np.int64(2), "lambdas": [np.float64(-0.5)]},
+            outputs={"valid": np.array([True, False]), "failed": ["a", "b"], "chsh": np.float64(4.0)},
+            checks=sample_report().checks,
+            duration_ms=np.float64(2.5),
+        )
+        for report in (sample_report(), nested):
+            assert emit_report(report, "json") == json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
 
 
 class TestCsv:
