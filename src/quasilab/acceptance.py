@@ -167,8 +167,8 @@ def predictability_witness_criterion(seed: int = DEFAULT_SEED, samples: int = 10
 
 def _clonability_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """``samples`` pairs r, r' of norms uniform in [0, 3), r drawn first."""
-    draws = random_bloch_vector(rng, np.zeros(2 * samples), 3.0).reshape(samples, 6)
-    return draws[:, :3], draws[:, 3:]
+    draws = random_bloch_vector(rng, np.zeros((samples, 2)), 3.0)
+    return draws[:, 0], draws[:, 1]
 
 
 def _hyperplane_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,13 +231,12 @@ def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> l
     positive overlap, and the clone output is the exact doubled state."""
     pairs = hyperplane_pair(*_discrimination_draws(np.random.default_rng(seed), samples))
     min_overlap = np.min(overlap(pairs.r_plus, pairs.r_minus))
-    det_dev = 0.0
-    clone_dev = 0.0
-    for which in (+1, -1):
-        labels, q_plus, q_minus = discriminate(pairs, which)
-        q_hit, q_miss = (q_plus, q_minus) if which == +1 else (q_minus, q_plus)
-        det_dev = max(det_dev, np.max(np.abs(q_hit - 1.0)), np.max(np.abs(q_miss)))
-        clone_dev = max(clone_dev, np.max(clone_protocol(pairs, labels, which)[1]))
+    # each pair under both hidden labels: row 0 hides r+, row 1 hides r-
+    which = np.array([[+1], [-1]])
+    labels, q_plus, q_minus = discriminate(pairs, which)
+    q_hit, q_miss = np.where(which == +1, q_plus, q_minus), np.where(which == +1, q_minus, q_plus)
+    det_dev = max(np.max(np.abs(q_hit - 1.0)), np.max(np.abs(q_miss)))
+    clone_dev = np.max(clone_protocol(pairs, labels, which)[1])
     return [
         CheckResult.at_most("deterministic-detection", det_dev, SPECTRAL_ATOL),
         CheckResult.above("overlap-strictly-positive", min_overlap, 0.0),

@@ -213,18 +213,16 @@ def scale_directions(normals: np.ndarray, norms) -> np.ndarray:
 
 def random_bloch_vector(rng: np.random.Generator, min_norm, max_norm) -> np.ndarray:
     """Random vector with uniform direction and norm uniform in
-    [min_norm, max_norm). For (N,) ranges (or one range and one number),
-    an (N, 3) stack whose row k has its norm in range k.
+    [min_norm, max_norm). For ranges of any (broadcast) shape, a stack of
+    that shape whose vector at each index has its norm in that range.
 
-    Row by row the generator makes one uniform draw for the norm, then
-    three standard normals for the direction: the stream, and the bits, of
-    ``rng.uniform(min_norm, max_norm) * random_direction(rng)`` called row
-    after row. The loop over rows makes only those generator calls; the
-    arithmetic runs once on the stack.
+    Range by range, in row-major order, the generator makes one uniform
+    draw for the norm, then three standard normals for the direction: the
+    stream, and the bits, of ``rng.uniform(min_norm, max_norm) *
+    random_direction(rng)`` called range after range. The loop makes only
+    those generator calls; the arithmetic runs once on the stack.
     """
     lows, highs = np.broadcast_arrays(np.asarray(min_norm, dtype=float), np.asarray(max_norm, dtype=float))
-    if lows.ndim > 1:
-        raise ValueError(f"norm ranges must be numbers or (N,) arrays, got shape {lows.shape}")
     draws = np.empty(lows.size)
     normals = np.empty((lows.size, 3))
     for k in range(lows.size):

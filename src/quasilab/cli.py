@@ -59,6 +59,14 @@ MAX_BOX_NORM = 1e3
 # and QuasiState's absolute trace check rejects valid states.
 MAX_HIGHDIM_EPSILON = 5e2
 
+# Largest --steps, --trials and --points: a request at the bound takes under
+# 1 s and 500 MB in its slowest format (2-CPU Intel Xeon, one BLAS thread):
+# chsh-sweep 0.4 s at 10,000 steps (0.9 s at 20,000), discriminate 360 MB at
+# 2e7 trials (441 MB at 2.5e7), planes 0.5 s at 50,000 points (0.9 s at 8e4).
+MAX_STEPS = 10_000
+MAX_TRIALS = 20_000_000
+MAX_POINTS = 50_000
+
 
 def _vector(text: str) -> np.ndarray:
     try:
@@ -75,14 +83,17 @@ def _vector(text: str) -> np.ndarray:
     return v
 
 
-def _count(text: str) -> int:
-    """Argparse type of --steps, --trials and --points: an integer >= 1."""
+def _count(bound: int, text: str) -> int:
+    """Argparse type of --steps, --trials and --points, each given its
+    bound with ``functools.partial``: an integer from 1 to ``bound``."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n > bound:
+        raise argparse.ArgumentTypeError(f"must be at most {bound}, got {n}")
     return n
 
 
@@ -157,22 +168,22 @@ def _run_chsh_sweep(args):
 
 def _run_discriminate(args):
     pair = hyperplane_pair(args.r, args.y, args.z)
-    label_plus, q_plus, miss_plus = discriminate(pair, +1)
-    label_minus, miss_minus, q_minus = discriminate(pair, -1)
-    det_dev = max(abs(q_plus - 1.0), abs(miss_plus), abs(q_minus - 1.0), abs(miss_minus))
+    # entry 0 hides r+, entry 1 hides r-
+    labels, q_plus, q_minus = discriminate(pair, [+1, -1])
+    det_dev = max(abs(q_plus[0] - 1.0), abs(q_minus[0]), abs(q_minus[1] - 1.0), abs(q_plus[1]))
 
     rng = np.random.default_rng(args.seed)
     hidden = rng.choice([+1, -1], size=args.trials)
-    correct = np.count_nonzero(np.where(hidden == +1, label_plus, label_minus) == hidden)
+    correct = np.count_nonzero(np.where(hidden == +1, labels[0], labels[1]) == hidden)
 
     outputs = {
         "r_plus": pair.r_plus,
         "r_minus": pair.r_minus,
         "overlap": overlap(pair.r_plus, pair.r_minus),
-        "q_plus_given_plus": q_plus,
-        "q_minus_given_plus": miss_plus,
-        "q_minus_given_minus": q_minus,
-        "q_plus_given_minus": miss_minus,
+        "q_plus_given_plus": q_plus[0],
+        "q_minus_given_plus": q_minus[0],
+        "q_minus_given_minus": q_minus[1],
+        "q_plus_given_minus": q_plus[1],
         "trials": args.trials,
         "correct": correct,
     }
@@ -185,24 +196,21 @@ def _run_discriminate(args):
 def _run_clone_demo(args):
     pair = hyperplane_pair(args.r, args.y, args.z)
     outputs = {"r_plus": pair.r_plus, "r_minus": pair.r_minus, "overlap": overlap(pair.r_plus, pair.r_minus)}
-    clone_dev = 0.0
-    fidelity_dev = 0.0
-    for which, name in ((+1, "plus"), (-1, "minus")):
-        label, _, _ = discriminate(pair, which)
-        out, dev = clone_protocol(pair, label, which)
-        clone_dev = max(clone_dev, dev)
-        target_vec = pair.r_plus if which == +1 else pair.r_minus
-        # Tr[(rho (x) rho) out], with out standing in for rho (x) rho:
-        # clone-output-exact judges how far apart the two are.
-        fidelity = expectation(out.matrix, out)
-        purity_sq = overlap(target_vec, target_vec) ** 2
-        fidelity_dev = max(fidelity_dev, abs(fidelity - purity_sq))
-        outputs[f"label_{name}"] = label
-        outputs[f"fidelity_{name}"] = fidelity
-        outputs[f"purity_squared_{name}"] = purity_sq
+    which = np.array([+1, -1])
+    labels, _, _ = discriminate(pair, which)
+    out, clone_dev = clone_protocol(pair, labels, which)
+    # Tr[(rho (x) rho) out], with out standing in for rho (x) rho:
+    # clone-output-exact judges how far apart the two are.
+    fidelities = expectation(out.matrix, out)
+    # Python floats' squares (C pow): a vectorized square may differ in the last bit
+    purity_sq = [overlap(v, v) ** 2 for v in (pair.r_plus, pair.r_minus)]
+    for k, name in enumerate(("plus", "minus")):
+        outputs[f"label_{name}"] = labels[k]
+        outputs[f"fidelity_{name}"] = fidelities[k]
+        outputs[f"purity_squared_{name}"] = purity_sq[k]
     return outputs, [
-        CheckResult.at_most("clone-output-exact", clone_dev, ATOL),
-        CheckResult.at_most("fidelity-matches-purity-squared", fidelity_dev, ATOL),
+        CheckResult.at_most("clone-output-exact", np.max(clone_dev), ATOL),
+        CheckResult.at_most("fidelity-matches-purity-squared", np.max(np.abs(fidelities - purity_sq)), ATOL),
     ]
 
 
@@ -247,18 +255,12 @@ def _run_planes(args):
     mirror = replace(circle, center=-circle.center)  # r.x = -1 plane: same frame, opposite centre
     points = np.concatenate((circle.sample(args.points), mirror.sample(args.points)))
     thetas = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
-    plane = [+1] * args.points + [-1] * args.points
+    plane = np.repeat([+1, -1], args.points)
     # unit and on r_hat.p = +-1/|r|: on this scale rounding stays near 1e-16
     # at any |r|, where r.p = +-1 drifts by |r| times that
     off_sphere = np.abs(np.linalg.norm(points, axis=1) - 1.0)
-    off_plane = np.abs(points @ circle.plane_normal - np.array(plane) / check.norm)
-    outputs = {
-        "plane": plane,
-        "theta": [float(t) for t in thetas] * 2,
-        "x": [float(v) for v in points[:, 0]],
-        "y": [float(v) for v in points[:, 1]],
-        "z": [float(v) for v in points[:, 2]],
-    }
+    off_plane = np.abs(points @ circle.plane_normal - plane / check.norm)
+    outputs = {"plane": plane, "theta": np.tile(thetas, 2), "x": points[:, 0], "y": points[:, 1], "z": points[:, 2]}
     return outputs, [CheckResult.at_most("points-on-certainty-planes", np.max([off_sphere, off_plane]), ATOL)]
 
 
@@ -298,13 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("chsh-sweep", _run_chsh_sweep, "csv", "CHSH value over a grid of source norms")
     p.add_argument("--r-min", type=float, required=True)
     p.add_argument("--r-max", type=float, required=True)
-    p.add_argument("--steps", type=_count, required=True)
+    p.add_argument("--steps", type=functools.partial(_count, MAX_STEPS), required=True)
 
     p = add("discriminate", _run_discriminate, "json", "identify hyperplane states with certainty")
     p.add_argument("--r", type=_vector, required=True, metavar="X,Y,Z")
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--z", type=float, required=True)
-    p.add_argument("--trials", type=_count, default=12)
+    p.add_argument("--trials", type=functools.partial(_count, MAX_TRIALS), default=12)
     p.add_argument("--seed", type=int, default=42)
 
     p = add("clone-demo", _run_clone_demo, "json", "discriminate and duplicate both hyperplane states")
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("planes", _run_planes, "csv", "plot data for the two certainty planes in the Bloch ball")
     p.add_argument("--r", type=_vector, required=True, metavar="X,Y,Z")
-    p.add_argument("--points", type=_count, default=64)
+    p.add_argument("--points", type=functools.partial(_count, MAX_POINTS), default=64)
 
     p = add("verify-all", _run_verify_all, "text", "run the full acceptance suite")
     p.add_argument("--seed", type=int, default=42)

@@ -82,8 +82,8 @@ class HyperplanePair(Stacked):
         return to_operator(self.resource)
 
     def member(self, labels) -> np.ndarray:
-        """Row by row, r+ where the label (one, or one per pair) is +1 and
-        r- where it is -1."""
+        """r+ where the label is +1 and r- where it is -1, the labels
+        broadcast against the pairs' leading axes."""
         return np.where(np.asarray(labels)[..., None] == +1, self.r_plus, self.r_minus)
 
 
@@ -140,10 +140,9 @@ def _is_label(labels: np.ndarray) -> np.ndarray:
 def detection_probabilities(pair: HyperplanePair, which: int) -> tuple[float, float]:
     """The pair's discrimination measurement on resource (x) hidden state,
     where ``which`` (+1 or -1) selects the hidden state: its outcome
-    probabilities (q_plus, q_minus). ``discriminate`` makes it once per
-    hidden state and returns them with the label. For a stack of pairs,
-    with one hidden label per pair (or one for all), the (N,) arrays
-    q_plus and q_minus.
+    probabilities (q_plus, q_minus). Hidden labels broadcast against the
+    pairs' leading axes: labels [+1, -1] on one pair, or [[+1], [-1]] on a
+    stack, measure both hidden states at once, in the broadcast shape.
     """
     which = np.asarray(which)
     valid = _is_label(which)
@@ -161,8 +160,8 @@ def discriminate(pair: HyperplanePair, which: int) -> tuple[int, float, float]:
     Returns the label of the outcome the measurement makes likelier and
     the outcome probabilities (q_plus, q_minus) it gave. On a working
     instance the likelier outcome has probability 1, so the answer is
-    certain. For a stack of pairs, with one hidden label per pair (or one
-    for all), the (N,) labels, q_plus and q_minus.
+    certain. Hidden labels broadcast as in ``detection_probabilities``,
+    and the results have the broadcast shape.
     """
     q_plus, q_minus = detection_probabilities(pair, which)
     return as_number((np.where(q_plus >= q_minus, +1, -1), q_plus, q_minus))
@@ -175,10 +174,9 @@ def clone_protocol(pair: HyperplanePair, label: int, which: int) -> tuple[QuasiS
     so once the label is known the identified state is simply prepared
     afresh. Returns the dim-4 output rho_label (x) rho_label and its
     max-entry deviation from rho_which (x) rho_which, which is exactly 0
-    when the label is right: the two are then the same state. For a stack
-    of pairs, with one label and one hidden label per pair (or one for
-    all), the stack of outputs and the (N,) deviations, compared only
-    where the label is wrong.
+    when the label is right: the two are then the same state. Labels and
+    hidden labels broadcast against the pairs' leading axes, as in
+    ``discriminate``; deviations are compared only where the label is wrong.
     """
     label, which = np.asarray(label), np.asarray(which)
     valid = _is_label(label) & _is_label(which)

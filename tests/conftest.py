@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import contextlib
+import math
 import sys
 
 import numpy as np
@@ -70,17 +71,21 @@ def non_unitary_gates(monkeypatch):
 
 @pytest.fixture
 def discrimination_calls(monkeypatch):
-    """Counts of the instances measured (pairs passed to
-    ``detection_probabilities``) and of the POVMs built (resources passed
-    to ``discrimination_povm``) while the test runs, however the instances
-    are stacked into calls."""
-    rows_of = {"detection_probabilities": lambda pair, *_: pair.resource, "discrimination_povm": lambda r: r}
-    calls = dict.fromkeys(rows_of, 0)
-    for name, rows in rows_of.items():
+    """Counts of the measurements made (pairings of a pair with a hidden
+    label in ``detection_probabilities``: the broadcast shape of the
+    pairs and the labels) and of the POVMs built (resources passed to
+    ``discrimination_povm``) while the test runs, however the instances
+    and labels are stacked into calls."""
+    shape_of = {
+        "detection_probabilities": lambda pair, which: np.broadcast_shapes(pair.resource.shape[:-1], np.shape(which)),
+        "discrimination_povm": lambda r: np.shape(r)[:-1],
+    }
+    calls = dict.fromkeys(shape_of, 0)
+    for name, shape in shape_of.items():
         original = getattr(discrimination, name)
 
-        def counted(*args, _name=name, _rows=rows, _original=original):
-            calls[_name] += len(np.reshape(_rows(*args), (-1, 3)))
+        def counted(*args, _name=name, _shape=shape, _original=original):
+            calls[_name] += math.prod(_shape(*args))
             return _original(*args)
 
         monkeypatch.setattr(discrimination, name, counted)

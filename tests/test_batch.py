@@ -22,6 +22,7 @@ from quasilab.bloch import (
     outcome_probability,
     pc_check,
     predictability_circle,
+    random_bloch_vector,
     random_direction,
     to_operator,
     transverse_frame,
@@ -376,6 +377,51 @@ def test_expectation_copies_a_broadcast_operand():
 def test_more_leading_axes_keep_the_component_check():
     with pytest.raises(ValueError, match="must have 3 components, got shape \\(2, 2, 4\\)"):
         pc_check(np.zeros((2, 2, 4)))
+
+
+# both hidden labels at once: against a stack of pairs as a column, against
+# one pair as a row
+BOTH_LABELS = np.array([[+1], [-1]])
+
+
+def _assert_leaves_match(stacked, singles):
+    """Entry k of every leaf of ``stacked`` is the leaf of ``singles[k]``,
+    bit for bit."""
+    stacked = _leaves(stacked)
+    for k, single in enumerate(singles):
+        single = _leaves(single)
+        assert len(single) == len(stacked), f"entry {k}"
+        assert all(_same_bits(np.asarray(x)[k], y) for x, y in zip(stacked, single)), f"entry {k}"
+
+
+def test_both_hidden_labels_on_a_stack_equal_the_per_label_calls():
+    pairs = hyperplane_pair(*DISCRIMINATION_DRAWS)
+    hidden = (+1, -1)
+    _assert_leaves_match(detection_probabilities(pairs, BOTH_LABELS), [detection_probabilities(pairs, w) for w in hidden])
+    both = discriminate(pairs, BOTH_LABELS)
+    _assert_leaves_match(both, [discriminate(pairs, w) for w in hidden])
+    # every third label wrong, so that the deviations are measured too
+    claimed = np.where(np.arange(len(pairs.resource)) % 3, both[0], -both[0])
+    _assert_leaves_match(
+        clone_protocol(pairs, claimed, BOTH_LABELS), [clone_protocol(pairs, claimed[k], w) for k, w in enumerate(hidden)]
+    )
+
+
+def test_both_hidden_labels_on_one_pair_equal_the_single_calls():
+    pair = hyperplane_pair(2.0 * Z, 0.6, 0.0)
+    both = BOTH_LABELS[:, 0]
+    _assert_leaves_match(detection_probabilities(pair, both), [detection_probabilities(pair, w) for w in both])
+    _assert_leaves_match(discriminate(pair, both), [discriminate(pair, w) for w in both])
+    _assert_leaves_match(clone_protocol(pair, -both, both), [clone_protocol(pair, -w, w) for w in both])
+
+
+def test_norm_ranges_of_any_shape_give_the_flat_draw():
+    lows = np.linspace(0.0, 2.5, 12).reshape(3, 4)
+    rng, flat_rng = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    stacked = random_bloch_vector(rng, lows, lows + 0.5)
+    flat = random_bloch_vector(flat_rng, lows.ravel(), lows.ravel() + 0.5)
+    assert _same_bits(stacked, flat.reshape(3, 4, 3))
+    assert rng.bit_generator.state == flat_rng.bit_generator.state
 
 
 def _tables(rs):

@@ -15,6 +15,7 @@ from quasilab.bloch import (
     predictability_circle,
     random_bloch_vector,
     random_direction,
+    scale_directions,
     to_operator,
     transverse_frame,
 )
@@ -122,6 +123,20 @@ class TestOperatorDictionary:
         r = np.array([0.0, 0.0, 1.0 + excess])
         assert pc_check(r).satisfied == to_operator(r).is_positive()
         assert pc_check(r).satisfied == (excess < 1e-12)
+
+    def test_verdicts_inside_the_flip_window(self):
+        # the window that criterion 3 and flip_band_excess leave out: |r| - 1
+        # within 1e-14 of ATOL. The norm and the spectrum may round to
+        # opposite verdicts there, but only within 1e-15 (a few ulps of 1)
+        # of the flip; outside that both give the side |r| lies on.
+        rng = np.random.default_rng(11)
+        excess = rng.uniform(-1e-14, 1e-14, 100_000)
+        rs = scale_directions(rng.standard_normal((excess.size, 3)), 1.0 + ATOL + excess)
+        by_norm, by_spectrum = pc_check(rs).satisfied, to_operator(rs).is_positive()
+        near = np.abs(excess) <= 1e-15
+        assert np.all(near[by_norm != by_spectrum])
+        assert np.array_equal(by_norm[~near], excess[~near] < 0)
+        assert np.array_equal(by_spectrum[~near], excess[~near] < 0)
 
     @settings(max_examples=300)
     @given(unit_directions, flip_band_excess)

@@ -105,6 +105,27 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"argument {argv[-2]}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, bound, handler_call",
+        [
+            (["chsh-sweep", "--r-min", "1", "--r-max", "2", "--steps"], cli.MAX_STEPS, "build_box"),
+            (["discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials"], cli.MAX_TRIALS, "hyperplane_pair"),
+            (["planes", "--r", "0,0,2", "--points"], cli.MAX_POINTS, "pc_check"),
+        ],
+        ids=["steps", "trials", "points"],
+    )
+    @pytest.mark.parametrize("over", ["bound+1", "1e12"])
+    def test_count_above_its_bound_is_two_before_running(self, capsys, monkeypatch, argv, bound, handler_call, over):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the handler ran")
+
+        monkeypatch.setattr(cli, handler_call, unreachable)
+        count = bound + 1 if over == "bound+1" else 10**12
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(count)])
+        assert exc.value.code == 2
+        assert f"argument {argv[-1]}: must be at most {bound}, got {count}" in capsys.readouterr().err
+
 
 class TestInvariantFailures:
     """A construction that measures a deviation past its tolerance gives a
@@ -295,7 +316,7 @@ class TestDiscriminateAndClone:
         original = cli.discriminate
 
         def counted(pair, which):
-            calls.append(which)
+            calls.extend(np.ravel(which))
             return original(pair, which)
 
         monkeypatch.setattr(cli, "discriminate", counted)
@@ -309,6 +330,28 @@ class TestDiscriminateAndClone:
         code, _, _ = run(capsys, command, "--r", "0,0,2", "--y", "0.6", "--z", "0")
         assert code == 0
         assert discrimination_calls == {"detection_probabilities": 2, "discrimination_povm": 1}
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("discriminate", {"discriminate": 1, "clone_protocol": 0, "expectation": 0}),
+            ("clone-demo", {"discriminate": 1, "clone_protocol": 1, "expectation": 1}),
+        ],
+        ids=["discriminate", "clone-demo"],
+    )
+    def test_one_call_for_both_hidden_states(self, capsys, monkeypatch, command, expected):
+        calls = dict.fromkeys(expected, 0)
+        for name in calls:
+            original = getattr(cli, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        code, _, _ = run(capsys, command, "--r", "0,0,2", "--y", "0.6", "--z", "0")
+        assert code == 0
+        assert calls == expected
 
     def test_clone_demo_report(self, capsys):
         code, out, _ = run(capsys, "clone-demo", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--format", "json")

@@ -161,5 +161,5 @@ def test_ranges_row_by_row():
     # one number for all rows, on either side
     assert random_bloch_vector(np.random.default_rng(3), 1.0, np.full(5, 2.0)).shape == (5, 3)
     assert random_bloch_vector(np.random.default_rng(3), np.zeros(0), 1.0).shape == (0, 3)
-    with pytest.raises(ValueError, match="norm ranges"):
-        random_bloch_vector(np.random.default_rng(3), np.zeros((2, 2)), 1.0)
+    # ranges of any shape give a stack of that shape
+    assert random_bloch_vector(np.random.default_rng(3), np.zeros((2, 2)), 1.0).shape == (2, 2, 3)
