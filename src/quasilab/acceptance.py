@@ -16,7 +16,7 @@ form would change stay in the loop.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,14 +60,14 @@ from .reporting import CheckResult, RunReport, fmt_real
 DEFAULT_SEED = 42
 
 
+@dataclass(frozen=True)
 class Criterion:
     """One numbered acceptance criterion with its sub-checks, as ``run_all``
     numbers and names it."""
 
-    def __init__(self, number: int, name: str, checks: list[CheckResult]):
-        self.number = number
-        self.name = name
-        self.checks = checks
+    number: int
+    name: str
+    checks: list[CheckResult]
 
     @property
     def passed(self) -> bool:

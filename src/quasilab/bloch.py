@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ATOL, I2, PAULI, QuasiState, Stacked, as_number
+from .operators import ATOL, I2, PAULI, QuasiState, Stacked, as_number, require
 
 # the next and the previous component of each component, for _cross
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -30,8 +30,7 @@ def as_bloch_vectors(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.ndim < 1 or r.shape[-1] != 3:
         raise ValueError(f"Bloch vector must have 3 components, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise ValueError("Bloch vector components must be finite")
+    require(np.isfinite(r).all(axis=-1), "Bloch vector components must be finite")
     return r
 
 
@@ -45,10 +44,8 @@ def as_directions(n) -> np.ndarray:
     """Validate a measurement direction, a real unit 3-vector, or an (N, 3)
     stack of them."""
     n = as_bloch_vectors(n)
-    norms = np.reshape(_norms(n), -1)
-    unit = np.abs(norms - 1.0) <= ATOL
-    if not unit.all():
-        raise ValueError(f"direction must have unit norm, got {norms[np.argmin(unit)]:.15g}")
+    norms = _norms(n)
+    require(np.abs(norms - 1.0) <= ATOL, "direction must have unit norm, got {:.15g}", norms)
     return n
 
 
@@ -62,14 +59,11 @@ def outcome_probability(r, n, outcome: int) -> float:
     outcome for all rows or one per row.
     """
     rs, ns, outcomes = as_bloch_vectors(r), as_directions(n), np.asarray(outcome)
-    valid = (outcomes == +1) | (outcomes == -1)
-    if not valid.all():
-        raise ValueError(f"outcome must be +1 or -1, got {outcomes.flat[np.argmin(valid)]}")
+    require((outcomes == +1) | (outcomes == -1), "outcome must be +1 or -1, got {}", outcomes)
     rn = np.vecdot(rs, ns)
-    genuine = np.abs(rn) <= 1.0 + ATOL
-    if not genuine.all():
-        bad = abs(rn.flat[np.argmin(genuine)])
-        raise InvalidDirectionError(f"|r.n| = {bad:.15g} > 1: no valid probability in this direction")
+    reach = np.abs(rn)
+    message = "|r.n| = {:.15g} > 1: no valid probability in this direction"
+    require(reach <= 1.0 + ATOL, message, reach, error=InvalidDirectionError)
     return as_number(0.5 * (1.0 + outcomes * rn))
 
 
@@ -178,11 +172,10 @@ def predictability_circle(r) -> PredictabilityCircle | None:
     rs = as_bloch_vectors(r)
     check = pc_check(rs)
     norm = np.asarray(check.norm)
-    inside = norm < 1.0 - ATOL
-    if inside.any():
-        if rs.ndim == 1:
-            return None
-        raise ValueError(f"no certain direction for norm {norm[np.argmax(inside)]:.15g} < 1")
+    reaches = norm >= 1.0 - ATOL
+    if rs.ndim == 1 and not reaches:
+        return None
+    require(reaches, "no certain direction for norm {:.15g} < 1", norm)
     # each row's norm and verdict as a column against the row's components
     norm, full = norm[..., None], ~np.asarray(check.satisfied)[..., None]
     r_hat = rs / norm

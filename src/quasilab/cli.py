@@ -39,7 +39,7 @@ from .nonlocal_box import (
     setting_tables,
     signalling_deviation,
 )
-from .operators import ATOL, LAW_ATOL, SPECTRAL_ATOL, expectation
+from .operators import ATOL, LAW_ATOL, SPECTRAL_ATOL, expectation, require
 from .reporting import CheckResult, RunReport, emit_report
 
 # Largest --d for highdim: the detection probabilities need only d x d
@@ -83,17 +83,19 @@ def _vector(text: str) -> np.ndarray:
     return v
 
 
-def _count(bound: int, text: str) -> int:
-    """Argparse type of --steps, --trials and --points, each given its
-    bound with ``functools.partial``: an integer from 1 to ``bound``."""
+def _integer(least: int, most: float, text: str) -> int:
+    """Argparse type of the integer flags, each given its range with
+    ``functools.partial``: an integer from ``least`` to ``most``. --steps,
+    --trials and --points count from 1 to their bound; --seed takes any
+    integer from 0, as numpy's generators do."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    if n > bound:
-        raise argparse.ArgumentTypeError(f"must be at most {bound}, got {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+    if n > most:
+        raise argparse.ArgumentTypeError(f"must be at most {most}, got {n}")
     return n
 
 
@@ -120,8 +122,7 @@ def _resolve_settings(choice: str, norm: float):
 
 def _run_box(args):
     norm = pc_check(args.r).norm
-    if norm > MAX_BOX_NORM:
-        raise ValueError(f"|r| must be at most {MAX_BOX_NORM:g}, got {norm:.6g}")
+    require(norm <= MAX_BOX_NORM, "|r| must be at most {:g}, got {:.6g}", MAX_BOX_NORM, norm)
     box = build_box(args.r)
     settings = _resolve_settings(args.settings, box.r)
     value = chsh_value(box, settings)
@@ -154,10 +155,8 @@ def _run_box(args):
 
 
 def _run_chsh_sweep(args):
-    if args.r_min <= 0 or args.r_max < args.r_min:
-        raise ValueError("sweep needs 0 < r-min <= r-max")
-    if args.r_max > MAX_BOX_NORM:
-        raise ValueError(f"r-max must be at most {MAX_BOX_NORM:g}, got {args.r_max:.6g}")
+    require(0 < args.r_min <= args.r_max, "sweep needs 0 < r-min <= r-max")
+    require(args.r_max <= MAX_BOX_NORM, "r-max must be at most {:g}, got {:.6g}", MAX_BOX_NORM, args.r_max)
     grid = np.linspace(args.r_min, args.r_max, args.steps)
     boxes = build_box(np.stack((np.zeros_like(grid), np.zeros_like(grid), grid), axis=1))
     settings = chsh_settings_for(grid)
@@ -215,10 +214,9 @@ def _run_clone_demo(args):
 
 
 def _run_highdim(args):
-    if args.d > MAX_HIGHDIM_DIM:
-        raise ValueError(f"dimension must be at most {MAX_HIGHDIM_DIM}, got {args.d}")
-    if not np.isfinite(args.epsilon) or args.epsilon > MAX_HIGHDIM_EPSILON:
-        raise ValueError(f"epsilon must be finite and at most {MAX_HIGHDIM_EPSILON:g}, got {args.epsilon:.6g}")
+    require(args.d <= MAX_HIGHDIM_DIM, "dimension must be at most {}, got {}", MAX_HIGHDIM_DIM, args.d)
+    message = "epsilon must be finite and at most {:g}, got {:.6g}"
+    require(-np.inf < args.epsilon <= MAX_HIGHDIM_EPSILON, message, MAX_HIGHDIM_EPSILON, args.epsilon)
     args.lambdas = args.lambdas or "uniform"  # --lambdas absent or given no values
     vs = build_violating_state(args.d, args.epsilon, lambdas=None if args.lambdas == "uniform" else args.lambdas)
     rng = np.random.default_rng(args.seed)
@@ -249,8 +247,8 @@ def _run_highdim(args):
 
 def _run_planes(args):
     check = pc_check(args.r)
-    if check.satisfied:
-        raise ValueError(f"the certainty planes cross the ball only for norm > 1 + {ATOL:g}, got {check.norm:.15g}")
+    message = "the certainty planes cross the ball only for norm > 1 + {:g}, got {:.15g}"
+    require(not check.satisfied, message, ATOL, check.norm)
     circle = predictability_circle(args.r)
     mirror = replace(circle, center=-circle.center)  # r.x = -1 plane: same frame, opposite centre
     points = np.concatenate((circle.sample(args.points), mirror.sample(args.points)))
@@ -300,14 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("chsh-sweep", _run_chsh_sweep, "csv", "CHSH value over a grid of source norms")
     p.add_argument("--r-min", type=float, required=True)
     p.add_argument("--r-max", type=float, required=True)
-    p.add_argument("--steps", type=functools.partial(_count, MAX_STEPS), required=True)
+    p.add_argument("--steps", type=functools.partial(_integer, 1, MAX_STEPS), required=True)
 
     p = add("discriminate", _run_discriminate, "json", "identify hyperplane states with certainty")
     p.add_argument("--r", type=_vector, required=True, metavar="X,Y,Z")
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--z", type=float, required=True)
-    p.add_argument("--trials", type=functools.partial(_count, MAX_TRIALS), default=12)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", type=functools.partial(_integer, 1, MAX_TRIALS), default=12)
+    p.add_argument("--seed", type=functools.partial(_integer, 0, np.inf), default=42)
 
     p = add("clone-demo", _run_clone_demo, "json", "discriminate and duplicate both hyperplane states")
     p.add_argument("--r", type=_vector, required=True, metavar="X,Y,Z")
@@ -319,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--lambdas", type=float, nargs="*", default=None)
     p.add_argument("--phases", choices=("zero", "random"), default="zero")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=functools.partial(_integer, 0, np.inf), default=42)
 
     p = add("planes", _run_planes, "csv", "plot data for the two certainty planes in the Bloch ball")
     p.add_argument("--r", type=_vector, required=True, metavar="X,Y,Z")
-    p.add_argument("--points", type=functools.partial(_count, MAX_POINTS), default=64)
+    p.add_argument("--points", type=functools.partial(_integer, 1, MAX_POINTS), default=64)
 
     p = add("verify-all", _run_verify_all, "text", "run the full acceptance suite")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=functools.partial(_integer, 0, np.inf), default=42)
 
     return parser
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .bloch import as_bloch_vectors, pc_check, to_operator, transverse_frame
-from .operators import ATOL, QuasiState, Stacked, as_number, expectation, kron
+from .operators import ATOL, QuasiState, Stacked, as_number, expectation, kron, require
 from .nonlocal_box import observable
 
 
@@ -38,10 +38,8 @@ def _violating_norms(rs: np.ndarray) -> np.ndarray:
     1 (by pc_check's verdict), as an array with a trailing axis of one,
     which broadcasts against the components."""
     check = pc_check(rs)
-    satisfied = np.asarray(check.satisfied)
-    if satisfied.any():
-        norm = np.ravel(check.norm)[np.argmax(satisfied)]
-        raise ValueError(f"resource norm must exceed 1 by more than {ATOL:g}, got {norm:.15g}")
+    message = "resource norm must exceed 1 by more than {:g}, got {:.15g}"
+    require(np.logical_not(check.satisfied), message, ATOL, check.norm)
     return np.asarray(check.norm)[..., None]
 
 
@@ -67,8 +65,7 @@ class HyperplanePair(Stacked):
         r = self.resource
         plus = np.abs(np.vecdot(r, self.r_plus) - 1.0) <= ATOL
         minus = np.abs(np.vecdot(r, self.r_minus) + 1.0) <= ATOL
-        if not (np.all(plus) and np.all(minus)):
-            raise ValueError("pair does not satisfy r.r+- = +-1")
+        require(plus & minus, "pair does not satisfy r.r+- = +-1")
         _violating_norms(r)
 
     @cached_property
@@ -98,15 +95,11 @@ def hyperplane_pair(r, y: float, z: float) -> HyperplanePair:
     rs = as_bloch_vectors(r)
     norm = _violating_norms(rs)
     ys, zs = np.asarray(y, dtype=float)[..., None], np.asarray(z, dtype=float)[..., None]
-    if not (np.isfinite(ys).all() and np.isfinite(zs).all()):
-        raise ValueError("transverse components must be finite")
+    require(np.isfinite(ys) & np.isfinite(zs), "transverse components must be finite")
     # a y or z beyond about 1e154 squares to inf, which the bound rejects
     with np.errstate(over="ignore"):
         reach = 1.0 / norm**2 + ys * ys + zs * zs
-    too_large = reach > 1.0 + ATOL
-    if too_large.any():
-        value = reach.flat[np.argmax(too_large)]
-        raise ValueError(f"transverse components too large: 1/r^2 + y^2 + z^2 = {value:.15g} > 1")
+    require(reach <= 1.0 + ATOL, "transverse components too large: 1/r^2 + y^2 + z^2 = {:.15g} > 1", reach)
     r_hat = rs / norm
     m, n = transverse_frame(r_hat)
     offset = ys * m + zs * n
@@ -145,9 +138,7 @@ def detection_probabilities(pair: HyperplanePair, which: int) -> tuple[float, fl
     stack, measure both hidden states at once, in the broadcast shape.
     """
     which = np.asarray(which)
-    valid = _is_label(which)
-    if not valid.all():
-        raise ValueError(f"hidden label must be +1 or -1, got {which.flat[np.argmin(valid)]}")
+    require(_is_label(which), "hidden label must be +1 or -1, got {}", which)
     povm, hidden = pair.povm, to_operator(pair.member(which)).matrix
     joint = kron(pair.resource_state.matrix, hidden)
     return expectation(povm.p_plus, joint), expectation(povm.p_minus, joint)
@@ -179,11 +170,7 @@ def clone_protocol(pair: HyperplanePair, label: int, which: int) -> tuple[QuasiS
     ``discriminate``; deviations are compared only where the label is wrong.
     """
     label, which = np.asarray(label), np.asarray(which)
-    valid = _is_label(label) & _is_label(which)
-    if not valid.all():
-        k = np.argmin(np.ravel(valid))
-        label, which = (np.broadcast_to(x, valid.shape).flat[k] for x in (label, which))
-        raise ValueError(f"labels must be +1 or -1, got {label} and {which}")
+    require(_is_label(label) & _is_label(which), "labels must be +1 or -1, got {} and {}", label, which)
     single = to_operator(pair.member(label)).matrix
     out = kron(single, single)
     dev = np.zeros(out.shape[:-2])

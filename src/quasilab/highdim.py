@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import ATOL, PSD_ATOL, QuasiState, Stacked, as_number, real_pairing
+from .operators import ATOL, PSD_ATOL, QuasiState, Stacked, as_number, real_pairing, require
 
 CERTAIN, NULL = 1, 0
 
@@ -41,25 +41,12 @@ def violates_pc(m) -> bool:
     return as_number(np.linalg.eigvalsh(matrix)[..., -1] - 1.0 > PSD_ATOL)
 
 
-def _all(ok) -> bool:
-    # np.all costs twice a count on one instance's numpy bool
-    return np.count_nonzero(ok) == ok.size
-
-
 def _as_epsilons(epsilon):
     """One epsilon as a numpy float, or an (N,) array of them, each checked
     to be positive and finite."""
     epsilon = np.asarray(epsilon, dtype=float)[()]
-    ok = (epsilon > 0) & (epsilon < np.inf)
-    if not _all(ok):
-        bad = epsilon.flat[np.argmin(ok)].item()
-        raise ValueError(f"epsilon must be positive and finite, got {bad!r}")
+    require((epsilon > 0) & (epsilon < np.inf), "epsilon must be positive and finite, got {!r}", epsilon)
     return epsilon
-
-
-def _first_non_finite_row(values: np.ndarray) -> list:
-    rows = values.reshape(-1, values.shape[-1])
-    return rows[np.argmin(np.isfinite(rows).all(axis=1))].tolist()
 
 
 def _spectrum(epsilon, lambdas: np.ndarray) -> np.ndarray:
@@ -118,21 +105,19 @@ def build_violating_state(dim: int, epsilon: float, lambdas=None, basis=None) ->
         lambdas = np.asarray(lambdas, dtype=float)
         if lambdas.shape != batch + (dim - 1,):
             raise ValueError(f"tail spectrum needs {dim - 1} entries, got {lambdas.shape}")
-        if not _all(np.isfinite(lambdas)):
-            raise ValueError(f"tail spectrum must be finite, got {_first_non_finite_row(lambdas)}")
+        require(np.isfinite(lambdas).all(axis=-1), "tail spectrum must be finite, got {}", lambdas)
         sums = lambdas.sum(axis=-1)
-        summed = np.abs(sums + epsilon) <= ATOL
-        if not _all(summed):
-            raise ValueError(f"tail spectrum must sum to -epsilon, got {sums.flat[np.argmin(summed)]:.15g}")
-        if not _all(lambdas <= (1.0 + epsilon + ATOL)[..., None]):
-            raise ValueError("tail eigenvalue exceeds the leading eigenvalue 1+epsilon")
+        require(np.abs(sums + epsilon) <= ATOL, "tail spectrum must sum to -epsilon, got {:.15g}", sums)
+        leading = (lambdas <= (1.0 + epsilon + ATOL)[..., None]).all(axis=-1)
+        require(leading, "tail eigenvalue exceeds the leading eigenvalue 1+epsilon")
     if basis is None:
         basis = np.zeros(batch + (dim, dim), dtype=complex) + np.eye(dim)
     else:
         basis = np.asarray(basis, dtype=complex)
+        # a basis of the wrong shape fails as one verdict, before any product
         fits = basis.shape == batch + (dim, dim)
-        if not (fits and _all(np.abs(basis.conj().swapaxes(-1, -2) @ basis - np.eye(dim)) <= ATOL)):
-            raise ValueError("basis columns must be orthonormal")
+        unitary = fits and (np.abs(basis.conj().swapaxes(-1, -2) @ basis - np.eye(dim)) <= ATOL).all(axis=(-2, -1))
+        require(unitary, "basis columns must be orthonormal")
     matrix = (basis * _spectrum(epsilon, lambdas)[..., None, :]) @ basis.conj().swapaxes(-1, -2)
     return ViolatingState(epsilon=as_number(epsilon), lambdas=lambdas, basis=basis, state=QuasiState(matrix))
 
@@ -186,8 +171,7 @@ def build_probe_state(vs: ViolatingState, target: int, phases=None) -> ProbeStat
         phases = np.asarray(phases, dtype=float)
         if phases.shape != mags.shape:
             raise ValueError(f"need {vs.dim} finite phases, got {phases.tolist()}")
-        if not _all(np.isfinite(phases)):
-            raise ValueError(f"need {vs.dim} finite phases, got {_first_non_finite_row(phases)}")
+        require(np.isfinite(phases).all(axis=-1), "need {} finite phases, got {}", vs.dim, phases)
     amps = np.sqrt(mags) * np.exp(1j * phases)
     vector = (vs.basis @ amps[..., None])[..., 0]
     form = (vector.conj()[..., None, :] @ vs.state.matrix @ vector[..., None])[..., 0, 0]
@@ -244,6 +228,6 @@ def discriminate_highdim(vs: ViolatingState, which: int, probe: ProbeState | Non
         raise ValueError(f"hidden label must be 0 or 1, got {which}")
     if probe is None:
         probe = build_probe_state(vs, which)
-    elif np.count_nonzero(probe.target != which):
-        raise ValueError("probe target does not match the hidden label")
+    else:
+        require(probe.target == which, "probe target does not match the hidden label")
     return as_number(np.where(detection_probability(vs, probe) >= 0.5, CERTAIN, NULL))

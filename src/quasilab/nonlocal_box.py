@@ -31,6 +31,7 @@ from .operators import (
     hermitian_eigensystem,
     kron,
     partial_trace,
+    require,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -96,8 +97,7 @@ class BipartiteBox(Stacked):
             raise ValueError("a bipartite box lives on two qubits (dim 4)")
         for side in (0, 1):
             red = partial_trace(self.state.matrix, (2, 2), keep=side)
-            if np.abs(red - I2 / 2).max(initial=0.0) > SPECTRAL_ATOL:
-                raise ValueError("box reduction is not maximally mixed")
+            require(np.abs(red - I2 / 2).max(axis=(-2, -1)) <= SPECTRAL_ATOL, "box reduction is not maximally mixed")
 
 
 def _max_dev(m, target) -> np.ndarray:
@@ -148,8 +148,8 @@ class ChshSettings(Stacked):
         for name in ("a1", "a2", "b1", "b2"):
             v = np.asarray(getattr(self, name), dtype=float)
             shape_ok = v.shape == np.shape(self.a1) and v.ndim >= 1 and v.shape[-1] == 3
-            if not (shape_ok and (np.abs(np.sqrt(np.vecdot(v, v)) - 1.0) <= ATOL).all()):
-                raise ValueError(f"setting {name} must be a unit 3-vector, or a stack of them shaped as a1")
+            unit = shape_ok and np.abs(np.sqrt(np.vecdot(v, v)) - 1.0) <= ATOL
+            require(unit, "setting {} must be a unit 3-vector, or a stack of them shaped as a1", name)
             object.__setattr__(self, name, v)
 
 
@@ -188,8 +188,7 @@ def chsh_settings_for(r) -> ChshSettings:
     N settings, each row on its own branch.
     """
     rs = np.asarray(r, dtype=float)
-    if not (np.isfinite(rs) & (rs > 0)).all():
-        raise ValueError("settings are defined for finite r > 0")
+    require(np.isfinite(rs) & (rs > 0), "settings are defined for finite r > 0")
     diagonal = (rs <= SQRT2)[..., None]
     # the rows on the diagonal branch have no tilt and use none of the
     # tilted components: 0 stands in for the tilt, and sqrt(2)/max(r,
@@ -229,10 +228,8 @@ class JointDistribution(Stacked):
         t = np.asarray(self.table, dtype=float)
         if t.shape[-2:] != (2, 2):
             raise ValueError("joint table must be 2x2")
-        sums = np.reshape(t.sum(axis=(-2, -1)), -1)
-        off = ~(np.abs(sums - 1.0) <= ATOL)
-        if off.any():
-            raise ValueError(f"joint table must sum to 1, got {sums[np.argmax(off)]:.15g}")
+        sums = t.sum(axis=(-2, -1))
+        require(np.abs(sums - 1.0) <= ATOL, "joint table must sum to 1, got {:.15g}", sums)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 

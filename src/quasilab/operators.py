@@ -6,7 +6,11 @@ Every operation on instances takes one instance or a stack of them along
 any number of leading axes and, as a numpy gufunc does, broadcasts over
 them: the same expressions compute both, with one numpy call per stage.
 One instance's 0-d results come back as Python numbers (``as_number``).
-The result types (``Stacked``) hold one instance or a stack."""
+The result types (``Stacked``) hold one instance or a stack.
+
+Every layer rejects a bad instance through one rule, ``require``: a
+validator is its passing comparison, one verdict per instance, so NaN fails
+it, and a stack with one bad row raises the error that row raises alone."""
 
 from __future__ import annotations
 
@@ -91,6 +95,21 @@ def as_number(result):
     return _pick(result, ())
 
 
+def require(ok, message: str, *values, error: type[Exception] = ValueError) -> None:
+    """The one rejection rule. ``ok`` is the passing comparison, one
+    verdict per instance. Unless every verdict holds, raise
+    ``error(message.format(*values))`` with each value taken at the first
+    failing instance in row-major order, as a Python number; values
+    broadcast against ``ok``, and one with trailing axes beyond those of
+    ``ok`` is given as that instance's row, as a list."""
+    ok = np.asarray(ok)
+    if np.count_nonzero(ok) == ok.size:
+        return
+    first = np.unravel_index(np.argmin(ok), ok.shape)
+    picked = (np.broadcast_to(v, ok.shape + np.shape(v)[ok.ndim :])[first].tolist() for v in values)
+    raise error(message.format(*picked))
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two matrices; output dims are the products. For
     two stacks of N matrices, the product row by row. Every entry is one
@@ -172,8 +191,7 @@ def hermitian_eigensystem(m) -> Eigensystem:
     eigensystem of each matrix, with one ``eigh`` call.
     """
     m = _as_square(m)
-    if not _hermitian_gap(m).max(initial=0.0) <= ATOL:
-        raise ValueError("eigensystem requires a Hermitian matrix")
+    require(_hermitian_gap(m).max(axis=(-2, -1), initial=0.0) <= ATOL, "eigensystem requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh(m)
     vals, vecs = vals[..., ::-1], vecs[..., ::-1]
     big = np.abs(vecs) > 1e-8

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quasilab import acceptance, nonlocal_box, operators
 from quasilab.reporting import CheckResult
@@ -204,13 +205,13 @@ def test_criterion_9_reads_the_gates_unitarity(non_unitary_gates):
 entries = st.floats(-10.0, 10.0, allow_subnormal=False)
 
 
-def _hermitian(values):
-    m = np.array(values[:9]).reshape(3, 3) + 1j * np.array(values[9:]).reshape(3, 3)
+def _hermitian(parts):
+    m = parts[0] + 1j * parts[1]
     return (m + m.conj().T) / 2
 
 
-def _unit_ket(values):
-    ket = np.array(values[:3]) + 1j * np.array(values[3:])
+def _unit_ket(parts):
+    ket = parts[0] + 1j * parts[1]
     return ket / np.linalg.norm(ket)
 
 
@@ -221,8 +222,8 @@ def _slack(m):
 
 @settings(max_examples=300)
 @given(
-    st.lists(entries, min_size=18, max_size=18).map(_hermitian),
-    st.lists(entries, min_size=6, max_size=6).filter(lambda v: np.linalg.norm(v) > 1e-3).map(_unit_ket),
+    arrays(float, (2, 3, 3), elements=entries).map(_hermitian),
+    arrays(float, (2, 3), elements=entries).filter(lambda v: np.linalg.norm(v) > 1e-3).map(_unit_ket),
 )
 def test_criterion_8_gershgorin_bound_is_sound(m, ket):
     # every quadratic form on a unit ket and the top eigenvalue lie below it

@@ -127,6 +127,33 @@ class TestExitCodes:
         assert f"argument {argv[-1]}: must be at most {bound}, got {count}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv, owner, first_call",
+        [
+            (["verify-all"], acceptance, "run_all"),
+            (["discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0"], cli, "hyperplane_pair"),
+            (["highdim", "--d", "3", "--epsilon", "0.5"], cli, "build_violating_state"),
+        ],
+        ids=["verify-all", "discriminate", "highdim"],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "-12345678901234567890", "1.5"])
+    def test_seed_below_zero_is_two_before_running(self, capsys, monkeypatch, argv, owner, first_call, seed):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the handler ran")
+
+        monkeypatch.setattr(owner, first_call, unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", seed])
+        assert exc.value.code == 2
+        reason = "expected an integer, got '1.5'" if seed == "1.5" else f"must be at least 0, got {seed}"
+        assert capsys.readouterr().err.endswith(f"error: argument --seed: {reason}\n")
+
+    def test_seed_zero_and_large_seeds_are_accepted(self, capsys):
+        for seed in ("0", str(2**70)):
+            code, _, _ = run(capsys, "highdim", "--d", "2", "--epsilon", "0.5", "--phases", "random", "--seed", seed)
+            assert code == 0
+
+
 class TestInvariantFailures:
     """A construction that measures a deviation past its tolerance gives a
     failed check: exit 1, the full report, the failing check on stderr."""
@@ -281,6 +308,23 @@ class TestChshSweep:
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run(capsys, "chsh-sweep", "--r-min", "0", "--r-max", "1", "--steps", "3")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "r_min, r_max, message",
+        [
+            ("nan", "1", "sweep needs 0 < r-min <= r-max"),
+            ("1", "nan", "sweep needs 0 < r-min <= r-max"),
+            ("nan", "nan", "sweep needs 0 < r-min <= r-max"),
+            ("inf", "inf", "r-max must be at most 1000, got inf"),
+        ],
+    )
+    def test_non_finite_bounds_are_rejected_by_the_sweep_domain(self, capsys, monkeypatch, r_min, r_max, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(cli, "build_box", unreachable)
+        code, out, err = run(capsys, "chsh-sweep", "--r-min", r_min, "--r-max", r_max, "--steps", "3")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_json_judges_every_box(self, capsys):
         code, out, _ = run(capsys, "chsh-sweep", "--r-min", "1", "--r-max", "3", "--steps", "4", "--format", "json")

@@ -18,6 +18,7 @@ from quasilab.operators import (
     kron,
     partial_trace,
     real_pairing,
+    require,
 )
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -205,6 +206,39 @@ class TestValidateQuasistate:
         QuasiState(0.5 * (I2 + 0.8 * SIGMA_Y))
         with pytest.raises(ValueError, match="Hermitian"):
             QuasiState(0.5 * (I2 + 0.8 * SIGMA_Y) + 1e-9 * np.array([[0, 1], [0, 0]]))
+
+
+class TestRequire:
+    def test_every_verdict_holding_passes(self):
+        assert require(np.ones((2, 3), dtype=bool), "never {}", np.zeros((2, 3))) is None
+        assert require(np.ones((0,), dtype=bool), "never") is None
+
+    def test_first_failing_instance_over_two_leading_axes(self):
+        ok = np.array([[True, True, True], [True, False, False]])
+        with pytest.raises(ValueError, match=r"^row 1, col 1: 3\.5$") as exc:
+            require(ok, "row {}, col {}: {}", [[0], [1]], np.arange(3), np.arange(6.0).reshape(2, 3) - 0.5)
+        # one instance's values come out as Python numbers
+        assert "np." not in str(exc.value)
+
+    def test_a_broadcast_value(self):
+        # one bound for every instance, and a (2, 1) column against (2, 3) verdicts
+        ok = np.array([[True, True, True], [False, True, True]])
+        with pytest.raises(ValueError, match="^at most 3, got 7 at 1$"):
+            require(ok, "at most {}, got {} at {}", 3, np.array([[5], [7]]), np.array([[0], [1]]))
+
+    def test_a_value_with_trailing_axes_is_the_instance_row(self):
+        rows = np.array([[[0.0, 1.0], [2.0, np.inf]], [[np.nan, 0.0], [1.0, 1.0]]])
+        with pytest.raises(ValueError, match=r"^bad row \[2\.0, inf\]$"):
+            require(np.isfinite(rows).all(axis=-1), "bad row {}", rows)
+        with pytest.raises(ValueError, match=r"^bad row \[1\.0, 2\.0\]$"):
+            require(False, "bad row {}", [1.0, 2.0])
+
+    def test_error_type(self):
+        class Rejected(ValueError):
+            pass
+
+        with pytest.raises(Rejected, match="^one instance: -1$"):
+            require(np.float64(-1.0) >= 0, "one instance: {:g}", np.float64(-1.0), error=Rejected)
 
 
 class TestPartialTrace:

@@ -2,7 +2,9 @@
 only reports judge it, so no module of the package asserts or raises
 AssertionError, every verdict is built by one of the two verdict rules
 (``CheckResult.at_most``, ``CheckResult.above``), and every validator is
-written as its passing comparison, so NaN and infinities fail it. One
+written as its passing comparison, so NaN and infinities fail it, and
+rejects through the one rule ``operators.require``, which alone picks the
+failing instance. One
 assembler per report: only ``cli.main`` and ``acceptance.as_report`` build
 a ``RunReport``, and only ``acceptance.run_all`` numbers and names the
 criteria. One name per operation: no public function is a ``*_batch``
@@ -170,3 +172,20 @@ def test_no_layer_lifts_or_picks_its_own_instances(path):
     lifts = sorted(names & {"as_stack", "_first", "_whole"})
     assert lifts == [], f"{path.name} names the stack-of-one lift {lifts}"
     assert path.name == "operators.py" or "_pick" not in names, f"{path.name} picks results apart itself"
+
+
+def _picks_an_instance(node: ast.AST) -> bool:
+    return _is_call_of(node, "argmin") or _is_call_of(node, "argmax") or (
+        isinstance(node, ast.Attribute) and node.attr == "flat"
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_rejection_rule(path):
+    # a bad instance is named by operators.require, never by a pick of a
+    # layer's own
+    tree = ast.parse(path.read_text(), filename=str(path))
+    retired = sorted(_identifiers(tree) & {"_all", "_first_non_finite_row"})
+    assert retired == [], f"{path.name} names the retired row checks {retired}"
+    picks = [node.lineno for node in ast.walk(tree) if _picks_an_instance(node)]
+    assert path.name == "operators.py" or picks == [], f"{path.name} picks a failing instance at lines {picks}"
