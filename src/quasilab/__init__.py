@@ -33,7 +33,6 @@ from .bloch import (
     pc_check,
     predictability_circle,
     random_bloch_vector,
-    random_direction,
     to_operator,
     transverse_frame,
 )

@@ -32,6 +32,7 @@ from .bloch import (
 from .discrimination import (
     clonability_check,
     clone_protocol,
+    detection_deviation,
     discriminate,
     hyperplane_pair,
     overlap,
@@ -47,8 +48,8 @@ from .highdim import (
     violates_pc,
 )
 from .nonlocal_box import (
-    SQRT2,
     build_box,
+    chsh_law,
     chsh_settings_for,
     chsh_value,
     setting_tables,
@@ -92,11 +93,10 @@ def chsh_law_criterion() -> list[CheckResult]:
     this is the quantum maximum."""
     grid = np.array([1.0, 1.1, 1.2, 1.3, 1.4, 1.4142])
     boxes = build_box(_axis_vectors(grid))
-    dev = np.max(np.abs(chsh_value(boxes, chsh_settings_for(grid)) - 2.0 * SQRT2 * grid))
-    closed_dev = np.max(boxes.closed_form_dev)
+    dev = np.abs(chsh_value(boxes, chsh_settings_for(grid)) - chsh_law(grid))
     return [
         CheckResult.at_most("chsh-equals-2sqrt2-r", dev, LAW_ATOL),
-        CheckResult.at_most("closed-form-match", closed_dev, SPECTRAL_ATOL),
+        CheckResult.at_most("closed-form-match", boxes.closed_form_dev, SPECTRAL_ATOL),
     ]
 
 
@@ -106,16 +106,15 @@ def maximal_box_criterion() -> list[CheckResult]:
     grid = np.array([1.5, 2.0, 3.0])
     boxes = build_box(_axis_vectors(grid))
     settings = chsh_settings_for(grid)
-    chsh_dev = np.max(np.abs(chsh_value(boxes, settings) - 4.0))
+    chsh_dev = np.abs(chsh_value(boxes, settings) - chsh_law(grid))
     tables = setting_tables(boxes, settings)
-    prob_excess = max(0.0, np.max(-tables.table), np.max(tables.table - 1.0))
-    signalling = np.max(signalling_deviation(tables))
-    closed_dev = np.max(boxes.closed_form_dev)
+    # how far each entry lies outside [0, 1]
+    prob_excess = np.maximum(0.0, np.maximum(-tables.table, tables.table - 1.0))
     return [
         CheckResult.at_most("chsh-equals-4", chsh_dev, LAW_ATOL),
         CheckResult.at_most("joint-probabilities-valid", prob_excess, ATOL),
-        CheckResult.at_most("nonsignalling", signalling, ATOL),
-        CheckResult.at_most("closed-form-match", closed_dev, SPECTRAL_ATOL),
+        CheckResult.at_most("nonsignalling", signalling_deviation(tables), ATOL),
+        CheckResult.at_most("closed-form-match", boxes.closed_form_dev, SPECTRAL_ATOL),
     ]
 
 
@@ -156,11 +155,10 @@ def predictability_witness_criterion(seed: int = DEFAULT_SEED, samples: int = 10
     rs = _witness_draws(np.random.default_rng(seed), samples)
     points = predictability_circle(rs).sample(8)
     probs = outcome_probability(rs[:, None], points, +1)
-    prob_dev = np.max(np.abs(probs - 1.0))
     cross = np.cross(points[:, 0], points[:, 2])
     colinear = np.sum(np.sqrt(np.vecdot(cross, cross)) <= ATOL)
     return [
-        CheckResult.at_most("circle-directions-certain", prob_dev, ATOL),
+        CheckResult.at_most("circle-directions-certain", np.abs(probs - 1.0), ATOL),
         CheckResult.at_most("witness-pairs-non-colinear", colinear, 0.0),
     ]
 
@@ -195,15 +193,15 @@ def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> li
     t = overlap(rs, rps)
     fixed_point_gap = np.abs(t * t - t)
     disagreements = np.sum((fixed_point_gap <= LAW_ATOL) != clonability_check(rs, rps))
-    margin = np.min(fixed_point_gap)
 
     pairs = hyperplane_pair(*_hyperplane_draws(rng, 100))
     members = np.stack((pairs.r_plus, pairs.r_minus))
     t = overlap(pairs.resource, members)
-    exact_dev = max(float(not np.all(clonability_check(pairs.resource, members))), np.max(np.abs(t * t - t)))
+    # 1 for a member the clonability flag misses, else its fixed-point gap
+    exact_dev = np.maximum(np.logical_not(clonability_check(pairs.resource, members)), np.abs(t * t - t))
     return [
         CheckResult.at_most("agreement-disagreements", disagreements, 0.0),
-        CheckResult.above("generic-pairs-margin", margin, LAW_ATOL),
+        CheckResult.above("generic-pairs-margin", fixed_point_gap, LAW_ATOL),
         CheckResult.at_most("hyperplane-instances-exact", exact_dev, LAW_ATOL),
     ]
 
@@ -230,17 +228,13 @@ def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> l
     """Hyperplane states are identified with certainty despite strictly
     positive overlap, and the clone output is the exact doubled state."""
     pairs = hyperplane_pair(*_discrimination_draws(np.random.default_rng(seed), samples))
-    min_overlap = np.min(overlap(pairs.r_plus, pairs.r_minus))
     # each pair under both hidden labels: row 0 hides r+, row 1 hides r-
     which = np.array([[+1], [-1]])
     labels, q_plus, q_minus = discriminate(pairs, which)
-    q_hit, q_miss = np.where(which == +1, q_plus, q_minus), np.where(which == +1, q_minus, q_plus)
-    det_dev = max(np.max(np.abs(q_hit - 1.0)), np.max(np.abs(q_miss)))
-    clone_dev = np.max(clone_protocol(pairs, labels, which)[1])
     return [
-        CheckResult.at_most("deterministic-detection", det_dev, SPECTRAL_ATOL),
-        CheckResult.above("overlap-strictly-positive", min_overlap, 0.0),
-        CheckResult.at_most("clone-output-exact", clone_dev, ATOL),
+        CheckResult.at_most("deterministic-detection", detection_deviation(which, q_plus, q_minus), SPECTRAL_ATOL),
+        CheckResult.above("overlap-strictly-positive", overlap(pairs.r_plus, pairs.r_minus), 0.0),
+        CheckResult.at_most("clone-output-exact", clone_protocol(pairs, labels, which)[1], ATOL),
     ]
 
 
@@ -274,27 +268,25 @@ def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     (dimension, epsilon, spectrum, phases) grid, one stack of 16 states
     per dimension."""
     rng = np.random.default_rng(seed)
-    pin_dev = 0.0
-    det_dev = 0.0
-    oracle_dev = 0.0
+    pin_devs, det_devs, oracle_devs = [], [], []
     for dim in range(2, 7):
         epsilons, tails, bases, phases = _highdim_grid_draws(rng, dim)
         vs = build_violating_state(dim, epsilons, lambdas=tails, basis=bases)
-        oracle_dev = max(oracle_dev, np.max(entangled_projector(vs)[1]))
+        oracle_devs.append(entangled_projector(vs)[1])
         for probe_phases in (None, phases):
             for target in (CERTAIN, NULL):
                 probe = build_probe_state(vs, target, phases=probe_phases)
-                pin_dev = max(pin_dev, np.max(probe.pinning_dev))
-                det_dev = max(det_dev, np.max(np.abs(detection_probability(vs, probe) - target)))
-    mags = probe_magnitudes(3, 0.5, CERTAIN)
-    weight_dev = abs(mags[0] - 5.0 / 7.0)
-    mags = probe_magnitudes(3, 0.5, NULL)
-    weight_dev = max(weight_dev, abs(mags[0] - 1.0 / 7.0))
+                pin_devs.append(probe.pinning_dev)
+                det_devs.append(np.abs(detection_probability(vs, probe) - target))
+    weight_devs = [
+        abs(probe_magnitudes(3, 0.5, CERTAIN)[0] - 5.0 / 7.0),
+        abs(probe_magnitudes(3, 0.5, NULL)[0] - 1.0 / 7.0),
+    ]
     return [
-        CheckResult.at_most("probe-pinning", pin_dev, ATOL),
-        CheckResult.at_most("doubled-projector-detection", det_dev, SPECTRAL_ATOL),
-        CheckResult.at_most("projector-oracle", oracle_dev, SPECTRAL_ATOL),
-        CheckResult.at_most("closed-form-weights-exact", weight_dev, 0.0),
+        CheckResult.at_most("probe-pinning", pin_devs, ATOL),
+        CheckResult.at_most("doubled-projector-detection", det_devs, SPECTRAL_ATOL),
+        CheckResult.at_most("projector-oracle", oracle_devs, SPECTRAL_ATOL),
+        CheckResult.at_most("closed-form-weights-exact", weight_devs, 0.0),
     ]
 
 
@@ -337,7 +329,7 @@ def cross_consistency_criterion() -> list[CheckResult]:
         q_qubit = q_plus if which == +1 else q_minus
         plane_dev = from_operator(projectors) - pairs.member(which)
         devs += [plane_dev, q_qubit - 1.0, detection_probability(vs, probe) - target]
-    dev = max(float(np.max(np.abs(d))) for d in devs)
+    dev = np.concatenate([np.abs(d).ravel() for d in devs])
 
     three_level = np.diag([0.85, 0.25, -0.1]).astype(complex)
     return [
@@ -357,11 +349,9 @@ def pipeline_oracle_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> 
     """The unitary pipeline reproduces the closed-form box for random
     resources, with genuinely unitary gates."""
     boxes = build_box(_pipeline_draws(np.random.default_rng(seed), samples))
-    box_dev = np.max(boxes.closed_form_dev)
-    unitary_dev = np.max(boxes.unitarity_dev)
     return [
-        CheckResult.at_most("pipeline-matches-closed-form", box_dev, SPECTRAL_ATOL),
-        CheckResult.at_most("pipeline-unitarity", unitary_dev, ATOL),
+        CheckResult.at_most("pipeline-matches-closed-form", boxes.closed_form_dev, SPECTRAL_ATOL),
+        CheckResult.at_most("pipeline-unitarity", boxes.unitarity_dev, ATOL),
     ]
 
 

@@ -187,18 +187,13 @@ def predictability_circle(r) -> PredictabilityCircle | None:
     return as_number(circles)
 
 
-def random_direction(rng: np.random.Generator) -> np.ndarray:
-    """Uniform unit vector on the sphere, from three standard normal draws."""
-    return scale_directions(rng.standard_normal(3), 1.0)
-
-
 def scale_directions(normals: np.ndarray, norms) -> np.ndarray:
     """The vector of norm ``norms`` along the direction of three standard
     normal draws, which is uniform on the sphere; for an (N, 3) stack of
     draws, one vector per row, with one norm for all rows or one per row.
     The draws are overwritten: each row is divided by its length and then
-    multiplied by its norm, the arithmetic of ``norm * random_direction(rng)``
-    on the same normals, bit for bit."""
+    multiplied by its norm, the arithmetic of ``norm * (v / |v|)`` on the
+    same normals v, bit for bit."""
     normals /= _norms(normals)[..., None]
     normals *= np.asarray(norms)[..., None]
     return normals
@@ -210,10 +205,10 @@ def random_bloch_vector(rng: np.random.Generator, min_norm, max_norm) -> np.ndar
     that shape whose vector at each index has its norm in that range.
 
     Range by range, in row-major order, the generator makes one uniform
-    draw for the norm, then three standard normals for the direction: the
-    stream, and the bits, of ``rng.uniform(min_norm, max_norm) *
-    random_direction(rng)`` called range after range. The loop makes only
-    those generator calls; the arithmetic runs once on the stack.
+    draw for the norm, then three standard normals v for the direction:
+    the stream, and the bits, of ``rng.uniform(min_norm, max_norm) * (v /
+    |v|)`` computed range after range. The loop makes only those generator
+    calls; the arithmetic runs once on the stack.
     """
     lows, highs = np.broadcast_arrays(np.asarray(min_norm, dtype=float), np.asarray(max_norm, dtype=float))
     draws = np.empty(lows.size)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 from dataclasses import replace
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import acceptance
 from .bloch import pc_check, predictability_circle, to_operator
-from .discrimination import clone_protocol, discriminate, hyperplane_pair, overlap
+from .discrimination import clone_protocol, detection_deviation, discriminate, hyperplane_pair, overlap
 from .highdim import (
     CERTAIN,
     NULL,
@@ -31,9 +32,9 @@ from .highdim import (
     entangled_projector,
 )
 from .nonlocal_box import (
-    SQRT2,
     TSIRELSON_SETTINGS,
     build_box,
+    chsh_law,
     chsh_settings_for,
     chsh_value,
     setting_tables,
@@ -127,12 +128,7 @@ def _run_box(args):
     settings = _resolve_settings(args.settings, box.r)
     value = chsh_value(box, settings)
     tables = setting_tables(box, settings)
-
-    if args.settings == "auto" and box.r > SQRT2:
-        expected = 4.0
-    else:
-        expected = 2.0 * SQRT2 * box.r
-    signalling = signalling_deviation(tables)
+    expected = chsh_law(box.r, tsirelson=args.settings == "tsirelson")
 
     outputs = {
         "r_norm": box.r,
@@ -150,7 +146,7 @@ def _run_box(args):
         CheckResult.at_most("chsh-law", abs(value - expected), LAW_ATOL),
         CheckResult.at_most("closed-form-match", box.closed_form_dev, SPECTRAL_ATOL),
         CheckResult.at_most("pipeline-unitarity", box.unitarity_dev, ATOL),
-        CheckResult.at_most("nonsignalling", signalling, ATOL),
+        CheckResult.at_most("nonsignalling", signalling_deviation(tables), ATOL),
     ]
 
 
@@ -162,14 +158,14 @@ def _run_chsh_sweep(args):
     settings = chsh_settings_for(grid)
     valid = setting_tables(boxes, settings).valid.all(axis=(1, 2))
     outputs = {"r": grid, "chsh": chsh_value(boxes, settings), "valid": valid}
-    return outputs, [CheckResult.at_most("closed-form-match", np.max(boxes.closed_form_dev), SPECTRAL_ATOL)]
+    return outputs, [CheckResult.at_most("closed-form-match", boxes.closed_form_dev, SPECTRAL_ATOL)]
 
 
 def _run_discriminate(args):
     pair = hyperplane_pair(args.r, args.y, args.z)
     # entry 0 hides r+, entry 1 hides r-
-    labels, q_plus, q_minus = discriminate(pair, [+1, -1])
-    det_dev = max(abs(q_plus[0] - 1.0), abs(q_minus[0]), abs(q_minus[1] - 1.0), abs(q_plus[1]))
+    which = np.array([+1, -1])
+    labels, q_plus, q_minus = discriminate(pair, which)
 
     rng = np.random.default_rng(args.seed)
     hidden = rng.choice([+1, -1], size=args.trials)
@@ -187,7 +183,7 @@ def _run_discriminate(args):
         "correct": correct,
     }
     return outputs, [
-        CheckResult.at_most("deterministic-detection", det_dev, SPECTRAL_ATOL),
+        CheckResult.at_most("deterministic-detection", detection_deviation(which, q_plus, q_minus), SPECTRAL_ATOL),
         CheckResult.at_most("all-trials-correct", args.trials - correct, 0.0),
     ]
 
@@ -208,8 +204,8 @@ def _run_clone_demo(args):
         outputs[f"fidelity_{name}"] = fidelities[k]
         outputs[f"purity_squared_{name}"] = purity_sq[k]
     return outputs, [
-        CheckResult.at_most("clone-output-exact", np.max(clone_dev), ATOL),
-        CheckResult.at_most("fidelity-matches-purity-squared", np.max(np.abs(fidelities - purity_sq)), ATOL),
+        CheckResult.at_most("clone-output-exact", clone_dev, ATOL),
+        CheckResult.at_most("fidelity-matches-purity-squared", np.abs(fidelities - purity_sq), ATOL),
     ]
 
 
@@ -226,10 +222,8 @@ def _run_highdim(args):
 
     q1_certain = detection_probability(vs, certain)
     q1_null = detection_probability(vs, null)
-    det_dev = max(abs(q1_certain - 1.0), abs(q1_null))
-
     _, oracle_dev = entangled_projector(vs)
-    pin_dev = max(certain.pinning_dev, null.pinning_dev)
+    det_devs = [abs(q1_certain - CERTAIN), abs(q1_null - NULL)]
     outputs = {
         "spectrum": vs.spectrum,
         "leading_weight_certain": certain.magnitudes_sq[0],
@@ -239,8 +233,8 @@ def _run_highdim(args):
         "q1_null": q1_null,
     }
     return outputs, [
-        CheckResult.at_most("probe-pinning", pin_dev, ATOL),
-        CheckResult.at_most("doubled-projector-detection", det_dev, SPECTRAL_ATOL),
+        CheckResult.at_most("probe-pinning", [certain.pinning_dev, null.pinning_dev], ATOL),
+        CheckResult.at_most("doubled-projector-detection", det_devs, SPECTRAL_ATOL),
         CheckResult.at_most("projector-oracle", oracle_dev, SPECTRAL_ATOL),
     ]
 
@@ -259,7 +253,7 @@ def _run_planes(args):
     off_sphere = np.abs(np.linalg.norm(points, axis=1) - 1.0)
     off_plane = np.abs(points @ circle.plane_normal - plane / check.norm)
     outputs = {"plane": plane, "theta": np.tile(thetas, 2), "x": points[:, 0], "y": points[:, 1], "z": points[:, 2]}
-    return outputs, [CheckResult.at_most("points-on-certainty-planes", np.max([off_sphere, off_plane]), ATOL)]
+    return outputs, [CheckResult.at_most("points-on-certainty-planes", [off_sphere, off_plane], ATOL)]
 
 
 def _run_verify_all(args):
@@ -284,6 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, default_format, help_text):
         p = sub.add_parser(name, help=help_text)
+        # a value that starts as a real does (-1,0,0, -1e-3, -.5, -inf) is a
+        # value, not only a plain negative number: no option starts so
+        p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
         p.set_defaults(func=func)
         p.add_argument("--format", choices=("json", "csv", "text"), default=default_format)
         return p

@@ -158,6 +158,15 @@ def discriminate(pair: HyperplanePair, which: int) -> tuple[int, float, float]:
     return as_number((np.where(q_plus >= q_minus, +1, -1), q_plus, q_minus))
 
 
+def detection_deviation(which, q_plus, q_minus) -> float:
+    """How far ``discriminate``'s outcome probabilities are from certain
+    detection of the hidden labels ``which``: per measurement, max(|q_hit -
+    1|, |q_miss|) for the outcome that names the hidden state and the other."""
+    hit = np.asarray(which) == +1
+    q_hit, q_miss = np.where(hit, q_plus, q_minus), np.where(hit, q_minus, q_plus)
+    return as_number(np.maximum(np.abs(q_hit - 1.0), np.abs(q_miss)))
+
+
 def clone_protocol(pair: HyperplanePair, label: int, which: int) -> tuple[QuasiState, float]:
     """Duplicate the state that discrimination identified as ``label``.
 

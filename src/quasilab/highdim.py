@@ -106,7 +106,9 @@ def build_violating_state(dim: int, epsilon: float, lambdas=None, basis=None) ->
         if lambdas.shape != batch + (dim - 1,):
             raise ValueError(f"tail spectrum needs {dim - 1} entries, got {lambdas.shape}")
         require(np.isfinite(lambdas).all(axis=-1), "tail spectrum must be finite, got {}", lambdas)
-        sums = lambdas.sum(axis=-1)
+        # finite entries may sum to inf, which the next check rejects
+        with np.errstate(over="ignore"):
+            sums = lambdas.sum(axis=-1)
         require(np.abs(sums + epsilon) <= ATOL, "tail spectrum must sum to -epsilon, got {:.15g}", sums)
         leading = (lambdas <= (1.0 + epsilon + ATOL)[..., None]).all(axis=-1)
         require(leading, "tail eigenvalue exceeds the leading eigenvalue 1+epsilon")

@@ -204,6 +204,14 @@ def chsh_settings_for(r) -> ChshSettings:
     )
 
 
+def chsh_law(r, tsirelson: bool = False) -> float:
+    """The CHSH value of the box of strength ``r`` by the law: 2*sqrt(2)*r,
+    except on the tilted branch of ``chsh_settings_for`` (r > sqrt(2) and
+    not the Tsirelson settings), where it is 4; one value per strength."""
+    r = np.asarray(r, dtype=float)
+    return as_number(np.where(tsirelson or r <= SQRT2, 2.0 * SQRT2 * r, 4.0))
+
+
 def chsh_value(box: BipartiteBox, settings: ChshSettings) -> float:
     """Tr(B . box) for the CHSH operator of the given settings; for a stack
     of N boxes and a stack of N settings, the value row by row."""

@@ -43,16 +43,20 @@ class CheckResult:
         self.tolerance = float(self.tolerance)
 
     # The two verdict rules. Every check is built by one of them, so its
-    # verdict is the comparison of the two numbers it reports.
+    # verdict is the comparison of the two numbers it reports. They alone
+    # reduce a check's per-instance values (of any shape) to the worst one,
+    # which it reports; a NaN anywhere is the worst and fails the check.
     @classmethod
-    def at_most(cls, name: str, measured: float, tolerance: float) -> CheckResult:
-        """Upper-bound check that passes iff ``measured <= tolerance``."""
-        return cls(name, measured <= tolerance, measured, tolerance)
+    def at_most(cls, name: str, measured, tolerance: float) -> CheckResult:
+        """Upper-bound check that passes iff ``max(measured) <= tolerance``."""
+        worst = np.max(measured)
+        return cls(name, worst <= tolerance, worst, tolerance)
 
     @classmethod
-    def above(cls, name: str, measured: float, bound: float) -> CheckResult:
-        """Strict lower-bound check that passes iff ``measured > bound``."""
-        return cls(name, measured > bound, measured, bound)
+    def above(cls, name: str, measured, bound: float) -> CheckResult:
+        """Strict lower-bound check that passes iff ``min(measured) > bound``."""
+        worst = np.min(measured)
+        return cls(name, worst > bound, worst, bound)
 
     @property
     def headroom(self) -> float:
@@ -123,7 +127,10 @@ def parse_report(text: str) -> RunReport:
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, float)):
+    if isinstance(value, int):
+        # exactly, so an echoed seed of any size replays the run
+        return str(value)
+    if isinstance(value, float):
         return fmt_real(value)
     if isinstance(value, list):
         return ";".join(_cell(v) for v in value)

@@ -23,7 +23,6 @@ from quasilab.bloch import (
     pc_check,
     predictability_circle,
     random_bloch_vector,
-    random_direction,
     to_operator,
     transverse_frame,
 )
@@ -89,6 +88,12 @@ DISCRIMINATION_DRAWS = _draws("_discrimination_draws", 300)
 # CHSH strengths on both branches of chsh_settings_for, and one ulp either
 # side of the branch point sqrt(2)
 STRENGTHS = np.array([1e-3, 1.0, np.nextafter(SQRT2, 0.0), SQRT2, np.nextafter(SQRT2, 2.0), 3.0, 1000.0])
+
+
+def random_direction(rng):
+    """Uniform unit vector on the sphere, from three standard normal draws."""
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
 
 
 def _settings_stack(settings) -> ChshSettings:

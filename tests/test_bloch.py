@@ -14,7 +14,6 @@ from quasilab.bloch import (
     pc_check,
     predictability_circle,
     random_bloch_vector,
-    random_direction,
     scale_directions,
     to_operator,
     transverse_frame,
@@ -25,6 +24,12 @@ from quasilab.nonlocal_box import build_box, joint_distribution
 from quasilab.operators import ATOL, I2, SIGMA_X, expectation
 
 X, Y, Z = np.eye(3)
+
+
+def random_direction(rng):
+    """Uniform unit vector on the sphere, from three standard normal draws."""
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
 
 finite_components = st.floats(-3.0, 3.0, allow_nan=False)
 bloch_vectors = st.tuples(finite_components, finite_components, finite_components).map(np.array)

@@ -9,7 +9,7 @@ against p(x, y) = (1 + x y E)/4.
 import numpy as np
 import pytest
 
-from quasilab.bloch import random_bloch_vector, random_direction
+from quasilab.bloch import random_bloch_vector
 from quasilab.nonlocal_box import (
     PHI_PLUS,
     TSIRELSON_SETTINGS,
@@ -30,6 +30,12 @@ from quasilab.operators import ATOL, I2, SIGMA_Z, QuasiState, expectation, kron,
 
 SQRT2 = np.sqrt(2.0)
 X, Y, Z = np.eye(3)
+
+
+def random_direction(rng):
+    """Uniform unit vector on the sphere, from three standard normal draws."""
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
 
 
 def correlator_oracle(r_norm, a, b):

@@ -153,6 +153,61 @@ class TestExitCodes:
             code, _, _ = run(capsys, "highdim", "--d", "2", "--epsilon", "0.5", "--phases", "random", "--seed", seed)
             assert code == 0
 
+    @pytest.mark.parametrize("fmt, line", [("csv", "input,seed,{},,"), ("text", "  seed: {}")])
+    @pytest.mark.parametrize("seed", [str(10**400), "4611686018427387905"], ids=["10**400", "2**62+1"])
+    def test_large_seeds_are_echoed_exactly(self, capsys, fmt, line, seed):
+        # the echoed seed replays the run only if every digit is kept
+        code, out, _ = run(capsys, "highdim", "--d", "2", "--epsilon", "0.5", "--seed", seed, "--format", fmt)
+        assert code == 0
+        assert line.format(seed) in out.splitlines()
+
+    def test_tail_that_overflows_is_two_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "highdim", "--d", "3", "--epsilon", "0.5", "--lambdas", "1e308", "1e308")
+        assert (code, out, err) == (2, "", "error: tail spectrum must sum to -epsilon, got inf\n")
+
+
+class TestValuesStartingWithMinus:
+    """A flag value that starts with '-' and then a digit or '.' is a value,
+    as its '=' spelling is, not only a plain negative number."""
+
+    @staticmethod
+    def report(capsys, *argv):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        return code, re.sub(r'"duration_ms": [^,\n]+', '"duration_ms": 0', out), err
+
+    @pytest.mark.parametrize(
+        "argv, spelled, code",
+        [
+            (["pc-check", "--r", "-1,0,0"], ["pc-check", "--r=-1,0,0"], 0),
+            (["pc-check", "--r", "-.5,0,0"], ["pc-check", "--r=-.5,0,0"], 0),
+            (
+                ["discriminate", "--r", "0,0,2", "--y", "-1e-3", "--z", "0"],
+                ["discriminate", "--r=0,0,2", "--y=-1e-3", "--z=0"],
+                0,
+            ),
+            (
+                ["highdim", "--d", "3", "--epsilon", "0.5", "--lambdas", "-2.5e-1", "-2.5e-1"],
+                ["highdim", "--d", "3", "--epsilon", "0.5", "--lambdas", "-0.25", "-0.25"],
+                0,
+            ),
+            # rejected by the domain, not taken for a missing value
+            (["highdim", "--d", "3", "--epsilon", "-inf"], ["highdim", "--d", "3", "--epsilon=-inf"], 2),
+        ],
+        ids=["pc-check", "pc-check-dot", "discriminate", "highdim", "highdim-inf"],
+    )
+    def test_parses_as_the_other_spelling(self, capsys, argv, spelled, code):
+        got = self.report(capsys, *argv)
+        assert got[0] == code
+        assert got == self.report(capsys, *spelled)
+
+    def test_a_flag_followed_by_an_option_still_lacks_its_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pc-check", "--r", "--format", "json"])
+        assert exc.value.code == 2
+        assert "error: argument --r: expected one argument" in capsys.readouterr().err
+
 
 class TestInvariantFailures:
     """A construction that measures a deviation past its tolerance gives a

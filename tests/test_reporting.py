@@ -33,6 +33,18 @@ class TestVerdictRules:
         check = CheckResult.above("margin", measured, 1.0)
         assert (check.passed, check.measured, check.tolerance) == (passed, measured, 1.0)
 
+    def test_per_instance_values_reduce_to_the_worst(self):
+        values = np.array([[0.25, 2.0], [1.0, 0.5]])
+        assert CheckResult.at_most("bound", values, 1.0).measured == 2.0
+        assert CheckResult.above("margin", values, 0.0).measured == 0.25
+        assert CheckResult.at_most("bound", [np.zeros(3), np.full(3, 0.75)], 1.0).measured == 0.75
+
+    @pytest.mark.parametrize("values", [[np.nan, 0.0], [0.0, np.nan], np.array([[0.0], [np.nan]])])
+    def test_nan_anywhere_fails(self, values):
+        # the builtin max(0.0, nan) is 0.0: a NaN after the first value would pass
+        for check in (CheckResult.at_most("bound", values, 1.0), CheckResult.above("margin", values, -1.0)):
+            assert not check.passed and np.isnan(check.measured)
+
 
 class TestHeadroom:
     @pytest.mark.parametrize(
@@ -105,6 +117,28 @@ class TestCsv:
         assert lines[0] == "r,chsh,valid"
         assert len(lines) == 4
         assert lines[1] == "1,2.8,true"
+
+
+@pytest.mark.parametrize("fmt, line", [("csv", "input,{},{},,"), ("text", "  {}: {}")])
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (10**400, "1" + "0" * 400),
+        (2**62 + 1, "4611686018427387905"),
+        (10**12, "1000000000000"),
+        (999_999_999_999, "999999999999"),
+        (-7, "-7"),
+        (0, "0"),
+        (True, "true"),
+        (2.0 / 3.0, "0.666666666667"),
+        (1e12, "1e+12"),
+        ([3, 2**70], "3;1180591620717411303424"),
+    ],
+    ids=["10**400", "2**62+1", "10**12", "below-1e12", "negative", "zero", "bool", "float", "float-1e12", "list"],
+)
+def test_ints_render_exactly(fmt, line, value, shown):
+    report = RunReport(command="highdim", inputs={"seed": value})
+    assert line.format("seed", shown) in emit_report(report, fmt).splitlines()
 
 
 class TestText:

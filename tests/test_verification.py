@@ -7,7 +7,9 @@ rejects through the one rule ``operators.require``, which alone picks the
 failing instance. One
 assembler per report: only ``cli.main`` and ``acceptance.as_report`` build
 a ``RunReport``, and only ``acceptance.run_all`` numbers and names the
-criteria. One name per operation: no public function is a ``*_batch``
+criteria. One judge per claim: the CLI and ``verify-all`` take the CHSH
+law from ``nonlocal_box`` and leave the reduction of a check's instances to
+``CheckResult``. One name per operation: no public function is a ``*_batch``
 twin or a wrapper of a stack of one. One shape rule: every operation
 broadcasts over leading axes, so no module lifts one instance to a stack
 of one, and only ``operators`` picks results apart."""
@@ -189,3 +191,34 @@ def test_one_rejection_rule(path):
     assert retired == [], f"{path.name} names the retired row checks {retired}"
     picks = [node.lineno for node in ast.walk(tree) if _picks_an_instance(node)]
     assert path.name == "operators.py" or picks == [], f"{path.name} picks a failing instance at lines {picks}"
+
+
+JUDGES = [path for path in SOURCES if path.name in ("cli.py", "acceptance.py")]
+
+
+def _measured_argument(call: ast.Call) -> ast.AST | None:
+    if len(call.args) > 1:
+        return call.args[1]
+    return next((keyword.value for keyword in call.keywords if keyword.arg == "measured"), None)
+
+
+@pytest.mark.parametrize("path", JUDGES, ids=lambda p: p.name)
+def test_one_judge_per_claim(path):
+    # the CHSH law's value comes from nonlocal_box.chsh_law, and only
+    # CheckResult reduces a check's per-instance values to the worst one
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "SQRT2" not in _identifiers(tree), f"{path.name} works out the CHSH law itself"
+    reductions = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (_is_call_of(node, "at_most") or _is_call_of(node, "above"))
+        and (measured := _measured_argument(node)) is not None
+        and any(_is_call_of(sub, "max") or _is_call_of(sub, "min") for sub in ast.walk(measured))
+    ]
+    assert reductions == [], f"{path.name} reduces a check's instances itself at lines {reductions}"
+
+
+def test_no_unused_random_direction():
+    # scale_directions makes the draws; the tests keep their own reference
+    bloch = next(path for path in SOURCES if path.name == "bloch.py")
+    assert "random_direction" not in _identifiers(ast.parse(bloch.read_text(), filename=str(bloch)))
