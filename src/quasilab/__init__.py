@@ -44,6 +44,7 @@ from .nonlocal_box import (
     basis_to_computational,
     bell_operator,
     build_box,
+    chsh_experiment,
     chsh_settings_for,
     chsh_value,
     closed_form_box,

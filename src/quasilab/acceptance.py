@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import (
+    along_z,
     outcome_probability,
     pc_check,
     predictability_circle,
@@ -47,14 +48,7 @@ from .highdim import (
     probe_magnitudes,
     violates_pc,
 )
-from .nonlocal_box import (
-    build_box,
-    chsh_law,
-    chsh_settings_for,
-    chsh_value,
-    setting_tables,
-    signalling_deviation,
-)
+from .nonlocal_box import build_box, chsh_experiment, signalling_deviation
 from .operators import ATOL, LAW_ATOL, SPECTRAL_ATOL
 from .reporting import CheckResult, RunReport, fmt_real
 
@@ -83,19 +77,12 @@ class Criterion:
         )
 
 
-def _axis_vectors(r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    return np.stack((np.zeros_like(r), np.zeros_like(r), r), axis=-1)
-
-
 def chsh_law_criterion() -> list[CheckResult]:
     """CHSH value follows 2*sqrt(2)*r on the sub-sqrt(2) branch; at r = 1
     this is the quantum maximum."""
-    grid = np.array([1.0, 1.1, 1.2, 1.3, 1.4, 1.4142])
-    boxes = build_box(_axis_vectors(grid))
-    dev = np.abs(chsh_value(boxes, chsh_settings_for(grid)) - chsh_law(grid))
+    boxes, _, value, law, _ = chsh_experiment(along_z([1.0, 1.1, 1.2, 1.3, 1.4, 1.4142]))
     return [
-        CheckResult.at_most("chsh-equals-2sqrt2-r", dev, LAW_ATOL),
+        CheckResult.at_most("chsh-equals-2sqrt2-r", np.abs(value - law), LAW_ATOL),
         CheckResult.at_most("closed-form-match", boxes.closed_form_dev, SPECTRAL_ATOL),
     ]
 
@@ -103,15 +90,11 @@ def chsh_law_criterion() -> list[CheckResult]:
 def maximal_box_criterion() -> list[CheckResult]:
     """Past r = sqrt(2) the tilted settings hold the CHSH value at the
     algebraic maximum 4 with valid, non-signalling joint tables."""
-    grid = np.array([1.5, 2.0, 3.0])
-    boxes = build_box(_axis_vectors(grid))
-    settings = chsh_settings_for(grid)
-    chsh_dev = np.abs(chsh_value(boxes, settings) - chsh_law(grid))
-    tables = setting_tables(boxes, settings)
+    boxes, _, value, law, tables = chsh_experiment(along_z([1.5, 2.0, 3.0]))
     # how far each entry lies outside [0, 1]
     prob_excess = np.maximum(0.0, np.maximum(-tables.table, tables.table - 1.0))
     return [
-        CheckResult.at_most("chsh-equals-4", chsh_dev, LAW_ATOL),
+        CheckResult.at_most("chsh-equals-4", np.abs(value - law), LAW_ATOL),
         CheckResult.at_most("joint-probabilities-valid", prob_excess, ATOL),
         CheckResult.at_most("nonsignalling", signalling_deviation(tables), ATOL),
         CheckResult.at_most("closed-form-match", boxes.closed_form_dev, SPECTRAL_ATOL),
@@ -295,7 +278,7 @@ def matched_qubit_instance(epsilon):
     norm 1 + 2*epsilon, hyperplane offset chosen so the two plane states
     are exactly the zero-phase probe vectors (for an array of epsilons, one per epsilon)."""
     norm = 1.0 + 2.0 * epsilon
-    r = _axis_vectors(norm)
+    r = along_z(norm)
     y = 2.0 * np.sqrt(epsilon * (epsilon + 1.0)) / norm
     return r, hyperplane_pair(r, y, 0.0)
 

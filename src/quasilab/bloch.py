@@ -187,6 +187,13 @@ def predictability_circle(r) -> PredictabilityCircle | None:
     return as_number(circles)
 
 
+def along_z(norms) -> np.ndarray:
+    """The Bloch vector (0, 0, r) of a norm r; for an array of norms, one
+    vector per norm, stacked along a last axis of 3."""
+    r = np.asarray(norms, dtype=float)
+    return np.stack((np.zeros_like(r), np.zeros_like(r), r), axis=-1)
+
+
 def scale_directions(normals: np.ndarray, norms) -> np.ndarray:
     """The vector of norm ``norms`` along the direction of three standard
     normal draws, which is uniform on the sphere; for an (N, 3) stack of

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import acceptance
-from .bloch import pc_check, predictability_circle, to_operator
+from .bloch import along_z, pc_check, predictability_circle, to_operator
 from .discrimination import clone_protocol, detection_deviation, discriminate, hyperplane_pair, overlap
 from .highdim import (
     CERTAIN,
@@ -31,15 +31,7 @@ from .highdim import (
     detection_probability,
     entangled_projector,
 )
-from .nonlocal_box import (
-    TSIRELSON_SETTINGS,
-    build_box,
-    chsh_law,
-    chsh_settings_for,
-    chsh_value,
-    setting_tables,
-    signalling_deviation,
-)
+from .nonlocal_box import chsh_experiment, signalling_deviation
 from .operators import ATOL, LAW_ATOL, SPECTRAL_ATOL, expectation, require
 from .reporting import CheckResult, RunReport, emit_report
 
@@ -115,20 +107,10 @@ def _run_pc_check(args):
     return outputs, [CheckResult.at_most("complementarity", result.norm - 1.0, ATOL)]
 
 
-def _resolve_settings(choice: str, norm: float):
-    if choice == "tsirelson" or norm == 0.0:
-        return TSIRELSON_SETTINGS
-    return chsh_settings_for(norm)
-
-
 def _run_box(args):
     norm = pc_check(args.r).norm
     require(norm <= MAX_BOX_NORM, "|r| must be at most {:g}, got {:.6g}", MAX_BOX_NORM, norm)
-    box = build_box(args.r)
-    settings = _resolve_settings(args.settings, box.r)
-    value = chsh_value(box, settings)
-    tables = setting_tables(box, settings)
-    expected = chsh_law(box.r, tsirelson=args.settings == "tsirelson")
+    box, settings, value, expected, tables = chsh_experiment(args.r, tsirelson=args.settings == "tsirelson")
 
     outputs = {
         "r_norm": box.r,
@@ -154,10 +136,8 @@ def _run_chsh_sweep(args):
     require(0 < args.r_min <= args.r_max, "sweep needs 0 < r-min <= r-max")
     require(args.r_max <= MAX_BOX_NORM, "r-max must be at most {:g}, got {:.6g}", MAX_BOX_NORM, args.r_max)
     grid = np.linspace(args.r_min, args.r_max, args.steps)
-    boxes = build_box(np.stack((np.zeros_like(grid), np.zeros_like(grid), grid), axis=1))
-    settings = chsh_settings_for(grid)
-    valid = setting_tables(boxes, settings).valid.all(axis=(1, 2))
-    outputs = {"r": grid, "chsh": chsh_value(boxes, settings), "valid": valid}
+    boxes, _, value, _, tables = chsh_experiment(along_z(grid))
+    outputs = {"r": grid, "chsh": value, "valid": tables.valid.all(axis=(1, 2))}
     return outputs, [CheckResult.at_most("closed-form-match", boxes.closed_form_dev, SPECTRAL_ATOL)]
 
 

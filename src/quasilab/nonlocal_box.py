@@ -160,11 +160,18 @@ def observable(v) -> np.ndarray:
     return v[..., 0, :, :] * PAULI[0] + v[..., 1, :, :] * PAULI[1] + v[..., 2, :, :] * PAULI[2]
 
 
+def _setting_pairs(settings: ChshSettings) -> tuple[np.ndarray, np.ndarray]:
+    """The a and the b of the four setting pairs (a1, b1), (a1, b2), (a2,
+    b1), (a2, b2), each stacked in that order along axis -2."""
+    a = np.stack((settings.a1, settings.a1, settings.a2, settings.a2), axis=-2)
+    b = np.stack((settings.b1, settings.b2, settings.b1, settings.b2), axis=-2)
+    return a, b
+
+
 def bell_operator(settings: ChshSettings) -> np.ndarray:
     """CHSH combination A1B1 + A1B2 + A2B1 - A2B2 as a dim-4 operator (per row of a stack)."""
-    a = observable(np.stack((settings.a1, settings.a1, settings.a2, settings.a2), axis=-2))
-    b = observable(np.stack((settings.b1, settings.b2, settings.b1, settings.b2), axis=-2))
-    terms = kron(a, b)
+    a, b = _setting_pairs(settings)
+    terms = kron(observable(a), observable(b))
     return terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :] - terms[..., 3, :, :]
 
 
@@ -202,14 +209,6 @@ def chsh_settings_for(r) -> ChshSettings:
         b1=np.where(diagonal, TSIRELSON_SETTINGS.b1, np.stack((along, zero, tilt), axis=-1)),
         b2=np.where(diagonal, TSIRELSON_SETTINGS.b2, np.stack((zero, -along, tilt), axis=-1)),
     )
-
-
-def chsh_law(r, tsirelson: bool = False) -> float:
-    """The CHSH value of the box of strength ``r`` by the law: 2*sqrt(2)*r,
-    except on the tilted branch of ``chsh_settings_for`` (r > sqrt(2) and
-    not the Tsirelson settings), where it is 4; one value per strength."""
-    r = np.asarray(r, dtype=float)
-    return as_number(np.where(tsirelson or r <= SQRT2, 2.0 * SQRT2 * r, 4.0))
 
 
 def chsh_value(box: BipartiteBox, settings: ChshSettings) -> float:
@@ -268,11 +267,29 @@ def setting_tables(box: BipartiteBox, settings: ChshSettings) -> JointDistributi
     j, x, y]`` and ``valid[..., i, j]``, with i, j = 1, 2 at index 0, 1.
     For a stack of N boxes and a stack of N settings, the tables of each
     row, from the 16N entries of the 4N (box, a_i, b_j)."""
-    a = np.stack((settings.a1, settings.a1, settings.a2, settings.a2), axis=-2)
-    b = np.stack((settings.b1, settings.b2, settings.b1, settings.b2), axis=-2)
-    pairs = _tables(box.state.matrix[..., None, :, :], a, b)
+    pairs = _tables(box.state.matrix[..., None, :, :], *_setting_pairs(settings))
     lead = pairs.table.shape[:-3]
     return JointDistribution(table=pairs.table.reshape(lead + (2, 2, 2, 2)), valid=pairs.valid.reshape(lead + (2, 2)))
+
+
+def chsh_experiment(r, tsirelson: bool = False) -> tuple:
+    """The CHSH experiment on the box of the preparation ``r``: the box,
+    the settings it is measured with, its CHSH value, the law's value for
+    those settings, and the joint tables of ``setting_tables``.
+
+    The settings are ``chsh_settings_for`` the box's strength, or with
+    ``tsirelson`` the Tsirelson settings. The law is 2*sqrt(2)*r, except
+    on the tilted branch past sqrt(2), where it is 4. A box of strength 0
+    (r = 0, or a norm whose square underflows) is measured on the diagonal
+    branch. For a stack of preparations, each part row by row.
+    """
+    box = build_box(r)
+    # the diagonal branch holds the Tsirelson settings for every strength
+    # up to sqrt(2), so strength 1 stands in for the box's own there
+    diagonal = tsirelson | (box.r <= SQRT2)
+    settings = chsh_settings_for(np.where(diagonal, 1.0, box.r))
+    law = as_number(np.where(diagonal, 2.0 * SQRT2 * box.r, 4.0))
+    return box, settings, chsh_value(box, settings), law, setting_tables(box, settings)
 
 
 def signalling_deviation(tables: JointDistribution) -> float:

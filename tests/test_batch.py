@@ -18,6 +18,7 @@ import pytest
 from quasilab import acceptance
 from quasilab.bloch import (
     InvalidDirectionError,
+    along_z,
     from_operator,
     outcome_probability,
     pc_check,
@@ -52,6 +53,7 @@ from quasilab.nonlocal_box import (
     TSIRELSON_SETTINGS,
     ChshSettings,
     build_box,
+    chsh_experiment,
     chsh_settings_for,
     chsh_value,
     joint_distribution,
@@ -216,6 +218,12 @@ class TestChshStackEqualsSingles:
         assert_rows_match_singles(setting_tables, CHSH_BOXES, CHSH_SETTINGS)
         assert_rows_match_singles(lambda *a: signalling_deviation(setting_tables(*a)), CHSH_BOXES, CHSH_SETTINGS)
 
+    @pytest.mark.parametrize("tsirelson", [False, True])
+    def test_chsh_experiment(self, tsirelson):
+        # strength 0, a square that underflows to 0, and both sides of sqrt(2)
+        strengths = np.array([0.0, 1e-320, SQRT2, np.nextafter(SQRT2, 2.0), 2.0, 3.0])
+        assert_rows_match_singles(lambda rs: chsh_experiment(rs, tsirelson=tsirelson), along_z(strengths))
+
 
 # States drawn as criterion 7 draws them, at seed 42 + d for d = 2..8: per
 # epsilon the uniform tail and three random ones, random bases and phases
@@ -342,6 +350,8 @@ def _norm_settings(rs):
         (violates_pc, (to_operator(FLAT_RS).matrix,)),
         (chsh_settings_for, (pc_check(FLAT_RS).norm,)),
         (lambda rs: chsh_value(build_box(rs), _norm_settings(rs)), (FLAT_RS,)),
+        (chsh_experiment, (FLAT_RS,)),
+        (lambda rs: chsh_experiment(rs, tsirelson=True), (FLAT_RS,)),
     ],
     ids=[
         "pc_check",
@@ -357,6 +367,8 @@ def _norm_settings(rs):
         "violates_pc",
         "chsh_settings_for",
         "chsh_value",
+        "chsh_experiment",
+        "chsh_experiment-tsirelson",
     ],
 )
 def test_any_leading_axes_give_the_flat_stack(operation, flat):

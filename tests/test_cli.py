@@ -108,7 +108,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, bound, handler_call",
         [
-            (["chsh-sweep", "--r-min", "1", "--r-max", "2", "--steps"], cli.MAX_STEPS, "build_box"),
+            (["chsh-sweep", "--r-min", "1", "--r-max", "2", "--steps"], cli.MAX_STEPS, "chsh_experiment"),
             (["discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials"], cli.MAX_TRIALS, "hyperplane_pair"),
             (["planes", "--r", "0,0,2", "--points"], cli.MAX_POINTS, "pc_check"),
         ],
@@ -321,7 +321,7 @@ class TestBox:
         def unreachable(*args, **kwargs):
             raise AssertionError("the box was built")
 
-        monkeypatch.setattr(cli, "build_box", unreachable)
+        monkeypatch.setattr(cli, "chsh_experiment", unreachable)
         code, _, err = run(capsys, "box", "--r", "3e5,4e5,5e5")
         assert code == 2 and "at most 1000" in err
         code, _, err = run(capsys, "chsh-sweep", "--r-min", "1", "--r-max", "1001", "--steps", "2")
@@ -377,7 +377,7 @@ class TestChshSweep:
         def unreachable(*args, **kwargs):
             raise AssertionError("the grid was built")
 
-        monkeypatch.setattr(cli, "build_box", unreachable)
+        monkeypatch.setattr(cli, "chsh_experiment", unreachable)
         code, out, err = run(capsys, "chsh-sweep", "--r-min", r_min, "--r-max", r_max, "--steps", "3")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -204,10 +204,17 @@ def _measured_argument(call: ast.Call) -> ast.AST | None:
 
 @pytest.mark.parametrize("path", JUDGES, ids=lambda p: p.name)
 def test_one_judge_per_claim(path):
-    # the CHSH law's value comes from nonlocal_box.chsh_law, and only
-    # CheckResult reduces a check's per-instance values to the worst one
+    # the settings of a CHSH experiment and the law's value for them come
+    # from nonlocal_box.chsh_experiment, and only CheckResult reduces a
+    # check's per-instance values to the worst one
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert "SQRT2" not in _identifiers(tree), f"{path.name} works out the CHSH law itself"
+    names = _identifiers(tree)
+    assert "SQRT2" not in names, f"{path.name} works out the CHSH law itself"
+    choosers = sorted(names & {"chsh_settings_for", "TSIRELSON_SETTINGS", "_axis_vectors", "_resolve_settings"})
+    assert choosers == [], f"{path.name} picks the CHSH settings or grid itself with {choosers}"
+    box_module = next(p for p in SOURCES if p.name == "nonlocal_box.py")
+    box_names = _identifiers(ast.parse(box_module.read_text()))
+    assert "chsh_law" not in box_names, "nonlocal_box keeps chsh_law beside chsh_experiment"
     reductions = [
         node.lineno
         for node in ast.walk(tree)

@@ -14,8 +14,9 @@ masked, and the tree's own path in tracebacks and warnings.
 
 The corpus: ``verify-all`` at five seeds, the README's commands, the
 ``cli_requests`` stream of ``bench/workloads.py`` at seed 7, one exit-2
-request per domain check the CLI can reach, and a few inputs at the edges
-of what the CLI accepts; each in json, csv and text. The exit status is 1
+request per domain check the CLI can reach, and inputs at the edges of
+what the CLI accepts, among them the boxes at the edges of the CHSH
+settings; each in json, csv and text: 288 requests. The exit status is 1
 when any request differs, else 0.
 """
 
@@ -73,7 +74,9 @@ DOMAIN_CHECKS = (
 )
 
 # Inputs at the edges of the CLI's contract: seeds of any size, flag values
-# that start with '-', a flag left without its value, a tail that overflows.
+# that start with '-', a flag left without its value, a tail that overflows,
+# and boxes at the edges of the CHSH settings: strength 0 (given, or a square
+# that underflows), sqrt(2) and the next double above it.
 EDGES = (
     "highdim --d 2 --epsilon 0.5 --phases random --seed " + str(10**400),
     "highdim --d 2 --epsilon 0.5 --phases random --seed 4611686018427387905",
@@ -83,6 +86,13 @@ EDGES = (
     "highdim --d 3 --epsilon -inf",
     "pc-check --r",
     "highdim --d 3 --epsilon 0.5 --lambdas 1e308 1e308",
+    "box --r 0,0,0",
+    "box --r 0,0,0 --settings tsirelson",
+    "box --r 0,0,1.4142135623730951",
+    "box --r 0,0,1.4142135623730954",
+    "box --r 1e-170,0,0",
+    "chsh-sweep --r-min 1e-320 --r-max 1e-320 --steps 2",
+    "chsh-sweep --r-min 1e-320 --r-max 1.5 --steps 4",
 )
 
 # Runs in each tree's process: argv lists on stdin, then on stdout the file
