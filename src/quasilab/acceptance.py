@@ -4,13 +4,15 @@ Every criterion is a pure function returning its named sub-checks with
 measured deviations and pinned tolerances. ``run_all`` runs them in order
 and is the one place that numbers and names them; ``as_report`` turns what
 it returns into the ``verify-all`` report. Randomized criteria draw from a
-seeded generator so runs are reproducible. Their draws are split in two:
-a loop over the samples makes the generator calls, instance by instance
-in a fixed order, and the arithmetic that turns the draws into instances
-runs once on the stack (``random_bloch_vector``, ``scale_directions``);
-the criterion then computes on the stack of all instances with one call
-of each operation. Only per-sample expressions whose bits a vectorized
-form would change stay in the loop.
+seeded generator so runs are reproducible. A criterion draws in bulk, one
+generator call per kind of draw, only when none of its checks depends on
+which instances are drawn (today criterion 3 alone). Every other criterion
+keeps its per-sample generator calls, so its report stays byte-identical:
+a loop over the samples makes them in a fixed order, and the arithmetic
+that turns the draws into instances runs once on the stack
+(``random_bloch_vector``, ``scale_directions``), but for per-sample
+expressions whose bits a vectorized form would change. Each criterion
+then computes on the stack of its instances with one call per operation.
 """
 
 from __future__ import annotations
@@ -102,22 +104,18 @@ def maximal_box_criterion() -> list[CheckResult]:
 
 
 def _pc_psd_draws(rng: np.random.Generator, samples: int) -> np.ndarray:
-    # every tenth vector has |r| - 1 within +-3 ATOL, where both verdicts
-    # flip (at 1 + ATOL), less a window around the flip that is wider than
-    # the rounding of |r|: inside it the two independent computations may
-    # round to opposite sides. The others have norms uniform in [0, 3).
-    norms = np.empty(samples)
-    normals = np.empty((samples, 3))
-    for k in range(samples):
-        if k % 10:
-            norms[k] = 3.0 * rng.random()  # the bits of rng.uniform(0.0, 3.0)
-        else:
-            excess = rng.uniform(-3 * ATOL, 3 * ATOL)
-            while abs(excess - ATOL) <= 1e-14:
-                excess = rng.uniform(-3 * ATOL, 3 * ATOL)
-            norms[k] = 1.0 + excess
-        rng.standard_normal(out=normals[k])
-    return scale_directions(normals, norms)
+    # Drawn in bulk, as only a criterion whose checks depend on no
+    # particular instance may be: its one check counts disagreements. Norms
+    # are uniform in [0, 3) (3u has the bits of rng.uniform(0, 3)), but
+    # every tenth has |r| - 1 within +-3 ATOL, where both verdicts flip (at
+    # 1 + ATOL), less a window around the flip wider than the rounding of
+    # |r|, where the two independent computations may round apart.
+    norms = 3.0 * rng.random(samples)
+    excess = rng.uniform(-3 * ATOL, 3 * ATOL, size=norms[::10].shape)
+    while np.any(near := np.abs(excess - ATOL) <= 1e-14):
+        excess[near] = rng.uniform(-3 * ATOL, 3 * ATOL, size=np.count_nonzero(near))
+    norms[::10] = 1.0 + excess
+    return scale_directions(rng.standard_normal((samples, 3)), norms)
 
 
 def pc_psd_equivalence_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> list[CheckResult]:

@@ -248,7 +248,8 @@ def _tables(rho, a, b) -> JointDistribution:
     # Pi_a^x of the entries (x, y) = (+, +), (+, -), (-, +), (-, -), then Pi_b^y of each
     proj = to_operator(np.stack((a, a, -a, -a, b, -b, b, -b), axis=-2)).matrix
     ops = kron(proj[..., :4, :, :], proj[..., 4:, :, :])
-    table = expectation(ops, rho[..., None, :, :]).reshape(ops.shape[:-3] + (2, 2))
+    pairings = expectation(ops, rho[..., None, :, :])
+    table = pairings.reshape(pairings.shape[:-1] + (2, 2))
     valid = ((table >= -ATOL) & (table <= 1.0 + ATOL)).all(axis=(-2, -1))
     return as_number(JointDistribution(table=table, valid=valid))
 

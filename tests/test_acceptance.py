@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasilab import acceptance, nonlocal_box, operators
+from quasilab import acceptance, bloch, nonlocal_box, operators
 from quasilab.reporting import CheckResult
 
 
@@ -187,6 +187,30 @@ def test_criterion_3_samples_the_flip_band(monkeypatch, psd_atol):
     monkeypatch.setattr(operators, "PSD_ATOL", psd_atol)
     checks = acceptance.pc_psd_equivalence_criterion(samples=1000)
     assert [c.name for c in checks if not c.passed] == ["classification-disagreements"]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_criterion_3_report_does_not_depend_on_its_draws(monkeypatch, seed):
+    # criterion 3 may draw in bulk because its one check is a count that is
+    # 0 whatever instances are drawn; and the bulk draws keep the band design
+    drawn = []
+
+    def scale_directions(normals, norms):
+        drawn.append(norms.copy())
+        return bloch.scale_directions(normals, norms)
+
+    monkeypatch.setattr(acceptance, "scale_directions", scale_directions)
+    [check] = acceptance.pc_psd_equivalence_criterion(seed)
+    assert (check.name, check.passed, check.measured, check.tolerance) == ("classification-disagreements", True, 0, 0)
+    [norms] = drawn
+    assert norms.shape == (10_000,)
+    band, others = norms[::10], np.delete(norms, np.s_[::10])
+    # 1 + excess is rounded to the doubles near 1, and so is 1 + ATOL: each
+    # distance below may differ from the excess's own by one spacing
+    spacing = np.spacing(1.0)
+    assert np.all(np.abs(band - 1.0) <= 3 * operators.ATOL + spacing)
+    assert np.all(np.abs(band - (1.0 + operators.ATOL)) > 1e-14 - spacing)
+    assert np.all((others >= 0.0) & (others < 3.0))
 
 
 def test_invariant_failure_is_a_failed_check(monkeypatch):

@@ -9,7 +9,7 @@ against p(x, y) = (1 + x y E)/4.
 import numpy as np
 import pytest
 
-from quasilab.bloch import random_bloch_vector
+from quasilab.bloch import along_z, random_bloch_vector
 from quasilab.nonlocal_box import (
     PHI_PLUS,
     TSIRELSON_SETTINGS,
@@ -266,6 +266,20 @@ class TestJointDistribution:
                     single = joint_distribution(box, a, b)
                     assert tables.table[i, j].tobytes() == single.table.tobytes()
                     assert tables.valid[i, j] == single.valid
+
+    def test_one_setting_broadcasts_against_a_stack_of_boxes(self):
+        # the shape rule: one setting, or one pair of directions, serves every
+        # box of a stack, as the same setting stacked once per box does
+        boxes = build_box(along_z([1.0, 2.0]))
+        s = TSIRELSON_SETTINGS
+        stacked = ChshSettings(*(np.stack((v, v)) for v in (s.a1, s.a2, s.b1, s.b2)))
+        for broadcast, explicit in (
+            (setting_tables(boxes, s), setting_tables(boxes, stacked)),
+            (joint_distribution(boxes, Z, Z), joint_distribution(boxes, np.stack((Z, Z)), np.stack((Z, Z)))),
+        ):
+            assert broadcast.table.shape == explicit.table.shape
+            assert broadcast.table.tobytes() == explicit.table.tobytes()
+            assert np.array_equal(broadcast.valid, explicit.valid)
 
     def test_table_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1, got 0.9"):

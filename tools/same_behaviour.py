@@ -12,11 +12,11 @@ processes run side by side. A request's warnings are shown as in a process
 of its own. Before the comparison, only the value of ``duration_ms`` is
 masked, and the tree's own path in tracebacks and warnings.
 
-The corpus: ``verify-all`` at five seeds, the README's commands, the
+The corpus: ``verify-all`` at seven seeds, the README's commands, the
 ``cli_requests`` stream of ``bench/workloads.py`` at seed 7, one exit-2
 request per domain check the CLI can reach, and inputs at the edges of
 what the CLI accepts, among them the boxes at the edges of the CHSH
-settings; each in json, csv and text: 288 requests. The exit status is 1
+settings; each in json, csv and text: 294 requests. The exit status is 1
 when any request differs, else 0.
 """
 
@@ -34,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 FORMATS = ("json", "csv", "text")
-VERIFY_SEEDS = (0, 1, 7, 42, 12345)
+VERIFY_SEEDS = (0, 1, 3, 7, 42, 99, 12345)
 STREAM_SEED = 7
 
 # One request per check that turns a request away with exit 2: the flag
