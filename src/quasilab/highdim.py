@@ -219,17 +219,14 @@ def detection_probability(vs: ViolatingState, probe: ProbeState) -> float:
     return real_pairing((vs.diag * np.abs(amps) ** 2).sum(axis=-1))
 
 
-def discriminate_highdim(vs: ViolatingState, which: int, probe: ProbeState | None = None) -> int:
-    """Identify which probe family a hidden vector belongs to: the label
-    of the outcome the doubled-basis projector makes likelier. It fires
-    with probability exactly 1 on the certain family and exactly 0 on the
-    null family, so on a working instance the answer is certain. For a
-    stack of states (and their probes), one label per row.
+def discriminate_highdim(vs: ViolatingState, which: int, probe: ProbeState) -> int:
+    """Identify which probe family the hidden vector ``probe``, built for
+    ``which``, belongs to: the label of the outcome the doubled-basis
+    projector makes likelier. It fires with probability exactly 1 on the
+    certain family and exactly 0 on the null family, so the answer is
+    certain on a working instance. For stacks, one label per row.
     """
     if which not in (CERTAIN, NULL):
         raise ValueError(f"hidden label must be 0 or 1, got {which}")
-    if probe is None:
-        probe = build_probe_state(vs, which)
-    else:
-        require(probe.target == which, "probe target does not match the hidden label")
+    require(probe.target == which, "probe target does not match the hidden label")
     return as_number(np.where(detection_probability(vs, probe) >= 0.5, CERTAIN, NULL))

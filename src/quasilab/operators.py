@@ -139,12 +139,7 @@ class QuasiState(Stacked):
         dev = _hermitian_gap(m).max(axis=(-2, -1), initial=0.0)
         tr = m.trace(axis1=-2, axis2=-1)
         ok = (dev <= ATOL) & (np.abs(tr - 1.0) <= ATOL)
-        if np.count_nonzero(ok) != ok.size:
-            k = np.argmin(ok)
-            dev, tr = np.ravel(dev)[k], np.ravel(tr)[k]
-            if not dev <= ATOL:
-                raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-            raise ValueError(f"trace must be 1, got {tr:.15g}")
+        require(ok, "matrix must be Hermitian with trace 1, got max deviation {:.3e} and trace {:.15g}", dev, tr)
         object.__setattr__(self, "matrix", _frozen(m))
 
     @property
@@ -207,7 +202,7 @@ def expectation(op, state) -> float:
     ``state`` may be a QuasiState or a raw matrix. A non-negligible
     imaginary residue (> SPECTRAL_ATOL) signals a non-Hermitian input and raises,
     as does a non-finite pairing. Stacks broadcast over their leading axes,
-    and the first pairing that fails raises. A broadcast operand is copied
+    and ``real_pairing`` names the failing pairing. A broadcast operand is copied
     out in full first: with a stride-0 operand ``einsum`` sums in another
     order, which changes the last bits of the pairings.
     """
@@ -224,17 +219,16 @@ def real_pairing(value: complex) -> float:
     """The real value of a trace pairing, or of each of an array of them. A
     non-finite value raises, and so does an imaginary residue above
     SPECTRAL_ATOL, which signals a non-Hermitian input; in an array, the
-    first value that fails raises."""
-    if np.ndim(value):
-        real = np.isfinite(value) & (np.abs(value.imag) <= SPECTRAL_ATOL)
-        if not real.all():
-            real_pairing(value.flat[np.argmin(real)])
-        return value.real
-    if not np.isfinite(value):
-        raise ValueError(f"trace pairing is not finite ({value}); operator or state not finite?")
-    if abs(value.imag) > SPECTRAL_ATOL:
-        raise ValueError(f"trace pairing has imaginary residue {value.imag:.3e}; operator not Hermitian?")
-    return float(value.real)
+    first non-finite value raises, or else the first residue."""
+    if np.ndim(value) == 0 and np.isfinite(value) and abs(value.imag) <= SPECTRAL_ATOL:
+        return float(value.real)
+    require(np.isfinite(value), "trace pairing is not finite ({}); operator or state not finite?", value)
+    require(
+        np.abs(value.imag) <= SPECTRAL_ATOL,
+        "trace pairing has imaginary residue {:.3e}; operator not Hermitian?",
+        value.imag,
+    )
+    return value.real
 
 
 def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:

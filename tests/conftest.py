@@ -21,6 +21,16 @@ COUNTED = {
 }
 
 
+def _counted(calls, name, original):
+    """``original``, counting each call in ``calls[name]``."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    return counted
+
+
 @contextlib.contextmanager
 def counting_calls():
     """Yield a dict that counts, while the block runs, the calls made to
@@ -32,11 +42,7 @@ def counting_calls():
     with pytest.MonkeyPatch.context() as mp:
         for name, owner in COUNTED.items():
             original = getattr(owner, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
+            counted = _counted(calls, name, original)
             for module in (owner, *package):
                 if getattr(module, name, None) is original:
                     mp.setattr(module, name, counted)
@@ -47,6 +53,20 @@ def counting_calls():
 def count_calls():
     """The ``counting_calls`` context manager."""
     return counting_calls
+
+
+@pytest.fixture
+def calls_to(monkeypatch):
+    """``calls_to(module, names)`` replaces each name as ``module`` binds it,
+    for the rest of the test, and returns the dict that counts its calls."""
+
+    def count(module, names):
+        calls = dict.fromkeys(names, 0)
+        for name in calls:
+            monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
+        return calls
+
+    return count
 
 
 @pytest.fixture(scope="session")

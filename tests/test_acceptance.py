@@ -132,34 +132,18 @@ def test_criterion_6_measures_each_hidden_state_once(discrimination_calls):
     assert discrimination_calls == {"detection_probabilities": 2 * 5, "discrimination_povm": 5}
 
 
-def test_criterion_6_measures_both_hidden_states_in_one_call(monkeypatch):
-    calls = dict.fromkeys(["discriminate", "clone_protocol"], 0)
-    for name in calls:
-        original = getattr(acceptance, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(acceptance, name, counted)
+def test_criterion_6_measures_both_hidden_states_in_one_call(calls_to):
+    calls = calls_to(acceptance, ["discriminate", "clone_protocol"])
     acceptance.discrimination_criterion(samples=5)
     assert calls == {"discriminate": 1, "clone_protocol": 1}
 
 
-def test_criterion_7_stacks_each_dimension(monkeypatch):
+def test_criterion_7_stacks_each_dimension(calls_to):
     # one stack of 16 states per dimension d = 2..6: one build and one
     # projector, and four probe families each built and measured once
-    calls = dict.fromkeys(
-        ["build_violating_state", "entangled_projector", "build_probe_state", "detection_probability"], 0
+    calls = calls_to(
+        acceptance, ["build_violating_state", "entangled_projector", "build_probe_state", "detection_probability"]
     )
-    for name in calls:
-        original = getattr(acceptance, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(acceptance, name, counted)
     acceptance.highdim_grid_criterion()
     assert calls == {
         "build_violating_state": 5,

@@ -15,6 +15,7 @@ with the error the call on that row's instance raises.
 import numpy as np
 import pytest
 
+from helpers import random_direction
 from quasilab import acceptance
 from quasilab.bloch import (
     InvalidDirectionError,
@@ -90,12 +91,6 @@ DISCRIMINATION_DRAWS = _draws("_discrimination_draws", 300)
 # CHSH strengths on both branches of chsh_settings_for, and one ulp either
 # side of the branch point sqrt(2)
 STRENGTHS = np.array([1e-3, 1.0, np.nextafter(SQRT2, 0.0), SQRT2, np.nextafter(SQRT2, 2.0), 3.0, 1000.0])
-
-
-def random_direction(rng):
-    """Uniform unit vector on the sphere, from three standard normal draws."""
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
 
 
 def _settings_stack(settings) -> ChshSettings:
@@ -262,7 +257,6 @@ class TestHighdimStackEqualsSingles:
         probes = build_probe_state(states, target, phases=phases)
         assert_rows_match_singles(detection_probability, states, probes)
         assert_rows_match_singles(lambda vs, probe: discriminate_highdim(vs, target, probe), states, probes)
-        assert_rows_match_singles(lambda vs: discriminate_highdim(vs, target), states)
 
     def test_entangled_projector(self, dim):
         assert_rows_match_singles(entangled_projector, _violating_states(dim))
@@ -273,7 +267,7 @@ def test_one_highdim_instance_gives_python_numbers():
     probe = build_probe_state(vs, CERTAIN)
     assert type(vs.epsilon) is float and type(probe.pinning_dev) is float and type(probe.target) is int
     assert type(detection_probability(vs, probe)) is float and type(entangled_projector(vs)[1]) is float
-    assert type(discriminate_highdim(vs, NULL)) is int
+    assert type(discriminate_highdim(vs, NULL, build_probe_state(vs, NULL))) is int
 
 
 class TestOneBadHighdimRowFailsTheStack:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_direction
 from quasilab.bloch import (
     InvalidDirectionError,
     as_directions,
@@ -25,11 +26,6 @@ from quasilab.operators import ATOL, I2, SIGMA_X, expectation
 
 X, Y, Z = np.eye(3)
 
-
-def random_direction(rng):
-    """Uniform unit vector on the sphere, from three standard normal draws."""
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
 
 finite_components = st.floats(-3.0, 3.0, allow_nan=False)
 bloch_vectors = st.tuples(finite_components, finite_components, finite_components).map(np.array)

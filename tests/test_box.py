@@ -9,6 +9,7 @@ against p(x, y) = (1 + x y E)/4.
 import numpy as np
 import pytest
 
+from helpers import random_direction
 from quasilab.bloch import along_z, random_bloch_vector
 from quasilab.nonlocal_box import (
     PHI_PLUS,
@@ -30,12 +31,6 @@ from quasilab.operators import ATOL, I2, SIGMA_Z, QuasiState, expectation, kron,
 
 SQRT2 = np.sqrt(2.0)
 X, Y, Z = np.eye(3)
-
-
-def random_direction(rng):
-    """Uniform unit vector on the sphere, from three standard normal draws."""
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
 
 
 def correlator_oracle(r_norm, a, b):
@@ -87,19 +82,11 @@ class TestBuildBox:
             box = build_box(random_bloch_vector(rng, 0.0, 3.0))
             assert box.closed_form_dev == np.max(np.abs(box.state.matrix - closed_form_box(box.r)))
 
-    def test_one_eigendecomposition_per_box(self, monkeypatch):
-        calls = {"eigh": 0, "eigvalsh": 0}
-        for name in calls:
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        build_box(np.array([0.3, -0.4, 1.1]))
+    def test_one_eigendecomposition_per_box(self, count_calls):
+        with count_calls() as calls:
+            build_box(np.array([0.3, -0.4, 1.1]))
         # eigh: the source's eigenbasis; QuasiState computes no spectrum unless read
-        assert calls == {"eigh": 1, "eigvalsh": 0}
+        assert (calls["eigh"], calls["eigvalsh"]) == (1, 0)
 
     def test_depends_only_on_norm(self):
         rng = np.random.default_rng(2)

@@ -438,16 +438,8 @@ class TestDiscriminateAndClone:
         ],
         ids=["discriminate", "clone-demo"],
     )
-    def test_one_call_for_both_hidden_states(self, capsys, monkeypatch, command, expected):
-        calls = dict.fromkeys(expected, 0)
-        for name in calls:
-            original = getattr(cli, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(cli, name, counted)
+    def test_one_call_for_both_hidden_states(self, capsys, calls_to, command, expected):
+        calls = calls_to(cli, expected)
         code, _, _ = run(capsys, command, "--r", "0,0,2", "--y", "0.6", "--z", "0")
         assert code == 0
         assert calls == expected

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from helpers import random_direction
 from quasilab import discrimination
 from quasilab.bloch import random_bloch_vector, to_operator
 from quasilab.discrimination import (
@@ -23,12 +24,6 @@ from quasilab.operators import ATOL, expectation, kron
 
 Z = np.array([0.0, 0.0, 1.0])
 RESOURCE = 2.0 * Z
-
-
-def random_direction(rng):
-    """Uniform unit vector on the sphere, from three standard normal draws."""
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
 
 
 def random_instance(rng, min_norm=1.05, max_norm=3.0):

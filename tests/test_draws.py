@@ -12,6 +12,7 @@ direction, element by element in that order."""
 import numpy as np
 import pytest
 
+from helpers import random_direction
 from quasilab import acceptance
 from quasilab.bloch import random_bloch_vector, scale_directions
 from quasilab.operators import ATOL
@@ -23,13 +24,8 @@ POW_TRAP_SEED = 5
 SEEDS = [0, 1, POW_TRAP_SEED, acceptance.DEFAULT_SEED]
 
 
-def _direction(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
 def _vector(rng, min_norm, max_norm):
-    return rng.uniform(min_norm, max_norm) * _direction(rng)
+    return rng.uniform(min_norm, max_norm) * random_direction(rng)
 
 
 def _flip_band_vectors(rng, samples):
@@ -46,12 +42,12 @@ def _flip_band_vectors(rng, samples):
         near = [k for k in near if abs(excess[k] - ATOL) <= 1e-14]
     for k in band:
         norms[k] = 1.0 + excess[k]
-    return np.array([norm * _direction(rng) for norm in norms])
+    return np.array([norm * random_direction(rng) for norm in norms])
 
 
 def _hyperplane_instance(rng):
     norm = rng.uniform(1.2, 3.0)
-    r = norm * _direction(rng)
+    r = norm * random_direction(rng)
     cap = np.sqrt(1.0 - 1.0 / norm**2)
     return (r, *rng.uniform(-cap / 2, cap / 2, size=2))
 
@@ -61,7 +57,7 @@ def _admissible_instances(rng, samples, square=lambda norm: norm**2):
     rows = []
     for _ in range(samples):
         norm = rng.uniform(1.05, 3.0)
-        r = norm * _direction(rng)
+        r = norm * random_direction(rng)
         cap = np.sqrt(1.0 - 1.0 / square(norm))
         rho = np.sqrt(rng.uniform(0.0, 1.0)) * cap
         angle = rng.uniform(0.0, 2.0 * np.pi)
@@ -164,7 +160,7 @@ def test_scalar_draws_are_the_stack_of_one(seed):
         if k % 2:
             assert np.array_equal(random_bloch_vector(scalar_rng, 0.5, 2.0), _vector(rng, 0.5, 2.0))
         else:
-            assert np.array_equal(scale_directions(scalar_rng.standard_normal(3), 1.0), _direction(rng))
+            assert np.array_equal(scale_directions(scalar_rng.standard_normal(3), 1.0), random_direction(rng))
 
 
 def test_ranges_row_by_row():

@@ -233,8 +233,8 @@ class TestEntangledProjector:
 class TestDiscriminateHighdim:
     def test_labels_recovered(self):
         vs = build_violating_state(3, 0.5)
-        assert discriminate_highdim(vs, CERTAIN) == CERTAIN
-        assert discriminate_highdim(vs, NULL) == NULL
+        assert discriminate_highdim(vs, CERTAIN, build_probe_state(vs, CERTAIN)) == CERTAIN
+        assert discriminate_highdim(vs, NULL, build_probe_state(vs, NULL)) == NULL
 
     def test_detection_equals_pinned_value(self):
         rng = np.random.default_rng(4)

@@ -101,10 +101,18 @@ class TestExpectation:
         with pytest.raises(ValueError, match="imaginary"):
             expectation(skew, QuasiState(0.5 * (I2 + 0.8 * SIGMA_Y)))
 
-    @pytest.mark.parametrize("value", [complex("nan+nanj"), complex("nan"), complex("infj"), complex("-inf")])
+    # the array has a residue at index 1 and a NaN at index 3: the NaN is named
+    @pytest.mark.parametrize(
+        "value",
+        [complex("nan+nanj"), complex("nan"), complex("infj"), complex("-inf"), np.array([1, 1 + 1e-3j, 0.5, np.nan])],
+    )
     def test_non_finite_pairing_rejected(self, value):
         with pytest.raises(ValueError, match="not finite"):
             real_pairing(value)
+
+    @pytest.mark.parametrize("value", [np.complex128(0.25 + 1e-12j), np.array(0.25 + 0j)])
+    def test_one_sound_pairing_is_a_python_float(self, value):
+        assert type(real_pairing(value)) is float and real_pairing(value) == 0.25
 
     def test_nan_operator_rejected(self):
         # a NaN residue is not below the tolerance, so it is no real pairing
@@ -186,13 +194,19 @@ class TestValidateQuasistate:
         assert state.min_eigenvalue == state.eigenvalues[0]
 
     def test_traceless_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(ValueError, match=r"and trace 0\+0j$"):
             QuasiState(SIGMA_X)
 
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 1], [0, 0.5]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.raises(ValueError, match=r"max deviation 1\.000e\+00 "):
             QuasiState(m)
+
+    def test_stack_names_both_numbers_of_its_first_bad_operator(self):
+        # row 1 fails the trace, row 2 Hermiticity: row 1's numbers are named
+        skew = np.array([[0.5, 1], [0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match=r"max deviation 0\.000e\+00 and trace 0\+0j$"):
+            QuasiState(np.stack((rho_z(0.5), SIGMA_X, skew)))
 
     def test_maximally_mixed(self):
         for d in (2, 3, 5):
@@ -208,7 +222,7 @@ class TestValidateQuasistate:
     def test_hermiticity_tolerance(self):
         # SIGMA_Y's imaginary entries are Hermitian; a 1e-9 skew is past ATOL
         QuasiState(0.5 * (I2 + 0.8 * SIGMA_Y))
-        with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.raises(ValueError, match=r"max deviation 1\.000e-09 "):
             QuasiState(0.5 * (I2 + 0.8 * SIGMA_Y) + 1e-9 * np.array([[0, 1], [0, 0]]))
 
 
