@@ -4,20 +4,16 @@ Every criterion is a pure function returning its named sub-checks with
 measured deviations and pinned tolerances. ``run_all`` runs them in order
 and is the one place that numbers and names them; ``as_report`` turns what
 it returns into the ``verify-all`` report. Randomized criteria draw from a
-seeded generator so runs are reproducible. A criterion draws in bulk, one
-generator call per kind of draw, only when none of its checks depends on
-which instances are drawn (today criterion 3 alone). Every other criterion
-keeps its per-sample generator calls, so its report stays byte-identical:
-a loop over the samples makes them in a fixed order, and the arithmetic
-that turns the draws into instances runs once on the stack
-(``random_bloch_vector``, ``scale_directions``), but for per-sample
-expressions whose bits a vectorized form would change. Each criterion
-then computes on the stack of its instances with one call per operation.
+seeded generator so runs are reproducible. Every randomized qubit
+criterion (3, 4, 5, 6 and 9) draws in bulk: one generator call per kind of
+draw, whatever its sample count. Criterion 7 draws state by state, as its
+tails come from a rejection loop that accepts one draw at a time. Each
+criterion then computes on the stack of its instances with one call per
+operation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,12 +100,12 @@ def maximal_box_criterion() -> list[CheckResult]:
 
 
 def _pc_psd_draws(rng: np.random.Generator, samples: int) -> np.ndarray:
-    # Drawn in bulk, as only a criterion whose checks depend on no
-    # particular instance may be: its one check counts disagreements. Norms
-    # are uniform in [0, 3) (3u has the bits of rng.uniform(0, 3)), but
-    # every tenth has |r| - 1 within +-3 ATOL, where both verdicts flip (at
-    # 1 + ATOL), less a window around the flip wider than the rounding of
-    # |r|, where the two independent computations may round apart.
+    # Drawn in bulk, as every randomized qubit criterion is (criterion 7
+    # draws state by state). Norms are uniform in [0, 3) (3u has the bits
+    # of rng.uniform(0, 3)), but every tenth has |r| - 1 within +-3 ATOL,
+    # where both verdicts flip (at 1 + ATOL), less a window around the flip
+    # wider than the rounding of |r|, where the two independent
+    # computations may round apart.
     norms = 3.0 * rng.random(samples)
     excess = rng.uniform(-3 * ATOL, 3 * ATOL, size=norms[::10].shape)
     while np.any(near := np.abs(excess - ATOL) <= 1e-14):
@@ -152,17 +148,13 @@ def _clonability_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarr
 
 def _hyperplane_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resources, y and z of ``samples`` hyperplane pairs: norm uniform in
-    [1.2, 3), y and z uniform in [-cap/2, cap/2) for cap = sqrt(1 - 1/norm^2)."""
-    norms = np.empty(samples)
-    normals = np.empty((samples, 3))
-    yz = np.empty((samples, 2))
-    for k in range(samples):
-        norm = norms[k] = rng.uniform(1.2, 3.0)
-        rng.standard_normal(out=normals[k])
-        # per sample on a Python float: norm**2 is C pow, which differs in
-        # the last bit from the square of a vectorized norms * norms
-        cap = math.sqrt(1.0 - 1.0 / norm**2)
-        yz[k] = rng.uniform(-cap / 2, cap / 2, size=2)
+    [1.2, 3), y and z uniform in [-cap/2, cap/2) for cap = sqrt(1 - 1/norm^2).
+    The generator draws every norm, then every direction, then y and z
+    instance by instance."""
+    norms = rng.uniform(1.2, 3.0, samples)
+    normals = rng.standard_normal((samples, 3))
+    cap = np.sqrt(1.0 - 1.0 / norms**2)[:, None]
+    yz = rng.uniform(-cap / 2, cap / 2, size=(samples, 2))
     return scale_directions(normals, norms), yz[:, 0], yz[:, 1]
 
 
@@ -189,20 +181,14 @@ def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> li
 
 def _discrimination_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resources, y and z of ``samples`` admissible instances: norm uniform
-    in [1.05, 3), y + iz uniform in the disc of radius sqrt(1 - 1/norm^2)."""
-    norms = np.empty(samples)
-    normals = np.empty((samples, 3))
-    yz = np.empty((samples, 2))
-    for k in range(samples):
-        norm = norms[k] = rng.uniform(1.05, 3.0)
-        rng.standard_normal(out=normals[k])
-        # per sample on Python floats, as in _hyperplane_draws: a vectorized
-        # cap or rho changes y or z in the last bit at some seeds (rng.random()
-        # is rng.uniform(0.0, 1.0) bit for bit)
-        rho = math.sqrt(rng.random()) * math.sqrt(1.0 - 1.0 / norm**2)
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        yz[k] = rho * np.cos(angle), rho * np.sin(angle)
-    return scale_directions(normals, norms), yz[:, 0], yz[:, 1]
+    in [1.05, 3), y + iz uniform in the disc of radius sqrt(1 - 1/norm^2).
+    The generator draws every norm, then every direction, then every
+    radius's uniform, then every angle."""
+    norms = rng.uniform(1.05, 3.0, samples)
+    normals = rng.standard_normal((samples, 3))
+    rho = np.sqrt(rng.random(samples)) * np.sqrt(1.0 - 1.0 / norms**2)
+    angle = rng.uniform(0.0, 2.0 * np.pi, samples)
+    return scale_directions(normals, norms), rho * np.cos(angle), rho * np.sin(angle)
 
 
 def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> list[CheckResult]:
@@ -233,7 +219,11 @@ def _random_tail(rng: np.random.Generator, dim: int, epsilon: float) -> np.ndarr
 def _highdim_grid_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Epsilons, tails, bases and phases of criterion 7's 16 states of one
     dimension: per epsilon the uniform tail and three random ones, and per
-    tail a random unitary basis and then random phases."""
+    tail a random unitary basis and then random phases.
+
+    Unlike the qubit criteria, these draws are made state by state:
+    ``_random_tail`` accepts or rejects each tail on its own draws, and the
+    80 states of the grid take a few milliseconds to draw."""
     epsilons = (0.1, 0.5, 1.0, 2.0)
     tails, matrices, phases = [], [], []
     for epsilon in epsilons:

@@ -209,18 +209,18 @@ def scale_directions(normals: np.ndarray, norms) -> np.ndarray:
 def random_bloch_vector(rng: np.random.Generator, min_norm, max_norm) -> np.ndarray:
     """Random vector with uniform direction and norm uniform in
     [min_norm, max_norm). For ranges of any (broadcast) shape, a stack of
-    that shape whose vector at each index has its norm in that range.
+    that shape whose vector at each index has its norm in that range. Every
+    range must be finite with 0 <= min_norm <= max_norm.
 
-    Range by range, in row-major order, the generator makes one uniform
-    draw for the norm, then three standard normals v for the direction:
-    the stream, and the bits, of ``rng.uniform(min_norm, max_norm) * (v /
-    |v|)`` computed range after range. The loop makes only those generator
-    calls; the arithmetic runs once on the stack.
+    The generator makes two calls, whatever the number of ranges: one
+    uniform draw u per range, then three standard normals v per range, each
+    in row-major order. Each vector is ``min_norm + (max_norm - min_norm) *
+    u`` (the bits of ``rng.uniform(min_norm, max_norm)``) times ``v / |v|``.
+    One range makes the stream of one ``rng.random()`` and then three
+    normals.
     """
     lows, highs = np.broadcast_arrays(np.asarray(min_norm, dtype=float), np.asarray(max_norm, dtype=float))
-    draws = np.empty(lows.size)
-    normals = np.empty((lows.size, 3))
-    for k in range(lows.size):
-        draws[k] = rng.random()
-        rng.standard_normal(out=normals[k])
-    return scale_directions(normals.reshape(lows.shape + (3,)), lows + (highs - lows) * draws.reshape(lows.shape))
+    ok = np.isfinite(lows) & np.isfinite(highs) & (0.0 <= lows) & (lows <= highs)
+    require(ok, "norm range must be finite with 0 <= min_norm <= max_norm, got [{}, {})", lows, highs)
+    draws = rng.random(lows.shape)
+    return scale_directions(rng.standard_normal(lows.shape + (3,)), lows + (highs - lows) * draws)

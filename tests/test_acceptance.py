@@ -2,6 +2,8 @@
 one pass/fail line printed per criterion. The default-seed criteria come
 from the one ``run_all`` of the session (see conftest.py)."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -78,6 +80,16 @@ def test_criterion_9_pipeline_oracle(verify_all_criteria):
     _check(_criterion(verify_all_criteria, 9))
 
 
+# The randomized qubit criteria, each drawn in bulk.
+BULK_DRAWN = [
+    acceptance.pc_psd_equivalence_criterion,
+    acceptance.predictability_witness_criterion,
+    acceptance.clonability_criterion,
+    acceptance.discrimination_criterion,
+    acceptance.pipeline_oracle_criterion,
+]
+
+
 @pytest.mark.parametrize("seed", [7, 123])
 def test_randomized_criteria_hold_for_other_seeds(seed):
     for checks in (
@@ -88,6 +100,13 @@ def test_randomized_criteria_hold_for_other_seeds(seed):
         acceptance.pipeline_oracle_criterion(seed, samples=200),
     ):
         _check_all(checks)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bulk_drawn_criteria_hold_at_their_sample_counts(seed):
+    # criteria 4, 5, 6 and 9, whose checks measure the instances drawn
+    for criterion in BULK_DRAWN[1:]:
+        _check_all(criterion(seed))
 
 
 # Ceilings on the calls of one run_all(DEFAULT_SEED) to numpy's
@@ -106,17 +125,7 @@ def test_numpy_calls_within_ceilings(verify_all_run):
         assert calls[name] <= ceiling, f"{name}: {calls[name]} calls, ceiling {ceiling}"
 
 
-@pytest.mark.parametrize(
-    "criterion",
-    [
-        acceptance.pc_psd_equivalence_criterion,
-        acceptance.predictability_witness_criterion,
-        acceptance.clonability_criterion,
-        acceptance.discrimination_criterion,
-        acceptance.pipeline_oracle_criterion,
-    ],
-    ids=lambda criterion: criterion.__name__,
-)
+@pytest.mark.parametrize("criterion", BULK_DRAWN, ids=lambda criterion: criterion.__name__)
 def test_numpy_calls_do_not_grow_with_samples(criterion, count_calls):
     # the randomized criteria compute on the stack of their samples
     counts = []
@@ -125,6 +134,44 @@ def test_numpy_calls_do_not_grow_with_samples(criterion, count_calls):
             criterion(samples=samples)
         counts.append(calls)
     assert counts[0] == counts[1]
+
+
+class _CountingGenerator:
+    """A generator that counts the calls made to each of its methods."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("criterion", BULK_DRAWN, ids=lambda criterion: criterion.__name__)
+def test_generator_calls_do_not_grow_with_samples(criterion, monkeypatch):
+    # the randomized qubit criteria draw in bulk: one call per kind of draw
+    default_rng = np.random.default_rng
+    counts = []
+    for samples in (10, 1000):
+        calls = collections.Counter()
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _CountingGenerator(default_rng(seed), calls))
+        criterion(samples=samples)
+        counts.append(calls)
+    assert set(counts[0]) == set(counts[1]) <= {"random", "uniform", "standard_normal"}
+    redraws = {}
+    if criterion is acceptance.pc_psd_equivalence_criterion:
+        # criterion 3 draws its band's excesses again, all at once, while
+        # one lies within 1e-14 of the flip (one excess in 300): rounds that
+        # depend on the values drawn, not on their number, such as the one
+        # round of 1000 samples at the default seed
+        redraws = {"uniform": 2}
+    for kind in counts[0]:
+        assert abs(counts[1][kind] - counts[0][kind]) <= redraws.get(kind, 0), kind
 
 
 def test_criterion_6_measures_each_hidden_state_once(discrimination_calls):
@@ -173,20 +220,28 @@ def test_criterion_3_samples_the_flip_band(monkeypatch, psd_atol):
     assert [c.name for c in checks if not c.passed] == ["classification-disagreements"]
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_criterion_3_report_does_not_depend_on_its_draws(monkeypatch, seed):
-    # criterion 3 may draw in bulk because its one check is a count that is
-    # 0 whatever instances are drawn; and the bulk draws keep the band design
-    drawn = []
+@pytest.fixture
+def drawn_norms(monkeypatch):
+    """The norms the random Bloch vectors drawn while the test runs are
+    scaled to: one array per ``scale_directions`` call."""
+    drawn, original = [], bloch.scale_directions
 
     def scale_directions(normals, norms):
-        drawn.append(norms.copy())
-        return bloch.scale_directions(normals, norms)
+        drawn.append(np.array(norms, dtype=float))
+        return original(normals, norms)
 
-    monkeypatch.setattr(acceptance, "scale_directions", scale_directions)
+    for module in (acceptance, bloch):
+        monkeypatch.setattr(module, "scale_directions", scale_directions)
+    return drawn
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_criterion_3_report_does_not_depend_on_its_draws(drawn_norms, seed):
+    # criterion 3's one check is a count that is 0 whatever instances are
+    # drawn; and the bulk draws keep the band design
     [check] = acceptance.pc_psd_equivalence_criterion(seed)
     assert (check.name, check.passed, check.measured, check.tolerance) == ("classification-disagreements", True, 0, 0)
-    [norms] = drawn
+    [norms] = drawn_norms
     assert norms.shape == (10_000,)
     band, others = norms[::10], np.delete(norms, np.s_[::10])
     # 1 + excess is rounded to the doubles near 1, and so is 1 + ATOL: each
@@ -195,6 +250,30 @@ def test_criterion_3_report_does_not_depend_on_its_draws(monkeypatch, seed):
     assert np.all(np.abs(band - 1.0) <= 3 * operators.ATOL + spacing)
     assert np.all(np.abs(band - (1.0 + operators.ATOL)) > 1e-14 - spacing)
     assert np.all((others >= 0.0) & (others < 3.0))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bulk_draws_keep_their_ranges(drawn_norms, seed):
+    # criteria 4, 5, 6 and 9 at their sample counts
+    rng = np.random.default_rng(seed)
+    acceptance._witness_draws(rng, 1000)
+    acceptance._clonability_draws(rng, 10_000)
+    _, y5, z5 = acceptance._hyperplane_draws(rng, 100)
+    _, y6, z6 = acceptance._discrimination_draws(rng, 1000)
+    acceptance._pipeline_draws(rng, 1000)
+    witness, pairs, hyperplane, admissible, pipeline = drawn_norms
+    assert np.all((witness >= 1.0 + 1e-6) & (witness < 3.0))
+    assert pairs.shape == (10_000, 2)
+    assert np.all((pairs >= 0.0) & (pairs < 3.0))
+    assert np.all((hyperplane >= 1.2) & (hyperplane < 3.0))
+    half_cap = np.sqrt(1.0 - 1.0 / hyperplane**2) / 2
+    assert np.all((np.abs(y5) <= half_cap) & (np.abs(z5) <= half_cap))
+    assert np.all((admissible >= 1.05) & (admissible < 3.0))
+    # every instance admissible to hyperplane_pair
+    assert np.all(y6**2 + z6**2 <= 1.0 - 1.0 / admissible**2 + operators.ATOL)
+    inside = np.arange(1000) % 4 == 0
+    assert np.all(pipeline[inside] < 1.0)
+    assert np.all(pipeline[~inside] >= 1.0 + 1e-9)
 
 
 def test_invariant_failure_is_a_failed_check(monkeypatch):

@@ -1,13 +1,16 @@
-"""Random draws: the stacked draws of the randomized criteria and of
+"""Random draws: the bulk draws of the randomized criteria and of
 ``random_bloch_vector`` equal, bit for bit, references written out here
-with scalar expressions, one generator call per element. Criteria 4 to 9
-keep their per-sample generator calls, so that their reports stay
-byte-identical: their references draw instance by instance, the norm from
-``rng.uniform``, then a direction of three normals divided by
-``np.linalg.norm``, then each criterion's own draws. Criterion 3 draws in
-bulk, as only a criterion whose checks depend on no particular instance
-may: its reference draws every norm, then the band's excesses, then every
-direction, element by element in that order."""
+with scalar expressions, one generator call per element. Every randomized
+qubit criterion draws in bulk, one generator call per kind of draw: its
+reference draws every element of one kind, in index order, before the next
+kind. A random Bloch vector's reference draws every norm from
+``rng.uniform``, then every direction of three normals divided by
+``np.linalg.norm``; criteria 5 and 6 then draw their own quantities, and
+criterion 3 the excesses of its band between the norms and the directions.
+Criterion 7 draws state by state: its reference draws each state's tail,
+basis and phases in the order of the states."""
+
+import re
 
 import numpy as np
 import pytest
@@ -17,15 +20,20 @@ from quasilab import acceptance
 from quasilab.bloch import random_bloch_vector, scale_directions
 from quasilab.operators import ATOL
 
-# At this seed one of criterion 6's norms has a Python square (C pow) that
-# differs in the last bit from the product norm * norm a vectorized draw
-# would take, and so do its y and z (see test_trap_seed_squares_differ).
-POW_TRAP_SEED = 5
-SEEDS = [0, 1, POW_TRAP_SEED, acceptance.DEFAULT_SEED]
+# At this seed one of criterion 6's norms has a Python square norm**2 (C
+# pow) that differs in the last bit from the product norm * norm, which is
+# what the vectorized norms**2 of the bulk draws computes, and so do that
+# instance's y and z (see test_trap_seed_squares_differ). So the references
+# square by the product. None of the other seeds below holds such a norm.
+POW_TRAP_SEED = 8
+SEEDS = [0, 1, 5, acceptance.DEFAULT_SEED, POW_TRAP_SEED]
 
 
-def _vector(rng, min_norm, max_norm):
-    return rng.uniform(min_norm, max_norm) * random_direction(rng)
+def _vectors(rng, ranges):
+    """One vector per (min_norm, max_norm) range: every norm, then every
+    direction."""
+    norms = [rng.uniform(min_norm, max_norm) for min_norm, max_norm in ranges]
+    return np.array([norm * random_direction(rng) for norm in norms])
 
 
 def _flip_band_vectors(rng, samples):
@@ -45,24 +53,32 @@ def _flip_band_vectors(rng, samples):
     return np.array([norm * random_direction(rng) for norm in norms])
 
 
-def _hyperplane_instance(rng):
-    norm = rng.uniform(1.2, 3.0)
-    r = norm * random_direction(rng)
-    cap = np.sqrt(1.0 - 1.0 / norm**2)
-    return (r, *rng.uniform(-cap / 2, cap / 2, size=2))
+def _square(norm):
+    return norm * norm
 
 
-def _admissible_instances(rng, samples, square=lambda norm: norm**2):
-    """Criterion 6's norms, then its resources, y and z."""
-    rows = []
-    for _ in range(samples):
-        norm = rng.uniform(1.05, 3.0)
-        r = norm * random_direction(rng)
-        cap = np.sqrt(1.0 - 1.0 / square(norm))
-        rho = np.sqrt(rng.uniform(0.0, 1.0)) * cap
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        rows.append((norm, r, rho * np.cos(angle), rho * np.sin(angle)))
-    return _columns(rows)
+def _hyperplane_instances(rng, samples):
+    """Criterion 5's hyperplane pairs: every norm, every resource, then y
+    and z instance by instance."""
+    norms = [rng.uniform(1.2, 3.0) for _ in range(samples)]
+    rs = [norm * random_direction(rng) for norm in norms]
+    yz = []
+    for norm in norms:
+        cap = np.sqrt(1.0 - 1.0 / _square(norm))
+        yz.append((rng.uniform(-cap / 2, cap / 2), rng.uniform(-cap / 2, cap / 2)))
+    return (np.array(rs), *_columns(yz))
+
+
+def _admissible_instances(rng, samples, square=_square):
+    """Criterion 6's norms, then its resources, y and z: every norm, every
+    resource, every radius's uniform, then every angle."""
+    norms = [rng.uniform(1.05, 3.0) for _ in range(samples)]
+    rs = [norm * random_direction(rng) for norm in norms]
+    rhos = [np.sqrt(rng.uniform(0.0, 1.0)) * np.sqrt(1.0 - 1.0 / square(norm)) for norm in norms]
+    angles = [rng.uniform(0.0, 2.0 * np.pi) for _ in range(samples)]
+    y = [rho * np.cos(angle) for rho, angle in zip(rhos, angles)]
+    z = [rho * np.sin(angle) for rho, angle in zip(rhos, angles)]
+    return np.array(norms), np.array(rs), np.array(y), np.array(z)
 
 
 def _columns(rows):
@@ -70,8 +86,9 @@ def _columns(rows):
 
 
 def _pairs(rng, samples):
-    rows = [(_vector(rng, 0.0, 3.0), _vector(rng, 0.0, 3.0)) for _ in range(samples)]
-    return _columns(rows) + _columns(_hyperplane_instance(rng) for _ in range(100))
+    # each pair's r and then its r', pair by pair
+    rs = _vectors(rng, [(0.0, 3.0)] * (2 * samples))
+    return (rs[0::2], rs[1::2], *_hyperplane_instances(rng, 100))
 
 
 def _stacked_pairs(rng, samples):
@@ -87,7 +104,7 @@ DRAWS = {
     ),
     4: (
         300,
-        lambda rng, n: (np.array([_vector(rng, 1.0 + 1e-6, 3.0) for _ in range(n)]),),
+        lambda rng, n: (_vectors(rng, [(1.0 + 1e-6, 3.0)] * n),),
         lambda rng, n: (acceptance._witness_draws(rng, n),),
     ),
     5: (1000, _pairs, _stacked_pairs),
@@ -98,9 +115,7 @@ DRAWS = {
     ),
     9: (
         400,
-        lambda rng, n: (
-            np.array([_vector(rng, *((1.0 + 1e-9, 3.0) if k % 4 else (0.0, 1.0))) for k in range(n)]),
-        ),
+        lambda rng, n: (_vectors(rng, [(1.0 + 1e-9, 3.0) if k % 4 else (0.0, 1.0) for k in range(n)]),),
         lambda rng, n: (acceptance._pipeline_draws(rng, n),),
     ),
 }
@@ -144,13 +159,16 @@ def test_highdim_grid_draws_equal_the_per_state_draws(seed):
 
 
 def test_trap_seed_squares_differ():
-    # squaring criterion 6's norms as a vectorized draw would change its
-    # instances at this seed, so the test above would catch that draw
+    # at this seed a reference that squared criterion 6's norms with
+    # Python's pow would draw other instances than the bulk norms**2, so
+    # test_stacked_draws_equal_the_per_sample_draws pins which square the
+    # draws take
     samples = DRAWS[6][0]
     norms, *expected = _admissible_instances(np.random.default_rng(POW_TRAP_SEED), samples)
+    assert np.array_equal(norms**2, norms * norms)
     assert np.any(norms * norms != np.array([norm**2 for norm in norms]))
-    _, *multiplied = _admissible_instances(np.random.default_rng(POW_TRAP_SEED), samples, square=lambda norm: norm * norm)
-    assert not all(np.array_equal(a, b) for a, b in zip(multiplied, expected))
+    _, *powered = _admissible_instances(np.random.default_rng(POW_TRAP_SEED), samples, square=lambda norm: norm**2)
+    assert not all(np.array_equal(a, b) for a, b in zip(powered, expected))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -158,7 +176,7 @@ def test_scalar_draws_are_the_stack_of_one(seed):
     rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for k in range(200):
         if k % 2:
-            assert np.array_equal(random_bloch_vector(scalar_rng, 0.5, 2.0), _vector(rng, 0.5, 2.0))
+            assert np.array_equal(random_bloch_vector(scalar_rng, 0.5, 2.0), _vectors(rng, [(0.5, 2.0)])[0])
         else:
             assert np.array_equal(scale_directions(scalar_rng.standard_normal(3), 1.0), random_direction(rng))
 
@@ -174,3 +192,22 @@ def test_ranges_row_by_row():
     assert random_bloch_vector(np.random.default_rng(3), np.zeros(0), 1.0).shape == (0, 3)
     # ranges of any shape give a stack of that shape
     assert random_bloch_vector(np.random.default_rng(3), np.zeros((2, 2)), 1.0).shape == (2, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "min_norm, max_norm, first",
+    [
+        (np.full(5, 2.0), 1.0, "[2.0, 1.0)"),
+        (-1.0, -0.5, "[-1.0, -0.5)"),
+        (0.0, np.inf, "[0.0, inf)"),
+        (np.nan, 1.0, "[nan, 1.0)"),
+        (0.0, [1.0, np.nan, 0.5], "[0.0, nan)"),
+    ],
+)
+def test_ranges_it_cannot_honour_are_rejected(min_norm, max_norm, first):
+    # reversed, negative and non-finite ranges: the first bad one is named,
+    # and nothing is drawn
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=re.escape(f"0 <= min_norm <= max_norm, got {first}")):
+        random_bloch_vector(rng, min_norm, max_norm)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state

@@ -1,6 +1,7 @@
 """The same-behaviour gate (tools/same_behaviour.py) on a slice of its
-corpus: a tree agrees with itself, and a changed message is named with the
-request that shows it."""
+corpus: a tree agrees with itself, a changed message is named with the
+request that shows it, and ``--only-measured`` lets the measured values of
+the named verify-all checks, and of no others, differ."""
 
 import importlib.util
 import shlex
@@ -51,3 +52,43 @@ def test_a_changed_message_names_its_request(gate, requests, tmp_path):
     assert "DIFFERS    highdim --d=33 --epsilon=0.5 --format=json" in lines
     assert "    exit 2 here, 2 there" in lines
     assert lines[-1] == f"{len(requests)} requests: {len(requests) - 1} identical, 1 differ"
+
+
+MOVED = "6-perfect-discrimination/overlap-strictly-positive"
+
+
+@pytest.fixture(scope="module")
+def moved_tree(gate, tmp_path_factory):
+    # a copy whose criterion 6 reports twice the least overlap: that check's
+    # measured value moves, its verdict and everything else do not
+    other = tmp_path_factory.mktemp("moved") / "src"
+    shutil.copytree(gate.SRC, other, ignore=shutil.ignore_patterns("__pycache__"))
+    acceptance = other / "quasilab" / "acceptance.py"
+    text = acceptance.read_text()
+    old = '"overlap-strictly-positive", overlap('
+    assert text.count(old) == 1
+    acceptance.write_text(text.replace(old, '"overlap-strictly-positive", 2 * overlap('))
+    return other
+
+
+@pytest.fixture(scope="module")
+def verify_requests(gate):
+    return [["verify-all", "--seed=0", f"--format={fmt}"] for fmt in gate.FORMATS]
+
+
+def test_a_named_check_may_move_its_measured_value(gate, moved_tree, verify_requests):
+    lines, differ = gate.compare(moved_tree, verify_requests, [MOVED])
+    assert differ == 0
+    # each format prints the pair; the check is not its criterion's worst,
+    # so no criterion line on stderr shows it
+    moved = [line.split() for line in lines if MOVED in line]
+    assert [(words[0], words[2], words[4]) for words in moved] == [("stdout", "measured:", "here,")] * 3
+    # there twice here, to the 12 digits of csv and text
+    assert all(float(words[5]) == pytest.approx(2 * float(words[3]), rel=1e-11) for words in moved)
+
+
+@pytest.mark.parametrize("only_measured", [[], ["6-perfect-discrimination/deterministic-detection"]])
+def test_an_unnamed_check_may_not_move_its_measured_value(gate, moved_tree, verify_requests, only_measured):
+    lines, differ = gate.compare(moved_tree, verify_requests, only_measured)
+    assert differ == len(verify_requests)
+    assert lines[-1] == f"{len(verify_requests)} requests: 0 identical, {len(verify_requests)} differ"

@@ -2,7 +2,7 @@
 checkout's ``src/`` and through another one, and say for each request
 whether the two runs gave the same exit code, stdout and stderr.
 
-    python tools/same_behaviour.py OTHER_SRC
+    python tools/same_behaviour.py OTHER_SRC [--only-measured CHECK...]
 
 OTHER_SRC is the ``src`` directory of another checkout of the package, for
 example the parent commit's, unpacked with
@@ -11,6 +11,14 @@ through ``quasilab.cli.main`` in one process of its own, and the two
 processes run side by side. A request's warnings are shown as in a process
 of its own. Before the comparison, only the value of ``duration_ms`` is
 masked, and the tree's own path in tracebacks and warnings.
+
+``--only-measured`` names ``verify-all`` checks (as the report names them,
+such as ``5-clonability-fixed-point/generic-pairs-margin``) whose measured
+value alone may differ: a change that draws other instances moves them.
+Their measured values are masked too, in the json, csv and text reports
+and in the criterion lines on stderr, and each masked pair that differs is
+printed under its request. Any other difference, a check's name, verdict,
+tolerance or place, still makes the request differ.
 
 The corpus: ``verify-all`` at seven seeds, the README's commands, the
 ``cli_requests`` stream of ``bench/workloads.py`` at seed 7, one exit-2
@@ -22,6 +30,7 @@ when any request differs, else 0.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import os
@@ -119,6 +128,38 @@ json.dump(results, sys.stdout)
 DURATION = re.compile(r'(duration_ms"?(?:: |,))[^,\n]*')
 
 
+def _measured_patterns(checks) -> list[tuple[str, re.Pattern]]:
+    """Per named ``verify-all`` check, a regex for each place its measured
+    value is printed: the json, csv and text reports on stdout, and its
+    criterion's line on stderr when it is the criterion's worst check.
+    Group 1 is the text before the value, group 2 the value."""
+    patterns = []
+    for check in checks:
+        number, _, rest = check.partition("-")
+        criterion, _, sub = rest.partition("/")
+        name = re.escape(check)
+        worst = re.escape(f"criterion {number}: {criterion} (worst={sub}, measured=")
+        patterns += [
+            (check, re.compile(rf'("measured": )([^,\n]*)(?=,\n\s*"name": "{name}")')),
+            (check, re.compile(rf"(?m)(^check,{name},)([^,\n]*)")),
+            (check, re.compile(rf"(\] {name} \(measured=)([^,\n]*)")),
+            (check, re.compile(rf"({worst})([^,\n]*)")),
+        ]
+    return patterns
+
+
+def _mask_measured(run: tuple, patterns) -> tuple[tuple, list[tuple[str, str, str]]]:
+    """The run with each pattern's value masked, and what was masked as
+    (stream, check, value) in pattern order."""
+    code, *streams = run
+    masked = []
+    for i, stream in enumerate(("stdout", "stderr")):
+        for check, pattern in patterns:
+            masked += [(stream, check, m[2]) for m in pattern.finditer(streams[i])]
+            streams[i] = pattern.sub(r"\1<masked>", streams[i])
+    return (code, *streams), masked
+
+
 def _readme_commands() -> list[list[str]]:
     text = (ROOT / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -175,10 +216,11 @@ def _first_difference(here: tuple, there: tuple) -> str:
     return "stdout and stderr agree"
 
 
-def compare(other_src: Path, requests: list[list[str]]) -> tuple[list[str], int]:
+def compare(other_src: Path, requests: list[list[str]], only_measured=()) -> tuple[list[str], int]:
     """Run the requests under this checkout's src and under ``other_src``;
     return the lines of the comparison and the number of requests that
-    differ."""
+    differ. The measured values of the ``verify-all`` checks named in
+    ``only_measured`` are masked before the comparison."""
     trees = (SRC, Path(other_src).resolve())
     procs = [_start(src, requests) for src in trees]
     try:
@@ -190,10 +232,16 @@ def compare(other_src: Path, requests: list[list[str]]) -> tuple[list[str], int]
             proc.stdout.close()
             proc.wait()
     lines, differ = [], 0
+    patterns = _measured_patterns(only_measured)
     for argv, a, b in zip(requests, here, there):
         name = shlex.join(argv)
+        moved = []
+        if argv[0] == "verify-all":
+            (a, masked_here), (b, masked_there) = _mask_measured(a, patterns), _mask_measured(b, patterns)
+            pairs = itertools.zip_longest(masked_here, masked_there, fillvalue=("", "", None))
+            moved = [f"    {s} {check} measured: {x} here, {y} there" for (s, check, x), (_, _, y) in pairs if x != y]
         if a == b:
-            lines.append(f"identical  {name}")
+            lines += [f"identical  {name}", *moved]
             continue
         differ += 1
         lines += [f"DIFFERS    {name}", f"    exit {a[0]} here, {b[0]} there", f"    {_first_difference(a, b)}"]
@@ -203,10 +251,17 @@ def compare(other_src: Path, requests: list[list[str]]) -> tuple[list[str], int]
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/same_behaviour.py OTHER_SRC", file=sys.stderr)
-        return 2
-    lines, differ = compare(Path(argv[0]), corpus())
+    parser = argparse.ArgumentParser(description="Compare this checkout's CLI with another checkout's src/.")
+    parser.add_argument("other_src", metavar="OTHER_SRC", type=Path)
+    parser.add_argument(
+        "--only-measured",
+        nargs="+",
+        default=[],
+        metavar="CHECK",
+        help="verify-all checks whose measured values may differ",
+    )
+    args = parser.parse_args(argv)
+    lines, differ = compare(args.other_src, corpus(), args.only_measured)
     print("\n".join(lines))
     return 1 if differ else 0
 
