@@ -60,6 +60,7 @@ from .discrimination import (
     clonability_check,
     clone_protocol,
     discriminate,
+    discrimination_experiment,
     discrimination_povm,
     hyperplane_pair,
     overlap,
@@ -74,6 +75,7 @@ from .highdim import (
     detection_probability,
     discriminate_highdim,
     entangled_projector,
+    probe_experiment,
     probe_magnitudes,
     violates_pc,
 )

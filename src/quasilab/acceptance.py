@@ -9,7 +9,8 @@ criterion (3, 4, 5, 6 and 9) draws in bulk: one generator call per kind of
 draw, whatever its sample count. Criterion 7 draws state by state, as its
 tails come from a rejection loop that accepts one draw at a time. Each
 criterion then computes on the stack of its instances with one call per
-operation.
+operation, measuring through ``chsh_experiment`` (criteria 1 and 2),
+``discrimination_experiment`` (6 and 8) and ``probe_experiment`` (7 and 8).
 """
 
 from __future__ import annotations
@@ -28,21 +29,13 @@ from .bloch import (
     to_operator,
     from_operator,
 )
-from .discrimination import (
-    clonability_check,
-    clone_protocol,
-    detection_deviation,
-    discriminate,
-    hyperplane_pair,
-    overlap,
-)
+from .discrimination import clonability_check, clone_protocol, discrimination_experiment, hyperplane_pair, overlap
 from .highdim import (
     CERTAIN,
     NULL,
-    build_probe_state,
     build_violating_state,
-    detection_probability,
     entangled_projector,
+    probe_experiment,
     probe_magnitudes,
     violates_pc,
 )
@@ -195,11 +188,9 @@ def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> l
     """Hyperplane states are identified with certainty despite strictly
     positive overlap, and the clone output is the exact doubled state."""
     pairs = hyperplane_pair(*_discrimination_draws(np.random.default_rng(seed), samples))
-    # each pair under both hidden labels: row 0 hides r+, row 1 hides r-
-    which = np.array([[+1], [-1]])
-    labels, q_plus, q_minus = discriminate(pairs, which)
+    which, labels, _, _, deviation = discrimination_experiment(pairs)
     return [
-        CheckResult.at_most("deterministic-detection", detection_deviation(which, q_plus, q_minus), SPECTRAL_ATOL),
+        CheckResult.at_most("deterministic-detection", deviation, SPECTRAL_ATOL),
         CheckResult.above("overlap-strictly-positive", overlap(pairs.r_plus, pairs.r_minus), 0.0),
         CheckResult.at_most("clone-output-exact", clone_protocol(pairs, labels, which)[1], ATOL),
     ]
@@ -245,10 +236,9 @@ def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         vs = build_violating_state(dim, epsilons, lambdas=tails, basis=bases)
         oracle_devs.append(entangled_projector(vs)[1])
         for probe_phases in (None, phases):
-            for target in (CERTAIN, NULL):
-                probe = build_probe_state(vs, target, phases=probe_phases)
-                pin_devs.append(probe.pinning_dev)
-                det_devs.append(np.abs(detection_probability(vs, probe) - target))
+            *_, pinning, detection = probe_experiment(vs, probe_phases)
+            pin_devs.append(pinning)
+            det_devs.append(detection)
     weight_devs = [
         abs(probe_magnitudes(3, 0.5, CERTAIN)[0] - 5.0 / 7.0),
         abs(probe_magnitudes(3, 0.5, NULL)[0] - 1.0 / 7.0),
@@ -292,14 +282,13 @@ def cross_consistency_criterion() -> list[CheckResult]:
     rs, pairs = matched_qubit_instance(epsilons)
     vs = build_violating_state(2, epsilons)
     p1, _ = entangled_projector(vs)
+    which, _, _, _, qubit_detection = discrimination_experiment(pairs)
+    certain, null, _, _, detection = probe_experiment(vs)
+    # row 0 holds r+ and the certain probe, row 1 holds r- and the null one
+    vectors = np.stack((certain.vector, null.vector))
+    plane_dev = from_operator(vectors[..., :, None] * vectors.conj()[..., None, :]) - pairs.member(which)
     devs = [vs.state.matrix - to_operator(rs).matrix, p1 - pairs.povm.p_plus, np.eye(4) - p1 - pairs.povm.p_minus]
-    for which, target in ((+1, CERTAIN), (-1, NULL)):
-        probe = build_probe_state(vs, target)
-        projectors = probe.vector[:, :, None] * probe.vector.conj()[:, None, :]
-        _, q_plus, q_minus = discriminate(pairs, which)
-        q_qubit = q_plus if which == +1 else q_minus
-        plane_dev = from_operator(projectors) - pairs.member(which)
-        devs += [plane_dev, q_qubit - 1.0, detection_probability(vs, probe) - target]
+    devs += [plane_dev, qubit_detection, detection]
     dev = np.concatenate([np.abs(d).ravel() for d in devs])
 
     three_level = np.diag([0.85, 0.25, -0.1]).astype(complex)

@@ -3,7 +3,9 @@ verification suite; emit machine-readable reports.
 
 Each handler returns its outputs and checks. ``main`` alone assembles the
 report: the subcommand's name, its parsed flags as the echoed inputs, and
-the time of one timer around the handler.
+the time of one timer around the handler. Handlers read their
+measurements from the library's experiments: ``chsh_experiment``,
+``discrimination_experiment`` and ``probe_experiment``.
 
 Exit codes: 0 when all checks of a run pass, 1 when some check fails
 (failing names go to stderr), 2 for unusable flags or inputs.
@@ -22,15 +24,8 @@ import numpy as np
 
 from . import acceptance
 from .bloch import along_z, pc_check, predictability_circle, to_operator
-from .discrimination import clone_protocol, detection_deviation, discriminate, hyperplane_pair, overlap
-from .highdim import (
-    CERTAIN,
-    NULL,
-    build_probe_state,
-    build_violating_state,
-    detection_probability,
-    entangled_projector,
-)
+from .discrimination import clone_protocol, discrimination_experiment, hyperplane_pair, overlap
+from .highdim import build_violating_state, entangled_projector, probe_experiment
 from .nonlocal_box import chsh_experiment, signalling_deviation
 from .operators import ATOL, LAW_ATOL, SPECTRAL_ATOL, expectation, require
 from .reporting import CheckResult, RunReport, emit_report
@@ -144,8 +139,7 @@ def _run_chsh_sweep(args):
 def _run_discriminate(args):
     pair = hyperplane_pair(args.r, args.y, args.z)
     # entry 0 hides r+, entry 1 hides r-
-    which = np.array([+1, -1])
-    labels, q_plus, q_minus = discriminate(pair, which)
+    _, labels, q_plus, q_minus, deviation = discrimination_experiment(pair)
 
     rng = np.random.default_rng(args.seed)
     hidden = rng.choice([+1, -1], size=args.trials)
@@ -163,7 +157,7 @@ def _run_discriminate(args):
         "correct": correct,
     }
     return outputs, [
-        CheckResult.at_most("deterministic-detection", detection_deviation(which, q_plus, q_minus), SPECTRAL_ATOL),
+        CheckResult.at_most("deterministic-detection", deviation, SPECTRAL_ATOL),
         CheckResult.at_most("all-trials-correct", args.trials - correct, 0.0),
     ]
 
@@ -171,8 +165,7 @@ def _run_discriminate(args):
 def _run_clone_demo(args):
     pair = hyperplane_pair(args.r, args.y, args.z)
     outputs = {"r_plus": pair.r_plus, "r_minus": pair.r_minus, "overlap": overlap(pair.r_plus, pair.r_minus)}
-    which = np.array([+1, -1])
-    labels, _, _ = discriminate(pair, which)
+    which, labels, _, _, _ = discrimination_experiment(pair)
     out, clone_dev = clone_protocol(pair, labels, which)
     # Tr[(rho (x) rho) out], with out standing in for rho (x) rho:
     # clone-output-exact judges how far apart the two are.
@@ -197,24 +190,19 @@ def _run_highdim(args):
     vs = build_violating_state(args.d, args.epsilon, lambdas=None if args.lambdas == "uniform" else args.lambdas)
     rng = np.random.default_rng(args.seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=args.d) if args.phases == "random" else None
-    certain = build_probe_state(vs, CERTAIN, phases=phases)
-    null = build_probe_state(vs, NULL, phases=phases)
-
-    q1_certain = detection_probability(vs, certain)
-    q1_null = detection_probability(vs, null)
+    certain, null, q1, pinning, detection = probe_experiment(vs, phases)
     _, oracle_dev = entangled_projector(vs)
-    det_devs = [abs(q1_certain - CERTAIN), abs(q1_null - NULL)]
     outputs = {
         "spectrum": vs.spectrum,
         "leading_weight_certain": certain.magnitudes_sq[0],
         "leading_weight_null": null.magnitudes_sq[0],
         "probe_overlap": float(np.abs(certain.vector.conj() @ null.vector)),
-        "q1_certain": q1_certain,
-        "q1_null": q1_null,
+        "q1_certain": q1[0],
+        "q1_null": q1[1],
     }
     return outputs, [
-        CheckResult.at_most("probe-pinning", [certain.pinning_dev, null.pinning_dev], ATOL),
-        CheckResult.at_most("doubled-projector-detection", det_devs, SPECTRAL_ATOL),
+        CheckResult.at_most("probe-pinning", pinning, ATOL),
+        CheckResult.at_most("doubled-projector-detection", detection, SPECTRAL_ATOL),
         CheckResult.at_most("projector-oracle", oracle_dev, SPECTRAL_ATOL),
     ]
 

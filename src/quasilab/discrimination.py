@@ -134,8 +134,7 @@ def detection_probabilities(pair: HyperplanePair, which: int) -> tuple[float, fl
     """The pair's discrimination measurement on resource (x) hidden state,
     where ``which`` (+1 or -1) selects the hidden state: its outcome
     probabilities (q_plus, q_minus). Hidden labels broadcast against the
-    pairs' leading axes: labels [+1, -1] on one pair, or [[+1], [-1]] on a
-    stack, measure both hidden states at once, in the broadcast shape.
+    pairs' leading axes, as ``discrimination_experiment`` uses them.
     """
     which = np.asarray(which)
     require(_is_label(which), "hidden label must be +1 or -1, got {}", which)
@@ -158,13 +157,18 @@ def discriminate(pair: HyperplanePair, which: int) -> tuple[int, float, float]:
     return as_number((np.where(q_plus >= q_minus, +1, -1), q_plus, q_minus))
 
 
-def detection_deviation(which, q_plus, q_minus) -> float:
-    """How far ``discriminate``'s outcome probabilities are from certain
-    detection of the hidden labels ``which``: per measurement, max(|q_hit -
-    1|, |q_miss|) for the outcome that names the hidden state and the other."""
-    hit = np.asarray(which) == +1
+def discrimination_experiment(pair: HyperplanePair) -> tuple:
+    """Both hidden members of a pair measured, along one new leading axis
+    where row 0 hides r+ and row 1 hides r-: the hidden labels, the labels
+    and (q_plus, q_minus) of ``discriminate``, and each measurement's
+    detection deviation max(|q_hit - 1|, |q_miss|). For a stack of N
+    pairs, each part is (2, N)."""
+    which = np.array([+1, -1]).reshape((2,) + (1,) * (pair.resource.ndim - 1))
+    labels, q_plus, q_minus = discriminate(pair, which)
+    hit = which == +1
     q_hit, q_miss = np.where(hit, q_plus, q_minus), np.where(hit, q_minus, q_plus)
-    return as_number(np.maximum(np.abs(q_hit - 1.0), np.abs(q_miss)))
+    deviation = np.maximum(np.abs(q_hit - 1.0), np.abs(q_miss))
+    return np.broadcast_to(which, deviation.shape), labels, q_plus, q_minus, deviation
 
 
 def clone_protocol(pair: HyperplanePair, label: int, which: int) -> tuple[QuasiState, float]:

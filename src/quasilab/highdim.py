@@ -219,6 +219,17 @@ def detection_probability(vs: ViolatingState, probe: ProbeState) -> float:
     return real_pairing((vs.diag * np.abs(amps) ** 2).sum(axis=-1))
 
 
+def probe_experiment(vs: ViolatingState, phases=None) -> tuple:
+    """The certain and the null probe of ``vs`` (``phases`` as in
+    ``build_probe_state``), then, along one new leading axis where row 0 is
+    the certain probe and row 1 the null one, each probe's q1, its
+    ``pinning_dev`` and its |q1 - target|: (2, N) for a stack of N states."""
+    probes = [build_probe_state(vs, target, phases=phases) for target in (CERTAIN, NULL)]
+    q1 = np.stack([detection_probability(vs, probe) for probe in probes])
+    pinning = np.stack([probe.pinning_dev for probe in probes])
+    return (*probes, q1, pinning, np.abs(q1 - np.stack([probe.target for probe in probes])))
+
+
 def discriminate_highdim(vs: ViolatingState, which: int, probe: ProbeState) -> int:
     """Identify which probe family the hidden vector ``probe``, built for
     ``which``, belongs to: the label of the outcome the doubled-basis

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasilab import acceptance, bloch, nonlocal_box, operators
+from quasilab import acceptance, bloch, discrimination, highdim, nonlocal_box, operators
 from quasilab.reporting import CheckResult
 
 
@@ -180,19 +180,21 @@ def test_criterion_6_measures_each_hidden_state_once(discrimination_calls):
 
 
 def test_criterion_6_measures_both_hidden_states_in_one_call(calls_to):
-    calls = calls_to(acceptance, ["discriminate", "clone_protocol"])
+    # discrimination_experiment measures, and the criterion clones what it named
+    measured = calls_to(discrimination, ["discriminate"])
+    cloned = calls_to(acceptance, ["clone_protocol"])
     acceptance.discrimination_criterion(samples=5)
-    assert calls == {"discriminate": 1, "clone_protocol": 1}
+    assert {**measured, **cloned} == {"discriminate": 1, "clone_protocol": 1}
 
 
 def test_criterion_7_stacks_each_dimension(calls_to):
     # one stack of 16 states per dimension d = 2..6: one build and one
-    # projector, and four probe families each built and measured once
-    calls = calls_to(
-        acceptance, ["build_violating_state", "entangled_projector", "build_probe_state", "detection_probability"]
-    )
+    # projector, and four probe families each built and measured once, by
+    # probe_experiment
+    built = calls_to(acceptance, ["build_violating_state", "entangled_projector"])
+    probed = calls_to(highdim, ["build_probe_state", "detection_probability"])
     acceptance.highdim_grid_criterion()
-    assert calls == {
+    assert {**built, **probed} == {
         "build_violating_state": 5,
         "entangled_projector": 5,
         "build_probe_state": 20,

@@ -34,6 +34,7 @@ from quasilab.discrimination import (
     clone_protocol,
     detection_probabilities,
     discriminate,
+    discrimination_experiment,
     discrimination_povm,
     hyperplane_pair,
     overlap,
@@ -46,6 +47,7 @@ from quasilab.highdim import (
     detection_probability,
     discriminate_highdim,
     entangled_projector,
+    probe_experiment,
     probe_magnitudes,
     violates_pc,
 )
@@ -261,6 +263,21 @@ class TestHighdimStackEqualsSingles:
     def test_entangled_projector(self, dim):
         assert_rows_match_singles(entangled_projector, _violating_states(dim))
 
+    @pytest.mark.parametrize("random_phases", [False, True], ids=["zero-phases", "random-phases"])
+    def test_probe_experiment_on_one_state_is_a_stack_of_one(self, dim, random_phases):
+        phases = HIGHDIM_DRAWS[dim][3] if random_phases else None
+        states = _violating_states(dim)
+        result = probe_experiment(states, phases)
+        rows = range(len(states.epsilon))
+        singles = [probe_experiment(states[k], None if phases is None else phases[k]) for k in rows]
+        _assert_leaves_match(_instance_first(result), singles)
+        # row 0 measures the certain probe, row 1 the null one
+        certain, null, q1, pinning, detection = result
+        for row, probe in enumerate((certain, null)):
+            assert _same_bits(q1[row], detection_probability(states, probe))
+            assert _same_bits(pinning[row], probe.pinning_dev)
+            assert _same_bits(detection[row], np.abs(q1[row] - probe.target))
+
 
 def test_one_highdim_instance_gives_python_numbers():
     vs = build_violating_state(3, 0.5)
@@ -424,6 +441,31 @@ def test_both_hidden_labels_on_one_pair_equal_the_single_calls():
     _assert_leaves_match(detection_probabilities(pair, both), [detection_probabilities(pair, w) for w in both])
     _assert_leaves_match(discriminate(pair, both), [discriminate(pair, w) for w in both])
     _assert_leaves_match(clone_protocol(pair, -both, both), [clone_protocol(pair, -w, w) for w in both])
+
+
+def _instance_first(result) -> tuple:
+    """An experiment's result on a stack with the instance axis first: each
+    (2, N) part of its new leading axis as (N, 2), its probes as they are."""
+    return tuple(part if isinstance(part, Stacked) else np.moveaxis(part, 0, -1) for part in result)
+
+
+def test_discrimination_experiment_on_one_pair_is_a_stack_of_one():
+    pairs = hyperplane_pair(*DISCRIMINATION_DRAWS)
+    singles = [discrimination_experiment(pairs[k]) for k in range(len(pairs.resource))]
+    _assert_leaves_match(_instance_first(discrimination_experiment(pairs)), singles)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-pair", "stack"])
+def test_detection_deviation_is_the_worse_of_hit_and_miss(stacked):
+    pairs = hyperplane_pair(*DISCRIMINATION_DRAWS) if stacked else hyperplane_pair(2.0 * Z, 0.6, 0.0)
+    which, labels, q_plus, q_minus, deviation = discrimination_experiment(pairs)
+    # row 0 hides r+, row 1 hides r-: one discriminate call per hidden label
+    for row, hidden in enumerate((+1, -1)):
+        label, plus, minus = discriminate(pairs, hidden)
+        q_hit, q_miss = (plus, minus) if hidden == +1 else (minus, plus)
+        assert np.all(which[row] == hidden)
+        assert _same_bits(labels[row], label) and _same_bits(q_plus[row], plus) and _same_bits(q_minus[row], minus)
+        assert _same_bits(deviation[row], np.maximum(np.abs(q_hit - 1.0), np.abs(q_miss)))
 
 
 def test_norm_ranges_of_any_shape_give_the_flat_draw():

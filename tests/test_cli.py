@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasilab import acceptance, bloch, cli, discrimination, highdim, nonlocal_box
 from quasilab.cli import main
@@ -412,13 +416,13 @@ class TestDiscriminateAndClone:
 
     def test_discriminate_runs_once_per_label(self, capsys, monkeypatch):
         calls = []
-        original = cli.discriminate
+        original = discrimination.discriminate
 
         def counted(pair, which):
             calls.extend(np.ravel(which))
             return original(pair, which)
 
-        monkeypatch.setattr(cli, "discriminate", counted)
+        monkeypatch.setattr(discrimination, "discriminate", counted)
         code, out, _ = run(capsys, "discriminate", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--trials", "20")
         assert code == 0
         assert sorted(calls) == [-1, +1]
@@ -439,10 +443,12 @@ class TestDiscriminateAndClone:
         ids=["discriminate", "clone-demo"],
     )
     def test_one_call_for_both_hidden_states(self, capsys, calls_to, command, expected):
-        calls = calls_to(cli, expected)
+        # discrimination_experiment measures; the handler clones and pairs
+        measured = calls_to(discrimination, ["discriminate"])
+        handled = calls_to(cli, ["clone_protocol", "expectation"])
         code, _, _ = run(capsys, command, "--r", "0,0,2", "--y", "0.6", "--z", "0")
         assert code == 0
-        assert calls == expected
+        assert {**measured, **handled} == expected
 
     def test_clone_demo_report(self, capsys):
         code, out, _ = run(capsys, "clone-demo", "--r", "0,0,2", "--y", "0.6", "--z", "0", "--format", "json")
@@ -683,3 +689,62 @@ def test_report_tolerances_come_from_the_policy_table(capsys, monkeypatch, verif
     _, out, _ = run(capsys, *argv, "--format", "json")
     tolerances = {check["tolerance"] for check in json.loads(out)["checks"]}
     assert tolerances and tolerances <= POLICY_TOLERANCES
+
+
+# Reals at the edges of what a double holds, as typed on a command line:
+# signed zeros, a subnormal, the largest magnitudes, one that overflows to
+# inf, NaN and the infinities, and 1 +- 1e-12.
+EDGE_REALS = ("0", "-0", "1e-320", "-1e-320", "1e308", "-1e308", "1e3000", "nan", "inf", "-inf")
+EDGE_REALS += ("1.000000000001", "0.999999999999", "-1.000000000001")
+edge_reals = st.sampled_from(EDGE_REALS)
+reals = st.one_of(edge_reals, st.floats(-2.0, 2.0).map(repr))
+# edge reals, or in two draws of three a value the handler may accept
+offsets = st.one_of(edge_reals, *[st.floats(-0.3, 0.3).map(repr)] * 2)
+epsilons = st.one_of(edge_reals, *[st.floats(1e-3, 5.0).map(repr)] * 2)
+# resource norms either side of |r| = 1 and large, along the z axis (where
+# the transverse frame switches rule), near it, or anywhere
+R_NORMS = (1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 2e-9, 1.05, 2.0, 1e3, 1e154, 1e300)
+directions = st.one_of(
+    st.sampled_from([(0.0, 0.0, 1.0), (1e-7, 0.0, -1.0), (0.6, 0.0, 0.8)]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+)
+
+
+def _resource(norm: float, direction) -> str:
+    unit = np.asarray(direction) / np.linalg.norm(direction)
+    return ",".join(repr(float(c)) for c in norm * unit)
+
+
+resources = st.one_of(
+    st.builds(_resource, st.sampled_from(R_NORMS), directions),
+    st.tuples(reals, reals, reals).map(",".join),
+)
+pair_requests = st.builds(
+    lambda command, r, y, z: [command, "--r", r, "--y", y, "--z", z],
+    st.sampled_from(["discriminate", "clone-demo"]),
+    resources,
+    offsets,
+    offsets,
+)
+highdim_requests = st.builds(
+    lambda d, epsilon, tail, phases: ["highdim", "--d", str(d), "--epsilon", epsilon, *tail, "--phases", phases],
+    st.integers(-1, 8),
+    epsilons,
+    st.one_of(st.just([]), st.lists(reals, max_size=8).map(lambda values: ["--lambdas", *values])),
+    st.sampled_from(["zero", "random"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(pair_requests, highdim_requests), st.sampled_from(["json", "csv", "text"]))
+def test_discrimination_and_probe_requests_end_in_a_report_or_a_rejection(argv, fmt):
+    # every request ends in exit 0, 1 or 2, with no traceback and no warning
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main([*argv, "--format", fmt])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Warning" not in err.getvalue()

@@ -8,7 +8,8 @@ failing instance. One
 assembler per report: only ``cli.main`` and ``acceptance.as_report`` build
 a ``RunReport``, and only ``acceptance.run_all`` numbers and names the
 criteria. One judge per claim: the CLI and ``verify-all`` take the CHSH
-law from ``nonlocal_box`` and leave the reduction of a check's instances to
+law from ``nonlocal_box``, read detection from ``discrimination_experiment``
+and ``probe_experiment``, and leave the reduction of a check's instances to
 ``CheckResult``. One name per operation: no public function is a ``*_batch``
 twin or a wrapper of a stack of one. One shape rule: every operation
 broadcasts over leading axes, so no module lifts one instance to a stack
@@ -235,6 +236,29 @@ def test_one_judge_per_claim(path):
         and any(_is_call_of(sub, "max") or _is_call_of(sub, "min") for sub in ast.walk(measured))
     ]
     assert reductions == [], f"{path.name} reduces a check's instances itself at lines {reductions}"
+
+
+# what discrimination_experiment and probe_experiment do for their callers
+MEASUREMENTS = ("discriminate", "detection_probabilities", "build_probe_state", "detection_probability")
+TARGETS = {"CERTAIN", "NULL"}
+
+
+@pytest.mark.parametrize("path", JUDGES, ids=lambda p: p.name)
+def test_detection_is_read_from_the_experiments(path):
+    # the hidden labels and the probe targets are laid out, measured and
+    # judged by discrimination_experiment and probe_experiment alone
+    tree = ast.parse(path.read_text(), filename=str(path))
+    measured = sorted({name for node in ast.walk(tree) for name in MEASUREMENTS if _is_call_of(node, name)})
+    assert measured == [], f"{path.name} measures detection itself with {measured}"
+    assert "detection_deviation" not in _identifiers(tree), f"{path.name} judges detection itself"
+    both_targets = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Tuple, ast.List)) and {getattr(e, "id", None) for e in node.elts} == TARGETS
+    ]
+    assert both_targets == [], f"{path.name} lays out both probe targets at lines {both_targets}"
+    module = next(p for p in SOURCES if p.name == "discrimination.py")
+    assert "detection_deviation" not in _identifiers(ast.parse(module.read_text())), "detection_deviation is back"
 
 
 def test_no_unused_random_direction():
