@@ -4,13 +4,14 @@ Every criterion is a pure function returning its named sub-checks with
 measured deviations and pinned tolerances. ``run_all`` runs them in order
 and is the one place that numbers and names them; ``as_report`` turns what
 it returns into the ``verify-all`` report. Randomized criteria draw from a
-seeded generator so runs are reproducible. Every randomized qubit
-criterion (3, 4, 5, 6 and 9) draws in bulk: one generator call per kind of
-draw, whatever its sample count. Criterion 7 draws state by state, as its
-tails come from a rejection loop that accepts one draw at a time. Each
-criterion then computes on the stack of its instances with one call per
-operation, measuring through ``chsh_experiment`` (criteria 1 and 2),
-``discrimination_experiment`` (6 and 8) and ``probe_experiment`` (7 and 8).
+seeded generator so runs are reproducible. Every randomized criterion
+(3, 4, 5, 6, 7 and 9) draws in bulk: one generator call per kind of draw,
+whatever its sample count; a draw it rejects is drawn again in a bulk
+round. Criteria 5 and 6 draw their hyperplane instances through one
+sampler. Each criterion then computes on the stack of its instances with
+one call per operation, measuring through ``chsh_experiment`` (criteria 1
+and 2), ``discrimination_experiment`` (6 and 8) and ``probe_experiment``
+(7 and 8).
 """
 
 from __future__ import annotations
@@ -93,12 +94,11 @@ def maximal_box_criterion() -> list[CheckResult]:
 
 
 def _pc_psd_draws(rng: np.random.Generator, samples: int) -> np.ndarray:
-    # Drawn in bulk, as every randomized qubit criterion is (criterion 7
-    # draws state by state). Norms are uniform in [0, 3) (3u has the bits
-    # of rng.uniform(0, 3)), but every tenth has |r| - 1 within +-3 ATOL,
-    # where both verdicts flip (at 1 + ATOL), less a window around the flip
-    # wider than the rounding of |r|, where the two independent
-    # computations may round apart.
+    # Drawn in bulk, as every randomized criterion is. Norms are uniform in
+    # [0, 3) (3u has the bits of rng.uniform(0, 3)), but every tenth has
+    # |r| - 1 within +-3 ATOL, where both verdicts flip (at 1 + ATOL), less
+    # a window around the flip wider than the rounding of |r|, where the two
+    # independent computations may round apart.
     norms = 3.0 * rng.random(samples)
     excess = rng.uniform(-3 * ATOL, 3 * ATOL, size=norms[::10].shape)
     while np.any(near := np.abs(excess - ATOL) <= 1e-14):
@@ -139,16 +139,16 @@ def _clonability_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarr
     return draws[:, 0], draws[:, 1]
 
 
-def _hyperplane_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resources, y and z of ``samples`` hyperplane pairs: norm uniform in
-    [1.2, 3), y and z uniform in [-cap/2, cap/2) for cap = sqrt(1 - 1/norm^2).
-    The generator draws every norm, then every direction, then y and z
-    instance by instance."""
-    norms = rng.uniform(1.2, 3.0, samples)
+def _admissible_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resources, y and z of ``samples`` admissible hyperplane instances, as
+    criteria 5 and 6 draw them: norm uniform in [1.05, 3), y + iz uniform in
+    the disc of radius sqrt(1 - 1/norm^2). The generator draws every norm,
+    then every direction, then every radius's uniform, then every angle."""
+    norms = rng.uniform(1.05, 3.0, samples)
     normals = rng.standard_normal((samples, 3))
-    cap = np.sqrt(1.0 - 1.0 / norms**2)[:, None]
-    yz = rng.uniform(-cap / 2, cap / 2, size=(samples, 2))
-    return scale_directions(normals, norms), yz[:, 0], yz[:, 1]
+    rho = np.sqrt(rng.random(samples)) * np.sqrt(1.0 - 1.0 / norms**2)
+    angle = rng.uniform(0.0, 2.0 * np.pi, samples)
+    return scale_directions(normals, norms), rho * np.cos(angle), rho * np.sin(angle)
 
 
 def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> list[CheckResult]:
@@ -160,7 +160,7 @@ def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> li
     fixed_point_gap = np.abs(t * t - t)
     disagreements = np.sum((fixed_point_gap <= LAW_ATOL) != clonability_check(rs, rps))
 
-    pairs = hyperplane_pair(*_hyperplane_draws(rng, 100))
+    pairs = hyperplane_pair(*_admissible_draws(rng, 100))
     members = np.stack((pairs.r_plus, pairs.r_minus))
     t = overlap(pairs.resource, members)
     # 1 for a member the clonability flag misses, else its fixed-point gap
@@ -172,22 +172,10 @@ def clonability_criterion(seed: int = DEFAULT_SEED, samples: int = 10_000) -> li
     ]
 
 
-def _discrimination_draws(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resources, y and z of ``samples`` admissible instances: norm uniform
-    in [1.05, 3), y + iz uniform in the disc of radius sqrt(1 - 1/norm^2).
-    The generator draws every norm, then every direction, then every
-    radius's uniform, then every angle."""
-    norms = rng.uniform(1.05, 3.0, samples)
-    normals = rng.standard_normal((samples, 3))
-    rho = np.sqrt(rng.random(samples)) * np.sqrt(1.0 - 1.0 / norms**2)
-    angle = rng.uniform(0.0, 2.0 * np.pi, samples)
-    return scale_directions(normals, norms), rho * np.cos(angle), rho * np.sin(angle)
-
-
 def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> list[CheckResult]:
     """Hyperplane states are identified with certainty despite strictly
     positive overlap, and the clone output is the exact doubled state."""
-    pairs = hyperplane_pair(*_discrimination_draws(np.random.default_rng(seed), samples))
+    pairs = hyperplane_pair(*_admissible_draws(np.random.default_rng(seed), samples))
     which, labels, _, _, deviation = discrimination_experiment(pairs)
     return [
         CheckResult.at_most("deterministic-detection", deviation, SPECTRAL_ATOL),
@@ -196,33 +184,29 @@ def discrimination_criterion(seed: int = DEFAULT_SEED, samples: int = 1000) -> l
     ]
 
 
-def _random_tail(rng: np.random.Generator, dim: int, epsilon: float) -> np.ndarray:
-    if dim == 2:
-        return np.array([-epsilon])
-    while True:
-        tail = -epsilon * rng.dirichlet(np.ones(dim - 1))
-        jitter = rng.normal(0.0, 0.3, size=dim - 1)
-        tail = tail + jitter - jitter.mean()
-        if tail.max() < 1.0 + epsilon - 1e-6 and abs(tail.sum() + epsilon) <= ATOL:
-            return tail
-
-
 def _highdim_grid_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Epsilons, tails, bases and phases of criterion 7's 16 states of one
-    dimension: per epsilon the uniform tail and three random ones, and per
-    tail a random unitary basis and then random phases.
-
-    Unlike the qubit criteria, these draws are made state by state:
-    ``_random_tail`` accepts or rejects each tail on its own draws, and the
-    80 states of the grid take a few milliseconds to draw."""
-    epsilons = (0.1, 0.5, 1.0, 2.0)
-    tails, matrices, phases = [], [], []
-    for epsilon in epsilons:
-        tails += [np.full(dim - 1, -epsilon / (dim - 1))] + [_random_tail(rng, dim, epsilon) for _ in range(3)]
-        for _ in range(4):
-            matrices.append(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-            phases.append(rng.uniform(0.0, 2.0 * np.pi, size=dim))
-    return np.repeat(epsilons, 4), np.array(tails), np.linalg.qr(np.array(matrices))[0], np.array(phases)
+    dimension: per epsilon the uniform tail and three random ones, each
+    random tail -epsilon times Dirichlet weights plus centred jitter, then a
+    random unitary basis and random phases per state. At d = 2 every tail
+    is [-epsilon]. The generator draws every tail's weights, then their
+    jitter; the tails that fail max < 1 + epsilon - 1e-6 or |sum + epsilon|
+    <= ATOL are drawn again, in further rounds of the same two calls; then
+    every basis's real and imaginary normals, then every phase."""
+    epsilons = np.repeat((0.1, 0.5, 1.0, 2.0), 4)
+    tails = np.repeat(-epsilons[:, None] / (dim - 1), dim - 1, axis=1)
+    redraw = (np.arange(16) % 4 != 0) & (dim > 2)
+    while np.any(redraw):
+        count, eps = np.count_nonzero(redraw), epsilons[redraw]
+        weights = rng.dirichlet(np.ones(dim - 1), size=count)
+        jitter = rng.normal(0.0, 0.3, size=(count, dim - 1))
+        drawn = -eps[:, None] * weights + jitter - jitter.mean(axis=1, keepdims=True)
+        tails[redraw] = drawn
+        accepted = (drawn.max(axis=1) < 1.0 + eps - 1e-6) & (np.abs(drawn.sum(axis=1) + eps) <= ATOL)
+        redraw[redraw] = ~accepted
+    normals = rng.standard_normal((2, 16, dim, dim))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(16, dim))
+    return epsilons, tails, np.linalg.qr(normals[0] + 1j * normals[1])[0], phases
 
 
 def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> list[CheckResult]:

@@ -95,8 +95,13 @@ def pc_check(r) -> PcCheck:
 
 def to_operator(r) -> QuasiState:
     """Operator (1/2)(I + r.sigma) of a preparation: always Hermitian with
-    unit trace, positive semidefinite exactly when ||r|| <= 1."""
-    r = as_bloch_vectors(r)[..., None, None]
+    unit trace, positive semidefinite exactly when ||r|| <= 1. The diagonal
+    (1 +- z)/2 keeps its unit sum in doubles only while 1 + |z| is exact,
+    so a z component of 2^53 or more is rejected."""
+    r = as_bloch_vectors(r)
+    message = "Bloch vector z component must be below 2^53 for a unit-trace operator, got {:.6g}"
+    require(np.abs(r[..., 2]) < 2.0**53, message, r[..., 2])
+    r = r[..., None, None]
     # (1/2)(I + x X + y Y + z Z), summed in that order, in one array
     m = r[..., 0, :, :] * PAULI[0]
     m += I2

@@ -74,8 +74,9 @@ def _vector(text: str) -> np.ndarray:
 def _integer(least: int, most: float, text: str) -> int:
     """Argparse type of the integer flags, each given its range with
     ``functools.partial``: an integer from ``least`` to ``most``. --steps,
-    --trials and --points count from 1 to their bound; --seed takes any
-    integer from 0, as numpy's generators do."""
+    --trials and --points count from 1 to their bound, --d from 2 to
+    ``MAX_HIGHDIM_DIM``; --seed takes any integer from 0, as numpy's
+    generators do."""
     try:
         n = int(text)
     except ValueError:
@@ -183,11 +184,12 @@ def _run_clone_demo(args):
 
 
 def _run_highdim(args):
-    require(args.d <= MAX_HIGHDIM_DIM, "dimension must be at most {}, got {}", MAX_HIGHDIM_DIM, args.d)
     message = "epsilon must be finite and at most {:g}, got {:.6g}"
     require(-np.inf < args.epsilon <= MAX_HIGHDIM_EPSILON, message, MAX_HIGHDIM_EPSILON, args.epsilon)
-    args.lambdas = args.lambdas or "uniform"  # --lambdas absent or given no values
-    vs = build_violating_state(args.d, args.epsilon, lambdas=None if args.lambdas == "uniform" else args.lambdas)
+    # --lambdas absent or given no values builds the uniform tail; the tail
+    # built is echoed, so the echo given back replays the state
+    vs = build_violating_state(args.d, args.epsilon, lambdas=args.lambdas or None)
+    args.lambdas = vs.lambdas
     rng = np.random.default_rng(args.seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=args.d) if args.phases == "random" else None
     certain, null, q1, pinning, detection = probe_experiment(vs, phases)
@@ -278,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=float, required=True)
 
     p = add("highdim", _run_highdim, "json", "d-dimensional probe discrimination")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=functools.partial(_integer, 2, MAX_HIGHDIM_DIM), required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--lambdas", type=float, nargs="*", default=None)
     p.add_argument("--phases", choices=("zero", "random"), default="zero")

@@ -63,9 +63,10 @@ class HyperplanePair(Stacked):
 
     def __post_init__(self):
         r = self.resource
-        plus = np.abs(np.vecdot(r, self.r_plus) - 1.0) <= ATOL
-        minus = np.abs(np.vecdot(r, self.r_minus) + 1.0) <= ATOL
-        require(plus & minus, "pair does not satisfy r.r+- = +-1")
+        plus, minus = np.vecdot(r, self.r_plus), np.vecdot(r, self.r_minus)
+        ok = (np.abs(plus - 1.0) <= ATOL) & (np.abs(minus + 1.0) <= ATOL)
+        message = "pair does not satisfy r.r+- = +-1 within {:g} at |r| = {:.6g}: r.r+ = {:.15g}, r.r- = {:.15g}"
+        require(ok, message, ATOL, np.sqrt(np.vecdot(r, r)), plus, minus)
         _violating_norms(r)
 
     @cached_property

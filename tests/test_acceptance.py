@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import ScaledDraws
 from quasilab import acceptance, bloch, discrimination, highdim, nonlocal_box, operators
 from quasilab.reporting import CheckResult
 
@@ -174,6 +175,29 @@ def test_generator_calls_do_not_grow_with_samples(criterion, monkeypatch):
         assert abs(counts[1][kind] - counts[0][kind]) <= redraws.get(kind, 0), kind
 
 
+@pytest.mark.parametrize("loud", [False, True], ids=["drawn", "first-round-rejected"])
+def test_criterion_7_draws_each_dimension_in_bulk(monkeypatch, loud):
+    # per dimension one call per kind of draw: the random tails' weights and
+    # their jitter, once and again per round of redraws, then the bases'
+    # normals and the phases; d = 2 draws no tail. Jitter ten times as wide
+    # in the first tails drawn rejects some of them, so d = 3 draws twice
+    calls, draw = [], acceptance._highdim_grid_draws
+
+    def counted(rng, dim):
+        calls.append(collections.Counter())
+        return draw(_CountingGenerator(rng, calls[-1]), dim)
+
+    default_rng = np.random.default_rng
+    if loud:
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ScaledDraws(default_rng(seed), "normal", 24, 10.0))
+    monkeypatch.setattr(acceptance, "_highdim_grid_draws", counted)
+    acceptance.highdim_grid_criterion()
+    rounds = [1 + (loud and dim == 3) for dim in range(3, 7)]
+    assert calls == [{"standard_normal": 1, "uniform": 1}] + [
+        {"dirichlet": n, "normal": n, "standard_normal": 1, "uniform": 1} for n in rounds
+    ]
+
+
 def test_criterion_6_measures_each_hidden_state_once(discrimination_calls):
     acceptance.discrimination_criterion(samples=5)
     assert discrimination_calls == {"detection_probabilities": 2 * 5, "discrimination_povm": 5}
@@ -260,19 +284,16 @@ def test_bulk_draws_keep_their_ranges(drawn_norms, seed):
     rng = np.random.default_rng(seed)
     acceptance._witness_draws(rng, 1000)
     acceptance._clonability_draws(rng, 10_000)
-    _, y5, z5 = acceptance._hyperplane_draws(rng, 100)
-    _, y6, z6 = acceptance._discrimination_draws(rng, 1000)
+    hyperplane_draws = [acceptance._admissible_draws(rng, samples)[1:] for samples in (100, 1000)]
     acceptance._pipeline_draws(rng, 1000)
-    witness, pairs, hyperplane, admissible, pipeline = drawn_norms
+    witness, pairs, *admissible, pipeline = drawn_norms
     assert np.all((witness >= 1.0 + 1e-6) & (witness < 3.0))
     assert pairs.shape == (10_000, 2)
     assert np.all((pairs >= 0.0) & (pairs < 3.0))
-    assert np.all((hyperplane >= 1.2) & (hyperplane < 3.0))
-    half_cap = np.sqrt(1.0 - 1.0 / hyperplane**2) / 2
-    assert np.all((np.abs(y5) <= half_cap) & (np.abs(z5) <= half_cap))
-    assert np.all((admissible >= 1.05) & (admissible < 3.0))
-    # every instance admissible to hyperplane_pair
-    assert np.all(y6**2 + z6**2 <= 1.0 - 1.0 / admissible**2 + operators.ATOL)
+    # criteria 5 and 6: every instance admissible to hyperplane_pair
+    for norms, (y, z) in zip(admissible, hyperplane_draws, strict=True):
+        assert np.all((norms >= 1.05) & (norms < 3.0))
+        assert np.all(y**2 + z**2 <= 1.0 - 1.0 / norms**2 + operators.ATOL)
     inside = np.arange(1000) % 4 == 0
     assert np.all(pipeline[inside] < 1.0)
     assert np.all(pipeline[~inside] >= 1.0 + 1e-9)

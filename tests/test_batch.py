@@ -88,7 +88,7 @@ def _draws(name, samples):
 # criterion 9 (a quarter inside the ball) and criterion 6 (admissible pairs).
 PC_PSD_ROWS = np.concatenate((_draws("_pc_psd_draws", 2000), EDGE_ROWS))
 PIPELINE_ROWS = np.concatenate((_draws("_pipeline_draws", 400), EDGE_ROWS))
-DISCRIMINATION_DRAWS = _draws("_discrimination_draws", 300)
+DISCRIMINATION_DRAWS = _draws("_admissible_draws", 300)
 
 # CHSH strengths on both branches of chsh_settings_for, and one ulp either
 # side of the branch point sqrt(2)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import re
 import shlex
@@ -28,7 +29,12 @@ def readme_examples() -> list[list[str]]:
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one request; a flag that argparse
+    turns away exits as the process would."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -508,8 +514,17 @@ class TestHighdim:
         code, out, _ = run(capsys, "highdim", "--d", "4", "--epsilon", "0.6", *lambdas, "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["inputs"]["lambdas"] == "uniform"
+        # the echo is the tail built, which replays the state
+        assert payload["inputs"]["lambdas"] == [-0.6 / 3] * 3
         assert payload["outputs"]["spectrum"] == pytest.approx([1.6, -0.2, -0.2, -0.2], abs=1e-15)
+
+    @pytest.mark.parametrize("flags", [[], ["--lambdas", "0.25", "-0.75"], ["--phases", "random", "--seed", "7"]])
+    def test_echo_given_back_replays_the_report(self, capsys, flags):
+        code, out, _ = run(capsys, "highdim", "--d", "3", "--epsilon", "0.5", *flags, "--format", "json")
+        replay = echo_as_flags(json.loads(out))
+        assert "--lambdas" in replay
+        replayed, replayed_out, _ = run(capsys, *replay, "--format", "json")
+        assert (replayed, without_duration(replayed_out)) == (code, without_duration(out)) == (0, without_duration(out))
 
     def test_random_phases_and_custom_tail(self, capsys):
         code, out, _ = run(
@@ -719,32 +734,128 @@ resources = st.one_of(
     st.builds(_resource, st.sampled_from(R_NORMS), directions),
     st.tuples(reals, reals, reals).map(",".join),
 )
-pair_requests = st.builds(
-    lambda command, r, y, z: [command, "--r", r, "--y", y, "--z", z],
-    st.sampled_from(["discriminate", "clone-demo"]),
-    resources,
-    offsets,
-    offsets,
-)
-highdim_requests = st.builds(
-    lambda d, epsilon, tail, phases: ["highdim", "--d", str(d), "--epsilon", epsilon, *tail, "--phases", phases],
-    st.integers(-1, 8),
-    epsilons,
-    st.one_of(st.just([]), st.lists(reals, max_size=8).map(lambda values: ["--lambdas", *values])),
-    st.sampled_from(["zero", "random"]),
-)
+# Integer flags at and past their bounds, and valid values cheap to run:
+# the upper bounds of --steps, --points and --trials themselves take
+# 0.4-1 s a request, so of those only the bound of --d is drawn.
+PAST_EVERY_BOUND = (2**70 + 1, 10**400, -(10**400))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(pair_requests, highdim_requests), st.sampled_from(["json", "csv", "text"]))
-def test_discrimination_and_probe_requests_end_in_a_report_or_a_rejection(argv, fmt):
-    # every request ends in exit 0, 1 or 2, with no traceback and no warning
+def integers(least, most, cheap_most):
+    edges = [least - 1, least, most + 1, *PAST_EVERY_BOUND] + ([most] if most <= cheap_most else [])
+    return st.one_of(st.sampled_from(edges), st.integers(least, cheap_most)).map(str)
+
+
+counts = {
+    "--steps": integers(1, cli.MAX_STEPS, 40),
+    "--points": integers(1, cli.MAX_POINTS, 40),
+    "--trials": integers(1, cli.MAX_TRIALS, 40),
+    "--d": integers(2, cli.MAX_HIGHDIM_DIM, cli.MAX_HIGHDIM_DIM),
+    "--seed": st.one_of(st.sampled_from([-1, 0, 2**70 + 1, 10**400, -(10**400)]), st.integers(0, 2**64)).map(str),
+}
+# sweep bounds either side of 0 and of MAX_BOX_NORM, besides the edge reals
+sweep_bounds = st.one_of(reals, st.floats(0.0, 1.1 * cli.MAX_BOX_NORM).map(repr))
+
+
+def spelled(flag, values):
+    """``flag`` and a value drawn from ``values``, as --flag V or --flag=V."""
+    return st.builds(lambda value, joined: [f"{flag}={value}"] if joined else [flag, value], values, st.booleans())
+
+
+def request(command, *flags, optional=()):
+    """A request of ``command``: each of ``flags`` and ``optional`` a
+    (flag, values) pair, each optional one present or not."""
+    parts = [spelled(*flag) for flag in flags] + [st.one_of(st.just([]), spelled(*flag)) for flag in optional]
+    return st.tuples(*parts).map(lambda drawn: [command, *itertools.chain.from_iterable(drawn)])
+
+
+tails = st.lists(reals, max_size=8).map(lambda values: ["--lambdas", *values])
+REQUESTS = {
+    "pc-check": request("pc-check", ("--r", resources)),
+    "box": request("box", ("--r", resources), optional=[("--settings", st.sampled_from(["auto", "tsirelson"]))]),
+    "chsh-sweep": request(
+        "chsh-sweep", ("--r-min", sweep_bounds), ("--r-max", sweep_bounds), ("--steps", counts["--steps"])
+    ),
+    "discriminate": request(
+        "discriminate",
+        ("--r", resources),
+        ("--y", offsets),
+        ("--z", offsets),
+        optional=[("--trials", counts["--trials"]), ("--seed", counts["--seed"])],
+    ),
+    "clone-demo": request("clone-demo", ("--r", resources), ("--y", offsets), ("--z", offsets)),
+    "highdim": st.tuples(
+        request(
+            "highdim",
+            ("--d", counts["--d"]),
+            ("--epsilon", epsilons),
+            optional=[("--phases", st.sampled_from(["zero", "random"])), ("--seed", counts["--seed"])],
+        ),
+        st.one_of(st.just([]), tails),
+    ).map(lambda parts: parts[0] + parts[1]),
+    "planes": request("planes", ("--r", resources), optional=[("--points", counts["--points"])]),
+}
+
+# What an exit-2 message names when it names no flag: the quantity or the
+# domain a handler or a construction holds the request to.
+PAIR_DOMAINS = ("Bloch vector", "resource norm", "transverse", "|r|")
+DOMAINS = {
+    "pc-check": ("Bloch vector",),
+    "box": ("|r|",),
+    "chsh-sweep": ("r-min", "r-max"),
+    "discriminate": PAIR_DOMAINS,
+    "clone-demo": PAIR_DOMAINS,
+    "highdim": ("epsilon", "tail spectrum", "tail eigenvalue"),
+    "planes": ("norm",),
+}
+
+
+def _cli(argv):
+    """Exit code, stdout and stderr of one in-process request, with every
+    warning an error."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         try:
-            code = main([*argv, "--format", fmt])
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 1, 2), err.getvalue()
-    assert "Warning" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def echo_as_flags(report: dict) -> list[str]:
+    """The request that a json report's echoed inputs give back as flags."""
+    argv = [report["command"]]
+    for key, value in report["inputs"].items():
+        flag = "--" + key.replace("_", "-")
+        if key == "r":
+            argv.append(f"{flag}={','.join(map(str, value))}")
+        elif isinstance(value, list):
+            argv += [flag, *map(str, value)]
+        else:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def without_duration(out: str) -> dict:
+    report = json.loads(out)
+    del report["duration_ms"]
+    return report
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(*REQUESTS.values()), st.sampled_from(["json", "csv", "text"]))
+def test_requests_end_in_a_report_or_a_named_rejection_and_their_echo_replays(argv, fmt):
+    # every request ends in exit 0, 1 or 2, with no traceback and no warning
+    code, _, err = _cli([*argv, "--format", fmt])
+    assert code in (0, 1, 2), err
+    assert "Warning" not in err
+    if code == 2:
+        named = [word for word in argv if word.startswith("--")] + list(DOMAINS.get(argv[0], ()))
+        assert any(name.split("=")[0] in err for name in named), err
+        return
+    # the json echo given back as flags makes the same report
+    code, out, _ = _cli([*argv, "--format", "json"])
+    replay = echo_as_flags(json.loads(out))
+    replayed, replayed_out, replayed_err = _cli([*replay, "--format", "json"])
+    assert replayed == code, (replay, replayed_err)
+    assert without_duration(replayed_out) == without_duration(out)

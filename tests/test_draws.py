@@ -1,21 +1,23 @@
 """Random draws: the bulk draws of the randomized criteria and of
 ``random_bloch_vector`` equal, bit for bit, references written out here
 with scalar expressions, one generator call per element. Every randomized
-qubit criterion draws in bulk, one generator call per kind of draw: its
+criterion draws in bulk, one generator call per kind of draw: its
 reference draws every element of one kind, in index order, before the next
-kind. A random Bloch vector's reference draws every norm from
-``rng.uniform``, then every direction of three normals divided by
-``np.linalg.norm``; criteria 5 and 6 then draw their own quantities, and
-criterion 3 the excesses of its band between the norms and the directions.
-Criterion 7 draws state by state: its reference draws each state's tail,
-basis and phases in the order of the states."""
+kind, and draws what it rejects again the same way, round by round. A
+random Bloch vector's reference draws every norm from ``rng.uniform``, then
+every direction of three normals divided by ``np.linalg.norm``; criteria 5
+and 6 then draw the same admissible hyperplane instances, and criterion 3
+the excesses of its band between the norms and the directions. Criterion
+7's reference draws every random tail's weights (one Dirichlet draw a
+tail), then every jitter element, then every basis's real normals, every
+imaginary one and every phase."""
 
 import re
 
 import numpy as np
 import pytest
 
-from helpers import random_direction
+from helpers import ScaledDraws, random_direction
 from quasilab import acceptance
 from quasilab.bloch import random_bloch_vector, scale_directions
 from quasilab.operators import ATOL
@@ -57,21 +59,10 @@ def _square(norm):
     return norm * norm
 
 
-def _hyperplane_instances(rng, samples):
-    """Criterion 5's hyperplane pairs: every norm, every resource, then y
-    and z instance by instance."""
-    norms = [rng.uniform(1.2, 3.0) for _ in range(samples)]
-    rs = [norm * random_direction(rng) for norm in norms]
-    yz = []
-    for norm in norms:
-        cap = np.sqrt(1.0 - 1.0 / _square(norm))
-        yz.append((rng.uniform(-cap / 2, cap / 2), rng.uniform(-cap / 2, cap / 2)))
-    return (np.array(rs), *_columns(yz))
-
-
 def _admissible_instances(rng, samples, square=_square):
-    """Criterion 6's norms, then its resources, y and z: every norm, every
-    resource, every radius's uniform, then every angle."""
+    """The norms, then the resources, y and z of criteria 5 and 6's
+    hyperplane instances: every norm, every resource, every radius's
+    uniform, then every angle."""
     norms = [rng.uniform(1.05, 3.0) for _ in range(samples)]
     rs = [norm * random_direction(rng) for norm in norms]
     rhos = [np.sqrt(rng.uniform(0.0, 1.0)) * np.sqrt(1.0 - 1.0 / square(norm)) for norm in norms]
@@ -81,18 +72,14 @@ def _admissible_instances(rng, samples, square=_square):
     return np.array(norms), np.array(rs), np.array(y), np.array(z)
 
 
-def _columns(rows):
-    return tuple(np.array(column) for column in zip(*rows))
-
-
 def _pairs(rng, samples):
     # each pair's r and then its r', pair by pair
     rs = _vectors(rng, [(0.0, 3.0)] * (2 * samples))
-    return (rs[0::2], rs[1::2], *_hyperplane_instances(rng, 100))
+    return (rs[0::2], rs[1::2], *_admissible_instances(rng, 100)[1:])
 
 
 def _stacked_pairs(rng, samples):
-    return (*acceptance._clonability_draws(rng, samples), *acceptance._hyperplane_draws(rng, 100))
+    return (*acceptance._clonability_draws(rng, samples), *acceptance._admissible_draws(rng, 100))
 
 
 # criterion: (samples, reference, stacked), each draw a tuple of arrays
@@ -111,7 +98,7 @@ DRAWS = {
     6: (
         1000,
         lambda rng, n: _admissible_instances(rng, n)[1:],
-        acceptance._discrimination_draws,
+        acceptance._admissible_draws,
     ),
     9: (
         400,
@@ -135,27 +122,57 @@ def test_stacked_draws_equal_the_per_sample_draws(criterion, seed):
 
 
 def _highdim_grid_states(rng, dim):
-    """Criterion 7's 16 states of one dimension in the order the per-state
-    loop drew them: per epsilon three random tails, then per tail (the
-    uniform one first) a basis and then the phases."""
-    rows = []
-    for epsilon in (0.1, 0.5, 1.0, 2.0):
-        tails = [np.full(dim - 1, -epsilon / (dim - 1))]
-        tails += [acceptance._random_tail(rng, dim, epsilon) for _ in range(3)]
-        for tail in tails:
-            basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
-            rows.append((epsilon, tail, basis, rng.uniform(0.0, 2.0 * np.pi, size=dim)))
-    return _columns(rows)
+    """Criterion 7's 16 states of one dimension, per epsilon the uniform
+    tail first and then three random ones: every random tail's weights,
+    then every jitter element, then the rejected tails drawn again the same
+    way in index order, round by round; then every basis's real normals,
+    every imaginary one, and every phase, element by element."""
+    epsilons = [epsilon for epsilon in (0.1, 0.5, 1.0, 2.0) for _ in range(4)]
+    tails = [np.full(dim - 1, -epsilon / (dim - 1)) for epsilon in epsilons]
+    redraw = [k for k in range(16) if k % 4 and dim > 2]
+    while redraw:
+        weights = {k: rng.dirichlet(np.ones(dim - 1)) for k in redraw}
+        jitter = {k: np.array([rng.normal(0.0, 0.3) for _ in range(dim - 1)]) for k in redraw}
+        for k in redraw:
+            tails[k] = -epsilons[k] * weights[k] + jitter[k] - jitter[k].mean()
+        redraw = [
+            k
+            for k in redraw
+            if not (tails[k].max() < 1.0 + epsilons[k] - 1e-6 and abs(tails[k].sum() + epsilons[k]) <= ATOL)
+        ]
+    real, imaginary = (
+        [np.array([[rng.standard_normal() for _ in range(dim)] for _ in range(dim)]) for _ in range(16)]
+        for _ in range(2)
+    )
+    bases = [np.linalg.qr(re + 1j * im)[0] for re, im in zip(real, imaginary)]
+    phases = [[rng.uniform(0.0, 2.0 * np.pi) for _ in range(dim)] for _ in range(16)]
+    return np.array(epsilons), np.array(tails), np.array(bases), np.array(phases)
+
+
+def _assert_highdim_grid_draws_equal_the_reference(rng, stacked_rng):
+    for dim in range(2, 7):
+        expected, drawn = _highdim_grid_states(rng, dim), acceptance._highdim_grid_draws(stacked_rng, dim)
+        for want, got in zip(expected, drawn, strict=True):
+            assert np.array_equal(got, want), f"d = {dim}"
+        # d = 2 draws no tail: each is [-epsilon]
+        assert dim > 2 or np.array_equal(drawn[1], -drawn[0][:, None])
+    assert stacked_rng.bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_highdim_grid_draws_equal_the_per_state_draws(seed):
-    rng, stacked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for dim in range(2, 7):
-        expected, drawn = _highdim_grid_states(rng, dim), acceptance._highdim_grid_draws(stacked_rng, dim)
-        for want, got in zip(expected, drawn):
-            assert np.array_equal(got, want), f"d = {dim}"
-    assert stacked_rng.bit_generator.state == rng.bit_generator.state
+    _assert_highdim_grid_draws_equal_the_reference(np.random.default_rng(seed), np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_highdim_grid_redraws_equal_the_reference(seed):
+    # jitter ten times as wide in the first 12 tails of d = 3 (24 values)
+    # fails the bound on the largest entry for some of them, so they are
+    # drawn again in a second round; no seed here rejects a tail otherwise
+    def loud(seed):
+        return ScaledDraws(np.random.default_rng(seed), "normal", 24, 10.0)
+
+    _assert_highdim_grid_draws_equal_the_reference(loud(seed), loud(seed))
 
 
 def test_trap_seed_squares_differ():

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import random_tail
 from quasilab.bloch import pc_check, random_bloch_vector, to_operator
 from quasilab.discrimination import discriminate, discrimination_povm
 from quasilab.highdim import (
@@ -21,7 +22,7 @@ from quasilab.highdim import (
     probe_magnitudes,
     violates_pc,
 )
-from quasilab.acceptance import _random_tail, matched_qubit_instance
+from quasilab.acceptance import matched_qubit_instance
 from quasilab.operators import ATOL, SPECTRAL_ATOL, QuasiState, expectation, kron
 
 
@@ -90,7 +91,7 @@ class TestEigenbasisDiagonal:
         for dim in range(2, 9):
             for epsilon in (0.1, 2.0, 5e2):
                 vs = build_violating_state(
-                    dim, epsilon, lambdas=_random_tail(rng, dim, epsilon), basis=random_basis(rng, dim)
+                    dim, epsilon, lambdas=random_tail(rng, dim, epsilon), basis=random_basis(rng, dim)
                 )
                 assert np.max(np.abs(vs.diag - vs.spectrum)) <= SPECTRAL_ATOL
 
@@ -292,7 +293,7 @@ class TestStructuredDetection:
         for dim in range(2, 17):
             for epsilon in (0.1, 1.0, 2.0):
                 vs = build_violating_state(
-                    dim, epsilon, lambdas=_random_tail(rng, dim, epsilon), basis=random_basis(rng, dim)
+                    dim, epsilon, lambdas=random_tail(rng, dim, epsilon), basis=random_basis(rng, dim)
                 )
                 p1, _ = entangled_projector(vs)
                 phases = rng.uniform(0, 2 * np.pi, size=dim)

@@ -26,7 +26,7 @@ def requests(gate):
     # a report, a rejection by a handler and one by the flag types
     wanted = {
         "pc-check --r 0,0,1.2 --format=csv",
-        "highdim --d=33 --epsilon=0.5 --format=json",
+        "highdim --d=3 --epsilon=600 --format=json",
         "pc-check --r=1,2 --format=text",
     }
     picked = [argv for argv in gate.corpus() if shlex.join(argv) in wanted]
@@ -45,11 +45,12 @@ def test_a_changed_message_names_its_request(gate, requests, tmp_path):
     shutil.copytree(gate.SRC, other, ignore=shutil.ignore_patterns("__pycache__"))
     cli = other / "quasilab" / "cli.py"
     text = cli.read_text()
-    assert text.count("dimension must be at most {}") == 1
-    cli.write_text(text.replace("dimension must be at most {}", "dimension must not exceed {}"))
+    message = "epsilon must be finite and at most {:g}"
+    assert text.count(message) == 1
+    cli.write_text(text.replace(message, "epsilon must be finite and not exceed {:g}"))
     lines, differ = gate.compare(other, requests)
     assert differ == 1
-    assert "DIFFERS    highdim --d=33 --epsilon=0.5 --format=json" in lines
+    assert "DIFFERS    highdim --d=3 --epsilon=600 --format=json" in lines
     assert "    exit 2 here, 2 there" in lines
     assert lines[-1] == f"{len(requests)} requests: {len(requests) - 1} identical, 1 differ"
 

@@ -13,7 +13,8 @@ and ``probe_experiment``, and leave the reduction of a check's instances to
 ``CheckResult``. One name per operation: no public function is a ``*_batch``
 twin or a wrapper of a stack of one. One shape rule: every operation
 broadcasts over leading axes, so no module lifts one instance to a stack
-of one, and only ``operators`` picks results apart."""
+of one, and only ``operators`` picks results apart. One draw rule: every
+criterion draws in bulk."""
 
 import ast
 from pathlib import Path
@@ -265,3 +266,30 @@ def test_no_unused_random_direction():
     # scale_directions makes the draws; the tests keep their own reference
     bloch = next(path for path in SOURCES if path.name == "bloch.py")
     assert "random_direction" not in _identifiers(ast.parse(bloch.read_text(), filename=str(bloch)))
+
+
+def _generator_calls(node: ast.AST) -> list[int]:
+    """Lines of the calls ``rng.<method>(...)`` under ``node``."""
+    return [
+        sub.lineno
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call)
+        and isinstance(sub.func, ast.Attribute)
+        and isinstance(sub.func.value, ast.Name)
+        and sub.func.value.id == "rng"
+    ]
+
+
+PER_INSTANCE_LOOPS = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_every_criterion_draws_in_bulk():
+    # no generator call in acceptance sits in a for loop or a comprehension,
+    # where it would draw instance by instance; a while loop may draw what
+    # was rejected again, in bulk rounds
+    path = next(p for p in SOURCES if p.name == "acceptance.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _generator_calls(tree), "acceptance draws through a generator other than rng"
+    loops = [node for node in ast.walk(tree) if isinstance(node, PER_INSTANCE_LOOPS)]
+    looped = sorted({line for loop in loops for line in _generator_calls(loop)})
+    assert looped == [], f"acceptance draws instance by instance at lines {looped}"
