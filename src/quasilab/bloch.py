@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ATOL, I2, PAULI, QuasiState, Stacked, as_number, require
+from .operators import ATOL, PAULI, QuasiState, Stacked, as_number, require
 
 # the next and the previous component of each component, for _cross
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -30,7 +30,10 @@ def as_bloch_vectors(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.ndim < 1 or r.shape[-1] != 3:
         raise ValueError(f"Bloch vector must have 3 components, got shape {r.shape}")
-    require(np.isfinite(r).all(axis=-1), "Bloch vector components must be finite")
+    # one component at a time: numpy would loop over the rows to reduce a
+    # trailing axis of 3
+    finite = np.isfinite(r[..., 0]) & np.isfinite(r[..., 1]) & np.isfinite(r[..., 2])
+    require(finite, "Bloch vector components must be finite")
     return r
 
 
@@ -99,15 +102,21 @@ def to_operator(r) -> QuasiState:
     (1 +- z)/2 keeps its unit sum in doubles only while 1 + |z| is exact,
     so a z component of 2^53 or more is rejected."""
     r = as_bloch_vectors(r)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
     message = "Bloch vector z component must be below 2^53 for a unit-trace operator, got {:.6g}"
-    require(np.abs(r[..., 2]) < 2.0**53, message, r[..., 2])
-    r = r[..., None, None]
-    # (1/2)(I + x X + y Y + z Z), summed in that order, in one array
-    m = r[..., 0, :, :] * PAULI[0]
-    m += I2
-    m += r[..., 1, :, :] * PAULI[1]
-    m += r[..., 2, :, :] * PAULI[2]
-    m *= 0.5
+    require(np.abs(z) < 2.0**53, message, z)
+    # The four entries written directly, one ufunc call per part over the
+    # whole stack: the bits, signed zeros included, of the complex sum
+    # (1/2)(I + x X + y Y + z Z) taken term by term in that order.
+    m = np.zeros(r.shape[:-1] + (2, 2), dtype=complex)
+    parts = m.view(float)  # per row (re, im, re, im) of two entries
+    parts[..., 0, 0] = (1.0 + z) * 0.5
+    parts[..., 1, 2] = (1.0 - z) * 0.5
+    x = x + 0.0  # -0 becomes +0, as in the sum
+    parts[..., 0, 2] = parts[..., 1, 0] = x * 0.5
+    zero = x * 0.0
+    parts[..., 0, 3] = zero + (0.0 - y) * 0.5
+    parts[..., 1, 1] = zero + (y + 0.0) * 0.5
     return QuasiState(m)
 
 

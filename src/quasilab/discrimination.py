@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .bloch import as_bloch_vectors, pc_check, to_operator, transverse_frame
-from .operators import ATOL, QuasiState, Stacked, as_number, expectation, kron, require
+from .operators import ATOL, QuasiState, Stacked, as_number, expectation, kron, matrix_max, require
 from .nonlocal_box import observable
 
 
@@ -191,5 +191,5 @@ def clone_protocol(pair: HyperplanePair, label: int, which: int) -> tuple[QuasiS
     if np.any(label != which):
         wrong = np.broadcast_to(label != which, dev.shape)
         actual = to_operator(pair.member(which)[wrong]).matrix
-        dev[wrong] = np.abs(out[wrong] - kron(actual, actual)).max(axis=(-2, -1))
+        dev[wrong] = matrix_max(np.abs(out[wrong] - kron(actual, actual)))
     return QuasiState(out), as_number(dev)

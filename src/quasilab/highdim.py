@@ -28,7 +28,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import ATOL, PSD_ATOL, QuasiState, Stacked, as_number, real_pairing, require
+from .operators import (
+    ATOL,
+    PSD_ATOL,
+    QuasiState,
+    Stacked,
+    as_number,
+    hermitian_spectrum,
+    matrix_max,
+    real_pairing,
+    require,
+)
 
 CERTAIN, NULL = 1, 0
 
@@ -38,7 +48,7 @@ def violates_pc(m) -> bool:
     which happens exactly when its top eigenvalue exceeds 1 (by more than
     PSD_ATOL, the bound of ``is_positive``); one verdict per operator."""
     matrix = m.matrix if isinstance(m, QuasiState) else np.asarray(m, dtype=complex)
-    return as_number(np.linalg.eigvalsh(matrix)[..., -1] - 1.0 > PSD_ATOL)
+    return as_number(hermitian_spectrum(matrix)[..., -1] - 1.0 > PSD_ATOL)
 
 
 def _as_epsilons(epsilon):
@@ -202,7 +212,7 @@ def entangled_projector(vs: ViolatingState) -> tuple[np.ndarray, float]:
     phased = fourier @ doubled / np.sqrt(d)
     p1 = phased.swapaxes(-1, -2) @ phased.conj()
     oracle = doubled.swapaxes(-1, -2) @ doubled.conj()
-    return p1, as_number(np.abs(p1 - oracle).max(axis=(-2, -1)))
+    return p1, as_number(matrix_max(np.abs(p1 - oracle)))
 
 
 def detection_probability(vs: ViolatingState, probe: ProbeState) -> float:

@@ -30,6 +30,7 @@ from .operators import (
     expectation,
     hermitian_eigensystem,
     kron,
+    matrix_max,
     partial_trace,
     require,
 )
@@ -97,11 +98,11 @@ class BipartiteBox(Stacked):
             raise ValueError("a bipartite box lives on two qubits (dim 4)")
         for side in (0, 1):
             red = partial_trace(self.state.matrix, (2, 2), keep=side)
-            require(np.abs(red - I2 / 2).max(axis=(-2, -1)) <= SPECTRAL_ATOL, "box reduction is not maximally mixed")
+            require(matrix_max(np.abs(red - I2 / 2)) <= SPECTRAL_ATOL, "box reduction is not maximally mixed")
 
 
 def _max_dev(m, target) -> np.ndarray:
-    return np.abs(m - target).max(axis=(-2, -1))
+    return matrix_max(np.abs(m - target))
 
 
 def build_box(r) -> BipartiteBox:
@@ -299,6 +300,6 @@ def signalling_deviation(tables: JointDistribution) -> float:
     non-signalling box, and one value per box of a stack."""
     t = tables.table
     p_x, p_y = t.sum(axis=-1), t.sum(axis=-2)
-    dev_a = np.abs(p_x[..., :, 0, :] - p_x[..., :, 1, :]).max(axis=(-2, -1))
-    dev_b = np.abs(p_y[..., 0, :, :] - p_y[..., 1, :, :]).max(axis=(-2, -1))
+    dev_a = matrix_max(np.abs(p_x[..., :, 0, :] - p_x[..., :, 1, :]))
+    dev_b = matrix_max(np.abs(p_y[..., 0, :, :] - p_y[..., 1, :, :]))
     return as_number(np.maximum(dev_a, dev_b))

@@ -8,6 +8,16 @@ them: the same expressions compute both, with one numpy call per stage.
 One instance's 0-d results come back as Python numbers (``as_number``).
 The result types (``Stacked``) hold one instance or a stack.
 
+Per-instance work on a stack of small matrices runs with the stack
+innermost. A reduction over the matrix axes (the max of ``matrix_max``, the
+Hermitian gap and the trace that ``QuasiState`` checks) reduces the
+``stack_major`` copy, so each step is one elementwise call over the whole
+stack, where numpy would loop over the rows to reduce axes of length 2 to
+4. The spectrum of a 2x2 matrix is the closed form (a+d)/2 -+
+hypot((a-d)/2, |b|) of its entries, in place of one LAPACK call per matrix;
+``hermitian_spectrum`` picks it by dimension alone, and LAPACK's
+``eigvalsh`` serves every other d.
+
 Every layer rejects a bad instance through one rule, ``require``: a
 validator is its passing comparison, one verdict per instance, so NaN fails
 it, and a stack with one bad row raises the error that row raises alone."""
@@ -58,9 +68,57 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermitian_gap(m: np.ndarray) -> np.ndarray:
-    """Entrywise |m - m^H|, for a matrix or a stack of them."""
-    return np.abs(m - m.conj().swapaxes(-1, -2))
+def stack_major(a) -> np.ndarray:
+    """A stack of matrices (..., r, c) with the stack innermost: ``a.T``,
+    copied C-contiguous, so the matrix axes come first (swapped) and the
+    stack axes after them (reversed). A ufunc's reduction over axes (0, 1)
+    then runs one elementwise call per entry over the whole stack, where
+    reducing the last two axes of a stack of small matrices makes numpy
+    loop over its rows; ``.T`` of the result has the stack's shape. One
+    matrix has no stack to put innermost and is returned as it is: every
+    reduction here reads both matrix axes, in either order."""
+    return np.ascontiguousarray(a.T) if a.ndim > 2 else a
+
+
+def matrix_max(a) -> np.ndarray:
+    """max over the entries of a matrix, or of each of a stack (..., r, c):
+    numpy's max, bit for bit, over the ``stack_major`` entries."""
+    return np.maximum.reduce(stack_major(a), axis=(0, 1)).T
+
+
+def _hermitian_gap(mt: np.ndarray) -> np.ndarray:
+    """max |m - m^H| over the entries of a matrix m, or of each of a stack,
+    from its ``stack_major`` form mt."""
+    gap = mt.conj()
+    gap -= mt.swapaxes(0, 1)  # -(m - m^H) or its transpose: the same |entries|, bit for bit
+    return np.maximum.reduce(np.abs(gap), axis=(0, 1)).T
+
+
+def _trace(mt: np.ndarray) -> np.ndarray:
+    """The trace of a matrix m, or of each of a stack, from its
+    ``stack_major`` form mt. One matrix's diagonal is summed as numpy's
+    trace sums it. A stack's diagonals are summed in index order, which is
+    numpy's trace bit for bit up to d = 3; numpy sums a longer complex
+    diagonal pairwise, so from d = 4 a stack's traces may differ from it in
+    the last bit."""
+    return np.add.reduce(mt.diagonal(), axis=-1).T
+
+
+def hermitian_spectrum(m) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, or of each of a stack, ascending.
+    At d = 2 they are the closed form (a+d)/2 -+ hypot((a-d)/2, |b|) of the
+    real diagonal a, d and the entry b below it, the entries LAPACK's
+    ``eigvalsh`` reads; at any other d they are ``eigvalsh``'s."""
+    m = np.asarray(m)
+    if m.shape[-2:] != (2, 2):
+        return np.linalg.eigvalsh(m)
+    a, d = m[..., 0, 0].real * 0.5, m[..., 1, 1].real * 0.5
+    radius = np.hypot(a - d, np.abs(m[..., 1, 0]))
+    mean = a + d
+    spectrum = np.empty(mean.shape + (2,))
+    np.subtract(mean, radius, out=spectrum[..., 0])
+    np.add(mean, radius, out=spectrum[..., 1])
+    return spectrum
 
 
 class Stacked:
@@ -136,8 +194,8 @@ class QuasiState(Stacked):
     def __post_init__(self):
         m = _as_square(self.matrix)
         # one verdict per operator on both conditions; the first bad one raises
-        dev = _hermitian_gap(m).max(axis=(-2, -1), initial=0.0)
-        tr = m.trace(axis1=-2, axis2=-1)
+        mt = stack_major(m)
+        dev, tr = _hermitian_gap(mt), _trace(mt)
         ok = (dev <= ATOL) & (np.abs(tr - 1.0) <= ATOL)
         require(ok, "matrix must be Hermitian with trace 1, got max deviation {:.3e} and trace {:.15g}", dev, tr)
         object.__setattr__(self, "matrix", _frozen(m))
@@ -148,13 +206,13 @@ class QuasiState(Stacked):
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """The spectrum, ascending, computed on each read."""
-        return np.linalg.eigvalsh(self.matrix)
+        """The spectrum, ascending (``hermitian_spectrum``), computed on each read."""
+        return hermitian_spectrum(self.matrix)
 
     @property
     def min_eigenvalue(self):
         """The smallest eigenvalue (one per operator of a stack)."""
-        return self.eigenvalues.min(axis=-1)
+        return self.eigenvalues[..., 0]
 
     def is_positive(self):
         """Whether the smallest eigenvalue is at least -PSD_ATOL (one verdict
@@ -186,7 +244,7 @@ def hermitian_eigensystem(m) -> Eigensystem:
     eigensystem of each matrix, with one ``eigh`` call.
     """
     m = _as_square(m)
-    require(_hermitian_gap(m).max(axis=(-2, -1), initial=0.0) <= ATOL, "eigensystem requires a Hermitian matrix")
+    require(_hermitian_gap(stack_major(m)) <= ATOL, "eigensystem requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh(m)
     vals, vecs = vals[..., ::-1], vecs[..., ::-1]
     big = np.abs(vecs) > 1e-8

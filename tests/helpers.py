@@ -5,6 +5,13 @@ import numpy as np
 from quasilab.operators import ATOL
 
 
+def same_bits(a, b) -> bool:
+    """Whether two arrays (or numbers) have one shape, one dtype and the
+    same bytes: equal bit for bit, signed zeros and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def random_direction(rng):
     """Uniform unit vector on the sphere, from three standard normal draws."""
     v = rng.normal(size=3)

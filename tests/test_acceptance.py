@@ -117,7 +117,7 @@ def test_bulk_drawn_criteria_hold_at_their_sample_counts(seed):
 # one. No criterion calls norm: the random Bloch vectors are normalized on
 # the stack, and criterion 8 bounds its three-level example in closed form
 # instead of sampling kets.
-CALL_CEILINGS = {"eigvalsh": 2, "eigh": 3, "norm": 0, "kron": 32, "expectation": 23}
+CALL_CEILINGS = {"eigvalsh": 1, "eigh": 3, "norm": 0, "kron": 32, "expectation": 23}
 
 
 def test_numpy_calls_within_ceilings(verify_all_run):

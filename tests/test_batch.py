@@ -15,7 +15,7 @@ with the error the call on that row's instance raises.
 import numpy as np
 import pytest
 
-from helpers import random_direction
+from helpers import random_direction, same_bits
 from quasilab import acceptance
 from quasilab.bloch import (
     InvalidDirectionError,
@@ -125,11 +125,6 @@ def _leaves(result) -> tuple:
     return (result,)
 
 
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def assert_rows_match_singles(operation, *stacks):
     """Row k of operation(*stacks) equals operation on the k-th instances
     bit for bit, for every k."""
@@ -137,7 +132,7 @@ def assert_rows_match_singles(operation, *stacks):
     for k in range(len(_leaves(stacks[0])[0])):
         single = _leaves(operation(*(s[k] for s in stacks)))
         assert len(single) == len(stacked), f"row {k}"
-        assert all(_same_bits(np.asarray(x)[k], y) for x, y in zip(stacked, single)), f"row {k}"
+        assert all(same_bits(np.asarray(x)[k], y) for x, y in zip(stacked, single)), f"row {k}"
 
 
 class TestStackEqualsSingles:
@@ -247,7 +242,7 @@ class TestHighdimStackEqualsSingles:
         states = _violating_states(dim)
         for k in range(len(epsilons)):
             single = build_violating_state(dim, epsilons[k], lambdas=tails[k], basis=bases[k])
-            assert all(_same_bits(x, y) for x, y in zip(_leaves(states[k]), _leaves(single))), f"row {k}"
+            assert all(same_bits(x, y) for x, y in zip(_leaves(states[k]), _leaves(single))), f"row {k}"
 
     @pytest.mark.parametrize("target", [CERTAIN, NULL])
     def test_probes_and_their_detection(self, dim, target):
@@ -274,9 +269,9 @@ class TestHighdimStackEqualsSingles:
         # row 0 measures the certain probe, row 1 the null one
         certain, null, q1, pinning, detection = result
         for row, probe in enumerate((certain, null)):
-            assert _same_bits(q1[row], detection_probability(states, probe))
-            assert _same_bits(pinning[row], probe.pinning_dev)
-            assert _same_bits(detection[row], np.abs(q1[row] - probe.target))
+            assert same_bits(q1[row], detection_probability(states, probe))
+            assert same_bits(pinning[row], probe.pinning_dev)
+            assert same_bits(detection[row], np.abs(q1[row] - probe.target))
 
 
 def test_one_highdim_instance_gives_python_numbers():
@@ -389,7 +384,7 @@ def test_any_leading_axes_give_the_flat_stack(operation, flat):
     flat_leaves = _leaves(operation(*flat))
     assert len(stacked) == len(flat_leaves)
     for x, y in zip(stacked, flat_leaves):
-        assert _same_bits(x, np.reshape(y, LEAD + np.shape(y)[1:]))
+        assert same_bits(x, np.reshape(y, LEAD + np.shape(y)[1:]))
 
 
 def test_expectation_copies_a_broadcast_operand():
@@ -398,8 +393,8 @@ def test_expectation_copies_a_broadcast_operand():
     rho = CHSH_BOXES.state.matrix
     ops = _random_hermitian(np.random.default_rng(7), 4 * len(rho), 4).reshape(len(rho), 4, 4, 4)
     repeated = np.repeat(rho[:, None], 4, axis=1)
-    assert _same_bits(expectation(ops, rho[:, None]), expectation(ops, repeated))
-    assert _same_bits(expectation(ops[:1], rho[:, None]), expectation(np.repeat(ops[:1], len(rho), axis=0), repeated))
+    assert same_bits(expectation(ops, rho[:, None]), expectation(ops, repeated))
+    assert same_bits(expectation(ops[:1], rho[:, None]), expectation(np.repeat(ops[:1], len(rho), axis=0), repeated))
 
 
 def test_more_leading_axes_keep_the_component_check():
@@ -419,7 +414,7 @@ def _assert_leaves_match(stacked, singles):
     for k, single in enumerate(singles):
         single = _leaves(single)
         assert len(single) == len(stacked), f"entry {k}"
-        assert all(_same_bits(np.asarray(x)[k], y) for x, y in zip(stacked, single)), f"entry {k}"
+        assert all(same_bits(np.asarray(x)[k], y) for x, y in zip(stacked, single)), f"entry {k}"
 
 
 def test_both_hidden_labels_on_a_stack_equal_the_per_label_calls():
@@ -464,8 +459,8 @@ def test_detection_deviation_is_the_worse_of_hit_and_miss(stacked):
         label, plus, minus = discriminate(pairs, hidden)
         q_hit, q_miss = (plus, minus) if hidden == +1 else (minus, plus)
         assert np.all(which[row] == hidden)
-        assert _same_bits(labels[row], label) and _same_bits(q_plus[row], plus) and _same_bits(q_minus[row], minus)
-        assert _same_bits(deviation[row], np.maximum(np.abs(q_hit - 1.0), np.abs(q_miss)))
+        assert same_bits(labels[row], label) and same_bits(q_plus[row], plus) and same_bits(q_minus[row], minus)
+        assert same_bits(deviation[row], np.maximum(np.abs(q_hit - 1.0), np.abs(q_miss)))
 
 
 def test_norm_ranges_of_any_shape_give_the_flat_draw():
@@ -473,7 +468,7 @@ def test_norm_ranges_of_any_shape_give_the_flat_draw():
     rng, flat_rng = np.random.default_rng(SEED), np.random.default_rng(SEED)
     stacked = random_bloch_vector(rng, lows, lows + 0.5)
     flat = random_bloch_vector(flat_rng, lows.ravel(), lows.ravel() + 0.5)
-    assert _same_bits(stacked, flat.reshape(3, 4, 3))
+    assert same_bits(stacked, flat.reshape(3, 4, 3))
     assert rng.bit_generator.state == flat_rng.bit_generator.state
 
 
@@ -566,7 +561,7 @@ def test_batched_phase_rule_matches_the_column_loop(matrices):
     eig = hermitian_eigensystem(matrices)
     for k, m in enumerate(matrices):
         vals, vecs = _eigensystem_loop(m)
-        assert _same_bits(eig.eigenvalues[k], vals) and _same_bits(eig.eigenvectors[k], vecs), f"matrix {k}"
+        assert same_bits(eig.eigenvalues[k], vals) and same_bits(eig.eigenvectors[k], vecs), f"matrix {k}"
 
 
 def _error(call):
@@ -580,7 +575,9 @@ class TestOneBadRowFailsTheBatch:
     sits."""
 
     @pytest.mark.parametrize("position", [0, 3, 7])
-    @pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [0.0, np.inf, 1.0]], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "bad", [[np.nan, 0.0, 0.0], [0.0, np.inf, 1.0], [0.0, 1.0, -np.inf]], ids=["nan", "inf", "-inf"]
+    )
     def test_non_finite_component(self, position, bad):
         rs = PC_PSD_ROWS[:8].copy()
         rs[position] = bad

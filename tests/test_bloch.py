@@ -1,14 +1,17 @@
 """Bloch-vector layer: probability rule, complementarity bound, operator
 dictionary, and the circle of simultaneously certain directions."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_direction
+from helpers import random_direction, same_bits
 from quasilab.bloch import (
     InvalidDirectionError,
+    as_bloch_vectors,
     as_directions,
     from_operator,
     outcome_probability,
@@ -22,7 +25,7 @@ from quasilab.bloch import (
 from quasilab.discrimination import hyperplane_pair
 from quasilab.highdim import violates_pc
 from quasilab.nonlocal_box import build_box, joint_distribution
-from quasilab.operators import ATOL, I2, SIGMA_X, expectation
+from quasilab.operators import ATOL, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation
 
 X, Y, Z = np.eye(3)
 
@@ -92,7 +95,48 @@ class TestPcCheck:
         assert abs(result.mean_square_sum - result.norm**2) <= 1e-12
 
 
+def pauli_sum(r) -> np.ndarray:
+    """(1/2)(I + x X + y Y + z Z) summed term by term in one complex array:
+    the reference whose bits ``to_operator``'s direct entries keep."""
+    r = np.asarray(r, dtype=float)[..., None, None]
+    m = r[..., 0, :, :] * SIGMA_X
+    m += I2
+    m += r[..., 1, :, :] * SIGMA_Y
+    m += r[..., 2, :, :] * SIGMA_Z
+    m *= 0.5
+    return m
+
+
+# Components where the sign of a zero or the rounding of a half shows:
+# signed zeros, subnormals, the normal minimum, and large values up to z
+# just below 2^53; every triple of them, less those with |z| >= 2^53.
+SPECIAL_COMPONENTS = (0.0, -0.0, 5e-324, -5e-324, 1.5e-323, -1e-323, 2.2e-308, -2.2e-308, 0.5, -1.0, 3.0, 1e-300)
+SPECIAL_COMPONENTS += (-1e15, 2.0**52 + 0.5, 2.0**53 - 1, -1e300)
+SPECIAL_ROWS = np.array([r for r in itertools.product(SPECIAL_COMPONENTS, repeat=3) if abs(r[2]) < 2.0**53])
+
+
 class TestOperatorDictionary:
+    @pytest.mark.parametrize("lead", [(-1,), (4, -1), (0,)], ids=["stack", "two-axes", "empty"])
+    def test_entries_are_the_pauli_sums(self, lead):
+        rows = np.concatenate((SPECIAL_ROWS, np.random.default_rng(1).standard_normal((1000, 3)) * 1e3))
+        rs = rows[: 0 if lead == (0,) else len(rows) // 4 * 4].reshape(lead + (3,))
+        assert same_bits(to_operator(rs).matrix, pauli_sum(rs))
+
+    def test_one_entry_is_its_pauli_sum(self):
+        assert all(same_bits(to_operator(r).matrix, pauli_sum(r)) for r in SPECIAL_ROWS[::7])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape, at", [((3,), (1,)), ((2, 3, 3), (1, 0, 2))], ids=["one", "two-axes"])
+    def test_finite_components_are_judged_per_component(self, shape, at, bad):
+        # one vector, or a stack over two leading axes, passes as it is and
+        # is rejected with one non-finite component anywhere (stacks of one
+        # axis: tests/test_batch.py)
+        rs = np.ones(shape)
+        assert as_bloch_vectors(rs) is rs
+        rs[at] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            as_bloch_vectors(rs)
+
     def test_center_is_maximally_mixed(self):
         assert np.allclose(to_operator(np.zeros(3)).matrix, I2 / 2)
 

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -8,10 +9,11 @@ import re
 import shlex
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasilab import acceptance, bloch, cli, discrimination, highdim, nonlocal_box
@@ -845,6 +847,32 @@ def without_duration(out: str) -> dict:
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(*REQUESTS.values()), st.sampled_from(["json", "csv", "text"]))
 def test_requests_end_in_a_report_or_a_named_rejection_and_their_echo_replays(argv, fmt):
+    _assert_report_or_named_rejection_that_replays(argv, fmt)
+
+
+# verify-all at seeds past every bound of a fixed-width integer, and seeds
+# it turns away: a negative one and one that is no integer; each seed is
+# drawn at least once. Each seed's criteria run once, and every request at
+# that seed reads them, so the draws stay cheap; a replay whose echoed seed
+# parsed otherwise would run its own.
+VERIFY_ALL_SEEDS = ("0", str(2**70 + 1), str(10**400), "-1", "1e3")
+VERIFY_ALL = request("verify-all", ("--seed", st.sampled_from(VERIFY_ALL_SEEDS)))
+_criteria_of_seed = functools.lru_cache(acceptance.run_all)
+
+
+@settings(max_examples=30, deadline=None)
+@given(VERIFY_ALL, st.sampled_from(["json", "csv", "text"]))
+@example(["verify-all", "--seed=0"], "json")
+@example(["verify-all", f"--seed={2**70 + 1}"], "text")
+@example(["verify-all", f"--seed={10**400}"], "csv")
+@example(["verify-all", "--seed=-1"], "json")
+@example(["verify-all", "--seed=1e3"], "json")
+def test_verify_all_requests_end_in_a_report_or_a_named_rejection_and_their_echo_replays(argv, fmt):
+    with mock.patch.object(acceptance, "run_all", _criteria_of_seed):
+        _assert_report_or_named_rejection_that_replays(argv, fmt)
+
+
+def _assert_report_or_named_rejection_that_replays(argv, fmt):
     # every request ends in exit 0, 1 or 2, with no traceback and no warning
     code, _, err = _cli([*argv, "--format", fmt])
     assert code in (0, 1, 2), err
