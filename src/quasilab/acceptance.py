@@ -219,10 +219,10 @@ def highdim_grid_criterion(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         epsilons, tails, bases, phases = _highdim_grid_draws(rng, dim)
         vs = build_violating_state(dim, epsilons, lambdas=tails, basis=bases)
         oracle_devs.append(entangled_projector(vs)[1])
-        for probe_phases in (None, phases):
-            *_, pinning, detection = probe_experiment(vs, probe_phases)
-            pin_devs.append(pinning)
-            det_devs.append(detection)
+        # zero phases, the default probes, and the drawn ones on one leading axis
+        *_, pinning, detection = probe_experiment(vs, np.stack((np.zeros_like(phases), phases)))
+        pin_devs.append(pinning)
+        det_devs.append(detection)
     weight_devs = [
         abs(probe_magnitudes(3, 0.5, CERTAIN)[0] - 5.0 / 7.0),
         abs(probe_magnitudes(3, 0.5, NULL)[0] - 1.0 / 7.0),

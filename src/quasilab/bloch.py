@@ -37,9 +37,10 @@ def as_bloch_vectors(r) -> np.ndarray:
     return r
 
 
-def _norms(rs: np.ndarray) -> np.ndarray:
-    # sqrt(r.r) row by row: the bits of the scalar np.linalg.norm(r), which
-    # np.linalg.norm(rs, axis=1) does not keep in the last place
+def vector_norms(rs: np.ndarray) -> np.ndarray:
+    """sqrt(r.r) of a vector, or row by row of a stack: the norm that
+    ``pc_check`` reports, and the bits of the scalar np.linalg.norm(r),
+    which np.linalg.norm(rs, axis=1) does not keep in the last place."""
     return np.sqrt(np.vecdot(rs, rs))
 
 
@@ -47,8 +48,8 @@ def as_directions(n) -> np.ndarray:
     """Validate a measurement direction, a real unit 3-vector, or an (N, 3)
     stack of them."""
     n = as_bloch_vectors(n)
-    norms = _norms(n)
-    require(np.abs(norms - 1.0) <= ATOL, "direction must have unit norm, got {:.15g}", norms)
+    lengths = vector_norms(n)
+    require(np.abs(lengths - 1.0) <= ATOL, "direction must have unit norm, got {:.15g}", lengths)
     return n
 
 
@@ -143,7 +144,7 @@ def transverse_frame(r_hat) -> tuple[np.ndarray, np.ndarray]:
     # from r_hat is not, and stays orthogonal to r_hat as x would not
     x_rejected = np.array([1.0, 0.0, 0.0]) - r_hat[..., :1] * r_hat
     m = np.where(polar, x_rejected, _cross(np.array([0.0, 0.0, 1.0]), r_hat))
-    m = m / _norms(m)[..., None]
+    m = m / vector_norms(m)[..., None]
     return m, _cross(r_hat, m)
 
 
@@ -215,7 +216,7 @@ def scale_directions(normals: np.ndarray, norms) -> np.ndarray:
     The draws are overwritten: each row is divided by its length and then
     multiplied by its norm, the arithmetic of ``norm * (v / |v|)`` on the
     same normals v, bit for bit."""
-    normals /= _norms(normals)[..., None]
+    normals /= vector_norms(normals)[..., None]
     normals *= np.asarray(norms)[..., None]
     return normals
 

@@ -175,13 +175,15 @@ def build_probe_state(vs: ViolatingState, target: int, phases=None) -> ProbeStat
     """Probe vector in the eigenbasis of ``vs`` (zero phases by default),
     carrying the measured deviation of the violating state's quadratic form
     on it from the target. For a stack of states, with (N, d) phases if
-    given, one probe per state."""
+    given, one probe per state. Phases may have leading axes beyond the
+    states' own, (..., N, d): one probe per phase row, each of the state
+    its row sits on, and the magnitudes broadcast to every row."""
     mags = probe_magnitudes(vs.dim, vs.epsilon, target)
     if phases is None:
         phases = np.zeros(mags.shape)
     else:
         phases = np.asarray(phases, dtype=float)
-        if phases.shape != mags.shape:
+        if phases.shape[max(phases.ndim - mags.ndim, 0) :] != mags.shape:
             raise ValueError(f"need {vs.dim} finite phases, got {phases.tolist()}")
         require(np.isfinite(phases).all(axis=-1), "need {} finite phases, got {}", vs.dim, phases)
     amps = np.sqrt(mags) * np.exp(1j * phases)
@@ -189,6 +191,8 @@ def build_probe_state(vs: ViolatingState, target: int, phases=None) -> ProbeStat
     form = (vector.conj()[..., None, :] @ vs.state.matrix @ vector[..., None])[..., 0, 0]
     dev = np.abs(form.real - target)
     targets = np.full(dev.shape, int(target))
+    if mags.shape != amps.shape:  # phases with leading axes of their own
+        mags = np.broadcast_to(mags, amps.shape)
     return ProbeState(magnitudes_sq=mags, vector=vector, target=as_number(targets), pinning_dev=as_number(dev))
 
 
@@ -233,7 +237,8 @@ def probe_experiment(vs: ViolatingState, phases=None) -> tuple:
     """The certain and the null probe of ``vs`` (``phases`` as in
     ``build_probe_state``), then, along one new leading axis where row 0 is
     the certain probe and row 1 the null one, each probe's q1, its
-    ``pinning_dev`` and its |q1 - target|: (2, N) for a stack of N states."""
+    ``pinning_dev`` and its |q1 - target|: (2, N) for a stack of N states,
+    and (2, ..., N) for phases with leading axes of their own."""
     probes = [build_probe_state(vs, target, phases=phases) for target in (CERTAIN, NULL)]
     q1 = np.stack([detection_probability(vs, probe) for probe in probes])
     pinning = np.stack([probe.pinning_dev for probe in probes])

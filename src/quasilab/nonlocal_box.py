@@ -10,6 +10,12 @@ quantum CHSH maximum 2*sqrt(2) while staying non-signalling.
 Building and measuring boxes follow the package's shape rule: the shape of
 ``r``, or of the box, chooses one instance or a stack along any leading
 axes, and the same expressions compute both, broadcasting over those axes.
+The pipeline makes no LAPACK or BLAS call per instance: the source's
+eigenbasis is the closed-form 2x2 eigensystem, and the gates, their
+conjugations of the doubled source and their unitarity checks are computed
+on the transposes of the matrices with the stack innermost, where a matrix
+product is one elementwise product and one sum per inner index over the
+whole stack (``_product``).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import as_bloch_vectors, as_directions, pc_check, to_operator
+from .bloch import as_bloch_vectors, as_directions, to_operator, vector_norms
 from .operators import (
     ATOL,
     I2,
@@ -33,6 +39,7 @@ from .operators import (
     matrix_max,
     partial_trace,
     require,
+    stack_major,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -40,15 +47,14 @@ SQRT2 = float(np.sqrt(2.0))
 # Bell vectors (|00> +- |11>)/sqrt(2) in the computational basis.
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / SQRT2
 PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / SQRT2
+_PHI_PLUS_PROJECTOR = np.outer(PHI_PLUS, PHI_PLUS.conj())
+_PHI_MINUS_PROJECTOR = np.outer(PHI_MINUS, PHI_MINUS.conj())
+_I4 = np.eye(4)
 
 
 def _outer(u, v) -> np.ndarray:
     """|u><v| as np.outer forms it, row by row for stacks of vectors."""
     return u[..., :, None] * v.conj()[..., None, :]
-
-
-def _dagger(m) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
 
 
 def rotated_cnot(xi, xi_perp) -> np.ndarray:
@@ -77,7 +83,7 @@ def closed_form_box(r) -> np.ndarray:
     """Bell-diagonal target (1/2)[(1+r) phi+ + (1-r) phi-] of the pipeline;
     for an array of norms, the stack of targets."""
     r = np.asarray(r, dtype=float)[..., None, None]
-    return 0.5 * ((1.0 + r) * np.outer(PHI_PLUS, PHI_PLUS.conj()) + (1.0 - r) * np.outer(PHI_MINUS, PHI_MINUS.conj()))
+    return 0.5 * ((1.0 + r) * _PHI_PLUS_PROJECTOR + (1.0 - r) * _PHI_MINUS_PROJECTOR)
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,30 @@ def _max_dev(m, target) -> np.ndarray:
     return matrix_max(np.abs(m - target))
 
 
+def _product(at, bt) -> np.ndarray:
+    """The transpose of a @ b from the transposes at and bt of a and b,
+    each with the stack innermost (``_transpose``): (a b)^T = b^T a^T, one
+    elementwise product over the whole stack for each inner index j, in
+    place of one matrix product per instance. The terms are summed in index
+    order, so one matrix gets the bits of its row in a stack."""
+    terms = bt.swapaxes(0, 1)[:, :, None] * at[:, None]
+    product = terms[0] + terms[1]
+    for term in terms[2:]:
+        product += term
+    return product
+
+
+def _adjoint(at) -> np.ndarray:
+    """The transpose of a^H from the transpose at of a."""
+    return at.conj().swapaxes(0, 1)
+
+
+def _transpose(a) -> np.ndarray:
+    """a^T with the stack innermost: the ``stack_major`` copy of a stack,
+    the view a.T of one matrix."""
+    return stack_major(a) if a.ndim > 2 else a.T
+
+
 def build_box(r) -> BipartiteBox:
     """Run the doubling pipeline on the preparation with Bloch vector ``r``.
 
@@ -113,21 +143,25 @@ def build_box(r) -> BipartiteBox:
     CNOT, then rotate both sides into the computational basis. The max-entry
     deviations of the result from the closed form and of the two gates from
     unitarity are kept on the box for the reports to judge. For an (N, 3)
-    stack, the stack of boxes: one eigendecomposition call and one product
-    per pipeline stage for the whole stack.
+    stack, the stack of boxes. The gates and the doubled source are
+    transposed with the stack innermost once (``_transpose``), every product
+    of the two conjugations and of the unitarity checks is one ``_product``
+    over the whole stack, and the box comes back to the stack's layout once.
     """
     rs = as_bloch_vectors(r)
     rho = to_operator(rs).matrix
     vecs = hermitian_eigensystem(rho).eigenvectors
     xi, xi_perp = vecs[..., 0], vecs[..., 1]
     plus = (xi + xi_perp) / SQRT2
-    u, u_loc = rotated_cnot(xi, xi_perp), basis_to_computational(xi, xi_perp)
-    doubled = u @ kron(rho, _outer(plus, plus)) @ _dagger(u)
-    u_pair = kron(u_loc, u_loc)
-    box = u_pair @ doubled @ _dagger(u_pair)
+    u_loc = basis_to_computational(xi, xi_perp)
+    cnot, pair, loc = (_transpose(g) for g in (rotated_cnot(xi, xi_perp), kron(u_loc, u_loc), u_loc))
+    cnot_h = _adjoint(cnot)
+    doubled = _product(_product(cnot, _transpose(kron(rho, _outer(plus, plus)))), cnot_h)
+    box = np.ascontiguousarray(_product(_product(pair, doubled), _adjoint(pair)).T)
 
-    norm = pc_check(rs).norm
-    unitarity_dev = np.maximum(_max_dev(_dagger(u) @ u, np.eye(4)), _max_dev(_dagger(u_loc) @ u_loc, np.eye(2)))
+    norm = vector_norms(rs)
+    gram_cnot, gram_loc = _product(cnot_h, cnot).T, _product(_adjoint(loc), loc).T
+    unitarity_dev = np.maximum(_max_dev(gram_cnot, _I4), _max_dev(gram_loc, I2))
     boxes = BipartiteBox(
         state=QuasiState(box), r=norm, closed_form_dev=_max_dev(box, closed_form_box(norm)), unitarity_dev=unitarity_dev
     )

@@ -13,10 +13,14 @@ innermost. A reduction over the matrix axes (the max of ``matrix_max``, the
 Hermitian gap and the trace that ``QuasiState`` checks) reduces the
 ``stack_major`` copy, so each step is one elementwise call over the whole
 stack, where numpy would loop over the rows to reduce axes of length 2 to
-4. The spectrum of a 2x2 matrix is the closed form (a+d)/2 -+
-hypot((a-d)/2, |b|) of its entries, in place of one LAPACK call per matrix;
-``hermitian_spectrum`` picks it by dimension alone, and LAPACK's
-``eigvalsh`` serves every other d.
+4; a matrix larger than 4x4 reduces its max and gap over its own trailing
+axes, whose rows are long enough. The spectrum of a 2x2 matrix is the
+closed form (a+d)/2 -+ hypot((a-d)/2, |b|) of its entries, in place of one
+LAPACK call per matrix, and so is its eigensystem: each eigenvector is
+read off the row of the matrix that does not cancel, with its phase pivot
+real by construction. ``hermitian_spectrum`` and ``hermitian_eigensystem``
+pick the closed form by dimension alone; LAPACK's ``eigvalsh`` and
+``eigh`` serve every other d.
 
 Every layer rejects a bad instance through one rule, ``require``: a
 validator is its passing comparison, one verdict per instance, so NaN fails
@@ -80,15 +84,27 @@ def stack_major(a) -> np.ndarray:
     return np.ascontiguousarray(a.T) if a.ndim > 2 else a
 
 
+def _small(a) -> bool:
+    """Whether ``a`` holds matrices of at most 4x4, the qubit and two-qubit
+    operators. numpy reduces their trailing axes row by row, so their
+    reductions run on the ``stack_major`` copy; a larger matrix has rows
+    long enough for numpy's own reduction, which a copy would only slow."""
+    return a.shape[-1] <= 4 and a.shape[-2] <= 4
+
+
 def matrix_max(a) -> np.ndarray:
     """max over the entries of a matrix, or of each of a stack (..., r, c):
-    numpy's max, bit for bit, over the ``stack_major`` entries."""
-    return np.maximum.reduce(stack_major(a), axis=(0, 1)).T
+    numpy's max, bit for bit, over the ``stack_major`` entries of matrices
+    up to 4x4 and over the trailing axes of larger ones."""
+    if _small(a):
+        return np.maximum.reduce(stack_major(a), axis=(0, 1)).T
+    return np.maximum.reduce(a, axis=(-2, -1))
 
 
 def _hermitian_gap(mt: np.ndarray) -> np.ndarray:
     """max |m - m^H| over the entries of a matrix m, or of each of a stack,
-    from its ``stack_major`` form mt."""
+    from a transpose mt of it: its ``stack_major`` form, or the view m.T,
+    which numpy reduces over m's trailing axes, in m's own memory order."""
     gap = mt.conj()
     gap -= mt.swapaxes(0, 1)  # -(m - m^H) or its transpose: the same |entries|, bit for bit
     return np.maximum.reduce(np.abs(gap), axis=(0, 1)).T
@@ -195,7 +211,10 @@ class QuasiState(Stacked):
         m = _as_square(self.matrix)
         # one verdict per operator on both conditions; the first bad one raises
         mt = stack_major(m)
-        dev, tr = _hermitian_gap(mt), _trace(mt)
+        # a stack of matrices larger than 4x4 reads its gap through the view
+        # m.T, which reduces their own trailing axes; one matrix is mt itself
+        large_stack = m.ndim > 2 and not _small(m)
+        dev, tr = _hermitian_gap(m.T if large_stack else mt), _trace(mt)
         ok = (dev <= ATOL) & (np.abs(tr - 1.0) <= ATOL)
         require(ok, "matrix must be Hermitian with trace 1, got max deviation {:.3e} and trace {:.15g}", dev, tr)
         object.__setattr__(self, "matrix", _frozen(m))
@@ -234,6 +253,53 @@ class Eigensystem(Stacked):
         object.__setattr__(self, "eigenvectors", _frozen(np.asarray(self.eigenvectors, dtype=complex)))
 
 
+def _qubit_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues, descending, and eigenvectors of a 2x2 Hermitian
+    matrix, or of each of a stack, in closed form from the real diagonal a,
+    d and the entry b below it (the entries LAPACK reads).
+
+    The eigenvalues are those of ``hermitian_spectrum``, (a+d)/2 +- rho with
+    h = (a-d)/2 and rho = hypot(h, |b|). The eigenvector of the eigenvalue
+    on h's side, (h + rho, b) for h > 0 and (rho - h, -b) otherwise, is
+    taken from the row whose first entry s = |h| + rho does not cancel; the
+    other one is orthogonal to it, (-conj(b), s), up to sign, and its first
+    entry is its phase pivot unless its magnitude is at most 1e-8. A
+    multiple of the identity (rho = 0) has the eigenvectors LAPACK gives
+    it, e_1 then e_0.
+    """
+    a, d = m[..., 0, 0].real * 0.5, m[..., 1, 1].real * 0.5
+    b = m[..., 1, 0]
+    h, abs_b = a - d, abs(b)
+    radius = np.hypot(h, abs_b)
+    mean = a + d
+    vals = np.empty(np.shape(mean) + (2,))
+    vals[..., 0] = mean + radius
+    vals[..., 1] = mean - radius
+
+    # The vector depends on h and b only up to scale: below 2^-600 both are
+    # scaled up by 2^600, exactly, so that |b| and the norm keep every bit
+    # where the entries are subnormal.
+    up = (2.0**600) ** (radius < 2.0**-600)
+    h, b = h * up, b * up
+    abs_b = np.abs(b)  # numpy's loop: a complex scalar's abs may round otherwise
+    pos = h > 0
+    s = abs(h) + np.hypot(h, abs_b)
+    s += s == 0  # s = 1 and b = 0 on a multiple of I
+    norm = np.hypot(s, abs_b)
+    c, g, abs_g = s / norm, b / norm * (2.0 * pos - 1.0), abs_b / norm
+    # the orthogonal vector (-conj g, c) times the phase -g/|g| that makes a
+    # pivot first entry real and positive, or times 1; the flags as 0 and 1
+    # pick one of two values without a branch per matrix
+    pivot = abs_g > 1e-8
+    other = 1.0 - pivot
+    phase = (other - pivot * g) / (other + pivot * abs_g)
+    cols = np.empty(np.shape(mean) + (2, 2), dtype=complex)
+    cols[..., 0, 0], cols[..., 1, 0] = c, g
+    cols[..., 0, 1], cols[..., 1, 1] = pivot * abs_g - other * g.conjugate(), c * phase
+    # (c, g) belongs to the larger eigenvalue for h > 0, to the smaller otherwise
+    return vals, np.where(pos[..., None, None], cols, cols[..., ::-1])
+
+
 def hermitian_eigensystem(m) -> Eigensystem:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -241,10 +307,14 @@ def hermitian_eigensystem(m) -> Eigensystem:
     its first component of magnitude > 1e-8 is real and positive; the
     decomposition is otherwise degenerate under phases, and downstream
     constructions need a deterministic choice. For an (N, d, d) stack, the
-    eigensystem of each matrix, with one ``eigh`` call.
+    eigensystem of each matrix. At d = 2 it is the closed form of
+    ``_qubit_eigensystem``, whose pivots are real by construction; at any
+    other d, one ``eigh`` call and the phase rule applied to its vectors.
     """
     m = _as_square(m)
     require(_hermitian_gap(stack_major(m)) <= ATOL, "eigensystem requires a Hermitian matrix")
+    if m.shape[-1] == 2:
+        return Eigensystem(*_qubit_eigensystem(m))
     vals, vecs = np.linalg.eigh(m)
     vals, vecs = vals[..., ::-1], vecs[..., ::-1]
     big = np.abs(vecs) > 1e-8

@@ -12,6 +12,37 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+# How far the closed-form eigensystem of a 2x2 Hermitian matrix may lie from
+# LAPACK's, in ulps of max(1, largest entry): the bound on both spectra's
+# rounding in ``tests/test_operators.py::_assert_spectrum_is_lapacks``.
+QUBIT_ULPS = 8
+
+
+def assert_qubit_eigensystem(m, eig):
+    """``eig``, the eigensystem of a stack of 2x2 Hermitian matrices ``m``,
+    against LAPACK's eigh, each matrix on the scale max(1, largest entry):
+    eigenvalues descending and within QUBIT_ULPS of eigh's, each residual
+    |A v - lambda v| and the deviation of V^H V from I within QUBIT_ULPS,
+    and the phase rule exact: each column's first entry of magnitude
+    above 1e-8 is real, with a zero imaginary part, and positive."""
+    m = np.asarray(m).reshape(-1, 2, 2)
+    vals, vecs = eig.eigenvalues.reshape(-1, 2), eig.eigenvectors.reshape(-1, 2, 2)
+    ulp = QUBIT_ULPS * np.finfo(float).eps
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    assert np.all(vals[:, 0] >= vals[:, 1])
+    devs = {
+        "eigenvalue": np.abs(vals - np.linalg.eigh(m).eigenvalues[:, ::-1]).max(axis=-1) / scale,
+        "residual": np.abs(m @ vecs - vecs * vals[:, None, :]).max(axis=(-2, -1)) / scale,
+        "orthonormality": np.abs(vecs.conj().swapaxes(-1, -2) @ vecs - np.eye(2)).max(axis=(-2, -1)),
+    }
+    for name, dev in devs.items():
+        worst = np.argmax(dev)
+        assert dev[worst] <= ulp, (name, dev[worst] / ulp, m[worst])
+    big = np.abs(vecs) > 1e-8
+    pivot = np.take_along_axis(vecs, big.argmax(axis=-2)[:, None, :], axis=-2)[:, 0, :]
+    assert big.any(axis=-2).all() and np.all(pivot.imag == 0.0) and np.all(pivot.real > 0.0)
+
+
 def random_direction(rng):
     """Uniform unit vector on the sphere, from three standard normal draws."""
     v = rng.normal(size=3)

@@ -117,7 +117,7 @@ def test_bulk_drawn_criteria_hold_at_their_sample_counts(seed):
 # one. No criterion calls norm: the random Bloch vectors are normalized on
 # the stack, and criterion 8 bounds its three-level example in closed form
 # instead of sampling kets.
-CALL_CEILINGS = {"eigvalsh": 1, "eigh": 3, "norm": 0, "kron": 32, "expectation": 23}
+CALL_CEILINGS = {"eigvalsh": 1, "eigh": 0, "norm": 0, "kron": 32, "expectation": 23}
 
 
 def test_numpy_calls_within_ceilings(verify_all_run):
@@ -212,17 +212,19 @@ def test_criterion_6_measures_both_hidden_states_in_one_call(calls_to):
 
 
 def test_criterion_7_stacks_each_dimension(calls_to):
-    # one stack of 16 states per dimension d = 2..6: one build and one
-    # projector, and four probe families each built and measured once, by
-    # probe_experiment
-    built = calls_to(acceptance, ["build_violating_state", "entangled_projector"])
+    # one stack of 16 states per dimension d = 2..6: one build, one
+    # projector and one probe_experiment, which builds and measures the
+    # four probe families two at a time: the certain and the null probes,
+    # each with zero and with drawn phases on one leading axis
+    built = calls_to(acceptance, ["build_violating_state", "entangled_projector", "probe_experiment"])
     probed = calls_to(highdim, ["build_probe_state", "detection_probability"])
     acceptance.highdim_grid_criterion()
     assert {**built, **probed} == {
         "build_violating_state": 5,
         "entangled_projector": 5,
-        "build_probe_state": 20,
-        "detection_probability": 20,
+        "probe_experiment": 5,
+        "build_probe_state": 10,
+        "detection_probability": 10,
     }
 
 

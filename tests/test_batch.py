@@ -15,7 +15,7 @@ with the error the call on that row's instance raises.
 import numpy as np
 import pytest
 
-from helpers import random_direction, same_bits
+from helpers import assert_qubit_eigensystem, random_direction, same_bits
 from quasilab import acceptance
 from quasilab.bloch import (
     InvalidDirectionError,
@@ -559,6 +559,10 @@ def _random_hermitian(rng, n, dim):
 )
 def test_batched_phase_rule_matches_the_column_loop(matrices):
     eig = hermitian_eigensystem(matrices)
+    if matrices.shape[-1] == 2:
+        # the closed form of d = 2, against LAPACK within its bound
+        assert_qubit_eigensystem(matrices, eig)
+        return
     for k, m in enumerate(matrices):
         vals, vecs = _eigensystem_loop(m)
         assert same_bits(eig.eigenvalues[k], vals) and same_bits(eig.eigenvectors[k], vecs), f"matrix {k}"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import random_direction
+from quasilab import nonlocal_box
 from quasilab.bloch import along_z, random_bloch_vector
 from quasilab.nonlocal_box import (
     PHI_PLUS,
@@ -82,11 +83,14 @@ class TestBuildBox:
             box = build_box(random_bloch_vector(rng, 0.0, 3.0))
             assert box.closed_form_dev == np.max(np.abs(box.state.matrix - closed_form_box(box.r)))
 
-    def test_one_eigendecomposition_per_box(self, count_calls):
+    def test_one_eigendecomposition_per_box(self, count_calls, calls_to):
+        eigensystems = calls_to(nonlocal_box, ["hermitian_eigensystem"])
         with count_calls() as calls:
             build_box(np.array([0.3, -0.4, 1.1]))
-        # eigh: the source's eigenbasis; QuasiState computes no spectrum unless read
-        assert (calls["eigh"], calls["eigvalsh"]) == (1, 0)
+        # the source's eigenbasis, in closed form at d = 2: no LAPACK call;
+        # QuasiState computes no spectrum unless read
+        assert eigensystems["hermitian_eigensystem"] == 1
+        assert (calls["eigh"], calls["eigvalsh"]) == (0, 0)
 
     def test_depends_only_on_norm(self):
         rng = np.random.default_rng(2)

@@ -7,10 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import random_tail
+from helpers import random_tail, same_bits
+from quasilab import acceptance
 from quasilab.bloch import pc_check, random_bloch_vector, to_operator
 from quasilab.discrimination import discriminate, discrimination_povm
 from quasilab.highdim import (
+    probe_experiment,
     CERTAIN,
     NULL,
     ProbeState,
@@ -337,3 +339,19 @@ class TestViolationClassification:
 
     def test_violating_state_flag(self):
         assert violates_pc(build_violating_state(4, 0.2).state)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_phase_rows_beyond_the_stack_equal_one_call_per_row(dim):
+    # criterion 7's one call per dimension, zero phases standing for None,
+    # gives the two calls it replaces bit for bit
+    epsilons, tails, bases, phases = acceptance._highdim_grid_draws(np.random.default_rng(12), dim)
+    vs = build_violating_state(dim, epsilons, lambdas=tails, basis=bases)
+    certain, null, *arrays = probe_experiment(vs, np.stack((np.zeros_like(phases), phases)))
+    for row, row_phases in enumerate((None, phases)):
+        single_certain, single_null, *single_arrays = probe_experiment(vs, row_phases)
+        for probe, single in ((certain[row], single_certain), (null[row], single_null)):
+            for name in ("magnitudes_sq", "vector", "target", "pinning_dev"):
+                assert same_bits(getattr(probe, name), getattr(single, name)), (row, name)
+        for stacked, single in zip(arrays, single_arrays):
+            assert same_bits(stacked[:, row], single), row

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import same_bits
+from helpers import assert_qubit_eigensystem, same_bits
 from quasilab import acceptance
+from quasilab.cli import MAX_BOX_NORM
 from quasilab.bloch import scale_directions, to_operator
 from quasilab.operators import (
     ATOL,
@@ -413,3 +414,63 @@ class TestQubitSpectrum:
         m = _matrices(np.random.default_rng(4), (5, 3, 3))[:1]
         m = m + m.conj().swapaxes(-1, -2)
         assert same_bits(hermitian_spectrum(m), np.linalg.eigvalsh(m))
+
+
+class TestQubitEigensystem:
+    """At d = 2 the eigensystem is the closed form, checked against LAPACK's
+    eigh, the reference it replaces (``assert_qubit_eigensystem``)."""
+
+    @settings(max_examples=60)
+    @given(QUBIT_ROWS)
+    def test_against_lapack(self, rows):
+        # each drawn matrix, its diagonal part (b = 0, a > d and a < d), its
+        # equal-diagonal form (h = 0) and the degenerate a * I (rho = 0)
+        diagonal, equal = rows.copy(), rows.copy()
+        diagonal[:, 2:] = 0.0
+        equal[:, 1] = equal[:, 0]
+        degenerate = np.where(np.arange(4) < 2, rows[:, :1], 0.0)
+        m = _hermitian_2x2(np.concatenate((rows, diagonal, equal, degenerate)))
+        eig = hermitian_eigensystem(m)
+        assert_qubit_eigensystem(m, eig)
+        # its eigenvalues are hermitian_spectrum's, descending, bit for bit
+        assert same_bits(eig.eigenvalues, hermitian_spectrum(m)[..., ::-1])
+
+    @pytest.mark.parametrize(
+        "a, d", [(0.7, 0.3), (0.3, 0.7), (1.5, -0.5), (-0.5, 1.5), (0.5, 0.5), (0.0, 0.0)], ids=str
+    )
+    def test_diagonal_matrices(self, a, d):
+        # b = 0: the basis vectors, the larger entry's first; a * I gets
+        # LAPACK's e_1 then e_0
+        eig = hermitian_eigensystem(np.diag([a, d]).astype(complex))
+        first = 0 if a > d else 1
+        assert np.allclose(eig.eigenvalues, [max(a, d), min(a, d)], rtol=0.0, atol=1e-15)
+        assert np.array_equal(np.abs(eig.eigenvectors), np.eye(2)[:, [first, 1 - first]])
+        assert_qubit_eigensystem(np.diag([a, d]), eig)
+
+    @settings(max_examples=30)
+    @given(NORMALS, st.sampled_from([0.0, 1e-12, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 3.0, 1e2, MAX_BOX_NORM]))
+    def test_preparations_from_the_centre_to_the_largest_box(self, normals, norm):
+        m = to_operator(scale_directions(normals, norm)).matrix
+        assert_qubit_eigensystem(m, hermitian_eigensystem(m))
+
+    @pytest.mark.parametrize("ratio", [1 - 1e-6, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-6])
+    def test_pivots_near_the_cutoff(self, ratio):
+        # the second eigenvector's first entry has magnitude about
+        # ratio * 1e-8: the rule takes it as the pivot above 1e-8 and the
+        # second entry otherwise, and either pivot is real and positive
+        phases = np.exp(1j * np.linspace(0.0, 2 * np.pi, 12, endpoint=False))
+        b = 2e-8 * ratio * phases  # |g| = |b| / hypot(2h, |b|) at h = 1/2
+        m = np.zeros((12, 2, 2), dtype=complex)
+        m[:, 0, 0], m[:, 1, 1], m[:, 1, 0], m[:, 0, 1] = 1.0, 0.0, b, b.conj()
+        eig = hermitian_eigensystem(m)
+        assert_qubit_eigensystem(m, eig)
+        pivot_first = np.abs(eig.eigenvectors[:, 0, 1]) > 1e-8
+        assert np.array_equal(pivot_first, np.abs(b) / np.hypot(1.0 + np.hypot(0.5, np.abs(b)), np.abs(b)) > 1e-8)
+
+    def test_one_matrix_is_its_row_in_a_stack(self):
+        m = to_operator(scale_directions(np.random.default_rng(8).standard_normal((50, 3)), 1.7)).matrix
+        stacked = hermitian_eigensystem(m)
+        for k in range(len(m)):
+            single = hermitian_eigensystem(m[k])
+            assert same_bits(single.eigenvalues, stacked.eigenvalues[k])
+            assert same_bits(single.eigenvectors, stacked.eigenvectors[k])

@@ -28,6 +28,7 @@ def test_a_tree_runs_at_its_own_speed(tool):
         assert q1 <= median <= q3
         assert 0.8 <= median <= 1.25, (path, row)
         assert row["here_s"] > 0 and row["there_s"] > 0
+        assert row["here_faults"] >= 0 and row["there_faults"] >= 0
     # the renamed copies are gone, and quasilab is the one imported before
     assert sys.modules["quasilab"] is imported
     assert not [name for name in sys.modules if name.startswith(("quasilab_here", "quasilab_there"))]
@@ -39,6 +40,7 @@ def test_every_path_runs_on_a_tree(tool, tmp_path):
         calls = tool.paths(tree)
         expected = ["run_all", *(f"criterion_{n}" for n in range(1, 10)), "cli_requests", "highdim_scan"]
         expected += ["real_pairing", "quasi_state_16", "to_operator", "pc_check", "min_eigenvalue", "chsh_experiment"]
+        expected += ["build_box_1", "build_box_1000", "eigensystem_1", "eigensystem_1000"]
         assert list(calls) == expected
         for path in expected[10:]:  # run_all and the criteria are tier-1's own tests
             calls[path]()

@@ -17,10 +17,18 @@ would not. A ratio below 1 means this checkout is faster.
 
 The paths: ``run_all`` at seed 42 and each criterion at seed 42; one round
 of the benchmark's ``cli_requests`` and ``highdim_scan`` workloads at seed
-7 (``bench/workloads.py``, loaded once against each tree); and the
+7 (``bench/workloads.py``, loaded once against each tree); the
 single-instance calls ``real_pairing``, a 16x16 ``QuasiState``,
 ``to_operator``, ``pc_check``, a qubit's ``min_eigenvalue`` and
-``chsh_experiment``. BLAS runs on one thread, as in the benchmark.
+``chsh_experiment``; and ``build_box`` and ``hermitian_eigensystem`` on one
+instance and on criterion 9's 1,000 draws at seed 42 (their source
+operators, for the eigensystem). BLAS runs on one thread, as in the
+benchmark.
+
+Each tree's minor page faults per call (``resource.getrusage``, over its
+samples) are printed next to its time: a path that allocates and frees
+large temporaries pays for the pages it faults in again, and that cost
+depends on the heap state both trees share in the one process.
 
 This tool does not replace the benchmark's end-to-end gate; a claimed gain
 cites both.
@@ -32,6 +40,7 @@ import argparse
 import importlib
 import importlib.util
 import os
+import resource
 import shutil
 import statistics
 import sys
@@ -112,22 +121,32 @@ def paths(q) -> dict:
     calls["pc_check"] = lambda: q.bloch.pc_check(r)
     calls["min_eigenvalue"] = lambda: q.bloch.to_operator(r).min_eigenvalue
     calls["chsh_experiment"] = lambda: q.nonlocal_box.chsh_experiment(r)
+    draws = acceptance._pipeline_draws(np.random.default_rng(SEED), 1000)
+    qubit, qubits = q.bloch.to_operator(r).matrix, q.bloch.to_operator(draws).matrix
+    calls["build_box_1"] = lambda: q.nonlocal_box.build_box(r)
+    calls["build_box_1000"] = lambda: q.nonlocal_box.build_box(draws)
+    calls["eigensystem_1"] = lambda: q.operators.hermitian_eigensystem(qubit)
+    calls["eigensystem_1000"] = lambda: q.operators.hermitian_eigensystem(qubits)
     return calls
 
 
-def _sample(call, repeat: int) -> float:
+def _sample(call, repeat: int) -> tuple[float, int]:
+    """The seconds and the minor page faults of ``repeat`` calls."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     for _ in range(repeat):
         call()
-    return time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
-def time_pairs(here, there, pairs: int) -> list[tuple[float, float]]:
-    """``pairs`` (here, there) sample times, in seconds per call; the tree
-    that runs first alternates from pair to pair."""
+def time_pairs(here, there, pairs: int) -> list[tuple[float, float, float, float]]:
+    """``pairs`` (here, there) sample times, in seconds per call, each
+    followed by its minor page faults per call; the tree that runs first
+    alternates from pair to pair."""
     here(), there()  # warm-up
     repeat = 1
-    while _sample(here, repeat) < MIN_SAMPLE_S:
+    while _sample(here, repeat)[0] < MIN_SAMPLE_S:
         repeat *= 2
     times = []
     for k in range(pairs):
@@ -137,7 +156,7 @@ def time_pairs(here, there, pairs: int) -> list[tuple[float, float]]:
         else:
             a = _sample(here, repeat)
             b = _sample(there, repeat)
-        times.append((a / repeat, b / repeat))
+        times.append((a[0] / repeat, b[0] / repeat, a[1] / repeat, b[1] / repeat))
     return times
 
 
@@ -148,7 +167,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def compare(other_src: Path, pairs: int = 30, only=None) -> dict:
     """Per path (all, or those named in ``only``), the quartiles of the
-    here/there ratios and the median seconds per call on each tree."""
+    here/there ratios, and the median seconds and minor page faults per
+    call on each tree."""
     names = ("quasilab_here", "quasilab_there")
     with tempfile.TemporaryDirectory() as scratch:
         try:
@@ -159,9 +179,11 @@ def compare(other_src: Path, pairs: int = 30, only=None) -> dict:
             for path in only or calls_here:
                 times = time_pairs(calls_here[path], calls_there[path], pairs)
                 result[path] = {
-                    "ratio": quartiles([a / b for a, b in times]),
-                    "here_s": statistics.median(a for a, _ in times),
-                    "there_s": statistics.median(b for _, b in times),
+                    "ratio": quartiles([a / b for a, b, _, _ in times]),
+                    "here_s": statistics.median(t[0] for t in times),
+                    "there_s": statistics.median(t[1] for t in times),
+                    "here_faults": statistics.median(t[2] for t in times),
+                    "there_faults": statistics.median(t[3] for t in times),
                 }
         finally:
             for module in [m for m in sys.modules if m.split(".")[0] in names]:
@@ -177,11 +199,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--paths", nargs="+", metavar="PATH", help="time only these paths")
     args = parser.parse_args(argv)
     result = compare(args.other_src, args.pairs, args.paths)
-    print(f"{'path':<16} {'median':>7} {'q1':>7} {'q3':>7} {'here ms':>10} {'there ms':>10}")
+    header = f"{'path':<16} {'median':>7} {'q1':>7} {'q3':>7} {'here ms':>10} {'there ms':>10}"
+    print(f"{header} {'here flt':>9} {'there flt':>9}")
     for path, row in result.items():
         q1, median, q3 = row["ratio"]
-        print(f"{path:<16} {median:7.3f} {q1:7.3f} {q3:7.3f} {row['here_s'] * 1e3:10.4f} {row['there_s'] * 1e3:10.4f}")
-    print(f"here: {SRC}, there: {Path(args.other_src).resolve()}; ratio = here / there, {args.pairs} pairs per path")
+        times = f"{row['here_s'] * 1e3:10.4f} {row['there_s'] * 1e3:10.4f}"
+        faults = f"{row['here_faults']:9.1f} {row['there_faults']:9.1f}"
+        print(f"{path:<16} {median:7.3f} {q1:7.3f} {q3:7.3f} {times} {faults}")
+    print(f"here: {SRC}, there: {Path(args.other_src).resolve()}; ratio = here / there, {args.pairs} pairs per path;")
+    print("flt = minor page faults per call")
     return 0
 
 
