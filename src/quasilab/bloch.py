@@ -118,6 +118,7 @@ def to_operator(r) -> QuasiState:
     zero = x * 0.0
     parts[..., 0, 3] = zero + (0.0 - y) * 0.5
     parts[..., 1, 1] = zero + (y + 0.0) * 0.5
+    m.setflags(write=False)  # built here, so QuasiState takes it without a copy
     return QuasiState(m)
 
 

@@ -15,7 +15,8 @@ eigenbasis is the closed-form 2x2 eigensystem, and the gates, their
 conjugations of the doubled source and their unitarity checks are computed
 on the transposes of the matrices with the stack innermost, where a matrix
 product is one elementwise product and one sum per inner index over the
-whole stack (``_product``).
+whole stack (``_product``); its terms are one (4, 4, 4, N) temporary, so the
+gates' checks run first, while little else is held.
 """
 
 from __future__ import annotations
@@ -107,8 +108,12 @@ class BipartiteBox(Stacked):
             require(matrix_max(np.abs(red - I2 / 2)) <= SPECTRAL_ATOL, "box reduction is not maximally mixed")
 
 
-def _max_dev(m, target) -> np.ndarray:
-    return matrix_max(np.abs(m - target))
+def _gram_dev(gate_h, gate, identity) -> np.ndarray:
+    """max |g^H g - I| over the entries of each gate g, from the transposes
+    of g^H and g with the stack innermost (``_transpose``), in that layout."""
+    gram = _product(gate_h, gate)
+    np.subtract(gram.T, identity, out=gram.T)  # I is symmetric
+    return np.maximum.reduce(np.abs(gram), axis=(0, 1)).T
 
 
 def _product(at, bt) -> np.ndarray:
@@ -130,8 +135,7 @@ def _adjoint(at) -> np.ndarray:
 
 
 def _transpose(a) -> np.ndarray:
-    """a^T with the stack innermost: the ``stack_major`` copy of a stack,
-    the view a.T of one matrix."""
+    """a^T with the stack innermost: ``stack_major`` of a stack, the view a.T of one matrix."""
     return stack_major(a) if a.ndim > 2 else a.T
 
 
@@ -143,10 +147,8 @@ def build_box(r) -> BipartiteBox:
     CNOT, then rotate both sides into the computational basis. The max-entry
     deviations of the result from the closed form and of the two gates from
     unitarity are kept on the box for the reports to judge. For an (N, 3)
-    stack, the stack of boxes. The gates and the doubled source are
-    transposed with the stack innermost once (``_transpose``), every product
-    of the two conjugations and of the unitarity checks is one ``_product``
-    over the whole stack, and the box comes back to the stack's layout once.
+    stack, the stack of boxes, transposed with the stack innermost once
+    (``_transpose``) and back once.
     """
     rs = as_bloch_vectors(r)
     rho = to_operator(rs).matrix
@@ -154,17 +156,18 @@ def build_box(r) -> BipartiteBox:
     xi, xi_perp = vecs[..., 0], vecs[..., 1]
     plus = (xi + xi_perp) / SQRT2
     u_loc = basis_to_computational(xi, xi_perp)
-    cnot, pair, loc = (_transpose(g) for g in (rotated_cnot(xi, xi_perp), kron(u_loc, u_loc), u_loc))
+    cnot, loc = _transpose(rotated_cnot(xi, xi_perp)), _transpose(u_loc)
     cnot_h = _adjoint(cnot)
+    unitarity_dev = np.maximum(_gram_dev(cnot_h, cnot, _I4), _gram_dev(_adjoint(loc), loc, I2))
     doubled = _product(_product(cnot, _transpose(kron(rho, _outer(plus, plus)))), cnot_h)
+    del cnot, cnot_h  # each product holds a (4, 4, 4, N) temporary
+    pair = _transpose(kron(u_loc, u_loc))
     box = np.ascontiguousarray(_product(_product(pair, doubled), _adjoint(pair)).T)
+    box.setflags(write=False)  # built here, so QuasiState takes it without a copy
 
     norm = vector_norms(rs)
-    gram_cnot, gram_loc = _product(cnot_h, cnot).T, _product(_adjoint(loc), loc).T
-    unitarity_dev = np.maximum(_max_dev(gram_cnot, _I4), _max_dev(gram_loc, I2))
-    boxes = BipartiteBox(
-        state=QuasiState(box), r=norm, closed_form_dev=_max_dev(box, closed_form_box(norm)), unitarity_dev=unitarity_dev
-    )
+    closed_form_dev = matrix_max(np.abs(box - closed_form_box(norm)))
+    boxes = BipartiteBox(state=QuasiState(box), r=norm, closed_form_dev=closed_form_dev, unitarity_dev=unitarity_dev)
     return as_number(boxes)
 
 

@@ -9,18 +9,12 @@ One instance's 0-d results come back as Python numbers (``as_number``).
 The result types (``Stacked``) hold one instance or a stack.
 
 Per-instance work on a stack of small matrices runs with the stack
-innermost. A reduction over the matrix axes (the max of ``matrix_max``, the
-Hermitian gap and the trace that ``QuasiState`` checks) reduces the
-``stack_major`` copy, so each step is one elementwise call over the whole
-stack, where numpy would loop over the rows to reduce axes of length 2 to
-4; a matrix larger than 4x4 reduces its max and gap over its own trailing
-axes, whose rows are long enough. The spectrum of a 2x2 matrix is the
-closed form (a+d)/2 -+ hypot((a-d)/2, |b|) of its entries, in place of one
-LAPACK call per matrix, and so is its eigensystem: each eigenvector is
-read off the row of the matrix that does not cancel, with its phase pivot
-real by construction. ``hermitian_spectrum`` and ``hermitian_eigensystem``
-pick the closed form by dimension alone; LAPACK's ``eigvalsh`` and
-``eigh`` serve every other d.
+innermost: each step is one elementwise call over the whole stack, where
+numpy would loop over its rows to reduce axes of length 2 to 4. A stack is
+checked on strided views, with no temporary larger than one entry of it,
+and an array the package builds is kept without a copy (``_frozen``). A 2x2
+spectrum and eigensystem are closed forms, chosen by dimension alone;
+LAPACK's ``eigvalsh`` and ``eigh`` serve every other d.
 
 Every layer rejects a bad instance through one rule, ``require``: a
 validator is its passing comparison, one verdict per instance, so NaN fails
@@ -28,6 +22,7 @@ it, and a stack with one bad row raises the error that row raises alone."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,57 +62,59 @@ def _as_square(m) -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
+    """``a`` read-only: as it is if no writable array holds its memory (it
+    and the array owning its memory, its base, are read-only, as the
+    package's results are once built), else a read-only copy."""
+    owner = a if a.base is None else a.base
+    if a.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable:
+        a = np.array(a)
+        a.setflags(write=False)
+    return a
 
 
 def stack_major(a) -> np.ndarray:
-    """A stack of matrices (..., r, c) with the stack innermost: ``a.T``,
-    copied C-contiguous, so the matrix axes come first (swapped) and the
-    stack axes after them (reversed). A ufunc's reduction over axes (0, 1)
-    then runs one elementwise call per entry over the whole stack, where
-    reducing the last two axes of a stack of small matrices makes numpy
-    loop over its rows; ``.T`` of the result has the stack's shape. One
-    matrix has no stack to put innermost and is returned as it is: every
-    reduction here reads both matrix axes, in either order."""
+    """A stack of matrices (..., r, c) with the stack innermost: ``a.T``
+    copied C-contiguous, the matrix axes first (swapped) and the stack axes
+    after them (reversed), so a ufunc's reduction over axes (0, 1) is one
+    elementwise call per entry over the whole stack; ``.T`` of the result
+    has the stack's shape. One matrix is returned as it is."""
     return np.ascontiguousarray(a.T) if a.ndim > 2 else a
-
-
-def _small(a) -> bool:
-    """Whether ``a`` holds matrices of at most 4x4, the qubit and two-qubit
-    operators. numpy reduces their trailing axes row by row, so their
-    reductions run on the ``stack_major`` copy; a larger matrix has rows
-    long enough for numpy's own reduction, which a copy would only slow."""
-    return a.shape[-1] <= 4 and a.shape[-2] <= 4
 
 
 def matrix_max(a) -> np.ndarray:
     """max over the entries of a matrix, or of each of a stack (..., r, c):
     numpy's max, bit for bit, over the ``stack_major`` entries of matrices
-    up to 4x4 and over the trailing axes of larger ones."""
-    if _small(a):
+    up to 4x4, whose trailing axes numpy would reduce row by row, and over
+    the trailing axes of larger ones, whose rows are long enough."""
+    if a.shape[-1] <= 4 and a.shape[-2] <= 4:
         return np.maximum.reduce(stack_major(a), axis=(0, 1)).T
     return np.maximum.reduce(a, axis=(-2, -1))
 
 
-def _hermitian_gap(mt: np.ndarray) -> np.ndarray:
-    """max |m - m^H| over the entries of a matrix m, or of each of a stack,
-    from a transpose mt of it: its ``stack_major`` form, or the view m.T,
-    which numpy reduces over m's trailing axes, in m's own memory order."""
+def _hermitian_gap(m: np.ndarray) -> np.ndarray:
+    """max |m - m^H| over the entries of a matrix m, or of each of a stack.
+    A stack of matrices up to 4x4 is read on strided views, one elementwise
+    call per entry |conj(m_ji) - m_ij| with i <= j (the entry j, i has the
+    same value, bit for bit); one matrix, or a stack of larger ones, through
+    the view m.T, which numpy reduces over m's trailing axes."""
+    if m.ndim > 2 and m.shape[-1] <= 4:
+        gap = None
+        for i, j in itertools.combinations_with_replacement(range(m.shape[-1]), 2):
+            entry = np.abs(m[..., j, i].conj() - m[..., i, j])
+            gap = entry if gap is None else np.maximum(gap, entry, out=gap)
+        return gap
+    mt = m.T if m.ndim > 2 else m
     gap = mt.conj()
     gap -= mt.swapaxes(0, 1)  # -(m - m^H) or its transpose: the same |entries|, bit for bit
     return np.maximum.reduce(np.abs(gap), axis=(0, 1)).T
 
 
-def _trace(mt: np.ndarray) -> np.ndarray:
-    """The trace of a matrix m, or of each of a stack, from its
-    ``stack_major`` form mt. One matrix's diagonal is summed as numpy's
-    trace sums it. A stack's diagonals are summed in index order, which is
-    numpy's trace bit for bit up to d = 3; numpy sums a longer complex
-    diagonal pairwise, so from d = 4 a stack's traces may differ from it in
-    the last bit."""
-    return np.add.reduce(mt.diagonal(), axis=-1).T
+def _trace(m: np.ndarray) -> np.ndarray:
+    """The trace of a matrix m, as numpy's trace sums it, or of each of a
+    stack, as ``einsum`` sums it on m's own memory: from 0 in index order,
+    which is numpy's trace bit for bit up to d = 3; from d = 4 numpy sums a
+    complex diagonal pairwise, so a stack's trace may differ in the last bit."""
+    return np.add.reduce(m.diagonal()) if m.ndim == 2 else np.einsum("...ii->...", m)
 
 
 def hermitian_spectrum(m) -> np.ndarray:
@@ -187,10 +184,11 @@ def require(ok, message: str, *values, error: type[Exception] = ValueError) -> N
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two matrices; output dims are the products. For
     two stacks of N matrices, the product row by row. Every entry is one
-    product, as in ``np.kron``, so the bits are numpy's."""
+    product, as in ``np.kron``, so the bits are numpy's. It is read-only."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
     product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    product.setflags(write=False)
     return product.reshape(product.shape[:-4] + (ra * rb, ca * cb))
 
 
@@ -210,11 +208,7 @@ class QuasiState(Stacked):
     def __post_init__(self):
         m = _as_square(self.matrix)
         # one verdict per operator on both conditions; the first bad one raises
-        mt = stack_major(m)
-        # a stack of matrices larger than 4x4 reads its gap through the view
-        # m.T, which reduces their own trailing axes; one matrix is mt itself
-        large_stack = m.ndim > 2 and not _small(m)
-        dev, tr = _hermitian_gap(m.T if large_stack else mt), _trace(mt)
+        dev, tr = _hermitian_gap(m), _trace(m)
         ok = (dev <= ATOL) & (np.abs(tr - 1.0) <= ATOL)
         require(ok, "matrix must be Hermitian with trace 1, got max deviation {:.3e} and trace {:.15g}", dev, tr)
         object.__setattr__(self, "matrix", _frozen(m))
@@ -312,7 +306,7 @@ def hermitian_eigensystem(m) -> Eigensystem:
     other d, one ``eigh`` call and the phase rule applied to its vectors.
     """
     m = _as_square(m)
-    require(_hermitian_gap(stack_major(m)) <= ATOL, "eigensystem requires a Hermitian matrix")
+    require(_hermitian_gap(m) <= ATOL, "eigensystem requires a Hermitian matrix")
     if m.shape[-1] == 2:
         return Eigensystem(*_qubit_eigensystem(m))
     vals, vecs = np.linalg.eigh(m)
@@ -327,20 +321,27 @@ def expectation(op, state) -> float:
     """Trace pairing Tr(state . op) for a Hermitian operator, summed
     elementwise as sum_ij state_ij op_ji (n^2 work, no matrix product).
 
-    ``state`` may be a QuasiState or a raw matrix. A non-negligible
-    imaginary residue (> SPECTRAL_ATOL) signals a non-Hermitian input and raises,
-    as does a non-finite pairing. Stacks broadcast over their leading axes,
-    and ``real_pairing`` names the failing pairing. A broadcast operand is copied
-    out in full first: with a stride-0 operand ``einsum`` sums in another
-    order, which changes the last bits of the pairings.
+    ``state`` may be a QuasiState or a raw matrix. A non-finite pairing, or
+    an imaginary residue above SPECTRAL_ATOL (a non-Hermitian input), raises;
+    ``real_pairing`` names it. Stacks broadcast over their leading axes.
+    ``einsum`` given a broadcast (stride-0) operand sums in another order,
+    which moves the last bits, so it is given none: leading axes that only
+    one operand has are paired one index at a time, and an operand broadcast
+    along axes both have is copied out to their shape.
     """
     rho = state.matrix if isinstance(state, QuasiState) else np.asarray(state, dtype=complex)
     op = np.asarray(op, dtype=complex)
     if rho.shape[-2:] != op.shape[-2:]:
         raise ValueError(f"dimension mismatch: state {rho.shape} vs operator {op.shape}")
-    full = np.broadcast_shapes(rho.shape, op.shape)
-    rho, op = (x if x.shape == full else np.broadcast_to(x, full).copy() for x in (rho, op))
-    return real_pairing(np.einsum("...ij,...ji->...", rho, op))
+    if rho.shape != op.shape:
+        full = np.broadcast_shapes(rho.shape, op.shape)
+        rho, op = (x if x.shape == full[-x.ndim :] else np.broadcast_to(x, full[-x.ndim :]).copy() for x in (rho, op))
+    if rho.ndim == op.ndim:
+        return real_pairing(np.einsum("...ij,...ji->...", rho, op))
+    pairings = np.empty(full[:-2], dtype=complex)
+    for k in np.ndindex(full[: abs(rho.ndim - op.ndim)]):  # the shorter operand reads k[:-len(k)], all of itself
+        pairings[k] = np.einsum("...ij,...ji->...", rho[k[: rho.ndim - op.ndim]], op[k[: op.ndim - rho.ndim]])
+    return real_pairing(pairings)
 
 
 def real_pairing(value: complex) -> float:

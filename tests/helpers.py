@@ -12,6 +12,20 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def same_bits_but_nan_signs(a, b) -> bool:
+    """``same_bits``, except that a NaN matches any NaN: one shape, one
+    dtype, NaN in the same real and imaginary parts, and every other part
+    the same bits, signed zeros included. numpy's loops choose the sign of
+    a NaN sum apart: a contiguous, a strided and a short loop may each give
+    another sign to (+NaN) + (-NaN)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    parts_a, parts_b = (np.stack((x.real, x.imag)) if np.iscomplexobj(x) else x for x in (a, b))
+    nan = np.isnan(parts_a)
+    return np.array_equal(nan, np.isnan(parts_b)) and parts_a[~nan].tobytes() == parts_b[~nan].tobytes()
+
+
 # How far the closed-form eigensystem of a 2x2 Hermitian matrix may lie from
 # LAPACK's, in ulps of max(1, largest entry): the bound on both spectra's
 # rounding in ``tests/test_operators.py::_assert_spectrum_is_lapacks``.

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import assert_qubit_eigensystem, same_bits
+from helpers import assert_qubit_eigensystem, same_bits, same_bits_but_nan_signs
 from quasilab import acceptance
 from quasilab.cli import MAX_BOX_NORM
+from quasilab.nonlocal_box import build_box
 from quasilab.bloch import scale_directions, to_operator
 from quasilab.operators import (
     ATOL,
@@ -304,9 +305,10 @@ STACK_SHAPES = [lead + (d, d) for d in (1, 2, 3, 4, 16) for lead in ((), (7,), (
 
 
 class TestStackMajorReductions:
-    """The reductions over the stack-major copy give today's numpy
-    expressions bit for bit, NaN and infinite entries included; a stack's
-    trace from d = 4 only up to the rounding of numpy's pairwise sum."""
+    """The max over the stack-major copy, and the Hermitian gap and the
+    trace read entry by entry, give today's numpy expressions bit for bit,
+    NaN and infinite entries included; a stack's trace from d = 4 only up
+    to the rounding of numpy's pairwise sum."""
 
     @pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
     def test_max_and_hermitian_gap(self, shape):
@@ -315,12 +317,12 @@ class TestStackMajorReductions:
         assert same_bits(matrix_max(a), a.max(axis=(-2, -1)))
         with np.errstate(invalid="ignore"):  # inf - inf on a diagonal of d = 1
             gap = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-            assert same_bits(_hermitian_gap(stack_major(m)), gap)
+            assert same_bits(_hermitian_gap(m), gap)
 
     @pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
     def test_trace(self, shape):
         m = _matrices(np.random.default_rng(len(shape) * 100 + shape[-1] + 1), shape)
-        trace, numpy_trace = _trace(stack_major(m)), m.trace(axis1=-2, axis2=-1)
+        trace, numpy_trace = _trace(m), m.trace(axis1=-2, axis2=-1)
         if shape[-1] <= 3 or len(shape) == 2:
             assert same_bits(trace, numpy_trace)
             return
@@ -339,6 +341,133 @@ class TestStackMajorReductions:
         assert mt.flags.c_contiguous and same_bits(mt, m.T)
         one = m[0, 0]
         assert stack_major(one) is one
+
+
+def _stack_major_gap(m):
+    """The Hermitian gap as it was taken on the stack-major copy of m."""
+    mt = stack_major(m)
+    gap = mt.conj()
+    gap -= mt.swapaxes(0, 1)
+    return np.maximum.reduce(np.abs(gap), axis=(0, 1)).T
+
+
+def _stack_major_trace(m):
+    """The trace as it was taken on the stack-major copy of m."""
+    return np.add.reduce(stack_major(m).diagonal(), axis=-1).T
+
+
+QUASI_STATE_MESSAGE = "matrix must be Hermitian with trace 1, got max deviation {:.3e} and trace {:.15g}"
+# real and imaginary parts: ordinary values, and the values where a check
+# or its message may go its own way
+PART = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e300, -1e300]),
+)
+
+
+@st.composite
+def quasi_state_stacks(draw):
+    """One matrix or a stack at d = 1..4 whose rows are either drawn as they
+    are (most not Hermitian, many not finite) or made Hermitian with unit
+    trace from what was drawn, so that stacks pass, fail at one row, or
+    fail at many."""
+    d = draw(st.integers(1, 4))
+    lead = draw(st.sampled_from([(), (1,), (6,), (3, 4), (17,)]))
+    m = np.empty(lead + (d, d), dtype=complex)
+    m.real = draw(arrays(np.float64, m.shape, elements=PART))
+    m.imag = draw(arrays(np.float64, m.shape, elements=PART))
+    with np.errstate(all="ignore"):
+        h = 0.5 * (m + m.conj().swapaxes(-1, -2))
+        h += np.eye(d) * ((1.0 - np.trace(h, axis1=-2, axis2=-1)) / d)[..., None, None]
+    hermitian = draw(arrays(np.bool_, lead, elements=st.booleans()))
+    return np.where(hermitian[..., None, None], h, m)
+
+
+def _rejection(check) -> str | None:
+    try:
+        check()
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+class TestCopyFreeChecks:
+    """``QuasiState`` checks a stack on strided views, with no stack-major
+    copy: the Hermitian gap and the trace, and the rejection of a bad
+    stack, are those the copy gave, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(quasi_state_stacks())
+    def test_gap_trace_and_rejection_are_the_stack_major_ones(self, m):
+        def stack_major_check():
+            dev, tr = _stack_major_gap(m), _stack_major_trace(m)
+            require((dev <= ATOL) & (np.abs(tr - 1.0) <= ATOL), QUASI_STATE_MESSAGE, dev, tr)
+
+        with np.errstate(all="ignore"):
+            # bit for bit but for a NaN's sign, which numpy's own loops
+            # choose apart; a message prints either sign as nan
+            assert same_bits_but_nan_signs(_hermitian_gap(m), _stack_major_gap(m))
+            assert same_bits_but_nan_signs(_trace(m), _stack_major_trace(m))
+            # the first bad row's values, in the same words
+            assert _rejection(lambda: QuasiState(m)) == _rejection(stack_major_check)
+
+    def test_a_stack_is_judged_at_its_first_bad_row(self):
+        h = np.array([[0.25, 0.5 - 1j], [0.5 + 1j, 0.75]])
+        assert _rejection(lambda: QuasiState(np.stack((h, h)))) is None
+        message = _rejection(lambda: QuasiState(np.stack((h, h + 1j * np.eye(2)))))
+        assert message == "matrix must be Hermitian with trace 1, got max deviation 2.000e+00 and trace 1+2j"
+
+
+class TestFrozenMatrix:
+    """``QuasiState.matrix`` is read-only. A caller's array is copied, so
+    a later write to it leaves the state as it was; an array the package
+    built and froze is taken as it is."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: rho_z(0.5).tolist(),
+            lambda: rho_z(0.5),
+            lambda: rho_z(0.5).real,
+            lambda: np.stack([rho_z(0.5), rho_z(3.0)]),
+            lambda: kron(rho_z(0.5), rho_z(2.0)),
+            lambda: to_operator(np.array([[0.1, 0.2, 0.3], [1.0, 2.0, 3.0]])).matrix,
+        ],
+        ids=["list", "writable", "real", "stack", "kron", "to_operator"],
+    )
+    def test_matrix_is_read_only(self, make):
+        matrix = QuasiState(make()).matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[..., 0, 0] = 0.0
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)], ids=str)
+    def test_a_callers_writable_array_is_copied(self, shape):
+        m = np.broadcast_to(rho_z(0.5), shape + (2, 2)).copy()
+        state = QuasiState(m)
+        assert not np.shares_memory(state.matrix, m)
+        m[...] = 7.0
+        assert np.all(state.matrix == rho_z(0.5))
+
+    def test_a_read_only_view_of_a_writable_array_is_copied(self):
+        base = np.stack([rho_z(0.5), rho_z(2.0)])
+        for view in (base[:], np.broadcast_to(base[0], (4, 2, 2))):
+            view.setflags(write=False)  # broadcast_to's view is read-only already
+            state = QuasiState(view)
+            base[0, 0, 0] = 9.0
+            assert state.matrix[0, 0, 0] == 0.75
+            base[0, 0, 0] = 0.75
+
+    def test_an_array_the_package_built_is_not_copied(self):
+        owned = np.array(rho_z(0.5))
+        owned.setflags(write=False)
+        assert QuasiState(owned).matrix is owned
+        joint = kron(rho_z(0.5), rho_z(3.0))  # read-only, and so is the array it views
+        assert np.shares_memory(QuasiState(joint).matrix, joint)
+        box = build_box(np.array([[0.3, -0.4, 1.2], [0.1, 0.2, 0.3]])).state.matrix
+        assert QuasiState(box).matrix is box
+        qubits = to_operator(np.array([[0.3, -0.4, 1.2], [0.1, 0.2, 0.3]])).matrix
+        assert QuasiState(qubits).matrix is qubits
 
 
 def _hermitian_2x2(rows) -> np.ndarray:

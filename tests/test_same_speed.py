@@ -1,5 +1,6 @@
 """The same-speed tool (tools/same_speed.py) on a slice of its paths: a
-tree timed against itself, pair by pair, runs at its own speed."""
+tree timed against itself, pair by pair, runs at its own speed and holds
+the same transient peak of memory."""
 
 import importlib.util
 import sys
@@ -29,6 +30,10 @@ def test_a_tree_runs_at_its_own_speed(tool):
         assert 0.8 <= median <= 1.25, (path, row)
         assert row["here_s"] > 0 and row["there_s"] > 0
         assert row["here_faults"] >= 0 and row["there_faults"] >= 0
+        # one tree's code holds the same memory on either side
+        assert row["here_peak_mb"] > 0 and row["here_peak_mb"] == pytest.approx(row["there_peak_mb"], rel=0.02, abs=0.01)
+    # criterion 3 builds 10,000 qubit operators, 640 KB as one stack
+    assert result["criterion_3"]["here_peak_mb"] > 0.64
     # the renamed copies are gone, and quasilab is the one imported before
     assert sys.modules["quasilab"] is imported
     assert not [name for name in sys.modules if name.startswith(("quasilab_here", "quasilab_there"))]

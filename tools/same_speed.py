@@ -28,7 +28,11 @@ benchmark.
 Each tree's minor page faults per call (``resource.getrusage``, over its
 samples) are printed next to its time: a path that allocates and frees
 large temporaries pays for the pages it faults in again, and that cost
-depends on the heap state both trees share in the one process.
+depends on the heap state both trees share in the one process. Next to
+them, each path's transient peak on each tree: the most memory one call
+holds above what was held before it, numpy's arrays included, as
+``tracemalloc`` counts it in one extra call per tree. Those calls are made
+after every path is timed, so that tracing touches no timing.
 
 This tool does not replace the benchmark's end-to-end gate; a claimed gain
 cites both.
@@ -46,6 +50,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -160,6 +165,17 @@ def time_pairs(here, there, pairs: int) -> list[tuple[float, float, float, float
     return times
 
 
+def transient_peak_mb(call) -> float:
+    """The MB one call of ``call`` holds at most above what was held when
+    it began, numpy's arrays included, as ``tracemalloc`` counts them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
@@ -167,8 +183,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def compare(other_src: Path, pairs: int = 30, only=None) -> dict:
     """Per path (all, or those named in ``only``), the quartiles of the
-    here/there ratios, and the median seconds and minor page faults per
-    call on each tree."""
+    here/there ratios, the median seconds and minor page faults per call
+    on each tree, and each tree's transient peak in MB (taken after all
+    paths are timed)."""
     names = ("quasilab_here", "quasilab_there")
     with tempfile.TemporaryDirectory() as scratch:
         try:
@@ -185,6 +202,9 @@ def compare(other_src: Path, pairs: int = 30, only=None) -> dict:
                     "here_faults": statistics.median(t[2] for t in times),
                     "there_faults": statistics.median(t[3] for t in times),
                 }
+            for path, row in result.items():
+                row["here_peak_mb"] = transient_peak_mb(calls_here[path])
+                row["there_peak_mb"] = transient_peak_mb(calls_there[path])
         finally:
             for module in [m for m in sys.modules if m.split(".")[0] in names]:
                 del sys.modules[module]
@@ -200,14 +220,15 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     result = compare(args.other_src, args.pairs, args.paths)
     header = f"{'path':<16} {'median':>7} {'q1':>7} {'q3':>7} {'here ms':>10} {'there ms':>10}"
-    print(f"{header} {'here flt':>9} {'there flt':>9}")
+    print(f"{header} {'here flt':>9} {'there flt':>9} {'here MB':>8} {'there MB':>8}")
     for path, row in result.items():
         q1, median, q3 = row["ratio"]
         times = f"{row['here_s'] * 1e3:10.4f} {row['there_s'] * 1e3:10.4f}"
         faults = f"{row['here_faults']:9.1f} {row['there_faults']:9.1f}"
-        print(f"{path:<16} {median:7.3f} {q1:7.3f} {q3:7.3f} {times} {faults}")
+        peaks = f"{row['here_peak_mb']:8.3f} {row['there_peak_mb']:8.3f}"
+        print(f"{path:<16} {median:7.3f} {q1:7.3f} {q3:7.3f} {times} {faults} {peaks}")
     print(f"here: {SRC}, there: {Path(args.other_src).resolve()}; ratio = here / there, {args.pairs} pairs per path;")
-    print("flt = minor page faults per call")
+    print("flt = minor page faults per call; MB = transient peak of one call (tracemalloc)")
     return 0
 
 
