@@ -110,11 +110,14 @@ def _hermitian_gap(m: np.ndarray) -> np.ndarray:
 
 
 def _trace(m: np.ndarray) -> np.ndarray:
-    """The trace of a matrix m, as numpy's trace sums it, or of each of a
-    stack, as ``einsum`` sums it on m's own memory: from 0 in index order,
-    which is numpy's trace bit for bit up to d = 3; from d = 4 numpy sums a
-    complex diagonal pairwise, so a stack's trace may differ in the last bit."""
-    return np.add.reduce(m.diagonal()) if m.ndim == 2 else np.einsum("...ii->...", m)
+    """The trace of a matrix m, or of a stack of one, as numpy's trace sums
+    it, or of each of a larger stack as ``einsum`` sums it on m's own memory:
+    from 0 in index order, which is numpy's trace bit for bit up to d = 3;
+    from d = 4 numpy sums a complex diagonal pairwise, so a stack's trace may
+    differ from it in the last bit."""
+    if m.size == m.shape[-1] ** 2:  # numpy reduces a lone diagonal, pairwise
+        return np.add.reduce(m.diagonal(0, -2, -1), axis=-1)
+    return np.einsum("...ii->...", m)
 
 
 def hermitian_spectrum(m) -> np.ndarray:
