@@ -13,10 +13,11 @@ axes, and the same expressions compute both, broadcasting over those axes.
 The pipeline makes no LAPACK or BLAS call per instance: the source's
 eigenbasis is the closed-form 2x2 eigensystem, and the gates, their
 conjugations of the doubled source and their unitarity checks are computed
-on the transposes of the matrices with the stack innermost, where a matrix
-product is one elementwise product and one sum per inner index over the
-whole stack (``_product``); its terms are one (4, 4, 4, N) temporary, so the
-gates' checks run first, while little else is held.
+in the stack-innermost layout that ``operators`` owns (``stack_major``),
+where a matrix product is one elementwise product and one sum per inner
+index over the whole stack (``stack_major_product``); its terms are one
+(4, 4, 4, N) temporary, so the gates' checks run first, while little else
+is held.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from .operators import (
     partial_trace,
     require,
     stack_major,
+    stack_major_adjoint,
+    stack_major_max,
+    stack_major_product,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -110,33 +114,10 @@ class BipartiteBox(Stacked):
 
 def _gram_dev(gate_h, gate, identity) -> np.ndarray:
     """max |g^H g - I| over the entries of each gate g, from the transposes
-    of g^H and g with the stack innermost (``_transpose``), in that layout."""
-    gram = _product(gate_h, gate)
+    of g^H and g in the ``stack_major`` layout, in that layout."""
+    gram = stack_major_product(gate_h, gate)
     np.subtract(gram.T, identity, out=gram.T)  # I is symmetric
-    return np.maximum.reduce(np.abs(gram), axis=(0, 1)).T
-
-
-def _product(at, bt) -> np.ndarray:
-    """The transpose of a @ b from the transposes at and bt of a and b,
-    each with the stack innermost (``_transpose``): (a b)^T = b^T a^T, one
-    elementwise product over the whole stack for each inner index j, in
-    place of one matrix product per instance. The terms are summed in index
-    order, so one matrix gets the bits of its row in a stack."""
-    terms = bt.swapaxes(0, 1)[:, :, None] * at[:, None]
-    product = terms[0] + terms[1]
-    for term in terms[2:]:
-        product += term
-    return product
-
-
-def _adjoint(at) -> np.ndarray:
-    """The transpose of a^H from the transpose at of a."""
-    return at.conj().swapaxes(0, 1)
-
-
-def _transpose(a) -> np.ndarray:
-    """a^T with the stack innermost: ``stack_major`` of a stack, the view a.T of one matrix."""
-    return stack_major(a) if a.ndim > 2 else a.T
+    return stack_major_max(np.abs(gram))
 
 
 def build_box(r) -> BipartiteBox:
@@ -148,7 +129,7 @@ def build_box(r) -> BipartiteBox:
     deviations of the result from the closed form and of the two gates from
     unitarity are kept on the box for the reports to judge. For an (N, 3)
     stack, the stack of boxes, transposed with the stack innermost once
-    (``_transpose``) and back once.
+    (``operators.stack_major``) and back once.
     """
     rs = as_bloch_vectors(r)
     rho = to_operator(rs).matrix
@@ -156,14 +137,14 @@ def build_box(r) -> BipartiteBox:
     xi, xi_perp = vecs[..., 0], vecs[..., 1]
     plus = (xi + xi_perp) / SQRT2
     u_loc = basis_to_computational(xi, xi_perp)
-    cnot, loc = _transpose(rotated_cnot(xi, xi_perp)), _transpose(u_loc)
-    cnot_h = _adjoint(cnot)
-    unitarity_dev = np.maximum(_gram_dev(cnot_h, cnot, _I4), _gram_dev(_adjoint(loc), loc, I2))
-    doubled = _product(_product(cnot, _transpose(kron(rho, _outer(plus, plus)))), cnot_h)
+    cnot, loc = stack_major(rotated_cnot(xi, xi_perp)), stack_major(u_loc)
+    cnot_h = stack_major_adjoint(cnot)
+    unitarity_dev = np.maximum(_gram_dev(cnot_h, cnot, _I4), _gram_dev(stack_major_adjoint(loc), loc, I2))
+    doubled = stack_major_product(stack_major_product(cnot, stack_major(kron(rho, _outer(plus, plus)))), cnot_h)
     del cnot, cnot_h  # each product holds a (4, 4, 4, N) temporary
-    pair = _transpose(kron(u_loc, u_loc))
-    box = np.ascontiguousarray(_product(_product(pair, doubled), _adjoint(pair)).T)
-    box.setflags(write=False)  # built here, so QuasiState takes it without a copy
+    pair = stack_major(kron(u_loc, u_loc))
+    box = stack_major(stack_major_product(stack_major_product(pair, doubled), stack_major_adjoint(pair)))
+    box.setflags(write=False)  # QuasiState keeps a stack's box as it is, and copies one matrix's view
 
     norm = vector_norms(rs)
     closed_form_dev = matrix_max(np.abs(box - closed_form_box(norm)))

@@ -12,9 +12,10 @@ Per-instance work on a stack of small matrices runs with the stack
 innermost: each step is one elementwise call over the whole stack, where
 numpy would loop over its rows to reduce axes of length 2 to 4. A stack is
 checked on strided views, with no temporary larger than one entry of it,
-and an array the package builds is kept without a copy (``_frozen``). A 2x2
-spectrum and eigensystem are closed forms, chosen by dimension alone;
-LAPACK's ``eigvalsh`` and ``eigh`` serve every other d.
+and an array the package builds is kept without a copy (``_frozen``). This
+module alone handles that layout (``stack_major``). A 2x2 spectrum is a
+closed form, chosen by dimension alone, and LAPACK's ``eigvalsh`` serves
+every other d; the eigensystem is the 2x2 closed form alone.
 
 Every layer rejects a bad instance through one rule, ``require``: a
 validator is its passing comparison, one verdict per instance, so NaN fails
@@ -64,21 +65,45 @@ def _as_square(m) -> np.ndarray:
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a`` read-only: as it is if no writable array holds its memory (it
     and the array owning its memory, its base, are read-only, as the
-    package's results are once built), else a read-only copy."""
+    package's results are once built), else a read-only C-contiguous copy."""
     owner = a if a.base is None else a.base
     if a.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable:
-        a = np.array(a)
+        a = np.array(a, order="C")
         a.setflags(write=False)
     return a
 
 
 def stack_major(a) -> np.ndarray:
-    """A stack of matrices (..., r, c) with the stack innermost: ``a.T``
-    copied C-contiguous, the matrix axes first (swapped) and the stack axes
-    after them (reversed), so a ufunc's reduction over axes (0, 1) is one
-    elementwise call per entry over the whole stack; ``.T`` of the result
-    has the stack's shape. One matrix is returned as it is."""
-    return np.ascontiguousarray(a.T) if a.ndim > 2 else a
+    """a^T with the stack innermost: of a stack of matrices (..., r, c),
+    ``a.T`` copied C-contiguous, the matrix axes first (swapped) and the
+    stack axes after them (reversed), so a ufunc's reduction over axes
+    (0, 1) is one elementwise call per entry over the whole stack; of one
+    matrix, the view ``a.T``. Applied to that layout, it gives a back."""
+    return np.ascontiguousarray(a.T) if a.ndim > 2 else a.T
+
+
+def stack_major_max(at) -> np.ndarray:
+    """max over the entries of each matrix of ``at``, in the ``stack_major``
+    layout, with the stack's shape."""
+    return np.maximum.reduce(at, axis=(0, 1)).T
+
+
+def stack_major_adjoint(at) -> np.ndarray:
+    """The transpose of a^H from the transpose at of a."""
+    return at.conj().swapaxes(0, 1)
+
+
+def stack_major_product(at, bt) -> np.ndarray:
+    """The transpose of a @ b from the transposes at and bt of a and b,
+    each in the ``stack_major`` layout: (a b)^T = b^T a^T, one elementwise
+    product over the whole stack for each inner index j, in place of one
+    matrix product per instance. The terms are summed in index order, so
+    one matrix gets the bits of its row in a stack."""
+    terms = bt.swapaxes(0, 1)[:, :, None] * at[:, None]
+    product = terms[0] + terms[1]
+    for term in terms[2:]:
+        product += term
+    return product
 
 
 def matrix_max(a) -> np.ndarray:
@@ -87,7 +112,7 @@ def matrix_max(a) -> np.ndarray:
     up to 4x4, whose trailing axes numpy would reduce row by row, and over
     the trailing axes of larger ones, whose rows are long enough."""
     if a.shape[-1] <= 4 and a.shape[-2] <= 4:
-        return np.maximum.reduce(stack_major(a), axis=(0, 1)).T
+        return stack_major_max(stack_major(a))
     return np.maximum.reduce(a, axis=(-2, -1))
 
 
@@ -106,17 +131,16 @@ def _hermitian_gap(m: np.ndarray) -> np.ndarray:
     mt = m.T if m.ndim > 2 else m
     gap = mt.conj()
     gap -= mt.swapaxes(0, 1)  # -(m - m^H) or its transpose: the same |entries|, bit for bit
-    return np.maximum.reduce(np.abs(gap), axis=(0, 1)).T
+    return stack_major_max(np.abs(gap))
 
 
 def _trace(m: np.ndarray) -> np.ndarray:
-    """The trace of a matrix m, or of a stack of one, as numpy's trace sums
-    it, or of each of a larger stack as ``einsum`` sums it on m's own memory:
-    from 0 in index order, which is numpy's trace bit for bit up to d = 3;
-    from d = 4 numpy sums a complex diagonal pairwise, so a stack's trace may
-    differ from it in the last bit."""
-    if m.size == m.shape[-1] ** 2:  # numpy reduces a lone diagonal, pairwise
-        return np.add.reduce(m.diagonal(0, -2, -1), axis=-1)
+    """The trace of a matrix m, or of each of a stack, as ``einsum`` sums it
+    on m's own memory: from 0 in index order, so one matrix and its row in
+    a stack read the same bits. numpy's own sum of one matrix's diagonal is
+    that order up to d = 3, and quicker; from d = 4 it sums pairwise."""
+    if m.ndim == 2 and m.shape[-1] <= 3:
+        return np.add.reduce(m.diagonal())
     return np.einsum("...ii->...", m)
 
 
@@ -250,20 +274,27 @@ class Eigensystem(Stacked):
         object.__setattr__(self, "eigenvectors", _frozen(np.asarray(self.eigenvectors, dtype=complex)))
 
 
-def _qubit_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues, descending, and eigenvectors of a 2x2 Hermitian
-    matrix, or of each of a stack, in closed form from the real diagonal a,
-    d and the entry b below it (the entries LAPACK reads).
+def hermitian_eigensystem(m) -> Eigensystem:
+    """Eigendecomposition of a 2x2 Hermitian matrix, or of each of a stack,
+    in closed form from the real diagonal a, d and the entry b below it
+    (the entries LAPACK reads); any other shape is rejected.
 
-    The eigenvalues are those of ``hermitian_spectrum``, (a+d)/2 +- rho with
-    h = (a-d)/2 and rho = hypot(h, |b|). The eigenvector of the eigenvalue
-    on h's side, (h + rho, b) for h > 0 and (rho - h, -b) otherwise, is
-    taken from the row whose first entry s = |h| + rho does not cancel; the
-    other one is orthogonal to it, (-conj(b), s), up to sign, and its first
-    entry is its phase pivot unless its magnitude is at most 1e-8. A
-    multiple of the identity (rho = 0) has the eigenvectors LAPACK gives
-    it, e_1 then e_0.
+    Eigenvalues come out descending: those of ``hermitian_spectrum``,
+    (a+d)/2 +- rho with h = (a-d)/2 and rho = hypot(h, |b|). Each
+    eigenvector's first component of magnitude > 1e-8 is real and positive;
+    the decomposition is otherwise degenerate under phases, and downstream
+    constructions need a deterministic choice. The eigenvector of the
+    eigenvalue on h's side, (h + rho, b) for h > 0 and (rho - h, -b)
+    otherwise, is taken from the row whose first entry s = |h| + rho does
+    not cancel, so its pivot is real by construction; the other one is
+    orthogonal to it, (-conj(b), s), up to sign, and its first entry is its
+    phase pivot unless its magnitude is at most 1e-8. A multiple of the
+    identity (rho = 0) has the eigenvectors LAPACK gives it, e_1 then e_0.
     """
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"eigensystem takes a 2x2 matrix or a stack of them, got shape {m.shape}")
+    require(_hermitian_gap(m) <= ATOL, "eigensystem requires a Hermitian matrix")
     a, d = m[..., 0, 0].real * 0.5, m[..., 1, 1].real * 0.5
     b = m[..., 1, 0]
     h, abs_b = a - d, abs(b)
@@ -294,30 +325,7 @@ def _qubit_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cols[..., 0, 0], cols[..., 1, 0] = c, g
     cols[..., 0, 1], cols[..., 1, 1] = pivot * abs_g - other * g.conjugate(), c * phase
     # (c, g) belongs to the larger eigenvalue for h > 0, to the smaller otherwise
-    return vals, np.where(pos[..., None, None], cols, cols[..., ::-1])
-
-
-def hermitian_eigensystem(m) -> Eigensystem:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues come out descending. Each eigenvector is rescaled so that
-    its first component of magnitude > 1e-8 is real and positive; the
-    decomposition is otherwise degenerate under phases, and downstream
-    constructions need a deterministic choice. For an (N, d, d) stack, the
-    eigensystem of each matrix. At d = 2 it is the closed form of
-    ``_qubit_eigensystem``, whose pivots are real by construction; at any
-    other d, one ``eigh`` call and the phase rule applied to its vectors.
-    """
-    m = _as_square(m)
-    require(_hermitian_gap(m) <= ATOL, "eigensystem requires a Hermitian matrix")
-    if m.shape[-1] == 2:
-        return Eigensystem(*_qubit_eigensystem(m))
-    vals, vecs = np.linalg.eigh(m)
-    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
-    big = np.abs(vecs) > 1e-8
-    pivot = np.take_along_axis(vecs, big.argmax(axis=-2)[..., None, :], axis=-2)[..., 0, :]
-    phase = np.divide(np.abs(pivot), pivot, out=np.ones_like(pivot), where=big.any(axis=-2))
-    return Eigensystem(vals, vecs * phase[..., None, :])
+    return Eigensystem(vals, np.where(pos[..., None, None], cols, cols[..., ::-1]))
 
 
 def expectation(op, state) -> float:

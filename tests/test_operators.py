@@ -31,6 +31,8 @@ from quasilab.operators import (
     real_pairing,
     require,
     stack_major,
+    stack_major_adjoint,
+    stack_major_product,
 )
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -159,39 +161,14 @@ class TestEigensystem:
         eig = hermitian_eigensystem(rho_z(1.5))
         assert np.allclose(eig.eigenvalues, [1.25, -0.25], atol=1e-14)
 
-    def test_three_level_diagonal(self):
-        eig = hermitian_eigensystem(np.diag([0.85, 0.25, -0.1]).astype(complex))
-        assert np.allclose(eig.eigenvalues, [0.85, 0.25, -0.1], atol=1e-14)
-
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
 
-    def test_reconstruction_up_to_dim_16(self):
-        rng = np.random.default_rng(11)
-        for dim in (2, 3, 5, 8, 16):
-            for _ in range(10):
-                m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                m = m + m.conj().T
-                eig = hermitian_eigensystem(m)
-                v = eig.eigenvectors
-                assert np.max(np.abs((v * eig.eigenvalues) @ v.conj().T - m)) <= 1e-10
-                gram = eig.eigenvectors.conj().T @ eig.eigenvectors
-                assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
-                assert np.all(np.diff(eig.eigenvalues) <= 1e-12)
-
-    def test_phase_convention_deterministic(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            m = m + m.conj().T
-            first = hermitian_eigensystem(m)
-            second = hermitian_eigensystem(m)
-            assert np.array_equal(first.eigenvectors, second.eigenvectors)
-            for k in range(4):
-                col = first.eigenvectors[:, k]
-                pivot = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
-                assert pivot.real > 0 and abs(pivot.imag) <= 1e-12
+    def test_rejects_other_shapes_by_name(self):
+        # the closed form is the 2x2 one alone
+        with pytest.raises(ValueError, match=r"2x2 matrix .* got shape \(3, 3\)"):
+            hermitian_eigensystem(np.diag([0.85, 0.25, -0.1]))
 
 
 class TestValidateQuasistate:
@@ -304,11 +281,19 @@ def _matrices(rng, shape):
 STACK_SHAPES = [lead + (d, d) for d in (1, 2, 3, 4, 16) for lead in ((), (7,), (3, 5), (0,))]
 
 
+def _index_order_trace(m):
+    """The trace of m, or of each of a stack, summed from 0 in index order."""
+    trace = np.zeros(m.shape[:-2], dtype=complex)
+    for i in range(m.shape[-1]):
+        trace = trace + m[..., i, i]
+    return trace
+
+
 class TestStackMajorReductions:
-    """The max over the stack-major copy, and the Hermitian gap and the
-    trace read entry by entry, give today's numpy expressions bit for bit,
-    NaN and infinite entries included; a stack's trace from d = 4 only up
-    to the rounding of numpy's pairwise sum."""
+    """The max over the stack-major layout, and the Hermitian gap read entry
+    by entry, give today's numpy expressions bit for bit, NaN and infinite
+    entries included; the trace is summed from 0 in index order, the same
+    bits for one matrix, a stack of one and a row of a larger stack."""
 
     @pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
     def test_max_and_hermitian_gap(self, shape):
@@ -322,25 +307,39 @@ class TestStackMajorReductions:
     @pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
     def test_trace(self, shape):
         m = _matrices(np.random.default_rng(len(shape) * 100 + shape[-1] + 1), shape)
-        trace, numpy_trace = _trace(m), m.trace(axis1=-2, axis2=-1)
-        if shape[-1] <= 3 or len(shape) == 2:
-            assert same_bits(trace, numpy_trace)
-            return
-        # the same non-finite traces, and the finite ones within the rounding
-        # of a sum of d terms
-        assert trace.shape == numpy_trace.shape and trace.dtype == numpy_trace.dtype
-        finite = np.isfinite(numpy_trace)
-        assert np.array_equal(np.isfinite(trace), finite)
-        scale = np.abs(m.diagonal(0, -2, -1)).sum(axis=-1)
-        assert np.all(np.abs(trace - numpy_trace)[finite] <= shape[-1] * np.finfo(float).eps * scale[finite])
+        trace = _trace(m)
+        assert same_bits_but_nan_signs(trace, _index_order_trace(m))
+        if shape[-1] <= 3:  # numpy sums fewer than 8 parts in index order too
+            assert same_bits(trace, m.trace(axis1=-2, axis2=-1))
+        for k in np.ndindex(shape[:-2]):
+            assert same_bits(_trace(m[k]), trace[k]) and same_bits(_trace(m[k][None]), trace[k][None])
 
     def test_a_stack_major_copy_is_the_transpose(self):
-        # a stack's copy is C-contiguous; one matrix is read as it is
+        # a stack's is a C-contiguous copy; one matrix's is the view one.T
         m = _matrices(np.random.default_rng(3), (3, 5, 2, 2))
         mt = stack_major(m)
         assert mt.flags.c_contiguous and same_bits(mt, m.T)
         one = m[0, 0]
-        assert stack_major(one) is one
+        assert np.shares_memory(stack_major(one), one) and same_bits(stack_major(one), one.T)
+        # applied to the layout, it gives the stack back
+        assert same_bits(stack_major(mt), m) and same_bits(stack_major(stack_major(one)), one)
+
+    @pytest.mark.parametrize("lead", [(), (1,), (7,), (3, 5)], ids=str)
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_product_and_adjoint(self, lead, d):
+        # a^H b from the layout: numpy's within a few ulps of each entry's
+        # scale, and one matrix the bits of its row in a stack
+        rng = np.random.default_rng(10 * d + len(lead))
+        a, b = (rng.standard_normal(lead + (d, d)) + 1j * rng.standard_normal(lead + (d, d)) for _ in range(2))
+
+        def product(a, b):
+            return stack_major(stack_major_product(stack_major_adjoint(stack_major(a)), stack_major(b)))
+
+        ab = product(a, b)
+        scale = np.abs(a).swapaxes(-1, -2) @ np.abs(b)
+        assert np.all(np.abs(ab - a.conj().swapaxes(-1, -2) @ b) <= 4 * d * np.finfo(float).eps * scale)
+        for k in np.ndindex(lead):
+            assert same_bits(product(a[k], b[k]), ab[k])
 
 
 def _stack_major_gap(m):
@@ -349,11 +348,6 @@ def _stack_major_gap(m):
     gap = mt.conj()
     gap -= mt.swapaxes(0, 1)
     return np.maximum.reduce(np.abs(gap), axis=(0, 1)).T
-
-
-def _stack_major_trace(m):
-    """The trace as it was taken on the stack-major copy of m."""
-    return np.add.reduce(stack_major(m).diagonal(), axis=-1).T
 
 
 QUASI_STATE_MESSAGE = "matrix must be Hermitian with trace 1, got max deviation {:.3e} and trace {:.15g}"
@@ -393,25 +387,31 @@ def _rejection(check) -> str | None:
 
 class TestCopyFreeChecks:
     """``QuasiState`` checks a stack on strided views, with no stack-major
-    copy: the Hermitian gap and the trace, and the rejection of a bad
-    stack, are those the copy gave, bit for bit."""
+    copy: the Hermitian gap is the one the copy gave, the trace is summed in
+    index order, and a bad stack is rejected as by those two, bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(quasi_state_stacks())
-    # a stack of one at d = 4, whose copy numpy summed pairwise: trace 0, in index order 1
+    # a stack of one at d = 4: trace 1 in index order, 0 summed pairwise
     @example(np.diag([1e16, 1.0, -1e16, 1.0]).astype(complex)[None])
     def test_gap_trace_and_rejection_are_the_stack_major_ones(self, m):
         def stack_major_check():
-            dev, tr = _stack_major_gap(m), _stack_major_trace(m)
+            dev, tr = _stack_major_gap(m), _index_order_trace(m)
             require((dev <= ATOL) & (np.abs(tr - 1.0) <= ATOL), QUASI_STATE_MESSAGE, dev, tr)
 
         with np.errstate(all="ignore"):
             # bit for bit but for a NaN's sign, which numpy's own loops
             # choose apart; a message prints either sign as nan
             assert same_bits_but_nan_signs(_hermitian_gap(m), _stack_major_gap(m))
-            assert same_bits_but_nan_signs(_trace(m), _stack_major_trace(m))
+            assert same_bits_but_nan_signs(_trace(m), _index_order_trace(m))
             # the first bad row's values, in the same words
             assert _rejection(lambda: QuasiState(m)) == _rejection(stack_major_check)
+
+    def test_one_matrix_is_judged_as_its_row_in_a_stack(self):
+        # numpy's pairwise sum of this diagonal is 0; in index order it is 1
+        m = np.diag([1e16, 1.0, -1e16, 1.0]).astype(complex)
+        for matrix in (m, m[None], np.stack((m, np.eye(4) / 4))):
+            assert np.all(_trace(matrix) == 1.0) and _rejection(lambda: QuasiState(matrix)) is None
 
     def test_a_stack_is_judged_at_its_first_bad_row(self):
         h = np.array([[0.25, 0.5 - 1j], [0.5 + 1j, 0.75]])

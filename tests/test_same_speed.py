@@ -1,6 +1,6 @@
 """The same-speed tool (tools/same_speed.py) on a slice of its paths: a
-tree timed against itself, pair by pair, runs at its own speed and holds
-the same transient peak of memory."""
+tree timed against itself, pair by pair, runs at its own speed, holds the
+same transient peak of memory and has as many lines."""
 
 import importlib.util
 import sys
@@ -52,3 +52,11 @@ def test_every_path_runs_on_a_tree(tool, tmp_path):
     finally:
         for name in [name for name in sys.modules if name.split(".")[0] == "quasilab_every_path"]:
             del sys.modules[name]
+
+
+def test_the_footer_counts_both_trees_lines(tool, capsys, monkeypatch):
+    for name, value in tool.PINNED.items():
+        monkeypatch.setenv(name, value)  # main pins them; restored after the test
+    assert tool.main([str(tool.SRC), "--pairs", "2", "--paths", "real_pairing"]) == 0
+    lines = sum(path.read_text().count("\n") for path in (tool.SRC / "quasilab").glob("*.py"))
+    assert lines > 0 and capsys.readouterr().out.splitlines()[-1] == f"src/ lines: here {lines}, there {lines}"

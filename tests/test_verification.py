@@ -13,7 +13,8 @@ and ``probe_experiment``, and leave the reduction of a check's instances to
 ``CheckResult``. One name per operation: no public function is a ``*_batch``
 twin or a wrapper of a stack of one. One shape rule: every operation
 broadcasts over leading axes, so no module lifts one instance to a stack
-of one, and only ``operators`` picks results apart. One draw rule: every
+of one, and only ``operators`` picks results apart and handles the
+stack-innermost layout. One draw rule: every
 criterion draws in bulk."""
 
 import ast
@@ -185,9 +186,8 @@ def _picks_an_instance(node: ast.AST) -> bool:
 
 
 # (module, top-level function) where an instance may be picked: require
-# picks the first failing one, and hermitian_eigensystem each eigenvector's
-# phase pivot, which is no failing instance.
-PICKERS = {("operators.py", "require"), ("operators.py", "hermitian_eigensystem")}
+# picks the first failing one.
+PICKERS = {("operators.py", "require")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -205,6 +205,20 @@ def test_one_rejection_rule(path):
         if _picks_an_instance(node)
     ]
     assert picks == [], f"{path.name} picks a failing instance at lines {picks}"
+
+
+def _handles_the_layout(node: ast.AST) -> bool:
+    if _is_call_of(node, "ascontiguousarray"):
+        return True
+    return _is_call_of(node, "swapaxes") and [getattr(arg, "value", None) for arg in node.args] == [0, 1]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_owner_of_the_stack_major_layout(path):
+    # the stack-innermost layout, its copy and its transposes are operators'
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [node.lineno for node in ast.walk(tree) if _handles_the_layout(node)]
+    assert path.name == "operators.py" or calls == [], f"{path.name} handles the stack-major layout at lines {calls}"
 
 
 JUDGES = [path for path in SOURCES if path.name in ("cli.py", "acceptance.py")]

@@ -34,6 +34,9 @@ holds above what was held before it, numpy's arrays included, as
 ``tracemalloc`` counts it in one extra call per tree. Those calls are made
 after every path is timed, so that tracing touches no timing.
 
+The footer gives each tree's ``src/`` line count, as ``cat
+src/quasilab/*.py | wc -l`` counts it, which is tracked next to speed.
+
 This tool does not replace the benchmark's end-to-end gate; a claimed gain
 cites both.
 """
@@ -176,6 +179,11 @@ def transient_peak_mb(call) -> float:
         tracemalloc.stop()
 
 
+def src_lines(src: Path) -> int:
+    """The lines of the package's modules under ``src``."""
+    return sum(path.read_text().count("\n") for path in (Path(src) / "quasilab").glob("*.py"))
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
@@ -229,6 +237,7 @@ def main(argv: list[str]) -> int:
         print(f"{path:<16} {median:7.3f} {q1:7.3f} {q3:7.3f} {times} {faults} {peaks}")
     print(f"here: {SRC}, there: {Path(args.other_src).resolve()}; ratio = here / there, {args.pairs} pairs per path;")
     print("flt = minor page faults per call; MB = transient peak of one call (tracemalloc)")
+    print(f"src/ lines: here {src_lines(SRC)}, there {src_lines(args.other_src)}")
     return 0
 
 
