@@ -15,7 +15,6 @@ from .operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    Eigensystem,
     QuasiState,
     expectation,
     hermitian_eigensystem,

@@ -30,7 +30,14 @@ from .bloch import (
     to_operator,
     from_operator,
 )
-from .discrimination import clonability_check, clone_protocol, discrimination_experiment, hyperplane_pair, overlap
+from .discrimination import (
+    clonability_check,
+    clone_protocol,
+    discrimination_experiment,
+    discrimination_povm,
+    hyperplane_pair,
+    overlap,
+)
 from .highdim import (
     CERTAIN,
     NULL,
@@ -266,12 +273,13 @@ def cross_consistency_criterion() -> list[CheckResult]:
     rs, pairs = matched_qubit_instance(epsilons)
     vs = build_violating_state(2, epsilons)
     p1, _ = entangled_projector(vs)
+    povm = discrimination_povm(rs)
     which, _, _, _, qubit_detection = discrimination_experiment(pairs)
     certain, null, _, _, detection = probe_experiment(vs)
     # row 0 holds r+ and the certain probe, row 1 holds r- and the null one
     vectors = np.stack((certain.vector, null.vector))
     plane_dev = from_operator(vectors[..., :, None] * vectors.conj()[..., None, :]) - pairs.member(which)
-    devs = [vs.state.matrix - to_operator(rs).matrix, p1 - pairs.povm.p_plus, np.eye(4) - p1 - pairs.povm.p_minus]
+    devs = [vs.state.matrix - to_operator(rs).matrix, p1 - povm.p_plus, np.eye(4) - p1 - povm.p_minus]
     devs += [plane_dev, qubit_detection, detection]
     dev = np.concatenate([np.abs(d).ravel() for d in devs])
 

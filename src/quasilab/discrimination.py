@@ -12,7 +12,6 @@ certainty and lets it be re-prepared at will.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,16 +44,14 @@ def _violating_norms(rs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HyperplanePair(Stacked):
-    """Quantum states r+ and r- with r.r+ = +1 and r.r- = -1, and the
-    discrimination measurement of their resource r.
+    """Quantum states r+ and r- with r.r+ = +1 and r.r- = -1 for a resource r.
 
     Both share the transverse offset (y, z) in the right-handed frame
     (r_hat, m, n), so their overlap (1 + y^2 + z^2 - 1/r^2)/2 is strictly
     positive whenever the resource has norm > 1: they are non-orthogonal.
     A pair, or a stack of N pairs (one per row), is checked once, when it
-    is built (by ``hyperplane_pair`` or by hand). What measuring it needs,
-    its ``povm`` and ``resource_state``, is built when first read, once
-    per pair.
+    is built (by ``hyperplane_pair`` or by hand). It holds these three
+    fields alone: ``detection_probabilities`` builds what measuring it needs.
     """
 
     resource: np.ndarray
@@ -69,16 +66,6 @@ class HyperplanePair(Stacked):
         require(ok, message, ATOL, np.sqrt(np.vecdot(r, r)), plus, minus)
         _violating_norms(r)
 
-    @cached_property
-    def povm(self) -> DiscriminationPovm:
-        """The discrimination measurement of the resource, one per pair."""
-        return discrimination_povm(self.resource)
-
-    @cached_property
-    def resource_state(self) -> QuasiState:
-        """The resource as an operator, one per pair."""
-        return to_operator(self.resource)
-
     def member(self, labels) -> np.ndarray:
         """r+ where the label is +1 and r- where it is -1, the labels
         broadcast against the pairs' leading axes."""
@@ -90,8 +77,7 @@ def hyperplane_pair(r, y: float, z: float) -> HyperplanePair:
 
     Requires ||r|| > 1 (otherwise the planes miss the ball interior) and
     1/r^2 + y^2 + z^2 <= 1 so both outputs are genuine quantum states. For
-    an (N, 3) stack of resources and (N,) offsets, the stack of N pairs,
-    with no measurement built yet.
+    an (N, 3) stack of resources and (N,) offsets, the stack of N pairs.
     """
     rs = as_bloch_vectors(r)
     norm = _violating_norms(rs)
@@ -121,8 +107,8 @@ def discrimination_povm(r) -> DiscriminationPovm:
     """Measurement whose outcomes correlate one-to-one with the two
     certainty planes of the resource ``r`` (requires ||r|| > 1)."""
     rs = as_bloch_vectors(r)
-    axis = rs / _violating_norms(rs)
-    corr = kron(observable(axis), observable(axis))
+    sigma = observable(rs / _violating_norms(rs))
+    corr = kron(sigma, sigma)
     ident = np.eye(4, dtype=complex)
     return DiscriminationPovm(p_plus=0.5 * (ident + corr), p_minus=0.5 * (ident - corr))
 
@@ -139,8 +125,8 @@ def detection_probabilities(pair: HyperplanePair, which: int) -> tuple[float, fl
     """
     which = np.asarray(which)
     require(_is_label(which), "hidden label must be +1 or -1, got {}", which)
-    povm, hidden = pair.povm, to_operator(pair.member(which)).matrix
-    joint = kron(pair.resource_state.matrix, hidden)
+    povm, hidden = discrimination_povm(pair.resource), to_operator(pair.member(which)).matrix
+    joint = kron(to_operator(pair.resource).matrix, hidden)
     return expectation(povm.p_plus, joint), expectation(povm.p_minus, joint)
 
 

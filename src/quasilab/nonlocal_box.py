@@ -11,13 +11,14 @@ Building and measuring boxes follow the package's shape rule: the shape of
 ``r``, or of the box, chooses one instance or a stack along any leading
 axes, and the same expressions compute both, broadcasting over those axes.
 The pipeline makes no LAPACK or BLAS call per instance: the source's
-eigenbasis is the closed-form 2x2 eigensystem, and the gates, their
-conjugations of the doubled source and their unitarity checks are computed
-in the stack-innermost layout that ``operators`` owns (``stack_major``),
-where a matrix product is one elementwise product and one sum per inner
-index over the whole stack (``stack_major_product``); its terms are one
-(4, 4, 4, N) temporary, so the gates' checks run first, while little else
-is held.
+eigenbasis is the closed-form 2x2 one (``hermitian_eigensystem``, which
+returns the basis alone, as the pipeline reads no eigenvalue), and the
+gates, their conjugations of the doubled source and their unitarity checks
+are computed in the stack-innermost layout that ``operators`` owns
+(``stack_major``), where a matrix product is one elementwise product and
+one sum per inner index over the whole stack (``stack_major_product``);
+its terms are one (4, 4, 4, N) temporary, so the gates' checks run first,
+while little else is held.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def build_box(r) -> BipartiteBox:
     """
     rs = as_bloch_vectors(r)
     rho = to_operator(rs).matrix
-    vecs = hermitian_eigensystem(rho).eigenvectors
+    vecs = hermitian_eigensystem(rho)
     xi, xi_perp = vecs[..., 0], vecs[..., 1]
     plus = (xi + xi_perp) / SQRT2
     u_loc = basis_to_computational(xi, xi_perp)

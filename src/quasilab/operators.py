@@ -12,10 +12,10 @@ Per-instance work on a stack of small matrices runs with the stack
 innermost: each step is one elementwise call over the whole stack, where
 numpy would loop over its rows to reduce axes of length 2 to 4. A stack is
 checked on strided views, with no temporary larger than one entry of it,
-and an array the package builds is kept without a copy (``_frozen``). This
-module alone handles that layout (``stack_major``). A 2x2 spectrum is a
-closed form, chosen by dimension alone, and LAPACK's ``eigvalsh`` serves
-every other d; the eigensystem is the 2x2 closed form alone.
+and a C-ordered array the package builds is kept without a copy
+(``_frozen``). This module alone handles that layout (``stack_major``). A
+2x2 spectrum is a closed form, chosen by dimension alone, and LAPACK's
+``eigvalsh`` serves every other d. The eigenbasis is the 2x2 closed form.
 
 Every layer rejects a bad instance through one rule, ``require``: a
 validator is its passing comparison, one verdict per instance, so NaN fails
@@ -63,11 +63,12 @@ def _as_square(m) -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` read-only: as it is if no writable array holds its memory (it
-    and the array owning its memory, its base, are read-only, as the
-    package's results are once built), else a read-only C-contiguous copy."""
+    """``a`` read-only: as it is if it is C-contiguous and no writable array
+    holds its memory (it and the array owning its memory, its base, are
+    read-only, as the package's results are once built), else a read-only
+    C-contiguous copy."""
     owner = a if a.base is None else a.base
-    if a.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable:
+    if a.flags.writeable or not a.flags.c_contiguous or not isinstance(owner, np.ndarray) or owner.flags.writeable:
         a = np.array(a, order="C")
         a.setflags(write=False)
     return a
@@ -260,27 +261,14 @@ class QuasiState(Stacked):
         return self.min_eigenvalue >= -PSD_ATOL
 
 
-@dataclass(frozen=True)
-class Eigensystem(Stacked):
-    """Spectral decomposition with eigenvalues descending and a fixed phase
-    convention, so repeated runs give identical eigenvectors (of each
-    matrix, for a stack)."""
+def hermitian_eigensystem(m) -> np.ndarray:
+    """Eigenbasis of a 2x2 Hermitian matrix, or of each of a stack: the
+    read-only (..., 2, 2) matrix of eigenvector columns, in closed form from
+    the real diagonal a, d and the entry b below it (the entries LAPACK
+    reads); any other shape is rejected.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # orthonormal columns, one per eigenvalue
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _frozen(np.asarray(self.eigenvalues, dtype=float)))
-        object.__setattr__(self, "eigenvectors", _frozen(np.asarray(self.eigenvectors, dtype=complex)))
-
-
-def hermitian_eigensystem(m) -> Eigensystem:
-    """Eigendecomposition of a 2x2 Hermitian matrix, or of each of a stack,
-    in closed form from the real diagonal a, d and the entry b below it
-    (the entries LAPACK reads); any other shape is rejected.
-
-    Eigenvalues come out descending: those of ``hermitian_spectrum``,
-    (a+d)/2 +- rho with h = (a-d)/2 and rho = hypot(h, |b|). Each
+    The columns are ordered by descending eigenvalue, ``hermitian_spectrum``
+    reversed: (a+d)/2 +- rho with h = (a-d)/2 and rho = hypot(h, |b|). Each
     eigenvector's first component of magnitude > 1e-8 is real and positive;
     the decomposition is otherwise degenerate under phases, and downstream
     constructions need a deterministic choice. The eigenvector of the
@@ -297,12 +285,8 @@ def hermitian_eigensystem(m) -> Eigensystem:
     require(_hermitian_gap(m) <= ATOL, "eigensystem requires a Hermitian matrix")
     a, d = m[..., 0, 0].real * 0.5, m[..., 1, 1].real * 0.5
     b = m[..., 1, 0]
-    h, abs_b = a - d, abs(b)
-    radius = np.hypot(h, abs_b)
-    mean = a + d
-    vals = np.empty(np.shape(mean) + (2,))
-    vals[..., 0] = mean + radius
-    vals[..., 1] = mean - radius
+    h = a - d
+    radius = np.hypot(h, abs(b))
 
     # The vector depends on h and b only up to scale: below 2^-600 both are
     # scaled up by 2^600, exactly, so that |b| and the norm keep every bit
@@ -321,11 +305,13 @@ def hermitian_eigensystem(m) -> Eigensystem:
     pivot = abs_g > 1e-8
     other = 1.0 - pivot
     phase = (other - pivot * g) / (other + pivot * abs_g)
-    cols = np.empty(np.shape(mean) + (2, 2), dtype=complex)
+    cols = np.empty(np.shape(h) + (2, 2), dtype=complex)
     cols[..., 0, 0], cols[..., 1, 0] = c, g
     cols[..., 0, 1], cols[..., 1, 1] = pivot * abs_g - other * g.conjugate(), c * phase
     # (c, g) belongs to the larger eigenvalue for h > 0, to the smaller otherwise
-    return Eigensystem(vals, np.where(pos[..., None, None], cols, cols[..., ::-1]))
+    basis = np.where(pos[..., None, None], cols, cols[..., ::-1])
+    basis.setflags(write=False)
+    return basis
 
 
 def expectation(op, state) -> float:
@@ -335,13 +321,14 @@ def expectation(op, state) -> float:
     ``state`` may be a QuasiState or a raw matrix. A non-finite pairing, or
     an imaginary residue above SPECTRAL_ATOL (a non-Hermitian input), raises;
     ``real_pairing`` names it. Stacks broadcast over their leading axes.
-    ``einsum`` given a broadcast (stride-0) operand sums in another order,
-    which moves the last bits, so it is given none: leading axes that only
-    one operand has are paired one index at a time, and an operand broadcast
-    along axes both have is copied out to their shape.
+    ``einsum`` sums an operand that is not C-contiguous (F-ordered, or
+    broadcast with stride 0) in another order, which moves the last bits,
+    so it is given none: each operand is taken C-contiguous, leading axes
+    that only one operand has are paired one index at a time, and an
+    operand broadcast along axes both have is copied out to their shape.
     """
-    rho = state.matrix if isinstance(state, QuasiState) else np.asarray(state, dtype=complex)
-    op = np.asarray(op, dtype=complex)
+    rho = np.ascontiguousarray(state.matrix if isinstance(state, QuasiState) else state, dtype=complex)
+    op = np.ascontiguousarray(op, dtype=complex)
     if rho.shape[-2:] != op.shape[-2:]:
         raise ValueError(f"dimension mismatch: state {rho.shape} vs operator {op.shape}")
     if rho.shape != op.shape:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from quasilab.operators import ATOL
+from quasilab.operators import ATOL, hermitian_spectrum
 
 
 def same_bits(a, b) -> bool:
@@ -32,15 +32,16 @@ def same_bits_but_nan_signs(a, b) -> bool:
 QUBIT_ULPS = 8
 
 
-def assert_qubit_eigensystem(m, eig):
-    """``eig``, the eigensystem of a stack of 2x2 Hermitian matrices ``m``,
-    against LAPACK's eigh, each matrix on the scale max(1, largest entry):
-    eigenvalues descending and within QUBIT_ULPS of eigh's, each residual
+def assert_qubit_eigensystem(m, vecs):
+    """``vecs``, the eigenbasis of a stack of 2x2 Hermitian matrices ``m``
+    (its columns), with the eigenvalues ``hermitian_spectrum`` gives read
+    descending, against LAPACK's eigh, each matrix on the scale max(1,
+    largest entry): eigenvalues within QUBIT_ULPS of eigh's, each residual
     |A v - lambda v| and the deviation of V^H V from I within QUBIT_ULPS,
     and the phase rule exact: each column's first entry of magnitude
     above 1e-8 is real, with a zero imaginary part, and positive."""
     m = np.asarray(m).reshape(-1, 2, 2)
-    vals, vecs = eig.eigenvalues.reshape(-1, 2), eig.eigenvectors.reshape(-1, 2, 2)
+    vals, vecs = hermitian_spectrum(m)[..., ::-1], np.reshape(vecs, (-1, 2, 2))
     ulp = QUBIT_ULPS * np.finfo(float).eps
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     assert np.all(vals[:, 0] >= vals[:, 1])

@@ -97,10 +97,6 @@ class TestHyperplanePair:
         pair = HyperplanePair(RESOURCE, r_plus, r_minus)
         assert discriminate(pair, -1)[0] == -1
 
-    def test_carries_the_measurement_of_its_resource(self):
-        pair, povm = hyperplane_pair(RESOURCE, 0.6, 0.0), discrimination_povm(RESOURCE)
-        assert np.array_equal(pair.povm.p_plus, povm.p_plus) and np.array_equal(pair.povm.p_minus, povm.p_minus)
-
     def test_geometry_for_random_instances(self):
         rng = np.random.default_rng(1)
         for _ in range(300):

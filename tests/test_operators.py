@@ -136,6 +136,22 @@ class TestExpectation:
         with pytest.raises(ValueError, match="not finite"):
             expectation(ops, np.stack((rho_z(0.5), rho_z(0.5))))
 
+    @pytest.mark.parametrize("lead", [(), (1,), (200,)], ids=str)
+    def test_f_ordered_operands_give_the_c_ordered_bits(self, lead):
+        # einsum pairs an F-ordered operand in another order, so expectation
+        # takes both operands C-contiguous; a read-only F-ordered state, raw
+        # or held by a QuasiState, and an F-ordered operator
+        rng = np.random.default_rng(12)
+        ops, states = (rng.normal(size=lead + (4, 4)) + 1j * rng.normal(size=lead + (4, 4)) for _ in range(2))
+        ops, states = ops + ops.conj().swapaxes(-1, -2), states + states.conj().swapaxes(-1, -2)
+        states += np.eye(4) * (1.0 - np.trace(states, axis1=-2, axis2=-1).real[..., None, None]) / 4
+        f_ops, f_states = np.asfortranarray(ops), np.asfortranarray(states)
+        f_states.setflags(write=False)
+        assert not f_ops.flags.c_contiguous and not f_states.flags.c_contiguous
+        expected = expectation(ops, states)
+        for op, state in [(f_ops, states), (ops, f_states), (f_ops, f_states), (f_ops, QuasiState(f_states))]:
+            assert same_bits(expectation(op, state), expected)
+
     def test_bilinear(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -151,15 +167,24 @@ class TestExpectation:
 
 class TestEigensystem:
     def test_pauli_z(self):
-        eig = hermitian_eigensystem(SIGMA_Z)
-        assert np.allclose(eig.eigenvalues, [1, -1])
-        assert np.allclose(eig.eigenvectors[:, 0], [1, 0])
-        assert np.allclose(np.abs(eig.eigenvectors[:, 1]), [0, 1])
+        vecs = hermitian_eigensystem(SIGMA_Z)
+        assert np.allclose(SIGMA_Z @ vecs, vecs * [1, -1])
+        assert np.allclose(vecs[:, 0], [1, 0])
+        assert np.allclose(np.abs(vecs[:, 1]), [0, 1])
 
     def test_bloch_state_spectrum(self):
-        # (1 +- r)/2, here with r = 1.5
-        eig = hermitian_eigensystem(rho_z(1.5))
-        assert np.allclose(eig.eigenvalues, [1.25, -0.25], atol=1e-14)
+        # the columns belong to (1 +- r)/2, here with r = 1.5, in that order
+        m = rho_z(1.5)
+        vecs = hermitian_eigensystem(m)
+        assert np.allclose(m @ vecs, vecs * [1.25, -0.25], atol=1e-14)
+        assert np.allclose(hermitian_spectrum(m), [-0.25, 1.25], atol=1e-14)
+
+    def test_the_basis_is_read_only(self):
+        m = to_operator(scale_directions(np.random.default_rng(3).standard_normal((5, 3)), 1.5)).matrix
+        for basis in (hermitian_eigensystem(m[0]), hermitian_eigensystem(m)):
+            assert not basis.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                basis[..., 0, 0] = 0.0
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -460,6 +485,13 @@ class TestFrozenMatrix:
             assert state.matrix[0, 0, 0] == 0.75
             base[0, 0, 0] = 0.75
 
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=str)
+    def test_a_read_only_f_ordered_array_is_copied_c_ordered(self, shape):
+        m = np.asfortranarray(np.broadcast_to(rho_z(0.5), shape + (2, 2)))
+        m.setflags(write=False)
+        matrix = QuasiState(m).matrix
+        assert matrix.flags.c_contiguous and not matrix.flags.writeable and np.array_equal(matrix, m)
+
     def test_an_array_the_package_built_is_not_copied(self):
         owned = np.array(rho_z(0.5))
         owned.setflags(write=False)
@@ -561,10 +593,7 @@ class TestQubitEigensystem:
         equal[:, 1] = equal[:, 0]
         degenerate = np.where(np.arange(4) < 2, rows[:, :1], 0.0)
         m = _hermitian_2x2(np.concatenate((rows, diagonal, equal, degenerate)))
-        eig = hermitian_eigensystem(m)
-        assert_qubit_eigensystem(m, eig)
-        # its eigenvalues are hermitian_spectrum's, descending, bit for bit
-        assert same_bits(eig.eigenvalues, hermitian_spectrum(m)[..., ::-1])
+        assert_qubit_eigensystem(m, hermitian_eigensystem(m))
 
     @pytest.mark.parametrize(
         "a, d", [(0.7, 0.3), (0.3, 0.7), (1.5, -0.5), (-0.5, 1.5), (0.5, 0.5), (0.0, 0.0)], ids=str
@@ -572,11 +601,12 @@ class TestQubitEigensystem:
     def test_diagonal_matrices(self, a, d):
         # b = 0: the basis vectors, the larger entry's first; a * I gets
         # LAPACK's e_1 then e_0
-        eig = hermitian_eigensystem(np.diag([a, d]).astype(complex))
+        m = np.diag([a, d]).astype(complex)
+        vecs = hermitian_eigensystem(m)
         first = 0 if a > d else 1
-        assert np.allclose(eig.eigenvalues, [max(a, d), min(a, d)], rtol=0.0, atol=1e-15)
-        assert np.array_equal(np.abs(eig.eigenvectors), np.eye(2)[:, [first, 1 - first]])
-        assert_qubit_eigensystem(np.diag([a, d]), eig)
+        assert np.allclose(m @ vecs, vecs * [max(a, d), min(a, d)], rtol=0.0, atol=1e-15)
+        assert np.array_equal(np.abs(vecs), np.eye(2)[:, [first, 1 - first]])
+        assert_qubit_eigensystem(m, vecs)
 
     @settings(max_examples=30)
     @given(NORMALS, st.sampled_from([0.0, 1e-12, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 3.0, 1e2, MAX_BOX_NORM]))
@@ -593,15 +623,13 @@ class TestQubitEigensystem:
         b = 2e-8 * ratio * phases  # |g| = |b| / hypot(2h, |b|) at h = 1/2
         m = np.zeros((12, 2, 2), dtype=complex)
         m[:, 0, 0], m[:, 1, 1], m[:, 1, 0], m[:, 0, 1] = 1.0, 0.0, b, b.conj()
-        eig = hermitian_eigensystem(m)
-        assert_qubit_eigensystem(m, eig)
-        pivot_first = np.abs(eig.eigenvectors[:, 0, 1]) > 1e-8
+        vecs = hermitian_eigensystem(m)
+        assert_qubit_eigensystem(m, vecs)
+        pivot_first = np.abs(vecs[:, 0, 1]) > 1e-8
         assert np.array_equal(pivot_first, np.abs(b) / np.hypot(1.0 + np.hypot(0.5, np.abs(b)), np.abs(b)) > 1e-8)
 
     def test_one_matrix_is_its_row_in_a_stack(self):
         m = to_operator(scale_directions(np.random.default_rng(8).standard_normal((50, 3)), 1.7)).matrix
         stacked = hermitian_eigensystem(m)
         for k in range(len(m)):
-            single = hermitian_eigensystem(m[k])
-            assert same_bits(single.eigenvalues, stacked.eigenvalues[k])
-            assert same_bits(single.eigenvectors, stacked.eigenvectors[k])
+            assert same_bits(hermitian_eigensystem(m[k]), stacked[k])

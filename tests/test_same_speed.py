@@ -45,7 +45,7 @@ def test_every_path_runs_on_a_tree(tool, tmp_path):
         calls = tool.paths(tree)
         expected = ["run_all", *(f"criterion_{n}" for n in range(1, 10)), "cli_requests", "highdim_scan"]
         expected += ["real_pairing", "quasi_state_16", "to_operator", "pc_check", "min_eigenvalue", "chsh_experiment"]
-        expected += ["build_box_1", "build_box_1000", "eigensystem_1", "eigensystem_1000"]
+        expected += ["build_box_1", "build_box_1000", "eigensystem_1", "eigensystem_1000", "discrimination_experiment_1"]
         assert list(calls) == expected
         for path in expected[10:]:  # run_all and the criteria are tier-1's own tests
             calls[path]()

@@ -15,7 +15,8 @@ twin or a wrapper of a stack of one. One shape rule: every operation
 broadcasts over leading axes, so no module lifts one instance to a stack
 of one, and only ``operators`` picks results apart and handles the
 stack-innermost layout. One draw rule: every
-criterion draws in bulk."""
+criterion draws in bulk. One home per derived value: no value type caches
+what a function computes from its fields."""
 
 import ast
 from pathlib import Path
@@ -219,6 +220,25 @@ def test_one_owner_of_the_stack_major_layout(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [node.lineno for node in ast.walk(tree) if _handles_the_layout(node)]
     assert path.name == "operators.py" or calls == [], f"{path.name} handles the stack-major layout at lines {calls}"
+
+
+def _named(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_value_type_caches_a_derived_value(path):
+    # a Stacked value holds its checked fields, and the function that reads
+    # a derived value computes it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    cached = [
+        f"{cls.name}.{fn.name}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(_named(base, "Stacked") for base in cls.bases)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and any(_named(d, "cached_property") for d in fn.decorator_list)
+    ]
+    assert cached == [], f"{path.name} caches derived values in {cached}"
 
 
 JUDGES = [path for path in SOURCES if path.name in ("cli.py", "acceptance.py")]

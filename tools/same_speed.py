@@ -20,10 +20,12 @@ of the benchmark's ``cli_requests`` and ``highdim_scan`` workloads at seed
 7 (``bench/workloads.py``, loaded once against each tree); the
 single-instance calls ``real_pairing``, a 16x16 ``QuasiState``,
 ``to_operator``, ``pc_check``, a qubit's ``min_eigenvalue`` and
-``chsh_experiment``; and ``build_box`` and ``hermitian_eigensystem`` on one
+``chsh_experiment``; ``build_box`` and ``hermitian_eigensystem`` on one
 instance and on criterion 9's 1,000 draws at seed 42 (their source
-operators, for the eigensystem). BLAS runs on one thread, as in the
-benchmark.
+operators, for the eigensystem); and ``discrimination_experiment`` on one
+pair built by ``hyperplane_pair``, the calls with which the CLI's
+``discriminate`` and ``clone-demo`` measure a request, a new pair in each
+call as in each request. BLAS runs on one thread, as in the benchmark.
 
 Each tree's minor page faults per call (``resource.getrusage``, over its
 samples) are printed next to its time: a path that allocates and frees
@@ -135,6 +137,10 @@ def paths(q) -> dict:
     calls["build_box_1000"] = lambda: q.nonlocal_box.build_box(draws)
     calls["eigensystem_1"] = lambda: q.operators.hermitian_eigensystem(qubit)
     calls["eigensystem_1000"] = lambda: q.operators.hermitian_eigensystem(qubits)
+    discrimination = q.discrimination
+    calls["discrimination_experiment_1"] = lambda: discrimination.discrimination_experiment(
+        discrimination.hyperplane_pair(r, 0.6, 0.0)
+    )
     return calls
 
 
@@ -227,14 +233,14 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--paths", nargs="+", metavar="PATH", help="time only these paths")
     args = parser.parse_args(argv)
     result = compare(args.other_src, args.pairs, args.paths)
-    header = f"{'path':<16} {'median':>7} {'q1':>7} {'q3':>7} {'here ms':>10} {'there ms':>10}"
+    header = f"{'path':<28} {'median':>7} {'q1':>7} {'q3':>7} {'here ms':>10} {'there ms':>10}"
     print(f"{header} {'here flt':>9} {'there flt':>9} {'here MB':>8} {'there MB':>8}")
     for path, row in result.items():
         q1, median, q3 = row["ratio"]
         times = f"{row['here_s'] * 1e3:10.4f} {row['there_s'] * 1e3:10.4f}"
         faults = f"{row['here_faults']:9.1f} {row['there_faults']:9.1f}"
         peaks = f"{row['here_peak_mb']:8.3f} {row['there_peak_mb']:8.3f}"
-        print(f"{path:<16} {median:7.3f} {q1:7.3f} {q3:7.3f} {times} {faults} {peaks}")
+        print(f"{path:<28} {median:7.3f} {q1:7.3f} {q3:7.3f} {times} {faults} {peaks}")
     print(f"here: {SRC}, there: {Path(args.other_src).resolve()}; ratio = here / there, {args.pairs} pairs per path;")
     print("flt = minor page faults per call; MB = transient peak of one call (tracemalloc)")
     print(f"src/ lines: here {src_lines(SRC)}, there {src_lines(args.other_src)}")
