@@ -29,6 +29,7 @@ from .bloch import (
     scale_directions,
     to_operator,
     from_operator,
+    vector_norms,
 )
 from .discrimination import (
     clonability_check,
@@ -48,7 +49,7 @@ from .highdim import (
     violates_pc,
 )
 from .nonlocal_box import build_box, chsh_experiment, signalling_deviation
-from .operators import ATOL, LAW_ATOL, SPECTRAL_ATOL
+from .operators import ATOL, I4, LAW_ATOL, SPECTRAL_ATOL
 from .reporting import CheckResult, RunReport, fmt_real
 
 DEFAULT_SEED = 42
@@ -133,7 +134,7 @@ def predictability_witness_criterion(seed: int = DEFAULT_SEED, samples: int = 10
     points = predictability_circle(rs).sample(8)
     probs = outcome_probability(rs[:, None], points, +1)
     cross = np.cross(points[:, 0], points[:, 2])
-    colinear = np.sum(np.sqrt(np.vecdot(cross, cross)) <= ATOL)
+    colinear = np.sum(vector_norms(cross) <= ATOL)
     return [
         CheckResult.at_most("circle-directions-certain", np.abs(probs - 1.0), ATOL),
         CheckResult.at_most("witness-pairs-non-colinear", colinear, 0.0),
@@ -279,7 +280,7 @@ def cross_consistency_criterion() -> list[CheckResult]:
     # row 0 holds r+ and the certain probe, row 1 holds r- and the null one
     vectors = np.stack((certain.vector, null.vector))
     plane_dev = from_operator(vectors[..., :, None] * vectors.conj()[..., None, :]) - pairs.member(which)
-    devs = [vs.state.matrix - to_operator(rs).matrix, p1 - povm.p_plus, np.eye(4) - p1 - povm.p_minus]
+    devs = [vs.state.matrix - to_operator(rs).matrix, p1 - povm.p_plus, I4 - p1 - povm.p_minus]
     devs += [plane_dev, qubit_detection, detection]
     dev = np.concatenate([np.abs(d).ravel() for d in devs])
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import as_bloch_vectors, pc_check, to_operator, transverse_frame
-from .operators import ATOL, QuasiState, Stacked, as_number, expectation, kron, matrix_max, require
+from .bloch import as_bloch_vectors, pc_check, to_operator, transverse_frame, vector_norms
+from .operators import ATOL, I4, QuasiState, Stacked, as_number, expectation, kron, matrix_max, require
 from .nonlocal_box import observable
 
 
@@ -63,7 +63,7 @@ class HyperplanePair(Stacked):
         plus, minus = np.vecdot(r, self.r_plus), np.vecdot(r, self.r_minus)
         ok = (np.abs(plus - 1.0) <= ATOL) & (np.abs(minus + 1.0) <= ATOL)
         message = "pair does not satisfy r.r+- = +-1 within {:g} at |r| = {:.6g}: r.r+ = {:.15g}, r.r- = {:.15g}"
-        require(ok, message, ATOL, np.sqrt(np.vecdot(r, r)), plus, minus)
+        require(ok, message, ATOL, vector_norms(r), plus, minus)
         _violating_norms(r)
 
     def member(self, labels) -> np.ndarray:
@@ -109,8 +109,7 @@ def discrimination_povm(r) -> DiscriminationPovm:
     rs = as_bloch_vectors(r)
     sigma = observable(rs / _violating_norms(rs))
     corr = kron(sigma, sigma)
-    ident = np.eye(4, dtype=complex)
-    return DiscriminationPovm(p_plus=0.5 * (ident + corr), p_minus=0.5 * (ident - corr))
+    return DiscriminationPovm(p_plus=0.5 * (I4 + corr), p_minus=0.5 * (I4 - corr))
 
 
 def _is_label(labels: np.ndarray) -> np.ndarray:

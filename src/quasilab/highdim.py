@@ -19,7 +19,9 @@ Every operation follows the package's shape rule: it takes one instance,
 or a stack of instances of one dimension d along leading axes (N
 epsilons, (N, d-1) tails, (N, d, d) bases and (N, d) phases), and
 broadcasts over the leading axes. A stack is validated row by row, and a
-bad row raises the error it raises on its own.
+bad row raises the error it raises on its own. Every basis, the default
+identity included, passes one unitarity check, with the adjoint that then
+builds the state's matrix, read-only so that the state keeps it uncopied.
 """
 
 from __future__ import annotations
@@ -122,15 +124,14 @@ def build_violating_state(dim: int, epsilon: float, lambdas=None, basis=None) ->
         require(np.abs(sums + epsilon) <= ATOL, "tail spectrum must sum to -epsilon, got {:.15g}", sums)
         leading = (lambdas <= (1.0 + epsilon + ATOL)[..., None]).all(axis=-1)
         require(leading, "tail eigenvalue exceeds the leading eigenvalue 1+epsilon")
-    if basis is None:
-        basis = np.zeros(batch + (dim, dim), dtype=complex) + np.eye(dim)
-    else:
-        basis = np.asarray(basis, dtype=complex)
-        # a basis of the wrong shape fails as one verdict, before any product
-        fits = basis.shape == batch + (dim, dim)
-        unitary = fits and (np.abs(basis.conj().swapaxes(-1, -2) @ basis - np.eye(dim)) <= ATOL).all(axis=(-2, -1))
-        require(unitary, "basis columns must be orthonormal")
-    matrix = (basis * _spectrum(epsilon, lambdas)[..., None, :]) @ basis.conj().swapaxes(-1, -2)
+    identity = np.eye(dim)
+    basis = np.asarray(np.tile(identity, batch + (1, 1)) if basis is None else basis, dtype=complex)
+    # a basis of the wrong shape fails as one verdict, before any product
+    require(basis.shape == batch + (dim, dim), "basis columns must be orthonormal")
+    adjoint = basis.conj().swapaxes(-1, -2)
+    require((np.abs(adjoint @ basis - identity) <= ATOL).all(axis=(-2, -1)), "basis columns must be orthonormal")
+    matrix = (basis * _spectrum(epsilon, lambdas)[..., None, :]) @ adjoint
+    matrix.setflags(write=False)  # QuasiState keeps it without a copy
     return ViolatingState(epsilon=as_number(epsilon), lambdas=lambdas, basis=basis, state=QuasiState(matrix))
 
 

@@ -12,13 +12,14 @@ Building and measuring boxes follow the package's shape rule: the shape of
 axes, and the same expressions compute both, broadcasting over those axes.
 The pipeline makes no LAPACK or BLAS call per instance: the source's
 eigenbasis is the closed-form 2x2 one (``hermitian_eigensystem``, which
-returns the basis alone, as the pipeline reads no eigenvalue), and the
-gates, their conjugations of the doubled source and their unitarity checks
-are computed in the stack-innermost layout that ``operators`` owns
-(``stack_major``), where a matrix product is one elementwise product and
-one sum per inner index over the whole stack (``stack_major_product``);
-its terms are one (4, 4, 4, N) temporary, so the gates' checks run first,
-while little else is held.
+returns the basis alone, as the pipeline reads no eigenvalue), the local
+gate is the matrix of rows <+| and <-|, and the gates, their conjugations
+of the doubled source and their unitarity checks against the one identity
+of each size (``I2``, ``I4``) are computed in the stack-innermost layout
+that ``operators`` owns (``stack_major``), where a matrix product is one
+elementwise product and one sum per inner index over the whole stack
+(``stack_major_product``); its terms are one (4, 4, 4, N) temporary, so
+the gates' checks run first, while little else is held.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .bloch import as_bloch_vectors, as_directions, to_operator, vector_norms
 from .operators import (
     ATOL,
     I2,
+    I4,
     PAULI,
     QuasiState,
     SPECTRAL_ATOL,
@@ -55,7 +57,6 @@ PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / SQRT2
 PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / SQRT2
 _PHI_PLUS_PROJECTOR = np.outer(PHI_PLUS, PHI_PLUS.conj())
 _PHI_MINUS_PROJECTOR = np.outer(PHI_MINUS, PHI_MINUS.conj())
-_I4 = np.eye(4)
 
 
 def _outer(u, v) -> np.ndarray:
@@ -75,14 +76,10 @@ def rotated_cnot(xi, xi_perp) -> np.ndarray:
 
 
 def basis_to_computational(xi, xi_perp) -> np.ndarray:
-    """Local unitary |0><+| + |1><-| taking the rotated basis to the
-    computational one; for stacks of (xi, xi_perp), the stack of gates."""
+    """Local unitary |0><+| + |1><-|, the matrix of rows <+| and <-|, taking
+    the rotated basis to the computational one; for stacks, the gates."""
     xi, xi_perp = np.asarray(xi, dtype=complex), np.asarray(xi_perp, dtype=complex)
-    plus = (xi + xi_perp) / SQRT2
-    minus = (xi - xi_perp) / SQRT2
-    ket0 = np.array([1, 0], dtype=complex)
-    ket1 = np.array([0, 1], dtype=complex)
-    return _outer(ket0, plus) + _outer(ket1, minus)
+    return np.stack(((xi + xi_perp).conj() / SQRT2, (xi - xi_perp).conj() / SQRT2), axis=-2)
 
 
 def closed_form_box(r) -> np.ndarray:
@@ -140,7 +137,7 @@ def build_box(r) -> BipartiteBox:
     u_loc = basis_to_computational(xi, xi_perp)
     cnot, loc = stack_major(rotated_cnot(xi, xi_perp)), stack_major(u_loc)
     cnot_h = stack_major_adjoint(cnot)
-    unitarity_dev = np.maximum(_gram_dev(cnot_h, cnot, _I4), _gram_dev(stack_major_adjoint(loc), loc, I2))
+    unitarity_dev = np.maximum(_gram_dev(cnot_h, cnot, I4), _gram_dev(stack_major_adjoint(loc), loc, I2))
     doubled = stack_major_product(stack_major_product(cnot, stack_major(kron(rho, _outer(plus, plus)))), cnot_h)
     del cnot, cnot_h  # each product holds a (4, 4, 4, N) temporary
     pair = stack_major(kron(u_loc, u_loc))
@@ -168,7 +165,7 @@ class ChshSettings(Stacked):
         for name in ("a1", "a2", "b1", "b2"):
             v = np.asarray(getattr(self, name), dtype=float)
             shape_ok = v.shape == np.shape(self.a1) and v.ndim >= 1 and v.shape[-1] == 3
-            unit = shape_ok and np.abs(np.sqrt(np.vecdot(v, v)) - 1.0) <= ATOL
+            unit = shape_ok and np.abs(vector_norms(v) - 1.0) <= ATOL
             require(unit, "setting {} must be a unit 3-vector, or a stack of them shaped as a1", name)
             object.__setattr__(self, name, v)
 
@@ -261,17 +258,16 @@ class JointDistribution(Stacked):
         object.__setattr__(self, "table", t)
 
 
-def _tables(rho, a, b) -> JointDistribution:
+def _tables(rho, a, b) -> tuple[np.ndarray, np.ndarray]:
     """The tables p(x, y) = Tr[(Pi_a^x (x) Pi_b^y) rho] of dim-4 operators
-    ``rho`` and unit vectors a, b of one shape broadcast against ``rho``,
-    with one ``kron`` and one ``expectation`` call for all their entries."""
+    ``rho`` and unit vectors a, b of one shape broadcast against it, from
+    one ``kron`` and one ``expectation`` call, and whether each is valid."""
     # Pi_a^x of the entries (x, y) = (+, +), (+, -), (-, +), (-, -), then Pi_b^y of each
     proj = to_operator(np.stack((a, a, -a, -a, b, -b, b, -b), axis=-2)).matrix
     ops = kron(proj[..., :4, :, :], proj[..., 4:, :, :])
     pairings = expectation(ops, rho[..., None, :, :])
     table = pairings.reshape(pairings.shape[:-1] + (2, 2))
-    valid = ((table >= -ATOL) & (table <= 1.0 + ATOL)).all(axis=(-2, -1))
-    return as_number(JointDistribution(table=table, valid=valid))
+    return table, ((table >= -ATOL) & (table <= 1.0 + ATOL)).all(axis=(-2, -1))
 
 
 def joint_distribution(box: BipartiteBox, a, b) -> JointDistribution:
@@ -280,7 +276,8 @@ def joint_distribution(box: BipartiteBox, a, b) -> JointDistribution:
     entry is a genuine probability. For a stack of N boxes and (N, 3)
     stacks a and b, the N tables, with one ``kron`` and one
     ``expectation`` call for all 4N entries."""
-    return _tables(box.state.matrix, as_directions(a), as_directions(b))
+    table, valid = _tables(box.state.matrix, as_directions(a), as_directions(b))
+    return as_number(JointDistribution(table=table, valid=valid))
 
 
 def setting_tables(box: BipartiteBox, settings: ChshSettings) -> JointDistribution:
@@ -288,9 +285,9 @@ def setting_tables(box: BipartiteBox, settings: ChshSettings) -> JointDistributi
     j, x, y]`` and ``valid[..., i, j]``, with i, j = 1, 2 at index 0, 1.
     For a stack of N boxes and a stack of N settings, the tables of each
     row, from the 16N entries of the 4N (box, a_i, b_j)."""
-    pairs = _tables(box.state.matrix[..., None, :, :], *_setting_pairs(settings))
-    lead = pairs.table.shape[:-3]
-    return JointDistribution(table=pairs.table.reshape(lead + (2, 2, 2, 2)), valid=pairs.valid.reshape(lead + (2, 2)))
+    table, valid = _tables(box.state.matrix[..., None, :, :], *_setting_pairs(settings))
+    lead = valid.shape[:-1]
+    return JointDistribution(table=table.reshape(lead + (2, 2, 2, 2)), valid=valid.reshape(lead + (2, 2)))
 
 
 def chsh_experiment(r, tsirelson: bool = False) -> tuple:

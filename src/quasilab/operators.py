@@ -48,6 +48,7 @@ LAW_ATOL = 1e-9
 PSD_ATOL = ATOL / 2
 
 I2 = np.eye(2, dtype=complex)
+I4 = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -9,15 +9,16 @@ against p(x, y) = (1 + x y E)/4.
 import numpy as np
 import pytest
 
-from helpers import random_direction
+from helpers import random_direction, same_bits
 from quasilab import nonlocal_box
-from quasilab.bloch import along_z, random_bloch_vector
+from quasilab.bloch import along_z, random_bloch_vector, to_operator
 from quasilab.nonlocal_box import (
     PHI_PLUS,
     TSIRELSON_SETTINGS,
     BipartiteBox,
     ChshSettings,
     JointDistribution,
+    basis_to_computational,
     bell_operator,
     build_box,
     chsh_settings_for,
@@ -28,7 +29,7 @@ from quasilab.nonlocal_box import (
     setting_tables,
     signalling_deviation,
 )
-from quasilab.operators import ATOL, I2, SIGMA_Z, QuasiState, expectation, kron, partial_trace
+from quasilab.operators import ATOL, I2, SIGMA_Z, QuasiState, expectation, hermitian_eigensystem, kron, partial_trace
 
 SQRT2 = np.sqrt(2.0)
 X, Y, Z = np.eye(3)
@@ -124,6 +125,23 @@ class TestBuildBox:
         minus = np.array([1, -1], dtype=complex) / SQRT2
         assert np.allclose(u @ kron(np.outer(minus, minus.conj()), np.outer(plus, plus.conj())) @ u.conj().T,
                            kron(np.outer(minus, minus.conj()), np.outer(minus, minus.conj())), atol=1e-12)
+
+    def test_basis_change_rows_are_the_rotated_bras(self):
+        # the eigenbases the pipeline reads, of random sources and of the poles
+        rs = np.concatenate((random_bloch_vector(np.random.default_rng(6), np.zeros(200), 3.0), np.eye(3), -np.eye(3)))
+        vecs = hermitian_eigensystem(to_operator(rs).matrix)
+        xi, xi_perp = vecs[..., 0], vecs[..., 1]
+        gates = basis_to_computational(xi, xi_perp)
+        assert same_bits(gates[:, 0], (xi + xi_perp).conj() / SQRT2)  # <+|
+        assert same_bits(gates[:, 1], (xi - xi_perp).conj() / SQRT2)  # <-|
+        kets = np.stack(((xi + xi_perp) / SQRT2, (xi - xi_perp) / SQRT2), axis=-1)
+        assert np.max(np.abs(gates @ kets - I2)) <= ATOL  # |+> -> |0> and |-> -> |1>
+        for k in (0, 57, 199, 200, 205):
+            assert same_bits(basis_to_computational(xi[k], xi_perp[k]), gates[k])
+
+    def test_basis_change_of_the_computational_pair_is_hadamard(self):
+        gate = basis_to_computational(np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
+        assert same_bits(gate, np.array([[1, 1], [1, -1]], dtype=complex).conj() / SQRT2)
 
     def test_rejects_non_mixed_reductions(self):
         with pytest.raises(ValueError, match="maximally mixed"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import random_tail, same_bits
-from quasilab import acceptance
+from quasilab import acceptance, highdim
 from quasilab.bloch import pc_check, random_bloch_vector, to_operator
 from quasilab.discrimination import discriminate, discrimination_povm
 from quasilab.highdim import (
@@ -85,6 +85,22 @@ class TestBuildViolatingState:
             assert np.trace(vs.state.matrix).real == pytest.approx(1.0, abs=1e-12)
             eigs = np.sort(np.linalg.eigvalsh(vs.state.matrix))[::-1]
             assert eigs[0] == pytest.approx(1.7, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [2.0 * np.eye(3), np.eye(3)[:, :2], np.eye(2), np.ones(3), np.stack([np.eye(3)] * 2)],
+        ids=["scaled", "two-columns", "too-small", "vector", "stacked"],
+    )
+    def test_rejects_a_basis_that_is_not_one_unitary(self, basis):
+        with pytest.raises(ValueError, match="basis columns must be orthonormal"):
+            build_violating_state(3, 0.5, basis=basis)
+
+    @pytest.mark.parametrize("epsilon", [0.5, np.array([0.5, 2.0])], ids=["one", "stack"])
+    def test_the_state_keeps_the_matrix_it_built(self, monkeypatch, epsilon):
+        built = []
+        monkeypatch.setattr(highdim, "QuasiState", lambda matrix: built.append(matrix) or QuasiState(matrix))
+        vs = build_violating_state(4, epsilon)
+        assert vs.state.matrix is built[0] and not built[0].flags.writeable
 
 
 class TestEigenbasisDiagonal:

@@ -36,6 +36,14 @@ holds above what was held before it, numpy's arrays included, as
 ``tracemalloc`` counts it in one extra call per tree. Those calls are made
 after every path is timed, so that tracing touches no timing.
 
+Both columns are taken in the one process that both trees share, in a
+heap that the paths timed before left behind. So a path's faults, and its
+ratio, can read otherwise when ``--paths`` picks a slice of the paths, and
+a change can read here the opposite of what a process of its own shows: a
+change that shrinks a criterion's temporaries can fault less here while
+the same criterion, run alone in a fresh process, faults several times
+more. A claim about faults or memory cites a process of its own as well.
+
 The footer gives each tree's ``src/`` line count, as ``cat
 src/quasilab/*.py | wc -l`` counts it, which is tracked next to speed.
 
